@@ -10,7 +10,7 @@ q_k used to slice the flow frequency axis.
 
 import numpy as np
 
-from .fbi_core import flip_half
+from .fbi_core import dual_phase_grid, flip_half
 
 
 def _mollifier(t):
@@ -96,12 +96,26 @@ def twisted_frequency(x_dag, xi):
     return np.concatenate([xi0, xi_dag + xi0 * flip_half(x_dag)], axis=-1)
 
 
+def _rescaled_twist(x_dag, xi):
+    """Transversal part of the twisted frequency over <|twisted|>^(1/2)."""
+    tw = twisted_frequency(x_dag, xi)
+    scale = bracket(np.linalg.norm(tw, axis=-1)) ** 0.5
+    return tw[..., 1:] / scale[..., None]
+
+
+def slice_covectors(pts, xi0):
+    """Phase points (x_dag, xi_dag) of one flow slice as the pair
+    (x_dag, (xi0, xi_dag)) of transversal centers and full covectors."""
+    d2 = pts.shape[1] // 2
+    xi = np.concatenate([np.full((pts.shape[0], 1), xi0), pts[:, d2:]],
+                        axis=1)
+    return pts[:, :d2], xi
+
+
 def cal_w_aniso(x_dag, xi, r, psi=None):
     """Phase space weight: W^2r of the rescaled transversal frequency,
     invariant under the affine contact group by construction."""
-    tw = twisted_frequency(x_dag, xi)
-    scale = bracket(np.linalg.norm(tw, axis=-1)) ** 0.5
-    return w_aniso(tw[..., 1:] / scale[..., None], 2 * r, psi=psi)
+    return w_aniso(_rescaled_twist(x_dag, xi), 2 * r, psi=psi)
 
 
 def v_s(z, s, r, psi=None):
@@ -187,17 +201,11 @@ def psi_dyadic(zeta, m, psi=None):
     return chi_n(nz, -m) * (1.0 - psi(zeta))
 
 
-def psi_dyadic_lifted(x_dag, xi, m, psi=None):
-    """The dyadic/cone partition transported to phase space with the same
-    rescaled twisted frequency used by the weight."""
-    tw = twisted_frequency(x_dag, xi)
-    scale = bracket(np.linalg.norm(tw, axis=-1)) ** 0.5
-    return psi_dyadic(tw[..., 1:] / scale[..., None], m, psi=psi)
-
-
 def lp_partition(m, x_dag, xi, psi=None):
-    """Littlewood-Paley style partition member Psi_m on phase space."""
-    return psi_dyadic_lifted(x_dag, xi, m, psi=psi)
+    """Littlewood-Paley style partition member Psi_m on phase space: the
+    dyadic/cone partition transported with the same rescaled twisted
+    frequency used by the weight."""
+    return psi_dyadic(_rescaled_twist(x_dag, xi), m, psi=psi)
 
 
 def cutoffs(x_dag, xi, spec):
@@ -210,6 +218,20 @@ def cutoffs(x_dag, xi, spec):
     return x0, x_ctr0, x_hyp
 
 
+def _streamed_norm(vol, weight, pg, n_freq, center_margin):
+    """L2 norm of weight(xi0, pts) times the partial transform of vol,
+    streamed over the flow slices; pts are the phase points of pg."""
+    from .partial_fbi import flow_slices
+    if pg is None:
+        pg = dual_phase_grid(vol.trans, n_freq=n_freq,
+                             center_margin=center_margin)
+    pts = pg.points()
+    total = 0.0
+    for xi0, _, coeff in flow_slices(vol, pg):
+        total += float(np.sum(np.abs(weight(xi0, pts) * coeff.ravel()) ** 2))
+    return float(np.sqrt(total * vol.flow.freq_spacing * pg.weight))
+
+
 def aniso_norm(vol, spec, pg=None, n_freq=None, center_margin=3.5):
     """Weighted L2 norm of the partial transform image of a volume field.
 
@@ -217,25 +239,10 @@ def aniso_norm(vol, spec, pg=None, n_freq=None, center_margin=3.5):
     of W^2r evaluated at the slice frequency and the transversal phase
     point.
     """
-    from .partial_fbi import _slice_forward, check_transversal_spacing
-    from .fbi_core import dual_phase_grid
-    if pg is None:
-        pg = dual_phase_grid(vol.trans, n_freq=n_freq,
-                             center_margin=center_margin)
-    check_transversal_spacing(vol.trans, vol.flow)
-    dft = vol.flow.dft_matrix()
-    hat = np.tensordot(dft, vol.values, axes=([1], [0]))
-    pts = pg.points()
-    d2 = pg.dim
-    total = 0.0
-    for s, xi0 in enumerate(vol.flow.freqs()):
-        kappa = float(bracket(xi0))
-        coeff = _slice_forward(hat[s], pg, kappa, vol.trans).ravel()
-        xi = np.concatenate(
-            [np.full((pts.shape[0], 1), xi0), pts[:, d2:]], axis=1)
-        w = cal_w_aniso(pts[:, :d2], xi, spec.r)
-        total += float(np.sum(np.abs(w * coeff) ** 2))
-    return float(np.sqrt(total * vol.flow.freq_spacing * pg.weight))
+    def weight(xi0, pts):
+        return cal_w_aniso(*slice_covectors(pts, xi0), spec.r)
+
+    return _streamed_norm(vol, weight, pg, n_freq, center_margin)
 
 
 def sobolev_norms(vol, r, pg=None, n_freq=None, center_margin=3.5):
@@ -245,8 +252,6 @@ def sobolev_norms(vol, r, pg=None, n_freq=None, center_margin=3.5):
     treated as periodic for the Fourier factor, which is harmless for the
     compactly supported suite.  At r = 0 both reduce to the L2 norm.
     """
-    from .partial_fbi import _slice_forward, check_transversal_spacing
-    from .fbi_core import dual_phase_grid
     vals = vol.values
     d2 = vals.ndim - 1
     h_t = vol.trans.spacing
@@ -264,21 +269,11 @@ def sobolev_norms(vol, r, pg=None, n_freq=None, center_margin=3.5):
     fourier = np.sqrt(float(np.sum(
         np.abs(uhat) ** 2 * bracket(xi_norm) ** (2.0 * r))) * meas)
 
-    if pg is None:
-        pg = dual_phase_grid(vol.trans, n_freq=n_freq,
-                             center_margin=center_margin)
-    check_transversal_spacing(vol.trans, vol.flow)
-    dft = vol.flow.dft_matrix()
-    hat = np.tensordot(dft, vals, axes=([1], [0]))
-    pts = pg.points()
-    total = 0.0
-    for s, xi0 in enumerate(vol.flow.freqs()):
-        kappa = float(bracket(xi0))
-        coeff = _slice_forward(hat[s], pg, kappa, vol.trans).ravel()
+    def weight(xi0, pts):
         full = np.sqrt(xi0 ** 2 + np.sum(pts[:, d2:] ** 2, axis=-1))
-        w = bracket(full) ** r
-        total += float(np.sum(np.abs(w * coeff) ** 2))
-    pfbi = np.sqrt(total * vol.flow.freq_spacing * pg.weight)
+        return bracket(full) ** r
+
+    pfbi = _streamed_norm(vol, weight, pg, n_freq, center_margin)
     return float(fourier), float(pfbi)
 
 
@@ -312,24 +307,6 @@ def q_tilde_separation(k_max):
             gap = (kp - 2.0 / 3.0) ** 2 - (k + 2.0 / 3.0) ** 2
             best = min(best, gap / kp)
     return float(best)
-
-
-def k_partitions(k, t=None, x_dag=None, delta=0.1, indices=None):
-    """Evaluate the flow frequency partitions attached to the index k.
-
-    With t given, returns q_k(t) and q~_k(t); with x_dag given, also the
-    spatial window Q_{k, indices} (indices default to all zeros).
-    """
-    out = {}
-    if t is not None:
-        out["q"] = q_k(t, k)
-        out["q_tilde"] = q_tilde(t, k)
-    if x_dag is not None:
-        x_dag = np.asarray(x_dag, dtype=float)
-        if indices is None:
-            indices = (0,) * x_dag.shape[-1]
-        out["q_block"] = q_block(x_dag, k, indices, delta)
-    return out
 
 
 def q_block(x_dag, k, indices, delta):

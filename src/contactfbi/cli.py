@@ -105,6 +105,12 @@ class ExperimentConfig:
                               % ", ".join(sorted(unknown)))
         data.update(mapping)
         self.raw = data
+        try:
+            self._read(data)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("bad config value: %s" % exc)
+
+    def _read(self, data):
         self.d = int(data["d"])
         if self.d < 1:
             raise ConfigError("d must be >= 1")
@@ -118,18 +124,16 @@ class ExperimentConfig:
             raise ConfigError("n_per_axis must be even and at least 4")
         if self.flow_points < 2 or self.flow_points % 2:
             raise ConfigError("flow_points must be even and at least 2")
-        try:
-            self.weight = WeightSpec(r=float(data["r"]), d=self.d,
-                                     tau=data["tau"],
-                                     big_n=float(data["big_n"]),
-                                     delta=float(data["delta"]))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        self.weight = WeightSpec(r=float(data["r"]), d=self.d,
+                                 tau=data["tau"], big_n=float(data["big_n"]),
+                                 delta=float(data["delta"]))
         self.map_family = str(data["map_family"])
         self.map_lam = float(data["map_lam"])
         self.map_eps = float(data["map_eps"])
         if self.map_family not in ("linear", "shear"):
             raise ConfigError("map_family must be linear or shear")
+        if self.map_family == "shear" and self.d != 1:
+            raise ConfigError("map_family shear needs d = 1")
         if self.map_lam <= 1.0:
             raise ConfigError("map_lam must exceed 1")
         self.amplitude = str(data["amplitude"])
@@ -184,8 +188,6 @@ class ExperimentConfig:
 
     def contact_map(self):
         if self.map_family == "shear":
-            if self.d != 1:
-                raise ConfigError("shear family is two dimensional")
             return ContactMap.shear(self.map_lam, self.map_eps)
         return ContactMap.linear(self.matrix())
 

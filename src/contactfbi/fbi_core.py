@@ -14,29 +14,23 @@ frequency grid is the exact DFT-dual lattice of that spacing,
 With this choice the frequency sum in T* T is a Dirichlet kernel that
 vanishes identically at every nonzero lattice offset inside the alias
 window, so the discrete T* T is diagonal and the only identity/isometry
-errors are Gaussian boundary tails.  Operators such as the lifted linear
-map are applied through closed-form Gaussian-integral kernels, which keeps
-them accurate even when the linear map moves frequencies outside the band
-that plain quadrature could resolve.
+errors are Gaussian boundary tails.  The pair T / T* is the kappa = 1
+case of the slice transform core in partial_fbi (_slice_forward /
+_slice_adjoint, packets of width kappa^(-1/2)); fbi_forward and
+fbi_adjoint check their inputs and call it.  Operators such as the lifted
+linear map are applied through closed-form Gaussian-integral kernels, which
+keeps them accurate even when the linear map moves frequencies outside the
+band that plain quadrature could resolve.
 """
 
 import numpy as np
 
-from .numerics import Field, GridSpec, make_grid
+from .numerics import Field, GridSpec
 
 
 def normalization(dim):
     """The packet prefactor a_D."""
     return (2.0 * np.pi) ** (-dim / 2.0) * np.pi ** (-dim / 4.0)
-
-
-class WavePacketParams:
-    """Dimension and packet normalization bundled together."""
-
-    def __init__(self, dim):
-        assert dim >= 1
-        self.dim = int(dim)
-        self.normalization = normalization(dim)
 
 
 class PhaseSpacePoint:
@@ -173,15 +167,6 @@ class PhaseField:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.weight))
 
 
-def _axis_matrix(ax, conj):
-    """Per-axis packet sample matrix with entries indexed (center, freq, y)."""
-    x = ax.centers[:, None, None]
-    f = ax.freqs[None, :, None]
-    y = ax.y[None, None, :]
-    sgn = -1.0 if conj else 1.0
-    return np.exp(sgn * 1j * f * (y - x / 2.0) - (y - x) ** 2 / 2.0)
-
-
 def _check_nyquist(pg):
     for ax in pg.axes:
         if ax.y_spacing * np.max(np.abs(ax.freqs)) >= np.pi:
@@ -191,40 +176,27 @@ def _check_nyquist(pg):
 
 
 def fbi_forward(u, pg):
-    """T u on the phase grid: quadrature pairing of u with every packet."""
+    """T u on the phase grid: quadrature pairing of u with every packet.
+
+    This is the partial transform's slice core at kappa = 1."""
+    from .partial_fbi import _slice_forward
     _check_nyquist(pg)
-    d = pg.dim
-    assert u.grid.dim == d
+    assert u.grid.dim == pg.dim
     for ax in pg.axes:
         assert ax.y.size == u.grid.points_per_axis
         assert np.allclose(ax.y, u.grid.axis_nodes())
-    vals = u.reshape()
-    work = vals
-    for a in range(d):
-        m = _axis_matrix(pg.axes[a], conj=True)
-        # contract the leading y axis, appending (center, freq) at the end
-        work = np.tensordot(work, m, axes=([0], [2]))
-    # axes are now (c1, f1, c2, f2, ...) -> reorder to (c..., f...)
-    perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    work = np.transpose(work, perm)
-    scale = normalization(d) * u.grid.weight
-    return PhaseField(pg, scale * work)
+    return PhaseField(pg, _slice_forward(u.reshape(), pg, 1.0))
 
 
 def fbi_adjoint(v, space_grid=None):
-    """T* v: weighted superposition of packets, sampled on the space grid."""
+    """T* v: weighted superposition of packets, sampled on the space grid.
+
+    This is the partial transform's adjoint slice core at kappa = 1."""
+    from .partial_fbi import _slice_adjoint
     pg = v.grid
-    d = pg.dim
     if space_grid is None:
         space_grid = pg.space_grid()
-    work = v.values
-    for a in range(d):
-        m = _axis_matrix(pg.axes[a], conj=False)
-        # after a contractions the layout is (c_{a+1}..c_D, f_{a+1}..f_D,
-        # y_1..y_a); contract the leading center axis with its frequency axis
-        work = np.tensordot(work, m, axes=([0, d - a], [0, 1]))
-    scale = normalization(pg.dim) * pg.weight
-    return Field(space_grid, scale * work.ravel())
+    return Field(space_grid, _slice_adjoint(v.values, pg, 1.0).ravel())
 
 
 def fbi_forward_at(u, points):
@@ -323,19 +295,6 @@ def det_factor(b):
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     return float(np.sqrt(np.linalg.det((np.eye(n) + b.T @ b) / 2.0)))
-
-
-def half_split_cone_member(zeta, which, theta):
-    """Membership in the cone C*_+/-(theta) of R^(2d) split into halves."""
-    zeta = np.asarray(zeta, dtype=float)
-    d = zeta.size // 2
-    plus = np.linalg.norm(zeta[:d])
-    minus = np.linalg.norm(zeta[d:])
-    if which == "plus":
-        return minus <= theta * plus
-    if which == "minus":
-        return plus <= theta * minus
-    raise ValueError("which must be 'plus' or 'minus'")
 
 
 class LinearHyperbolicMap:

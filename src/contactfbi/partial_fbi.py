@@ -11,9 +11,13 @@ packets have width <xi0>^(-1/2),
 
 Discretely the flow axis is periodic with an integer-type frequency grid,
 which makes the Fourier factor exactly unitary, and each transversal slice
-reuses the dual-lattice construction of the plain transform.  Since the
-packet width shrinks with <xi0>, the transversal spacing must satisfy
-h <= 0.7 <xi0>^(-1/2) for the largest flow frequency on the grid.
+reuses the dual-lattice construction of the plain transform.  The slice
+transform of width kappa^(-1/2) (_slice_forward / _slice_adjoint, and
+reconstruct_slice / scatter_slice off the quadrature grid) is the one
+transform core of the package: the plain FBI transform of fbi_core is its
+kappa = 1 case, and flow_slices streams it over the flow frequencies.
+Since the packet width shrinks with <xi0>, the transversal spacing must
+satisfy h <= 0.7 <xi0>^(-1/2) for the largest flow frequency on the grid.
 """
 
 import string
@@ -21,8 +25,7 @@ import string
 import numpy as np
 
 from .aniso_norm import bracket
-from .fbi_core import PhaseField, PhaseGrid, dual_phase_grid, normalization
-from .numerics import GridSpec
+from .fbi_core import dual_phase_grid, normalization
 
 
 class FlowGrid:
@@ -80,13 +83,17 @@ class VolumeField:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * w))
 
 
+def _volume_points(flow, yd):
+    """Product points (y0, y_dag) of the flow nodes and the transversal
+    points yd, in flow-major order."""
+    return np.concatenate([
+        np.repeat(flow.nodes(), yd.shape[0])[:, None],
+        np.tile(yd, (flow.n_points, 1))], axis=1)
+
+
 def sample_volume(f, flow, trans):
     """Sample f on the product grid; f gets points (N, 2d+1) as (y0, y_dag)."""
-    y0 = flow.nodes()
-    yd = trans.nodes()
-    pts = np.concatenate([
-        np.repeat(y0, yd.shape[0])[:, None],
-        np.tile(yd, (flow.n_points, 1))], axis=1)
+    pts = _volume_points(flow, trans.nodes())
     vals = np.asarray(f(pts), dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise ValueError("sampled function produced non-finite values")
@@ -137,7 +144,7 @@ def partial_packet(x_dag, xi=None):
     xi = np.asarray(xi, dtype=float)
     d2 = x_dag.size
     kappa = float(bracket(xi[0]))
-    pref = kappa ** (d2 / 4.0) * normalization(d2) / np.sqrt(2.0 * np.pi)
+    pref = _amplitude(kappa, d2) / np.sqrt(2.0 * np.pi)
 
     def phi(y):
         y = np.asarray(y, dtype=float)
@@ -159,34 +166,71 @@ def check_transversal_spacing(trans, flow):
                 trans.spacing, kappa_max, 0.7 / np.sqrt(kappa_max)))
 
 
-def _slice_axis_matrix(ax, kappa, conj):
-    x = ax.centers[:, None, None]
-    f = ax.freqs[None, :, None]
-    y = ax.y[None, None, :]
+def _amplitude(kappa, d2):
+    """Packet prefactor <xi0>^(d/2) a_2d of a slice of width kappa^(-1/2)."""
+    return kappa ** (d2 / 4.0) * normalization(d2)
+
+
+def _axis_factor(centers, freqs, points, kappa, conj):
+    """Packet factor of one transversal axis indexed (center, freq, point),
+
+        exp(+-i xi (y - x/2) - kappa (y - x)^2 / 2),
+
+    with the minus sign of the phase when conj is set."""
+    x = centers[:, None, None]
+    f = freqs[None, :, None]
+    y = points[None, None, :]
     sgn = -1.0 if conj else 1.0
     return np.exp(sgn * 1j * f * (y - x / 2.0) - kappa * (y - x) ** 2 / 2.0)
 
 
-def _slice_forward(slice_vals, pg, kappa, trans):
+def _slice_axis_matrix(ax, kappa, conj):
+    """The axis factor sampled at the quadrature nodes of the axis."""
+    return _axis_factor(ax.centers, ax.freqs, ax.y, kappa, conj)
+
+
+def _slice_forward(slice_vals, pg, kappa):
+    """Forward transform of one slice sampled on the quadrature nodes of
+    pg, with the quadrature weight pg.y_weight."""
     d2 = pg.dim
     work = slice_vals
-    for a in range(d2):
-        m = _slice_axis_matrix(pg.axes[a], kappa, conj=True)
+    for ax in pg.axes:
+        m = _slice_axis_matrix(ax, kappa, conj=True)
+        # contract the leading y axis, appending (center, freq) at the end
         work = np.tensordot(work, m, axes=([0], [2]))
+    # axes are now (c1, f1, c2, f2, ...) -> reorder to (c..., f...)
     perm = list(range(0, 2 * d2, 2)) + list(range(1, 2 * d2, 2))
     work = np.transpose(work, perm)
-    pref = kappa ** (d2 / 4.0) * normalization(d2) * trans.weight
+    pref = _amplitude(kappa, d2) * pg.y_weight
     return pref * work
 
 
 def _slice_adjoint(slice_vals, pg, kappa):
+    """Adjoint of one slice: packet superposition with the phase grid
+    measure pg.weight, sampled on the quadrature nodes of pg."""
     d2 = pg.dim
     work = slice_vals
-    for a in range(d2):
-        m = _slice_axis_matrix(pg.axes[a], kappa, conj=False)
+    for a, ax in enumerate(pg.axes):
+        m = _slice_axis_matrix(ax, kappa, conj=False)
+        # after a contractions the layout is (c_{a+1}..c_D, f_{a+1}..f_D,
+        # y_1..y_a); contract the leading center axis with its frequency
         work = np.tensordot(work, m, axes=([0, d2 - a], [0, 1]))
-    pref = kappa ** (d2 / 4.0) * normalization(d2) * pg.weight
+    pref = _amplitude(kappa, d2) * pg.weight
     return pref * work
+
+
+def _point_factors(pg, kappa, pts, conj):
+    """Axis factors at arbitrary transversal points, with the einsum
+    subscripts of the phase grid and of each factor."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    d2 = pg.dim
+    assert pts.shape[1] == d2
+    letters = string.ascii_lowercase
+    cs, fs = letters[:d2], letters[d2:2 * d2]
+    factors = [_axis_factor(ax.centers, ax.freqs, pts[:, a], kappa, conj)
+               for a, ax in enumerate(pg.axes)]
+    subscripts = [cs[a] + fs[a] + "z" for a in range(d2)]
+    return cs + fs, subscripts, factors
 
 
 def reconstruct_slice(slice_vals, pg, kappa, pts):
@@ -197,60 +241,47 @@ def reconstruct_slice(slice_vals, pg, kappa, pts):
     points need not lie on the quadrature grid, so the per-axis structure
     is contracted with one factor per axis through einsum.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    d2 = pg.dim
-    assert pts.shape[1] == d2
-    letters = string.ascii_lowercase
-    cs, fs = letters[:d2], letters[d2:2 * d2]
-    operands = [np.asarray(slice_vals, dtype=complex)]
-    subscripts = [cs + fs]
-    for a, ax in enumerate(pg.axes):
-        p = pts[:, a][:, None, None]
-        c = ax.centers[None, :, None]
-        f = ax.freqs[None, None, :]
-        operands.append(np.exp(1j * f * (p - c / 2.0)
-                               - kappa * (p - c) ** 2 / 2.0))
-        subscripts.append("z" + cs[a] + fs[a])
-    out = np.einsum(",".join(subscripts) + "->z", *operands, optimize=True)
-    return kappa ** (d2 / 4.0) * normalization(d2) * pg.weight * out
+    grid, subscripts, factors = _point_factors(pg, kappa, pts, conj=False)
+    out = np.einsum(",".join([grid] + subscripts) + "->z",
+                    np.asarray(slice_vals, dtype=complex), *factors,
+                    optimize=True)
+    return _amplitude(kappa, pg.dim) * pg.weight * out
 
 
 def scatter_slice(vals, pg, kappa, pts):
     """Adjoint companion of reconstruct_slice: push values sitting at
     arbitrary transversal points back onto the phase lattice of one
     slice, with the same prefactor and measure."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     vals = np.asarray(vals, dtype=complex).ravel()
-    d2 = pg.dim
-    assert pts.shape[1] == d2
-    assert vals.size == pts.shape[0]
-    letters = string.ascii_lowercase
-    cs, fs = letters[:d2], letters[d2:2 * d2]
-    operands = [vals]
-    subscripts = ["z"]
-    for a, ax in enumerate(pg.axes):
-        p = pts[:, a][:, None, None]
-        c = ax.centers[None, :, None]
-        f = ax.freqs[None, None, :]
-        operands.append(np.exp(-1j * f * (p - c / 2.0)
-                               - kappa * (p - c) ** 2 / 2.0))
-        subscripts.append("z" + cs[a] + fs[a])
-    out = np.einsum(",".join(subscripts) + "->" + cs + fs,
-                    *operands, optimize=True)
-    return kappa ** (d2 / 4.0) * normalization(d2) * pg.weight * out
+    grid, subscripts, factors = _point_factors(pg, kappa, pts, conj=True)
+    assert vals.size == factors[0].shape[2]
+    out = np.einsum(",".join(["z"] + subscripts) + "->" + grid,
+                    vals, *factors, optimize=True)
+    return _amplitude(kappa, pg.dim) * pg.weight * out
+
+
+def flow_slices(vol, pg):
+    """Stream the partial transform of a volume field slice by slice.
+
+    Checks the transversal spacing, Fourier transforms along the flow and
+    yields (xi0, kappa, coefficients) for each flow frequency xi0, with
+    kappa = <xi0> and the slice coefficients on the phase grid pg; only
+    one slice of coefficients exists at a time.
+    """
+    check_transversal_spacing(vol.trans, vol.flow)
+    hat = np.tensordot(vol.flow.dft_matrix(), vol.values, axes=([1], [0]))
+    for xi0, slice_vals in zip(vol.flow.freqs(), hat):
+        kappa = float(bracket(xi0))
+        yield xi0, kappa, _slice_forward(slice_vals, pg, kappa)
 
 
 def pfbi_forward(vol, pg=None, n_freq=None):
     """Apply the partial transform, materializing all flow slices."""
     if pg is None:
         pg = dual_phase_grid(vol.trans, n_freq=n_freq)
-    check_transversal_spacing(vol.trans, vol.flow)
-    f0 = vol.flow.dft_matrix()
-    hat = np.tensordot(f0, vol.values, axes=([1], [0]))
     out = np.empty((vol.flow.n_points,) + pg.shape(), dtype=complex)
-    for s, xi0 in enumerate(vol.flow.freqs()):
-        kappa = float(bracket(xi0))
-        out[s] = _slice_forward(hat[s], pg, kappa, vol.trans)
+    for s, (_, _, coeff) in enumerate(flow_slices(vol, pg)):
+        out[s] = coeff
     return PartialPhaseField(vol.flow, pg, out)
 
 
@@ -277,30 +308,22 @@ def pfbi_roundtrip(vol, pg=None, n_freq=None, weight=None):
     """
     if pg is None:
         pg = dual_phase_grid(vol.trans, n_freq=n_freq)
-    check_transversal_spacing(vol.trans, vol.flow)
-    f0 = vol.flow.dft_matrix()
-    inv = vol.flow.idft_matrix()
-    hat = np.tensordot(f0, vol.values, axes=([1], [0]))
-    out_hat = np.empty_like(hat)
-    for s, xi0 in enumerate(vol.flow.freqs()):
-        kappa = float(bracket(xi0))
-        coeff = _slice_forward(hat[s], pg, kappa, vol.trans)
+    out_hat = np.empty_like(vol.values)
+    for s, (xi0, kappa, coeff) in enumerate(flow_slices(vol, pg)):
         if weight is not None:
             coeff = coeff * weight(xi0, pg)
         out_hat[s] = _slice_adjoint(coeff, pg, kappa)
-    vals = np.tensordot(inv, out_hat, axes=([1], [0]))
+    vals = np.tensordot(vol.flow.idft_matrix(), out_hat, axes=([1], [0]))
     return VolumeField(vol.flow, vol.trans, vals)
 
 
-def pcal_apply(pf, trans=None):
+def pcal_apply(pf):
     """The projection onto the transform range, block diagonal over xi0:
     each slice goes through the adjoint and forward of its own width."""
     pg = pf.phase
-    if trans is None:
-        trans = pg.space_grid()
     out = np.empty_like(pf.values)
     for s, xi0 in enumerate(pf.flow.freqs()):
         kappa = float(bracket(xi0))
         mid = _slice_adjoint(pf.values[s], pg, kappa)
-        out[s] = _slice_forward(mid, pg, kappa, trans)
+        out[s] = _slice_forward(mid, pg, kappa)
     return PartialPhaseField(pf.flow, pg, out)

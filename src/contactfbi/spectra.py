@@ -20,14 +20,14 @@ import json
 
 import numpy as np
 
-from .aniso_norm import (bracket, cal_w_aniso, chi, cutoff_triple, q_block,
-                         q_tilde, q_tilde_support, v_s)
+from .aniso_norm import (bracket, cal_w_aniso, chi, cutoffs, q_block,
+                         q_tilde, q_tilde_support, slice_covectors, v_s)
 from .contact_geometry import alpha0_covector, det_on_unstable
 from .fbi_core import PhaseAxis, PhaseGrid, l0_hat_kernel
 from .numerics import operator_norm
-from .partial_fbi import (_slice_adjoint, _slice_forward,
-                          check_transversal_spacing, partial_packet,
-                          reconstruct_slice, sample_volume, scatter_slice)
+from .partial_fbi import (_slice_adjoint, _slice_forward, _volume_points,
+                          flow_slices, partial_packet, reconstruct_slice,
+                          sample_volume, scatter_slice)
 from .transfer_ops import (_flow_shift_values, _map_points,
                            flow_fourier_coeffs, lift_kernel, transfer_apply)
 
@@ -151,13 +151,8 @@ def weighted_norm_measure(b, s, r, half_widths=None, spacing=0.7,
 def weight_diagonal(flow, pg, r):
     """The phase space weight on the lift index set, flow-slice major."""
     pts = pg.points()
-    d2 = pg.dim
-    npts = pg.num_points
-    out = np.empty(flow.n_points * npts)
-    for s, xi0 in enumerate(flow.freqs()):
-        xi = np.concatenate([np.full((npts, 1), xi0), pts[:, d2:]], axis=1)
-        out[s * npts:(s + 1) * npts] = cal_w_aniso(pts[:, :d2], xi, r)
-    return out
+    return np.concatenate([cal_w_aniso(*slice_covectors(pts, xi0), r)
+                           for xi0 in flow.freqs()])
 
 
 def conjugated_operator(matrix, wspec):
@@ -250,22 +245,12 @@ def weighted_gram(vols, pg, wspec):
     the fields is never materialized.
     """
     assert len(vols) > 0
-    flow, trans = vols[0].flow, vols[0].trans
-    check_transversal_spacing(trans, flow)
-    dft = flow.dft_matrix()
-    hats = [np.tensordot(dft, v.values, axes=([1], [0])) for v in vols]
     pts = pg.points()
-    d2 = pg.dim
-    mu = flow.freq_spacing * pg.weight
+    mu = vols[0].flow.freq_spacing * pg.weight
     gram = np.zeros((len(vols), len(vols)), dtype=complex)
-    for s, xi0 in enumerate(flow.freqs()):
-        kappa = float(bracket(xi0))
-        xi = np.concatenate([np.full((pts.shape[0], 1), xi0), pts[:, d2:]],
-                            axis=1)
-        w = cal_w_aniso(pts[:, :d2], xi, wspec.r)
-        coeffs = np.stack([
-            (_slice_forward(h[s], pg, kappa, trans).ravel() * w)
-            for h in hats])
+    for slices in zip(*[flow_slices(v, pg) for v in vols]):
+        w = cal_w_aniso(*slice_covectors(pts, slices[0][0]), wspec.r)
+        coeffs = np.stack([coeff.ravel() * w for _, _, coeff in slices])
         gram += mu * (coeffs.conj() @ coeffs.T)
     return gram
 
@@ -314,13 +299,6 @@ def lower_bound_family(spec, flow, trans, pg, n_ks, wspec, m=4,
     return {"x_star": x_star, "n_ks": list(n_ks), "c_k": c_k,
             "ratios": ratios, "gram_phi": gram_phi, "gram_image": gram_img,
             "min_ratio": float(np.min(ratios))}
-
-
-class _YWeight:
-    """Carries the quadrature weight expected by the slice primitives."""
-
-    def __init__(self, weight):
-        self.weight = float(weight)
 
 
 class CentralFrame:
@@ -388,21 +366,14 @@ class CentralFrame:
         self.y_shape = tuple(lat.size for lat in y_lattices)
         mesh = np.meshgrid(*y_lattices, indexing="ij")
         self.ypts = np.stack([mm.ravel() for mm in mesh], axis=-1)
-        self.y_weight = float(np.prod([lat[1] - lat[0]
-                                       for lat in y_lattices]))
 
         # amplitude data: flow Fourier coefficients on the quadrature
         # points and at the origin of the transversal slice
-        y0 = flow.nodes()
-        ny = self.ypts.shape[0]
-        vol_pts = np.concatenate(
-            [np.repeat(y0, ny)[:, None],
-             np.tile(self.ypts, (flow.n_points, 1))], axis=1)
-        gv = np.asarray(spec.g(vol_pts), dtype=complex)
+        gv = np.asarray(spec.g(_volume_points(flow, self.ypts)),
+                        dtype=complex)
         self.ghat = flow_fourier_coeffs(gv, flow)
-        zero_pts = np.concatenate([y0[:, None],
-                                   np.zeros((flow.n_points, d2))], axis=1)
-        g0 = np.asarray(spec.g(zero_pts), dtype=complex)
+        g0 = np.asarray(spec.g(_volume_points(flow, np.zeros((1, d2)))),
+                        dtype=complex)
         self.ghat0 = flow_fourier_coeffs(g0, flow)[:, 0]
 
         self.fy = _map_points(spec.map, self.ypts)
@@ -413,31 +384,24 @@ class CentralFrame:
         # weights in both the true and the frozen frequency
         pts_in = self.pg_in.points()
         zs = pts_in[:, :d2]
-        fd_in = pts_in[:, d2:]
-        npi = self.pg_in.num_points
         qb = np.asarray(q_block(zs, k, (0,) * d2, wspec.delta), dtype=float)
-        self.col_cut = np.empty((self.eta0.size, npi))
-        self.w_in = np.empty((self.eta0.size, npi))
+        self.col_cut = np.empty((self.eta0.size, self.pg_in.num_points))
+        self.w_in = np.empty_like(self.col_cut)
         for t, e0 in enumerate(self.eta0):
-            xi = np.concatenate([np.full((npi, 1), e0), fd_in], axis=1)
-            _, _, ctr0 = cutoff_triple(zs, xi, wspec)
+            covectors = slice_covectors(pts_in, e0)
+            _, ctr0, _ = cutoffs(*covectors, wspec)
             self.col_cut[t] = float(q_tilde(e0, k)) * qb * ctr0
-            self.w_in[t] = cal_w_aniso(zs, xi, wspec.r)
-        xi_frozen = np.concatenate([np.full((npi, 1), kk), fd_in], axis=1)
+            self.w_in[t] = cal_w_aniso(*covectors, wspec.r)
         self.w_in_frozen = np.broadcast_to(
-            cal_w_aniso(zs, xi_frozen, wspec.r), (self.eta0.size, npi))
+            cal_w_aniso(*slice_covectors(pts_in, kk), wspec.r),
+            self.col_cut.shape)
 
         pts_out = self.pg_out.points()
-        xs = pts_out[:, :d2]
-        fd_out = pts_out[:, d2:]
-        npo = self.pg_out.num_points
-        self.w_out = np.empty((self.xi0.size, npo))
-        for s, x0 in enumerate(self.xi0):
-            xi = np.concatenate([np.full((npo, 1), x0), fd_out], axis=1)
-            self.w_out[s] = cal_w_aniso(xs, xi, wspec.r)
-        xi_frozen = np.concatenate([np.full((npo, 1), kk), fd_out], axis=1)
+        self.w_out = np.stack([cal_w_aniso(*slice_covectors(pts_out, x0),
+                                           wspec.r) for x0 in self.xi0])
         self.w_out_frozen = np.broadcast_to(
-            cal_w_aniso(xs, xi_frozen, wspec.r), (self.xi0.size, npo))
+            cal_w_aniso(*slice_covectors(pts_out, kk), wspec.r),
+            self.w_out.shape)
 
     def sizes(self):
         return {"n_eta": int(self.eta0.size), "n_xi": int(self.xi0.size),
@@ -476,7 +440,6 @@ class CentralBlock:
             self.col = f.col_cut / f.w_in
             self.row = f.w_out
         self.scale = f.fs / np.sqrt(2.0 * np.pi)
-        self._yw = _YWeight(f.y_weight)
 
     def _ghat_row(self, moff):
         f = self.frame
@@ -508,7 +471,7 @@ class CentralBlock:
                 recs[t] = rec * np.exp(1j * f.eta0[t] * self.shift)
             mid = (self._ghat_row(moff) * recs[t]).reshape(f.y_shape)
             out[s] += self.scale * _slice_forward(
-                mid, f.pg_out, self.kap_o[s], self._yw).ravel()
+                mid, f.pg_out, self.kap_o[s]).ravel()
         return out * self.row
 
     def apply_adjoint(self, w):
@@ -518,7 +481,7 @@ class CentralBlock:
         wr = w * self.row
         acc = np.zeros((f.eta0.size, f.pg_in.num_points), dtype=complex)
         backs = {}
-        back_factor = f.y_weight / f.pg_out.weight
+        back_factor = f.pg_out.y_weight / f.pg_out.weight
         for s, t, moff in self._pairs():
             if s not in backs:
                 backs[s] = back_factor * _slice_adjoint(

@@ -22,22 +22,13 @@ import json
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .aniso_norm import bracket, cutoff_triple
+from .aniso_norm import bracket, cutoffs, slice_covectors
 from .contact_geometry import det_on_unstable
 from .fbi_core import PhaseAxis, PhaseGrid, normalization
 from .partial_fbi import (FlowGrid, PartialPacketIndex, PartialPhaseField,
-                          VolumeField, _slice_forward,
+                          VolumeField, _slice_forward, _volume_points,
                           check_transversal_spacing, partial_packet,
                           reconstruct_slice)
-
-
-def _volume_points(flow, trans):
-    """Product grid points (y0, y_dag) in flow-major order."""
-    y0 = flow.nodes()
-    yd = trans.nodes()
-    return np.concatenate([
-        np.repeat(y0, yd.shape[0])[:, None],
-        np.tile(yd, (flow.n_points, 1))], axis=1)
 
 
 class TransferSpec:
@@ -60,7 +51,8 @@ class TransferSpec:
         return self.map.d
 
     def g_values(self, flow, trans):
-        vals = np.asarray(self.g(_volume_points(flow, trans)), dtype=complex)
+        vals = np.asarray(self.g(_volume_points(flow, trans.nodes())),
+                          dtype=complex)
         if not np.all(np.isfinite(vals)):
             raise ValueError("amplitude produced non-finite values")
         return vals.reshape((flow.n_points,) + trans.shape())
@@ -116,7 +108,7 @@ def transfer_apply(spec, u, flow=None, trans=None, method="linear",
         flow = u.flow if flow is None else flow
         trans = u.trans if trans is None else trans
     assert flow is not None and trans is not None
-    pts = _volume_points(flow, trans)
+    pts = _volume_points(flow, trans.nodes())
     fpts = spec.map.apply(pts)
     gv = np.asarray(spec.g(pts), dtype=complex)
     if isinstance(u, VolumeField):
@@ -350,7 +342,7 @@ def lift_apply(spec, flow, trans, pg_out, pf):
         for s in range(n0):
             kap_o = float(bracket(freqs[s]))
             m = (ghat[s - t + n0 - 1] * rec).reshape(trans.shape())
-            out[s] += scale * _slice_forward(m, pg_out, kap_o, trans)
+            out[s] += scale * _slice_forward(m, pg_out, kap_o)
     return PartialPhaseField(flow, pg_out, out)
 
 
@@ -368,7 +360,7 @@ def kernel_entry_direct(spec, flow, trans, out_index, in_index):
     Independent of the factored assembly: evaluates both packets
     pointwise, composes the in packet with the map and sums.
     """
-    pts = _volume_points(flow, trans)
+    pts = _volume_points(flow, trans.nodes())
     fpts = spec.map.apply(pts)
     phi_o = partial_packet(out_index)
     phi_i = partial_packet(in_index)
@@ -449,19 +441,9 @@ def kernel_bound_audit(spec, flow, trans, pg, rho, n_per_stratum=4,
 def cutoff_diagonals(flow, pg, wspec):
     """Diagonal cutoff vectors (X0, X_ctr0, X_hyp) on the lift index set."""
     pts = pg.points()
-    d2 = pg.dim
-    n0 = flow.n_points
-    npts = pg.num_points
-    x0 = np.empty(n0 * npts)
-    ctr = np.empty(n0 * npts)
-    hyp = np.empty(n0 * npts)
-    for s, xi0 in enumerate(flow.freqs()):
-        xi = np.concatenate([np.full((pts.shape[0], 1), xi0), pts[:, d2:]],
-                            axis=1)
-        v0, vh, vc = cutoff_triple(pts[:, :d2], xi, wspec)
-        sl = slice(s * npts, (s + 1) * npts)
-        x0[sl], ctr[sl], hyp[sl] = v0, vc, vh
-    return x0, ctr, hyp
+    parts = [cutoffs(*slice_covectors(pts, xi0), wspec)
+             for xi0 in flow.freqs()]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def decompose(matrix, wspec):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactfbi.aniso_norm import (WeightSpec, bracket, cal_w_aniso, chi,
-                                   chi_n, cutoff_triple, psi_dyadic,
-                                   psi_dyadic_lifted, psi_minus, psi_plus,
-                                   q_block, q_k, q_tilde, q_tilde_separation,
+                                   chi_n, cutoff_triple, lp_partition,
+                                   psi_dyadic, psi_minus, psi_plus, q_block,
+                                   q_k, q_tilde, q_tilde_separation,
                                    q_tilde_support, smooth_step,
                                    twisted_frequency, v_s, w_aniso, w_s)
 from contactfbi.contact_geometry import AffineContactMap
@@ -192,7 +192,7 @@ class TestDyadicPartition:
         for _ in range(10):
             x = rng.normal(size=2)
             xi = rng.normal(size=3) * 20.0
-            total = sum(psi_dyadic_lifted(x, xi, m) for m in range(-10, 11))
+            total = sum(lp_partition(m, x, xi) for m in range(-10, 11))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_m_zero_is_ball(self):
@@ -263,24 +263,6 @@ class TestNamedOps:
         assert np.array_equal(hyp, refh)
         assert np.max(np.abs(x0 + ctr + hyp - 1.0)) <= 1e-12
 
-    def test_lp_partition_alias(self):
-        from contactfbi.aniso_norm import lp_partition
-        rng = np.random.default_rng(3)
-        x = rng.uniform(-1.0, 1.0, size=(20, 2))
-        xi = rng.uniform(-40.0, 40.0, size=(20, 3))
-        for m in (-2, 0, 3):
-            assert np.array_equal(lp_partition(m, x, xi),
-                                  psi_dyadic_lifted(x, xi, m))
-
-    def test_k_partitions(self):
-        from contactfbi.aniso_norm import k_partitions
-        t = np.linspace(-5.0, 30.0, 101)
-        out = k_partitions(5, t=t, x_dag=np.zeros((3, 2)))
-        assert np.array_equal(out["q"], q_k(t, 5))
-        assert np.array_equal(out["q_tilde"], q_tilde(t, 5))
-        assert out["q_block"].shape == (3,)
-        assert out["q_block"][0] == pytest.approx(1.0)
-
 
 class TestVolumeNorms:
 
@@ -340,3 +322,12 @@ class TestVolumeNorms:
         minus = aniso_norm(sample_volume(u_minus, self.flow, self.trans),
                            spec)
         assert minus > 2.0 * plus
+
+    def test_matches_weighted_gram(self):
+        from contactfbi.aniso_norm import aniso_norm
+        from contactfbi.fbi_core import dual_phase_grid
+        from contactfbi.spectra import weighted_gram
+        spec = WeightSpec(r=2.0)
+        pg = dual_phase_grid(self.trans, center_margin=3.5)
+        ref = np.sqrt(weighted_gram([self.vol], pg, spec)[0, 0].real)
+        assert abs(aniso_norm(self.vol, spec, pg) - ref) <= 1e-12 * ref

@@ -65,7 +65,8 @@ class TestConfigParsing:
 
     def test_range_validation(self, tmp_path):
         for body in ("d = 0\n", "n_per_axis = 5\n", "map_lam = 0.5\n",
-                     "map_family = rotation\n", "flow_points = 3\n"):
+                     "map_family = rotation\n", "flow_points = 3\n",
+                     "d = 2\nmap_family = shear\n", "tol = abc\n"):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_file(write(tmp_path / "a.cfg", body))
 
@@ -83,6 +84,16 @@ class TestExitCodes:
         code = main(["spectrum", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path)])
         assert code == 2
+
+    def test_bad_value_exits_two_before_compute(self, tmp_path, capsys):
+        for i, body in enumerate(("d = 2\nmap_family = shear\n",
+                                  "tol = abc\n")):
+            out = tmp_path / ("run%d" % i)
+            code = main(["lower-bound", "--config",
+                         write(tmp_path / "bad.cfg", body), "--out", str(out)])
+            assert code == 2
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_coarse_identity_exits_one(self, tmp_path, capsys):
         path = write(tmp_path / "coarse.cfg",

@@ -6,9 +6,11 @@ import pytest
 from contactfbi.fbi_core import dual_phase_grid
 from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField, VolumeField,
+                                    _slice_adjoint, _slice_forward,
                                     partial_packet, pcal_apply, pfbi_adjoint,
                                     pfbi_forward, pfbi_roundtrip,
-                                    sample_volume)
+                                    reconstruct_slice, sample_volume,
+                                    scatter_slice)
 
 
 def gaussian_volume(flow, trans, k_flow=2.0, width=0.8):
@@ -171,3 +173,32 @@ class TestProjection:
         lhs = np.sum(np.conj(pcal_apply(a).values) * b.values) * w
         rhs = np.sum(np.conj(a.values) * pcal_apply(b).values) * w
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+class TestSliceCore:
+    """The off-grid contractions agree with the grid ones at the nodes."""
+
+    def setup_method(self):
+        trans = make_grid(2, 2.0, 10)
+        self.pg = dual_phase_grid(trans, center_margin=1.0)
+        self.nodes = trans.nodes()
+        self.kappa = 2.5
+        self.rng = np.random.default_rng(11)
+
+    def _noise(self, shape):
+        return self.rng.standard_normal(shape) \
+            + 1j * self.rng.standard_normal(shape)
+
+    def test_reconstruct_at_nodes_is_adjoint(self):
+        v = self._noise(self.pg.shape())
+        ref = _slice_adjoint(v, self.pg, self.kappa).ravel()
+        got = reconstruct_slice(v, self.pg, self.kappa, self.nodes)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_scatter_at_nodes_is_forward(self):
+        u = self._noise((self.pg.axes[0].y.size, self.pg.axes[1].y.size))
+        ref = _slice_forward(u, self.pg, self.kappa)
+        got = scatter_slice(u.ravel(), self.pg, self.kappa, self.nodes) \
+            * (self.pg.y_weight / self.pg.weight)
+        assert np.linalg.norm((got - ref).ravel()) <= \
+            1e-12 * np.linalg.norm(ref.ravel())

@@ -158,7 +158,7 @@ class TestLiftKernel:
         pf = PartialPhaseField(flow, pg, rng.standard_normal(shape)
                                + 1j * rng.standard_normal(shape))
         lifted = mat.apply(pf)
-        proj = pcal_apply(pf, trans=trans)
+        proj = pcal_apply(pf)
         err = np.linalg.norm((lifted.values - proj.values).ravel())
         ref = np.linalg.norm(proj.values.ravel())
         assert err / ref <= 1e-10
