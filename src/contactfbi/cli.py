@@ -107,17 +107,17 @@ class ExperimentConfig:
         self.raw = data
         try:
             self._read(data)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError("bad config value: %s" % exc)
 
     def _read(self, data):
-        self.d = int(data["d"])
+        self.d = _count("d", data["d"])
         if self.d < 1:
             raise ConfigError("d must be >= 1")
         self.box_half = float(data["box_half"])
-        self.n_per_axis = int(data["n_per_axis"])
+        self.n_per_axis = _count("n_per_axis", data["n_per_axis"])
         self.flow_half_period = float(data["flow_half_period"])
-        self.flow_points = int(data["flow_points"])
+        self.flow_points = _count("flow_points", data["flow_points"])
         if self.box_half <= 0 or self.flow_half_period <= 0:
             raise ConfigError("box sizes must be positive")
         if self.n_per_axis < 4 or self.n_per_axis % 2:
@@ -147,12 +147,12 @@ class ExperimentConfig:
         self.norm_spacing = float(data["norm_spacing"])
         self.n_ks = [float(v) for v in _aslist(data["n_ks"])]
         self.window_m = float(data["window_m"])
-        self.ks = [int(v) for v in _aslist(data["ks"])]
+        self.ks = [_count("ks", v) for v in _aslist(data["ks"])]
         self.n_freq = data["n_freq"]
         if self.n_freq is not None:
-            self.n_freq = int(self.n_freq)
+            self.n_freq = _count("n_freq", self.n_freq)
         self.margin = float(data["margin"])
-        self.samples = int(data["samples"])
+        self.samples = _count("samples", data["samples"])
         self.tag = str(data["tag"])
 
     @classmethod
@@ -202,6 +202,14 @@ class ExperimentConfig:
                 -np.sum(pts[:, 1:] ** 2, axis=-1) / width)
         return lambda pts: np.exp(
             -np.sum(pts[:, 1:] ** 2, axis=-1) / width)
+
+
+def _count(key, val):
+    """An integer config value; integral floats such as 8.0 pass."""
+    count = int(val)
+    if count != float(val):
+        raise ConfigError("%s must be an integer, got %r" % (key, val))
+    return count
 
 
 def _aslist(val):

@@ -63,7 +63,12 @@ def wave_packet(p):
 
 
 class PhaseAxis:
-    """Center, frequency and space-quadrature nodes along one axis."""
+    """Center, frequency and space-quadrature nodes along one axis.
+
+    point_factors holds the read-only packet factors of this axis at
+    off-grid points, keyed by (points bytes, kappa, conj); see
+    partial_fbi._point_factors.
+    """
 
     def __init__(self, centers, freqs, y):
         self.centers = np.asarray(centers, dtype=float)
@@ -72,6 +77,7 @@ class PhaseAxis:
         self.c_spacing = float(self.centers[1] - self.centers[0])
         self.f_spacing = float(self.freqs[1] - self.freqs[0])
         self.y_spacing = float(self.y[1] - self.y[0])
+        self.point_factors = {}
 
 
 class PhaseGrid:

@@ -16,6 +16,14 @@ transform of width kappa^(-1/2) (_slice_forward / _slice_adjoint, and
 reconstruct_slice / scatter_slice off the quadrature grid) is the one
 transform core of the package: the plain FBI transform of fbi_core is its
 kappa = 1 case, and flow_slices streams it over the flow frequencies.
+
+The off-grid packet factors of reconstruct_slice / scatter_slice are
+memoized on each PhaseAxis: their callers (the central block's power
+iteration, lift_apply) evaluate the same mapped points at the same few
+widths on every application.  The on-grid factors of _slice_axis_matrix
+are rebuilt on each call: flow_slices builds each large (kappa, axis)
+matrix once per volume, so a cache would only pin all of them in memory.
+
 Since the packet width shrinks with <xi0>, the transversal spacing must
 satisfy h <= 0.7 <xi0>^(-1/2) for the largest flow frequency on the grid.
 """
@@ -219,6 +227,18 @@ def _slice_adjoint(slice_vals, pg, kappa):
     return pref * work
 
 
+def _cached_axis_factor(ax, points, kappa, conj):
+    """_axis_factor of one phase axis at off-grid points, memoized on the
+    axis and returned read-only, since every caller shares it."""
+    key = (points.tobytes(), float(kappa), bool(conj))
+    factor = ax.point_factors.get(key)
+    if factor is None:
+        factor = _axis_factor(ax.centers, ax.freqs, points, kappa, conj)
+        factor.flags.writeable = False
+        ax.point_factors[key] = factor
+    return factor
+
+
 def _point_factors(pg, kappa, pts, conj):
     """Axis factors at arbitrary transversal points, with the einsum
     subscripts of the phase grid and of each factor."""
@@ -227,7 +247,7 @@ def _point_factors(pg, kappa, pts, conj):
     assert pts.shape[1] == d2
     letters = string.ascii_lowercase
     cs, fs = letters[:d2], letters[d2:2 * d2]
-    factors = [_axis_factor(ax.centers, ax.freqs, pts[:, a], kappa, conj)
+    factors = [_cached_axis_factor(ax, pts[:, a], kappa, conj)
                for a, ax in enumerate(pg.axes)]
     subscripts = [cs[a] + fs[a] + "z" for a in range(d2)]
     return cs + fs, subscripts, factors

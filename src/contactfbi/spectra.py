@@ -419,6 +419,12 @@ class CentralBlock:
     primed=True gives the linearized surrogate: frozen Jacobian at the
     origin, amplitude data at y = 0, both widths k^2, no flow shift and
     weights at the frozen frequency.
+
+    The slices couple only through ghat, so each application is linear
+    in the slice counts: apply costs n_eta reconstruct_slice calls plus
+    n_xi _slice_forward calls, and apply_adjoint n_xi _slice_adjoint
+    calls plus n_eta scatter_slice calls, with the ghat-weighted sums
+    taken on the quadrature points in between.
     """
 
     def __init__(self, frame, primed):
@@ -462,37 +468,42 @@ class CentralBlock:
         u = np.asarray(u, dtype=complex)
         assert u.shape == (f.eta0.size, f.pg_in.num_points)
         v = u * self.col
-        out = np.zeros((f.xi0.size, f.pg_out.num_points), dtype=complex)
-        recs = {}
+        recs = [reconstruct_slice(v[t].reshape(f.pg_in.shape()), f.pg_in,
+                                  self.kap_i[t], self.mapped)
+                * np.exp(1j * f.eta0[t] * self.shift)
+                for t in range(f.eta0.size)]
+        # the transform is linear: sum the ghat-weighted in slices on the
+        # quadrature points, then transform once per out slice
+        mids = np.zeros((f.xi0.size, f.ypts.shape[0]), dtype=complex)
         for s, t, moff in self._pairs():
-            if t not in recs:
-                rec = reconstruct_slice(v[t].reshape(f.pg_in.shape()),
-                                        f.pg_in, self.kap_i[t], self.mapped)
-                recs[t] = rec * np.exp(1j * f.eta0[t] * self.shift)
-            mid = (self._ghat_row(moff) * recs[t]).reshape(f.y_shape)
-            out[s] += self.scale * _slice_forward(
-                mid, f.pg_out, self.kap_o[s]).ravel()
-        return out * self.row
+            mids[s] += self._ghat_row(moff) * recs[t]
+        out = np.empty((f.xi0.size, f.pg_out.num_points), dtype=complex)
+        for s in range(f.xi0.size):
+            out[s] = _slice_forward(mids[s].reshape(f.y_shape), f.pg_out,
+                                    self.kap_o[s]).ravel()
+        out *= self.row
+        out *= self.scale
+        return out
 
     def apply_adjoint(self, w):
         f = self.frame
         w = np.asarray(w, dtype=complex)
         assert w.shape == (f.xi0.size, f.pg_out.num_points)
         wr = w * self.row
-        acc = np.zeros((f.eta0.size, f.pg_in.num_points), dtype=complex)
-        backs = {}
-        back_factor = f.pg_out.y_weight / f.pg_out.weight
+        backs = [_slice_adjoint(wr[s].reshape(f.pg_out.shape()), f.pg_out,
+                                self.kap_o[s]).ravel()
+                 for s in range(f.xi0.size)]
+        mids = np.zeros((f.eta0.size, f.ypts.shape[0]), dtype=complex)
         for s, t, moff in self._pairs():
-            if s not in backs:
-                backs[s] = back_factor * _slice_adjoint(
-                    wr[s].reshape(f.pg_out.shape()), f.pg_out,
-                    self.kap_o[s]).ravel()
-            gfac = self._ghat_row(moff) * np.exp(1j * f.eta0[t] * self.shift)
-            mid = np.conj(gfac) * backs[s]
-            acc[t] += self.scale * scatter_slice(
-                mid, f.pg_in, self.kap_i[t], self.mapped).ravel()
-        ratio = f.pg_out.weight / f.pg_in.weight
-        return ratio * acc * self.col
+            mids[t] += np.conj(self._ghat_row(moff)) * backs[s]
+        out = np.empty((f.eta0.size, f.pg_in.num_points), dtype=complex)
+        for t in range(f.eta0.size):
+            out[t] = scatter_slice(
+                mids[t] * np.exp(-1j * f.eta0[t] * self.shift), f.pg_in,
+                self.kap_i[t], self.mapped).ravel()
+        out *= self.col
+        out *= self.scale * f.pg_out.y_weight / f.pg_in.weight
+        return out
 
 
 def _pair_norm(matvec, rmatvec, shape, iters=20, restarts=2, seed=0):

@@ -285,28 +285,25 @@ def lift_kernel(spec, flow, trans, pg_out, pg_in=None,
     pi_ = pg_in.points()
     zs, fi = pi_[:, :dim2], pi_[:, dim2:]
 
-    # in factors only depend on the in slice; build them once
-    b_mats = []
-    for t in range(n0):
-        kap_i = float(bracket(freqs[t]))
-        d2i = (np.sum(fy ** 2, 1)[:, None] + np.sum(zs ** 2, 1)[None, :]
-               - 2.0 * fy @ zs.T)
-        pha_i = fy @ fi.T - 0.5 * np.sum(fi * zs, 1)[None, :]
-        b_mats.append(np.exp(1j * pha_i - 0.5 * kap_i * d2i))
+    # the distance and phase matrices do not depend on the slice; only
+    # the width kappa does
+    d2i = (np.sum(fy ** 2, 1)[:, None] + np.sum(zs ** 2, 1)[None, :]
+           - 2.0 * fy @ zs.T)
+    pha_i = fy @ fi.T - 0.5 * np.sum(fi * zs, 1)[None, :]
+    d2o = (np.sum(xs ** 2, 1)[:, None] + np.sum(yd ** 2, 1)[None, :]
+           - 2.0 * xs @ yd.T)
+    pha_o = fo @ yd.T - 0.5 * np.sum(fo * xs, 1)[:, None]
+    kaps = [float(bracket(f)) for f in freqs]
+    b_mats = [np.exp(1j * pha_i - 0.5 * kap_i * d2i) for kap_i in kaps]
+    shifts = [np.exp(1j * f * fv) for f in freqs]
 
     values = np.empty((rows, cols), dtype=complex)
     npo, npi = pg_out.num_points, pg_in.num_points
     for s in range(n0):
-        kap_o = float(bracket(freqs[s]))
-        d2o = (np.sum(xs ** 2, 1)[:, None] + np.sum(yd ** 2, 1)[None, :]
-               - 2.0 * xs @ yd.T)
-        pha_o = fo @ yd.T - 0.5 * np.sum(fo * xs, 1)[:, None]
-        a_mat = np.exp(-1j * pha_o - 0.5 * kap_o * d2o)
+        a_mat = np.exp(-1j * pha_o - 0.5 * kaps[s] * d2o)
         for t in range(n0):
-            kap_i = float(bracket(freqs[t]))
-            mid = trans.weight * ghat[s - t + n0 - 1] * \
-                np.exp(1j * freqs[t] * fv)
-            block = _block_prefactor(kap_o, kap_i, dim2) * \
+            mid = trans.weight * ghat[s - t + n0 - 1] * shifts[t]
+            block = _block_prefactor(kaps[s], kaps[t], dim2) * \
                 ((a_mat * mid[None, :]) @ b_mats[t])
             values[s * npo:(s + 1) * npo, t * npi:(t + 1) * npi] = block
     meta = {"kind": "lift-kernel", "map_family": spec.map.family,
@@ -334,15 +331,16 @@ def lift_apply(spec, flow, trans, pg_out, pf):
     ghat = flow_fourier_coeffs(spec.g_values(flow, trans), flow)
     freqs = flow.freqs()
     scale = flow.freq_spacing / np.sqrt(2.0 * np.pi)
-    out = np.zeros((n0,) + pg_out.shape(), dtype=complex)
-    for t in range(n0):
-        kap_i = float(bracket(freqs[t]))
-        rec = reconstruct_slice(pf.values[t], pf.phase, kap_i, fy)
-        rec = rec * np.exp(1j * freqs[t] * fv)
-        for s in range(n0):
-            kap_o = float(bracket(freqs[s]))
-            m = (ghat[s - t + n0 - 1] * rec).reshape(trans.shape())
-            out[s] += scale * _slice_forward(m, pg_out, kap_o)
+    kaps = [float(bracket(f)) for f in freqs]
+    recs = np.stack([reconstruct_slice(pf.values[t], pf.phase, kaps[t], fy)
+                     * np.exp(1j * freqs[t] * fv) for t in range(n0)])
+    # the transform is linear: sum the ghat-weighted in slices on the
+    # quadrature points, then transform once per out slice
+    out = np.empty((n0,) + pg_out.shape(), dtype=complex)
+    for s in range(n0):
+        mid = np.sum(ghat[s + n0 - 1 - np.arange(n0)] * recs, axis=0)
+        out[s] = _slice_forward(mid.reshape(trans.shape()), pg_out, kaps[s])
+    out *= scale
     return PartialPhaseField(flow, pg_out, out)
 
 

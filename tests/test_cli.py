@@ -66,9 +66,17 @@ class TestConfigParsing:
     def test_range_validation(self, tmp_path):
         for body in ("d = 0\n", "n_per_axis = 5\n", "map_lam = 0.5\n",
                      "map_family = rotation\n", "flow_points = 3\n",
-                     "d = 2\nmap_family = shear\n", "tol = abc\n"):
+                     "d = 2\nmap_family = shear\n", "tol = abc\n",
+                     "d = 1.7\n", "n_per_axis = 12.9\n", "flow_points = 8.5\n",
+                     "ks = 6, 8.5\n", "n_freq = 4.5\n", "samples = 100.5\n",
+                     "d = inf\n"):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_file(write(tmp_path / "a.cfg", body))
+
+    def test_integral_float_counts_pass(self):
+        cfg = ExperimentConfig({"flow_points": 8.0, "ks": [6.0],
+                                "n_freq": 4.0})
+        assert (cfg.flow_points, cfg.ks, cfg.n_freq) == (8, [6], 4)
 
 
 class TestExitCodes:
@@ -94,6 +102,15 @@ class TestExitCodes:
             assert code == 2
             assert "config error" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_non_integer_count_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        path = write(tmp_path / "bad.cfg",
+                     "d = 1.7\nn_per_axis = 12.9\nflow_points = 8.5\n")
+        code = main(["check-identity", "--config", path, "--out", str(out)])
+        assert code == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_coarse_identity_exits_one(self, tmp_path, capsys):
         path = write(tmp_path / "coarse.cfg",

@@ -6,6 +6,7 @@ import pytest
 from contactfbi.fbi_core import dual_phase_grid
 from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField, VolumeField,
+                                    _amplitude, _axis_factor, _point_factors,
                                     _slice_adjoint, _slice_forward,
                                     partial_packet, pcal_apply, pfbi_adjoint,
                                     pfbi_forward, pfbi_roundtrip,
@@ -202,3 +203,35 @@ class TestSliceCore:
             * (self.pg.y_weight / self.pg.weight)
         assert np.linalg.norm((got - ref).ravel()) <= \
             1e-12 * np.linalg.norm(ref.ravel())
+
+    def _uncached(self, pts, conj):
+        return [_axis_factor(ax.centers, ax.freqs, pts[:, a], self.kappa,
+                             conj) for a, ax in enumerate(self.pg.axes)]
+
+    def test_off_grid_matches_uncached_factors(self):
+        pts = self.rng.uniform(-2.0, 2.0, size=(37, 2))
+        pref = _amplitude(self.kappa, 2) * self.pg.weight
+        v = self._noise(self.pg.shape())
+        a1, a2 = self._uncached(pts, conj=False)
+        ref = pref * np.einsum("abcd,acz,bdz->z", v, a1, a2)
+        vals = self._noise(pts.shape[0])
+        b1, b2 = self._uncached(pts, conj=True)
+        ref_back = pref * np.einsum("z,acz,bdz->abcd", vals, b1, b2)
+        # the second round reads the memoized factors
+        for _ in range(2):
+            got = reconstruct_slice(v, self.pg, self.kappa, pts)
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+            got = scatter_slice(vals, self.pg, self.kappa, pts)
+            assert np.linalg.norm((got - ref_back).ravel()) <= \
+                1e-14 * np.linalg.norm(ref_back.ravel())
+
+    def test_cached_factors_are_read_only(self):
+        pts = self.rng.uniform(-2.0, 2.0, size=(5, 2))
+        for conj in (False, True):
+            _, _, factors = _point_factors(self.pg, self.kappa, pts, conj)
+            for factor in factors:
+                assert not factor.flags.writeable
+                with pytest.raises(ValueError):
+                    factor[0, 0, 0] = 0.0
+            _, _, again = _point_factors(self.pg, self.kappa, pts, conj)
+            assert all(a is b for a, b in zip(factors, again))

@@ -9,7 +9,8 @@ from contactfbi.aniso_norm import WeightSpec
 from contactfbi.contact_geometry import ContactMap
 from contactfbi.fbi_core import det_factor, dual_phase_grid
 from contactfbi.numerics import make_grid
-from contactfbi.partial_fbi import FlowGrid
+from contactfbi.partial_fbi import (FlowGrid, _slice_adjoint, _slice_forward,
+                                    reconstruct_slice, scatter_slice)
 from contactfbi.spectra import (CentralBlock, CentralFrame, SpectrumReport,
                                 central_block_audit, conjugated_operator,
                                 expansion_argmax, lower_bound_family,
@@ -213,6 +214,35 @@ def central_setting(g=None, cmap=None):
     return spec, wspec, flow
 
 
+def pair_apply(blk, u):
+    """CentralBlock.apply as one slice transform per (out, in) pair."""
+    f = blk.frame
+    v = u * blk.col
+    out = np.zeros((f.xi0.size, f.pg_out.num_points), dtype=complex)
+    for s, t, moff in blk._pairs():
+        rec = reconstruct_slice(v[t].reshape(f.pg_in.shape()), f.pg_in,
+                                blk.kap_i[t], blk.mapped)
+        mid = blk._ghat_row(moff) * rec * np.exp(1j * f.eta0[t] * blk.shift)
+        out[s] += blk.scale * _slice_forward(
+            mid.reshape(f.y_shape), f.pg_out, blk.kap_o[s]).ravel()
+    return out * blk.row
+
+
+def pair_apply_adjoint(blk, w):
+    """CentralBlock.apply_adjoint as one scatter per (out, in) pair."""
+    f = blk.frame
+    wr = w * blk.row
+    acc = np.zeros((f.eta0.size, f.pg_in.num_points), dtype=complex)
+    for s, t, moff in blk._pairs():
+        back = _slice_adjoint(wr[s].reshape(f.pg_out.shape()), f.pg_out,
+                              blk.kap_o[s]).ravel() \
+            * (f.pg_out.y_weight / f.pg_out.weight)
+        gfac = blk._ghat_row(moff) * np.exp(1j * f.eta0[t] * blk.shift)
+        acc[t] += blk.scale * scatter_slice(np.conj(gfac) * back, f.pg_in,
+                                            blk.kap_i[t], blk.mapped).ravel()
+    return (f.pg_out.weight / f.pg_in.weight) * acc * blk.col
+
+
 class TestCentralBlock:
 
     kwargs = {"c_margin": 2.5, "f_margin": 1.0, "ghat_offsets": 3}
@@ -247,6 +277,26 @@ class TestCentralBlock:
             lhs = np.vdot(blk.apply(u).ravel(), w.ravel()) * mu_out
             rhs = np.vdot(u.ravel(), blk.apply_adjoint(w).ravel()) * mu_in
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-300)
+
+    def test_matches_per_pair_loop(self):
+        spec, wspec, flow = central_setting()
+        frame = CentralFrame(spec, 6, wspec, flow, **self.kwargs)
+        rng = np.random.default_rng(5)
+        shape_in = (frame.eta0.size, frame.pg_in.num_points)
+        shape_out = (frame.xi0.size, frame.pg_out.num_points)
+        u = rng.standard_normal(shape_in) + 1j * rng.standard_normal(shape_in)
+        w = rng.standard_normal(shape_out) \
+            + 1j * rng.standard_normal(shape_out)
+        for primed in (False, True):
+            blk = CentralBlock(frame, primed=primed)
+            # the first call builds the packet factors, the second reuses
+            first = blk.apply(u)
+            assert np.array_equal(first, blk.apply(u))
+            for got, ref in ((first, pair_apply(blk, u)),
+                             (blk.apply_adjoint(w),
+                              pair_apply_adjoint(blk, w))):
+                assert np.linalg.norm(got - ref) <= \
+                    1e-13 * np.linalg.norm(ref)
 
     def test_zero_amplitude_gives_zero_block(self):
         spec, wspec, flow = central_setting(g=zero_amp())

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from contactfbi.aniso_norm import WeightSpec
+from contactfbi.aniso_norm import WeightSpec, bracket
 from contactfbi.contact_geometry import ContactMap
 from contactfbi.fbi_core import dual_phase_grid
 from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
-                                    pcal_apply, pfbi_forward, sample_volume)
+                                    _slice_forward, pcal_apply, pfbi_forward,
+                                    reconstruct_slice, sample_volume)
 from contactfbi.transfer_ops import (OperatorMatrix, TransferSpec,
                                      cutoff_diagonals, decompose,
                                      flow_fourier_coeffs,
@@ -176,6 +177,33 @@ class TestLiftKernel:
         err = np.linalg.norm((dense.values - free.values).ravel())
         ref = np.linalg.norm(dense.values.ravel())
         assert err / ref <= 1e-10
+
+    def test_matrix_free_matches_per_pair_loop(self):
+        flow = FlowGrid(2.0 * np.pi, 4)
+        trans = make_grid(2, 1.2, 4)
+        pg = dual_phase_grid(trans, n_freq=4)
+        spec = shear_spec()
+        rng = np.random.default_rng(8)
+        shape = (flow.n_points,) + pg.shape()
+        pf = PartialPhaseField(flow, pg, rng.standard_normal(shape)
+                               + 1j * rng.standard_normal(shape))
+        # one slice transform per (out, in) pair
+        n0 = flow.n_points
+        fy = spec.map.f_dag(trans.nodes())
+        fv = spec.map.flow_shift(trans.nodes())
+        ghat = flow_fourier_coeffs(spec.g_values(flow, trans), flow)
+        kaps = bracket(flow.freqs())
+        ref = np.zeros(shape, dtype=complex)
+        for t in range(n0):
+            rec = reconstruct_slice(pf.values[t], pg, kaps[t], fy) \
+                * np.exp(1j * flow.freqs()[t] * fv)
+            for s in range(n0):
+                m = (ghat[s - t + n0 - 1] * rec).reshape(trans.shape())
+                ref[s] += flow.freq_spacing / np.sqrt(2.0 * np.pi) \
+                    * _slice_forward(m, pg, kaps[s])
+        free = lift_apply(spec, flow, trans, pg, pf).values
+        assert np.linalg.norm((free - ref).ravel()) <= \
+            1e-13 * np.linalg.norm(ref.ravel())
 
     def test_memory_guard(self):
         flow, trans, pg = small_setting()
