@@ -145,6 +145,13 @@ class ExperimentConfig:
         self.s_values = [float(v) for v in _aslist(data["s_values"])]
         self.norm_half_width = float(data["norm_half_width"])
         self.norm_spacing = float(data["norm_spacing"])
+        if not all(v > 1.0 for v in self.lams):
+            raise ConfigError("lams must each exceed 1")
+        if not all(v >= 1.0 for v in self.s_values):
+            raise ConfigError("s_values must each be at least 1")
+        if not (self.norm_half_width > 0 and self.norm_spacing > 0):
+            raise ConfigError("norm_half_width and norm_spacing must be "
+                              "positive")
         self.n_ks = [float(v) for v in _aslist(data["n_ks"])]
         self.window_m = float(data["window_m"])
         self.ks = [_count("ks", v) for v in _aslist(data["ks"])]

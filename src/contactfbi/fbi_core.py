@@ -25,7 +25,7 @@ band that plain quadrature could resolve.
 
 import numpy as np
 
-from .numerics import Field, GridSpec
+from .numerics import Field, GridSpec, check_dense
 
 
 def normalization(dim):
@@ -152,8 +152,9 @@ def dual_phase_grid(space_grid, n_freq=None, center_margin=0.0):
         centers = y.copy()
     if n_freq is None:
         n_freq = space_grid.points_per_axis + 8
-    assert n_freq * h > 2.0 * space_grid.half_width - h, \
-        "frequency count too small, alias window does not cover the box"
+    if n_freq * h <= 2.0 * space_grid.half_width - h:
+        raise ValueError("frequency count too small, alias window does not "
+                         "cover the box")
     freqs = dual_frequencies(n_freq, h)
     ax = PhaseAxis(centers, freqs, y)
     return PhaseGrid([ax] * space_grid.dim)
@@ -286,8 +287,7 @@ def apply_p_omega(v, omega):
         out = np.einsum("ac,bd,ad,bc,cd->ab", g1, g2, c12, c21, vals,
                         optimize=True)
         return Field(v.grid, pref * out.ravel())
-    if v.grid.num_points > 5000:
-        raise ValueError("grid too large for dense P_omega application")
+    check_dense(v.grid.num_points, v.grid.num_points, "dense P_omega kernel")
     pts = v.grid.nodes()
     ph = pts @ j @ pts.T
     d2 = (np.sum(pts ** 2, axis=1)[:, None] + np.sum(pts ** 2, axis=1)[None, :]
@@ -301,6 +301,59 @@ def det_factor(b):
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     return float(np.sqrt(np.linalg.det((np.eye(n) + b.T @ b) / 2.0)))
+
+
+def cone_certificate(jacs, dirs, lam, theta):
+    """Cone invariance and expansion of a stack of maps on sampled directions.
+
+    jacs has shape (P, n, n) and dirs, unit vectors, shape (K, n); every
+    map is tested on every direction.  A vector splits into halves
+    (v_+, v_-) of length d = n // 2, and C_+(theta) = {|v_-| <= theta |v_+|},
+    C_-(theta) = {|v_+| <= theta |v_-|}.  When n is odd the leading axis is
+    the flow direction: the cones ignore it and it is projected out of the
+    directions before the maps are applied, so the expansion test sees
+    only the transversal part.  With M the map and M^{-1} its inverse:
+
+    * aperture_fwd: the largest |w_-| / |w_+| of w = M v over v outside
+      C_-(theta); aperture_bwd the same for M^{-1} with the halves swapped;
+    * expand_fwd: the smallest |M v| - lam |v| over v in C_+(theta);
+      expand_bwd the same for M^{-1} on C_-(theta);
+    * complement_expand_fwd / _bwd: the smallest |M v| / |v| over the
+      cone complements the apertures use, recorded without being gated on;
+    * ok: both apertures below one and both expansions nonnegative.
+    """
+    jacs = np.asarray(jacs, dtype=float)
+    n = jacs.shape[-1]
+    d = n // 2
+    flow = n - 2 * d
+    v = np.array(dirs, dtype=float)
+    v[:, :flow] = 0.0
+    size = np.linalg.norm(v, axis=1)
+    halves = (slice(flow, flow + d), slice(flow + d, n))
+    report = {}
+    for key, mats, (grow, shrink) in (("fwd", jacs, halves),
+                                      ("bwd", np.linalg.inv(jacs),
+                                       halves[::-1])):
+        vg = np.linalg.norm(v[:, grow], axis=1)
+        vs = np.linalg.norm(v[:, shrink], axis=1)
+        outside = vg > theta * vs
+        # a pure flow direction (both halves zero) lies in neither cone
+        inside = (vs <= theta * vg) & (vg > 0.0)
+        w = np.einsum("pij,kj->pki", mats, v)
+        image = np.linalg.norm(w, axis=-1)
+        aperture = np.linalg.norm(w[..., shrink], axis=-1) / np.maximum(
+            np.linalg.norm(w[..., grow], axis=-1), 1e-300)
+        report["aperture_" + key] = float(
+            np.max(aperture[:, outside], initial=0.0))
+        report["expand_" + key] = float(
+            np.min((image - lam * size)[:, inside], initial=np.inf))
+        report["complement_expand_" + key] = float(
+            np.min((image / size)[:, outside], initial=np.inf))
+    report["ok"] = (report["aperture_fwd"] < 1.0
+                    and report["aperture_bwd"] < 1.0
+                    and report["expand_fwd"] >= 0.0
+                    and report["expand_bwd"] >= 0.0)
+    return report
 
 
 class LinearHyperbolicMap:
@@ -330,14 +383,16 @@ class LinearHyperbolicMap:
         self.dim = self.matrix.shape[0]
         self.d = self.dim // 2
         if check:
-            assert abs(np.linalg.det(self.matrix) - 1.0) <= 1e-10, \
-                "matrix must have unit determinant"
+            if abs(np.linalg.det(self.matrix) - 1.0) > 1e-10:
+                raise ValueError("matrix must have unit determinant")
             report = self.certify(n_samples=n_samples)
-            assert report["ok"], "cone/expansion certificate failed: %r" % report
+            if not report["ok"]:
+                raise ValueError("cone/expansion certificate failed: %r"
+                                 % report)
 
     def certify(self, theta=0.1, n_samples=720, rng_seed=7):
-        """Sample unit vectors and check the cone mapping and expansion."""
-        d = self.d
+        """Sample unit vectors and check the cone mapping and expansion
+        with cone_certificate."""
         if self.dim == 2:
             ang = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
             dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
@@ -345,40 +400,7 @@ class LinearHyperbolicMap:
             rng = np.random.default_rng(rng_seed)
             dirs = rng.standard_normal((n_samples, self.dim))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        binv = np.linalg.inv(self.matrix)
-        report = {"aperture_fwd": 0.0, "aperture_bwd": 0.0,
-                  "expand_fwd": np.inf, "expand_bwd": np.inf,
-                  "complement_expand_fwd": np.inf,
-                  "complement_expand_bwd": np.inf}
-        for v in dirs:
-            plus = np.linalg.norm(v[:d])
-            minus = np.linalg.norm(v[d:])
-            if minus > theta * plus:      # outside C*_+(theta)
-                w = binv @ v
-                wp, wm = np.linalg.norm(w[:d]), np.linalg.norm(w[d:])
-                report["aperture_bwd"] = max(report["aperture_bwd"],
-                                             wp / max(wm, 1e-300))
-                report["complement_expand_bwd"] = min(
-                    report["complement_expand_bwd"], np.linalg.norm(w))
-            if plus > theta * minus:      # outside C*_-(theta)
-                w = self.matrix @ v
-                wp, wm = np.linalg.norm(w[:d]), np.linalg.norm(w[d:])
-                report["aperture_fwd"] = max(report["aperture_fwd"],
-                                             wm / max(wp, 1e-300))
-                report["complement_expand_fwd"] = min(
-                    report["complement_expand_fwd"], np.linalg.norm(w))
-            if minus <= theta * plus:     # inside C*_+(theta)
-                report["expand_fwd"] = min(
-                    report["expand_fwd"],
-                    np.linalg.norm(self.matrix @ v) - self.lam)
-            if plus <= theta * minus:     # inside C*_-(theta)
-                report["expand_bwd"] = min(
-                    report["expand_bwd"], np.linalg.norm(binv @ v) - self.lam)
-        report["ok"] = (report["aperture_fwd"] < 1.0
-                        and report["aperture_bwd"] < 1.0
-                        and report["expand_fwd"] >= 0.0
-                        and report["expand_bwd"] >= 0.0)
-        return report
+        return cone_certificate(self.matrix[None], dirs, self.lam, theta)
 
 
 def _gaussian_pair_kernel(a_mat, p1, p2, pref, pts_out, pts_in):
@@ -464,8 +486,8 @@ def lift_linear(b, v, out_grid=None):
             inv += [2 * a + 1]
         out_vals = np.transpose(work, inv)
         return PhaseField(out_grid, out_vals)
-    if pg.num_points > 5000 or out_grid.num_points > 5000:
-        raise ValueError("phase grid too large for a dense non-diagonal lift")
+    check_dense(out_grid.num_points, pg.num_points,
+                "dense non-diagonal lift kernel")
     k = linear_lift_kernel(b, out_grid.points(), pg.points())
     out = (k @ v.values.ravel()) * pg.weight
     return PhaseField(out_grid, out.reshape(out_grid.shape()))
@@ -530,8 +552,7 @@ def l0_hat(b, u):
     """Apply L0_hat to a field on a grid over R^(2d)."""
     b = np.asarray(b, dtype=float)
     assert u.grid.dim == b.shape[0]
-    if u.grid.num_points > 5000:
-        raise ValueError("grid too large for a dense L0_hat application")
+    check_dense(u.grid.num_points, u.grid.num_points, "L0_hat kernel")
     pts = u.grid.nodes()
     k = l0_hat_kernel(b, pts, pts)
     return Field(u.grid, (k @ u.values) * u.grid.weight)

@@ -8,6 +8,19 @@ modules rely on that convention.
 
 import numpy as np
 
+# Largest dense complex128 matrix any routine may allocate: 2e7 entries.
+DENSE_BYTES = 320_000_000
+
+
+def check_dense(rows, cols, what):
+    """Raise ValueError before a dense complex rows x cols matrix that
+    would exceed DENSE_BYTES is allocated."""
+    need = 16 * int(rows) * int(cols)
+    if need > DENSE_BYTES:
+        raise ValueError(
+            "%s would need a %d x %d matrix (%d bytes), above the dense "
+            "budget of %d bytes" % (what, rows, cols, need, DENSE_BYTES))
+
 
 class GridSpec:
     """Uniform midpoint grid on the box [-L, L]^dim.
@@ -91,17 +104,14 @@ def make_grid(dim, half_width, points_per_axis):
 def sample(f, grid):
     """Sample a pointwise function on all grid nodes.
 
-    The function receives an array of shape (num_points, dim) and may return
-    the values for all nodes at once; if that call fails it is evaluated
-    node by node.  Non-finite values are rejected.
+    The function receives all nodes at once as an array of shape
+    (num_points, dim) and returns one value per node.  A wrong number of
+    values or non-finite values are rejected.
     """
-    pts = grid.nodes()
-    try:
-        vals = np.asarray(f(pts), dtype=complex).ravel()
-        if vals.size != grid.num_points:
-            raise ValueError
-    except Exception:
-        vals = np.array([f(p) for p in pts], dtype=complex)
+    vals = np.asarray(f(grid.nodes()), dtype=complex).ravel()
+    if vals.size != grid.num_points:
+        raise ValueError("sampled function returned %d values for %d grid "
+                         "nodes" % (vals.size, grid.num_points))
     if not np.all(np.isfinite(vals)):
         raise ValueError("sampled function produced non-finite values")
     return Field(grid, vals)

@@ -24,12 +24,11 @@ from .aniso_norm import (bracket, cal_w_aniso, chi, cutoffs, q_block,
                          q_tilde, q_tilde_support, slice_covectors, v_s)
 from .contact_geometry import alpha0_covector, det_on_unstable
 from .fbi_core import PhaseAxis, PhaseGrid, l0_hat_kernel
-from .numerics import operator_norm
+from .numerics import check_dense, operator_norm
 from .partial_fbi import (_slice_adjoint, _slice_forward, _volume_points,
                           flow_slices, partial_packet, reconstruct_slice,
                           sample_volume, scatter_slice)
-from .transfer_ops import (_flow_shift_values, _map_points,
-                           flow_fourier_coeffs, lift_kernel, transfer_apply)
+from .transfer_ops import flow_fourier_coeffs, lift_kernel, transfer_apply
 
 
 class SpectrumReport:
@@ -136,6 +135,7 @@ def weighted_norm_measure(b, s, r, half_widths=None, spacing=0.7,
     lattices = [_axis_lattice(hw, spacing) for hw in half_widths]
     mesh = np.meshgrid(*lattices, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    check_dense(pts.shape[0], pts.shape[0], "weighted L0_hat kernel")
     mu = float(spacing ** dim)
     kern = l0_hat_kernel(bm, pts, pts)
     w = np.asarray(v_s(pts, s, r), dtype=float)
@@ -170,19 +170,17 @@ def conjugated_operator(matrix, wspec):
     return (w[:, None] / w[None, :]) * a
 
 
-def model_spectrum(spec, wspec, levels, bound, margin=0.1, max_size=4000):
+def model_spectrum(spec, wspec, levels, bound, margin=0.1):
     """Dense spectra of the weighted lift at the given refinement levels.
 
     levels is a list of (flow, trans, pg) triples from coarse to fine;
-    each yields one SpectrumReport against the same bound.
+    each yields one SpectrumReport against the same bound.  lift_kernel
+    refuses a matrix above numerics.DENSE_BYTES, which bounds the
+    eigenvalue problem too.
     """
     reports = []
     for flow, trans, pg in levels:
         mat = lift_kernel(spec, flow, trans, pg)
-        n = mat.values.shape[0]
-        if n > max_size:
-            raise ValueError("matrix size %d exceeds the dense eigenvalue "
-                             "guard %d" % (n, max_size))
         eigs = np.linalg.eigvals(conjugated_operator(mat, wspec))
         refinement = {"n0": flow.n_points,
                       "half_period": flow.half_period,
@@ -190,7 +188,7 @@ def model_spectrum(spec, wspec, levels, bound, margin=0.1, max_size=4000):
                       "trans_half_width": trans.half_width,
                       "n_centers": mat.phase_in.axes[0].centers.size,
                       "n_freqs": mat.phase_in.axes[0].freqs.size,
-                      "rows": n}
+                      "rows": mat.values.shape[0]}
         reports.append(SpectrumReport(eigs, refinement, bound, margin))
     return reports
 
@@ -376,8 +374,8 @@ class CentralFrame:
                         dtype=complex)
         self.ghat0 = flow_fourier_coeffs(g0, flow)[:, 0]
 
-        self.fy = _map_points(spec.map, self.ypts)
-        self.fv = _flow_shift_values(spec.map, self.ypts)
+        self.fy = spec.map.f_dag(self.ypts)
+        self.fv = spec.map.flow_shift(self.ypts)
         self.by = self.ypts @ bmat.T
 
         # column cutoff q~_k(eta0) Q_{k,0}(z) X_ctr0(z, eta), and the

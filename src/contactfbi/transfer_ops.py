@@ -10,7 +10,7 @@ transversal quadrature of Gaussian factors,
         * conj(out factor)(y) * (in factor)(F_dag y),
 
 which we assemble as a thin matrix product per block.  The module
-provides dense assembly with a memory guard, a matrix free application
+provides dense assembly within the dense budget, a matrix free application
 for grids too large to materialize, a per-entry quadrature used as an
 independent cross check, the decomposition by the frequency cutoffs,
 and the expansion statistics Lambda / Delta entering the norm bounds.
@@ -25,6 +25,7 @@ from scipy.interpolate import RegularGridInterpolator
 from .aniso_norm import bracket, cutoffs, slice_covectors
 from .contact_geometry import det_on_unstable
 from .fbi_core import PhaseAxis, PhaseGrid, normalization
+from .numerics import check_dense
 from .partial_fbi import (FlowGrid, PartialPacketIndex, PartialPhaseField,
                           VolumeField, _slice_forward, _volume_points,
                           check_transversal_spacing, partial_packet,
@@ -138,27 +139,6 @@ def flow_fourier_coeffs(g_vals, flow):
     return (2.0 * np.pi) ** (-0.5) * flow.spacing * (phase @ g_mat)
 
 
-def _map_points(cmap, yd):
-    """Transversal image points F_dag(y), batched with a loop fallback."""
-    try:
-        out = np.asarray(cmap.f_dag(yd), dtype=float)
-        if out.shape == yd.shape:
-            return out
-    except Exception:
-        pass
-    return np.stack([np.asarray(cmap.f_dag(p), dtype=float) for p in yd])
-
-
-def _flow_shift_values(cmap, yd):
-    try:
-        out = np.asarray(cmap.flow_shift(yd), dtype=float)
-        if out.shape == (yd.shape[0],):
-            return out
-    except Exception:
-        pass
-    return np.array([float(cmap.flow_shift(p)) for p in yd])
-
-
 def _block_prefactor(kap_o, kap_i, dim2):
     a = normalization(dim2)
     return (kap_o * kap_i) ** (dim2 / 4.0) * a * a / np.sqrt(2.0 * np.pi)
@@ -261,8 +241,7 @@ class OperatorMatrix:
         return sig
 
 
-def lift_kernel(spec, flow, trans, pg_out, pg_in=None,
-                max_entries=20_000_000):
+def lift_kernel(spec, flow, trans, pg_out, pg_in=None):
     """Assemble the dense lifted kernel matrix by quadrature."""
     if pg_in is None:
         pg_in = pg_out
@@ -270,14 +249,11 @@ def lift_kernel(spec, flow, trans, pg_out, pg_in=None,
     n0 = flow.n_points
     rows = n0 * pg_out.num_points
     cols = n0 * pg_in.num_points
-    if rows * cols > max_entries:
-        raise ValueError(
-            "lift matrix would hold %d entries, above the guard %d"
-            % (rows * cols, max_entries))
+    check_dense(rows, cols, "lift matrix")
     dim2 = trans.dim
     yd = trans.nodes()
-    fy = _map_points(spec.map, yd)
-    fv = _flow_shift_values(spec.map, yd)
+    fy = spec.map.f_dag(yd)
+    fv = spec.map.flow_shift(yd)
     ghat = flow_fourier_coeffs(spec.g_values(flow, trans), flow)
     freqs = flow.freqs()
     po = pg_out.points()
@@ -326,8 +302,8 @@ def lift_apply(spec, flow, trans, pg_out, pf):
     n0 = flow.n_points
     assert pf.flow.n_points == n0
     yd = trans.nodes()
-    fy = _map_points(spec.map, yd)
-    fv = _flow_shift_values(spec.map, yd)
+    fy = spec.map.f_dag(yd)
+    fv = spec.map.flow_shift(yd)
     ghat = flow_fourier_coeffs(spec.g_values(flow, trans), flow)
     freqs = flow.freqs()
     scale = flow.freq_spacing / np.sqrt(2.0 * np.pi)
@@ -399,7 +375,7 @@ def kernel_bound_audit(spec, flow, trans, pg, rho, n_per_stratum=4,
     freqs = flow.freqs()
     dim2 = trans.dim
     yd = trans.nodes()
-    fy = _map_points(spec.map, yd)
+    fy = spec.map.f_dag(yd)
     jacs = np.stack([spec.map.jacobian(p).T for p in yd])
     two_l0 = 2.0 * flow.half_period
     entries, ratios, mismatch = [], [], []

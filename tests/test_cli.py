@@ -69,7 +69,10 @@ class TestConfigParsing:
                      "d = 2\nmap_family = shear\n", "tol = abc\n",
                      "d = 1.7\n", "n_per_axis = 12.9\n", "flow_points = 8.5\n",
                      "ks = 6, 8.5\n", "n_freq = 4.5\n", "samples = 100.5\n",
-                     "d = inf\n"):
+                     "d = inf\n", "lams = 0\n", "lams = 4, 1\n",
+                     "s_values = 0.5\n", "s_values = 1, nan\n",
+                     "norm_spacing = 0\n", "norm_spacing = -0.35\n",
+                     "norm_half_width = 0\n"):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_file(write(tmp_path / "a.cfg", body))
 
@@ -111,6 +114,27 @@ class TestExitCodes:
         assert code == 2
         assert "must be an integer" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_of_range_norm_value_exits_two(self, tmp_path, capsys):
+        for i, body in enumerate(("lams = 0\n", "s_values = 0.5\n",
+                                  "norm_spacing = -0.35\n",
+                                  "norm_half_width = 0\n")):
+            out = tmp_path / ("run%d" % i)
+            code = main(["norm-bound", "--config",
+                         write(tmp_path / "bad.cfg", body), "--out", str(out)])
+            assert code == 2
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_norm_bound_over_budget_exits_one(self, tmp_path):
+        # d = 2 puts 12^4 = 20736 points on the norm grid
+        path = write(tmp_path / "d2.cfg", "d = 2\n")
+        code = main(["norm-bound", "--config", path, "--out", str(tmp_path)])
+        assert code == 1
+        rep = json.loads((tmp_path / "summary.json").read_text())
+        assert rep["error"] == (
+            "weighted L0_hat kernel would need a 20736 x 20736 matrix "
+            "(6879707136 bytes), above the dense budget of 320000000 bytes")
 
     def test_coarse_identity_exits_one(self, tmp_path, capsys):
         path = write(tmp_path / "coarse.cfg",

@@ -161,6 +161,58 @@ class TestAudits:
         report = check_hyperbolic(cm, lam=3.5)
         assert report["ok"]
 
+    @pytest.mark.parametrize("cm, lam", [
+        (ContactMap.linear(np.diag([4.0, 0.25])), 3.9),
+        (ContactMap.shear(4.0, 0.05), 3.5),
+        (ContactMap.linear(np.block([
+            [np.array([[4.0, 0.3], [0.0, 2.0]]), np.zeros((2, 2))],
+            [np.zeros((2, 2)),
+             np.linalg.inv(np.array([[4.0, 0.3], [0.0, 2.0]])).T]])), 1.5)])
+    def test_certificate_matches_point_direction_loop(self, cm, lam):
+        # the per point, per direction loop the vectorized certificate
+        # replaced, on the same sample
+        d, theta = cm.d, 0.1
+        rng = np.random.default_rng(4)
+        base_pts = rng.uniform(-0.8, 0.8, size=(25, 2 * d))
+        dirs = rng.standard_normal((240, 2 * d + 1))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        ref = {"aperture_fwd": 0.0, "aperture_bwd": 0.0,
+               "expand_fwd": np.inf, "expand_bwd": np.inf}
+        for p in base_pts:
+            df = cm.jacobian(p)
+            dfi = np.linalg.inv(df)
+            for v in dirs:
+                plus = np.linalg.norm(v[1:1 + d])
+                minus = np.linalg.norm(v[1 + d:])
+                pv = np.concatenate([[0.0], v[1:]])
+                if plus > theta * minus:
+                    w = df @ v
+                    ref["aperture_fwd"] = max(
+                        ref["aperture_fwd"], np.linalg.norm(w[1 + d:])
+                        / max(np.linalg.norm(w[1:1 + d]), 1e-300))
+                    if minus <= theta * plus:
+                        ref["expand_fwd"] = min(
+                            ref["expand_fwd"], np.linalg.norm(df @ pv)
+                            - lam * np.linalg.norm(pv))
+                if minus > theta * plus:
+                    w = dfi @ v
+                    ref["aperture_bwd"] = max(
+                        ref["aperture_bwd"], np.linalg.norm(w[1:1 + d])
+                        / max(np.linalg.norm(w[1 + d:]), 1e-300))
+                    if plus <= theta * minus:
+                        ref["expand_bwd"] = min(
+                            ref["expand_bwd"], np.linalg.norm(dfi @ pv)
+                            - lam * np.linalg.norm(pv))
+        report = check_hyperbolic(cm, lam)
+        assert report["ok"] == (ref["aperture_fwd"] < 1.0
+                                and ref["aperture_bwd"] < 1.0
+                                and ref["expand_fwd"] >= 0.0
+                                and ref["expand_bwd"] >= 0.0)
+        for key, val in ref.items():
+            assert report[key] == pytest.approx(val, rel=1e-12, abs=0.0)
+        assert 0.0 < report["complement_expand_fwd"] < np.inf
+        assert 0.0 < report["complement_expand_bwd"] < np.inf
+
     def test_rotation_not_hyperbolic(self):
         th = np.pi / 5.0
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseAxis, PhaseGrid,
                                  PhaseSpacePoint, apply_p_omega,
-                                 dagger_form_matrix, det_factor,
+                                 cone_certificate, dagger_form_matrix, det_factor,
                                  dual_phase_grid, fbi_adjoint, fbi_forward,
                                  fbi_forward_at, flip_half, l0_hat,
                                  l0_hat_kernel, lift_linear,
@@ -148,7 +148,7 @@ class TestTransformPair:
             fbi_forward(u, bad_pg)
 
     def test_dual_grid_rejects_small_band(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             dual_phase_grid(self.g, n_freq=16)
 
 
@@ -226,17 +226,67 @@ class TestLinearHyperbolicMap:
     def test_rotation_fails_cone(self):
         th = np.pi / 6.0
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             LinearHyperbolicMap(rot, lam=1.0)
 
     def test_non_unimodular_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             LinearHyperbolicMap(np.diag([4.0, 0.5]), lam=1.0)
 
     def test_shear_certifies(self):
         b = np.array([[4.0, 0.05], [0.0, 0.25]])
         m = LinearHyperbolicMap(b, lam=3.5)
         assert m.certify()["ok"]
+
+    @pytest.mark.parametrize("b, lam", [
+        (np.diag([4.0, 0.25]), 3.9),
+        (np.array([[4.0, 0.05], [0.0, 0.25]]), 3.5),
+        (np.array([[4.0, 0.3, 0.1, 0.0], [0.0, 2.0, 0.0, 0.2],
+                   [0.05, 0.0, 0.25, 0.0], [0.0, 0.1, 0.3, 0.5]]), 1.5)])
+    def test_certificate_matches_direction_loop(self, b, lam):
+        # the per-direction loop the vectorized certificate replaced
+        m = LinearHyperbolicMap(b, lam, check=False)
+        if m.dim == 2:
+            ang = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        else:
+            dirs = np.random.default_rng(7).standard_normal((720, m.dim))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        d, theta, binv = m.d, 0.1, np.linalg.inv(b)
+        ref = {"aperture_fwd": 0.0, "aperture_bwd": 0.0,
+               "expand_fwd": np.inf, "expand_bwd": np.inf,
+               "complement_expand_fwd": np.inf,
+               "complement_expand_bwd": np.inf}
+        for v in dirs:
+            plus, minus = np.linalg.norm(v[:d]), np.linalg.norm(v[d:])
+            if minus > theta * plus:
+                w = binv @ v
+                ref["aperture_bwd"] = max(ref["aperture_bwd"],
+                                          np.linalg.norm(w[:d])
+                                          / max(np.linalg.norm(w[d:]), 1e-300))
+                ref["complement_expand_bwd"] = min(
+                    ref["complement_expand_bwd"], np.linalg.norm(w))
+            if plus > theta * minus:
+                w = b @ v
+                ref["aperture_fwd"] = max(ref["aperture_fwd"],
+                                          np.linalg.norm(w[d:])
+                                          / max(np.linalg.norm(w[:d]), 1e-300))
+                ref["complement_expand_fwd"] = min(
+                    ref["complement_expand_fwd"], np.linalg.norm(w))
+            if minus <= theta * plus:
+                ref["expand_fwd"] = min(ref["expand_fwd"],
+                                        np.linalg.norm(b @ v) - lam)
+            if plus <= theta * minus:
+                ref["expand_bwd"] = min(ref["expand_bwd"],
+                                        np.linalg.norm(binv @ v) - lam)
+        for report in (m.certify(),
+                       cone_certificate(b[None], dirs, lam, theta)):
+            assert report["ok"] == (ref["aperture_fwd"] < 1.0
+                                    and ref["aperture_bwd"] < 1.0
+                                    and ref["expand_fwd"] >= 0.0
+                                    and ref["expand_bwd"] >= 0.0)
+            for key, val in ref.items():
+                assert report[key] == pytest.approx(val, rel=1e-12, abs=0.0)
 
 
 class TestLiftedMaps:

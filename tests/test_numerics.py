@@ -1,11 +1,17 @@
 """Tests for grids, sampling and quadrature."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactfbi.numerics import (Field, make_grid, matrix_norm, operator_norm,
-                                 quad_inner, sample)
+import contactfbi
+from contactfbi.numerics import (Field, check_dense, make_grid, matrix_norm,
+                                 operator_norm, quad_inner, sample)
 
 
 def gaussian_l2(pts):
@@ -63,6 +69,55 @@ class TestSample:
         g = make_grid(1, 4.0, 16)
         with pytest.raises(ValueError):
             sample(lambda p: np.full(p.shape[0], np.nan), g)
+
+    def test_scalar_return_rejected(self):
+        g = make_grid(1, 4.0, 16)
+        with pytest.raises(ValueError, match="1 values for 16"):
+            sample(lambda p: 1.0, g)
+
+
+class TestDenseBudget:
+
+    def test_budget_is_two_times_ten_to_seven_entries(self):
+        check_dense(4472, 4472, "square")
+        with pytest.raises(ValueError, match=r"4473 x 4473 matrix "
+                           r"\(320123664 bytes\).*320000000 bytes"):
+            check_dense(4473, 4473, "square")
+
+    def test_input_checks_survive_optimized_mode(self):
+        # python -O strips assert statements; these checks must still raise
+        script = textwrap.dedent("""
+            import numpy as np
+            from contactfbi.fbi_core import LinearHyperbolicMap, dual_phase_grid
+            from contactfbi.numerics import check_dense, make_grid
+            assert False, "assert statements are not stripped"
+            th = np.pi / 6.0
+            rot = np.array([[np.cos(th), -np.sin(th)],
+                            [np.sin(th), np.cos(th)]])
+            cases = {
+                "small band": lambda: dual_phase_grid(make_grid(1, 8.0, 32),
+                                                      n_freq=16),
+                "rotation": lambda: LinearHyperbolicMap(rot, lam=1.0),
+                "non-unimodular": lambda: LinearHyperbolicMap(
+                    np.diag([4.0, 0.5]), lam=1.0),
+                "over budget": lambda: check_dense(10 ** 5, 10 ** 5, "big"),
+            }
+            for name, case in cases.items():
+                try:
+                    case()
+                except ValueError:
+                    continue
+                raise SystemExit("no ValueError for " + name)
+            print("ok")
+        """)
+        src = os.path.dirname(os.path.dirname(contactfbi.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "ok"
 
 
 class TestQuadInner:

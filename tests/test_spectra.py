@@ -108,6 +108,12 @@ class TestWeightedNorm:
         sb = np.polyfit(np.log(lams), np.log(branch), 1)[0]
         assert abs(sm - sb) <= 0.15
 
+    def test_four_dimensional_grid_over_budget(self):
+        # 12 points per axis on R^4 would be a 20736 x 20736 kernel
+        with pytest.raises(ValueError, match="20736 x 20736"):
+            weighted_norm_measure(np.diag([4.0, 4.0, 0.25, 0.25]), 1.0, 4.0,
+                                  half_widths=(2.0,) * 4, spacing=0.35)
+
     def test_norm_decreases_with_lam(self):
         vals = [weighted_norm_measure(sym_block(lam), 16.0, 4.0,
                                       half_widths=(2.0, 2.0), spacing=0.35)
@@ -142,9 +148,8 @@ class TestModelSpectrum:
         pg = dual_phase_grid(trans)
         cmap = ContactMap.linear(sym_block(4.0))
         spec = TransferSpec(cmap, bump_amp(), name="bump")
-        with pytest.raises(ValueError):
-            model_spectrum(spec, WeightSpec(), [(flow, trans, pg)], 0.5,
-                           max_size=100)
+        with pytest.raises(ValueError, match="dense budget"):
+            model_spectrum(spec, WeightSpec(), [(flow, trans, pg)], 0.5)
 
     def test_block_diagonal_for_flow_independent_amplitude(self):
         flow, trans, pg = toy_setting()

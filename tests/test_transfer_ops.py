@@ -6,6 +6,7 @@ import pytest
 from contactfbi.aniso_norm import WeightSpec, bracket
 from contactfbi.contact_geometry import ContactMap
 from contactfbi.fbi_core import dual_phase_grid
+from contactfbi import numerics
 from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
                                     _slice_forward, pcal_apply, pfbi_forward,
@@ -205,10 +206,11 @@ class TestLiftKernel:
         assert np.linalg.norm((free - ref).ravel()) <= \
             1e-13 * np.linalg.norm(ref.ravel())
 
-    def test_memory_guard(self):
+    def test_memory_guard(self, monkeypatch):
         flow, trans, pg = small_setting()
-        with pytest.raises(ValueError):
-            lift_kernel(shear_spec(), flow, trans, pg, max_entries=1000)
+        monkeypatch.setattr(numerics, "DENSE_BYTES", 16 * 1000)
+        with pytest.raises(ValueError, match="dense budget"):
+            lift_kernel(shear_spec(), flow, trans, pg)
 
     def test_singular_decay_of_smooth_kernel(self):
         flow, trans, pg = small_setting()
