@@ -3,7 +3,8 @@
 Each invocation runs one subcommand against one configuration file and
 writes a JSON summary plus CSV tables into the output directory.  Exit
 code 0 means the run finished and all configured tolerances held, 1 means
-a tolerance or assertion failed, 2 means the configuration was unusable.
+a tolerance failed or the run stopped on an error (summary.json then names
+it in error and error_kind), 2 means the configuration was unusable.
 """
 
 import argparse
@@ -158,6 +159,11 @@ class ExperimentConfig:
         self.n_freq = data["n_freq"]
         if self.n_freq is not None:
             self.n_freq = _count("n_freq", self.n_freq)
+            # every grid built from n_freq has at least n_per_axis points
+            # per axis, and dual_phase_grid refuses n_freq below that
+            if self.n_freq < self.n_per_axis:
+                raise ConfigError("n_freq must be at least n_per_axis (%d)"
+                                  % self.n_per_axis)
         self.margin = float(data["margin"])
         self.samples = _count("samples", data["samples"])
         self.tag = str(data["tag"])
@@ -470,11 +476,13 @@ def main(argv=None):
     try:
         summary, code = runner(cfg, out, args.seed, args.refine)
     except (AssertionError, ValueError) as exc:
-        summary = {"error": str(exc)}
+        summary = {"error": str(exc), "error_kind": type(exc).__name__}
         code = 1
-    if code == 1:
-        print("tolerance violation in %s, see summary.json in %s"
-              % (args.subcommand, out), file=sys.stderr)
+        print("error in %s: %s" % (args.subcommand, exc), file=sys.stderr)
+    else:
+        if code == 1:
+            print("tolerance violation in %s, see summary.json in %s"
+                  % (args.subcommand, out), file=sys.stderr)
     payload = {"subcommand": args.subcommand, "tag": cfg.tag,
                "seed": args.seed, "refine": args.refine,
                "grid": cfg.grid_meta(), "weight": cfg.weight.as_dict(),

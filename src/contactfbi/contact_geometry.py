@@ -11,8 +11,7 @@ also preserves the vertical vector field and therefore splits as
 with F_dag symplectic for omega_dag and f determined up to a constant by
 df = alpha_dag - F_dag^* alpha_dag.  This module provides the affine
 contact group, the normal-form map with a couple of concrete families, the
-reconstruction of f by path integration, hyperbolicity certification and a
-plain-text serialization.
+reconstruction of f by path integration and hyperbolicity certification.
 """
 
 import numpy as np
@@ -268,46 +267,3 @@ def det_on_unstable(cmap, x_dag):
     m = df @ basis
     gram = m.T @ m
     return float(np.sqrt(abs(np.linalg.det(gram))))
-
-
-def save_contact_map(cmap, path):
-    """Write a contact map in a flat key = value text format."""
-    lines = ["format = contactmap-v1", "d = %d" % cmap.d,
-             "family = %s" % cmap.family,
-             "f_base = %.17g" % cmap.f_base]
-    if cmap.family == "linear":
-        b = cmap.params["matrix"]
-        for i, row in enumerate(b):
-            lines.append("matrix_row_%d = %s" % (
-                i, " ".join("%.17g" % v for v in row)))
-    elif cmap.family == "shear":
-        lines.append("lam = %.17g" % cmap.params["lam"])
-        lines.append("eps = %.17g" % cmap.params["eps"])
-    else:
-        raise ValueError("only the linear and shear families serialize")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_contact_map(path):
-    entries = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            entries[key.strip()] = val.strip()
-    if entries.get("format") != "contactmap-v1":
-        raise ValueError("unrecognized contact map file: %r" % path)
-    family = entries["family"]
-    f_base = float(entries.get("f_base", "0"))
-    if family == "linear":
-        d = int(entries["d"])
-        rows = [np.fromstring(entries["matrix_row_%d" % i], sep=" ")
-                for i in range(2 * d)]
-        return ContactMap.linear(np.stack(rows), f_base=f_base)
-    if family == "shear":
-        return ContactMap.shear(float(entries["lam"]), float(entries["eps"]),
-                                f_base=f_base)
-    raise ValueError("unknown family %r" % family)

@@ -413,8 +413,13 @@ def _gaussian_pair_kernel(a_mat, p1, p2, pref, pts_out, pts_in):
     q22 = p2.T @ np.linalg.solve(a_mat, p2)
     e_out = 0.5 * np.einsum("ni,ij,nj->n", po, q11, po) - np.sum(po ** 2, axis=1) / 4.0
     e_in = 0.5 * np.einsum("ni,ij,nj->n", pi_, q22, pi_) - np.sum(pi_ ** 2, axis=1) / 4.0
-    cross = po @ q12 @ pi_.T
-    return pref * np.exp(e_out[:, None] + e_in[None, :] + cross)
+    # build the exponent in place: one matrix of the output size
+    out = po @ q12 @ pi_.T
+    out += e_out[:, None]
+    out += e_in[None, :]
+    np.exp(out, out=out)
+    out *= pref
+    return out
 
 
 def linear_lift_kernel(b, pts_out, pts_in):

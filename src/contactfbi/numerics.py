@@ -170,5 +170,5 @@ def matrix_norm(mat, row_weights=None, col_weights=None, dense_limit=4000,
     if max(m, n) <= dense_limit:
         return float(np.linalg.norm(scaled, 2))
     matvec = lambda v: scaled @ v
-    rmatvec = lambda v: scaled.conj().T @ v
+    rmatvec = lambda v: (v.conj() @ scaled).conj()
     return operator_norm(matvec, rmatvec, n, iters=iters, restarts=restarts, seed=seed)

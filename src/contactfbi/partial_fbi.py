@@ -15,14 +15,19 @@ reuses the dual-lattice construction of the plain transform.  The slice
 transform of width kappa^(-1/2) (_slice_forward / _slice_adjoint, and
 reconstruct_slice / scatter_slice off the quadrature grid) is the one
 transform core of the package: the plain FBI transform of fbi_core is its
-kappa = 1 case, and flow_slices streams it over the flow frequencies.
+kappa = 1 case, flow_slices streams it over the flow frequencies, and
+every form of the lift in transfer_ops chains it through one slice
+coupling (coupled_forward / coupled_adjoint for lift_apply and the
+central block; lift_kernel builds its dense packets from the same axis
+factors).
 
 The off-grid packet factors of reconstruct_slice / scatter_slice are
 memoized on each PhaseAxis: their callers (the central block's power
-iteration, lift_apply) evaluate the same mapped points at the same few
-widths on every application.  The on-grid factors of _slice_axis_matrix
-are rebuilt on each call: flow_slices builds each large (kappa, axis)
-matrix once per volume, so a cache would only pin all of them in memory.
+iteration, lift_apply, lift_kernel) evaluate the same mapped points at
+the same few widths on every application.  The on-grid factors of
+_slice_axis_matrix are rebuilt on each call: flow_slices builds each
+large (kappa, axis) matrix once per volume, so a cache would only pin all
+of them in memory.
 
 Since the packet width shrinks with <xi0>, the transversal spacing must
 satisfy h <= 0.7 <xi0>^(-1/2) for the largest flow frequency on the grid.

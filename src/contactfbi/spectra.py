@@ -16,8 +16,6 @@ empirical proxy for the discrete part of the spectrum, never a claim about
 the true essential spectral radius.
 """
 
-import json
-
 import numpy as np
 
 from .aniso_norm import (bracket, cal_w_aniso, chi, cutoffs, q_block,
@@ -25,10 +23,12 @@ from .aniso_norm import (bracket, cal_w_aniso, chi, cutoffs, q_block,
 from .contact_geometry import alpha0_covector, det_on_unstable
 from .fbi_core import PhaseAxis, PhaseGrid, l0_hat_kernel
 from .numerics import check_dense, operator_norm
-from .partial_fbi import (_slice_adjoint, _slice_forward, _volume_points,
-                          flow_slices, partial_packet, reconstruct_slice,
-                          sample_volume, scatter_slice)
-from .transfer_ops import flow_fourier_coeffs, lift_kernel, transfer_apply
+# unused here, but bench/test_smoke.py checks the tracer rewraps this binding
+from .partial_fbi import (_slice_forward, _volume_points, flow_slices,
+                          partial_packet, sample_volume)
+from .transfer_ops import (coupled_adjoint, coupled_forward,
+                           flow_fourier_coeffs, lift_kernel, slice_coupling,
+                           transfer_apply)
 
 
 class SpectrumReport:
@@ -72,10 +72,6 @@ class SpectrumReport:
                 "margin": self.margin,
                 "stable_count": self.stable_count,
                 "refinement": self.refinement}
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
 
     def save_csv(self, path):
         meta = " ".join("%s=%s" % (k, self.refinement[k])
@@ -140,9 +136,11 @@ def weighted_norm_measure(b, s, r, half_widths=None, spacing=0.7,
     kern = l0_hat_kernel(bm, pts, pts)
     w = np.asarray(v_s(pts, s, r), dtype=float)
     assert np.all(w > 0)
-    scaled = (w[:, None] / w[None, :]) * kern
-    sig = operator_norm(lambda v: scaled @ v,
-                        lambda v: scaled.conj().T @ v,
+    # weight the kernel in place; the adjoint needs no transposed copy
+    kern *= w[:, None]
+    kern /= w[None, :]
+    sig = operator_norm(lambda v: kern @ v,
+                        lambda v: (v.conj() @ kern).conj(),
                         pts.shape[0], iters=iters, restarts=restarts,
                         seed=seed)
     return mu * sig
@@ -163,9 +161,7 @@ def conjugated_operator(matrix, wspec):
     the weight explicit matches the weighted-space formulation and keeps
     the eigenvectors meaningful.
     """
-    assert matrix.phase_out is matrix.phase_in or \
-        matrix.phase_out.shape() == matrix.phase_in.shape()
-    w = weight_diagonal(matrix.flow, matrix.phase_in, wspec.r)
+    w = weight_diagonal(matrix.flow, matrix.phase, wspec.r)
     a = matrix.values * matrix.in_measure
     return (w[:, None] / w[None, :]) * a
 
@@ -186,8 +182,8 @@ def model_spectrum(spec, wspec, levels, bound, margin=0.1):
                       "half_period": flow.half_period,
                       "trans_n": trans.points_per_axis,
                       "trans_half_width": trans.half_width,
-                      "n_centers": mat.phase_in.axes[0].centers.size,
-                      "n_freqs": mat.phase_in.axes[0].freqs.size,
+                      "n_centers": pg.axes[0].centers.size,
+                      "n_freqs": pg.axes[0].freqs.size,
                       "rows": mat.values.shape[0]}
         reports.append(SpectrumReport(eigs, refinement, bound, margin))
     return reports
@@ -197,15 +193,13 @@ def slice_block_defect(matrix):
     """Largest cross-slice entry relative to the largest diagonal-block
     entry; near zero exactly when the lift is block diagonal over xi0."""
     n0 = matrix.flow.n_points
-    npo = matrix.phase_out.num_points
-    npi = matrix.phase_in.num_points
+    npts = matrix.phase.num_points
     diag = 0.0
     off = 0.0
     for s in range(n0):
         for t in range(n0):
-            block = matrix.values[s * npo:(s + 1) * npo,
-                                  t * npi:(t + 1) * npi]
-            peak = float(np.max(np.abs(block)))
+            peak = float(np.max(np.abs(matrix.values[
+                s * npts:(s + 1) * npts, t * npts:(t + 1) * npts])))
             if s == t:
                 diag = max(diag, peak)
             else:
@@ -418,11 +412,12 @@ class CentralBlock:
     origin, amplitude data at y = 0, both widths k^2, no flow shift and
     weights at the frozen frequency.
 
-    The slices couple only through ghat, so each application is linear
-    in the slice counts: apply costs n_eta reconstruct_slice calls plus
-    n_xi _slice_forward calls, and apply_adjoint n_xi _slice_adjoint
-    calls plus n_eta scatter_slice calls, with the ghat-weighted sums
-    taken on the quadrature points in between.
+    The block is the lift of transfer_ops restricted to the slab: its
+    slice coupling (ghat within dmax offsets, times the flow shift phase)
+    is built once, and apply / apply_adjoint run coupled_forward /
+    coupled_adjoint between the column and row weights.  An apply costs
+    n_eta reconstruct_slice plus n_xi _slice_forward calls, an adjoint
+    n_xi _slice_adjoint plus n_eta scatter_slice calls.
     """
 
     def __init__(self, frame, primed):
@@ -433,52 +428,27 @@ class CentralBlock:
             self.kap_i = np.full(f.eta0.size, f.kk)
             self.kap_o = np.full(f.xi0.size, f.kk)
             self.mapped = f.by
-            self.shift = np.zeros(f.ypts.shape[0])
+            ghat, shift = f.ghat0, np.zeros(f.ypts.shape[0])
             self.col = f.col_cut / f.w_in_frozen
             self.row = f.w_out_frozen
         else:
             self.kap_i = np.asarray(bracket(f.eta0), dtype=float)
             self.kap_o = np.asarray(bracket(f.xi0), dtype=float)
             self.mapped = f.fy
-            self.shift = f.fv
+            ghat, shift = f.ghat, f.fv
             self.col = f.col_cut / f.w_in
             self.row = f.w_out
+        self.coupling = slice_coupling(ghat, shift, f.xi_idx, f.eta_idx,
+                                       f.eta0, f.dmax)
         self.scale = f.fs / np.sqrt(2.0 * np.pi)
-
-    def _ghat_row(self, moff):
-        f = self.frame
-        idx = moff + f.flow.n_points - 1
-        if self.primed:
-            return f.ghat0[idx]
-        return f.ghat[idx]
-
-    def _pairs(self):
-        f = self.frame
-        n0 = f.flow.n_points
-        for t in range(f.eta0.size):
-            for s in range(f.xi0.size):
-                moff = int(f.xi_idx[s] - f.eta_idx[t])
-                if abs(moff) <= f.dmax and abs(moff) <= n0 - 1:
-                    yield s, t, moff
 
     def apply(self, u):
         f = self.frame
         u = np.asarray(u, dtype=complex)
-        assert u.shape == (f.eta0.size, f.pg_in.num_points)
-        v = u * self.col
-        recs = [reconstruct_slice(v[t].reshape(f.pg_in.shape()), f.pg_in,
-                                  self.kap_i[t], self.mapped)
-                * np.exp(1j * f.eta0[t] * self.shift)
-                for t in range(f.eta0.size)]
-        # the transform is linear: sum the ghat-weighted in slices on the
-        # quadrature points, then transform once per out slice
-        mids = np.zeros((f.xi0.size, f.ypts.shape[0]), dtype=complex)
-        for s, t, moff in self._pairs():
-            mids[s] += self._ghat_row(moff) * recs[t]
-        out = np.empty((f.xi0.size, f.pg_out.num_points), dtype=complex)
-        for s in range(f.xi0.size):
-            out[s] = _slice_forward(mids[s].reshape(f.y_shape), f.pg_out,
-                                    self.kap_o[s]).ravel()
+        _check_shape(u, (f.eta0.size, f.pg_in.num_points))
+        out = coupled_forward(u * self.col, f.pg_in, self.kap_i, self.mapped,
+                              self.coupling, f.pg_out, self.kap_o)
+        out = out.reshape(f.xi0.size, -1)
         out *= self.row
         out *= self.scale
         return out
@@ -486,22 +456,19 @@ class CentralBlock:
     def apply_adjoint(self, w):
         f = self.frame
         w = np.asarray(w, dtype=complex)
-        assert w.shape == (f.xi0.size, f.pg_out.num_points)
-        wr = w * self.row
-        backs = [_slice_adjoint(wr[s].reshape(f.pg_out.shape()), f.pg_out,
-                                self.kap_o[s]).ravel()
-                 for s in range(f.xi0.size)]
-        mids = np.zeros((f.eta0.size, f.ypts.shape[0]), dtype=complex)
-        for s, t, moff in self._pairs():
-            mids[t] += np.conj(self._ghat_row(moff)) * backs[s]
-        out = np.empty((f.eta0.size, f.pg_in.num_points), dtype=complex)
-        for t in range(f.eta0.size):
-            out[t] = scatter_slice(
-                mids[t] * np.exp(-1j * f.eta0[t] * self.shift), f.pg_in,
-                self.kap_i[t], self.mapped).ravel()
+        _check_shape(w, (f.xi0.size, f.pg_out.num_points))
+        out = coupled_adjoint(w * self.row, f.pg_out, self.kap_o,
+                              self.coupling, f.pg_in, self.kap_i, self.mapped)
+        out = out.reshape(f.eta0.size, -1)
         out *= self.col
         out *= self.scale * f.pg_out.y_weight / f.pg_in.weight
         return out
+
+
+def _check_shape(vals, shape):
+    if vals.shape != shape:
+        raise ValueError("block input of shape %s, expected %s"
+                         % (vals.shape, shape))
 
 
 def _pair_norm(matvec, rmatvec, shape, iters=20, restarts=2, seed=0):

@@ -6,30 +6,36 @@ through the Fourier coefficients of g along the flow axis.  After the
 flow sum is carried out, the (xi0, eta0) block of the kernel is a single
 transversal quadrature of Gaussian factors,
 
-    K = pref * sum_y w ghat(xi0 - eta0, y) e^{i eta0 f(y)}
+    K = pref * sum_y w C(xi0, eta0, y)
         * conj(out factor)(y) * (in factor)(F_dag y),
+    C(xi0, eta0, y) = ghat(xi0 - eta0, y) e^{i eta0 f(y)}.
 
-which we assemble as a thin matrix product per block.  The module
-provides dense assembly within the dense budget, a matrix free application
-for grids too large to materialize, a per-entry quadrature used as an
-independent cross check, the decomposition by the frequency cutoffs,
-and the expansion statistics Lambda / Delta entering the norm bounds.
+The slice coupling C (slice_coupling) is the one place where slices
+meet.  coupled_forward applies it between the slice transforms of
+partial_fbi (reconstruct_slice per in slice, C, _slice_forward per out
+slice) and coupled_adjoint is its adjoint; lift_apply and the central
+block of spectra both run through them, and lift_kernel assembles the
+same C between dense slice packets within the dense budget.  The module
+also provides a per-entry quadrature used as an independent cross check,
+the decomposition by the frequency cutoffs, and the expansion statistics
+Lambda / Delta entering the norm bounds.
 """
 
 import hashlib
 import json
+import string
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .aniso_norm import bracket, cutoffs, slice_covectors
 from .contact_geometry import det_on_unstable
-from .fbi_core import PhaseAxis, PhaseGrid, normalization
 from .numerics import check_dense
-from .partial_fbi import (FlowGrid, PartialPacketIndex, PartialPhaseField,
-                          VolumeField, _slice_forward, _volume_points,
+from .partial_fbi import (PartialPacketIndex, PartialPhaseField, VolumeField,
+                          _amplitude, _point_factors, _slice_adjoint,
+                          _slice_axis_matrix, _slice_forward, _volume_points,
                           check_transversal_spacing, partial_packet,
-                          reconstruct_slice)
+                          reconstruct_slice, scatter_slice)
 
 
 class TransferSpec:
@@ -139,41 +145,34 @@ def flow_fourier_coeffs(g_vals, flow):
     return (2.0 * np.pi) ** (-0.5) * flow.spacing * (phase @ g_mat)
 
 
-def _block_prefactor(kap_o, kap_i, dim2):
-    a = normalization(dim2)
-    return (kap_o * kap_i) ** (dim2 / 4.0) * a * a / np.sqrt(2.0 * np.pi)
-
-
 class OperatorMatrix:
-    """Dense lift matrix between partial phase grids.
+    """Dense lift matrix on one partial phase grid.
 
     Row/column layout is flow-slice major, then the phase grid in its
     native (centers..., freqs...) raveling.  Application multiplies by
-    the in-grid measure, so the matrix itself holds plain kernel values.
+    the grid measure, so the matrix itself holds plain kernel values.
     """
 
-    def __init__(self, values, flow, phase_out, phase_in, meta=None):
+    def __init__(self, values, flow, phase, meta=None):
         values = np.asarray(values, dtype=complex)
-        n0 = flow.n_points
-        assert values.shape == (n0 * phase_out.num_points,
-                                n0 * phase_in.num_points)
+        n = flow.n_points * phase.num_points
+        assert values.shape == (n, n)
         self.values = values
         self.flow = flow
-        self.phase_out = phase_out
-        self.phase_in = phase_in
+        self.phase = phase
         self.meta = dict(meta or {})
 
     @property
     def in_measure(self):
-        return self.flow.freq_spacing * self.phase_in.weight
+        return self.flow.freq_spacing * self.phase.weight
 
     def apply(self, pf):
-        expect = (self.flow.n_points,) + self.phase_in.shape()
-        assert pf.values.shape == expect
+        shape = (self.flow.n_points,) + self.phase.shape()
+        if pf.values.shape != shape:
+            raise ValueError("phase field of shape %s, the matrix acts on %s"
+                             % (pf.values.shape, shape))
         out = self.values @ pf.values.ravel() * self.in_measure
-        shape = (self.flow.n_points,) + self.phase_out.shape()
-        return PartialPhaseField(self.flow, self.phase_out,
-                                 out.reshape(shape))
+        return PartialPhaseField(self.flow, self.phase, out.reshape(shape))
 
     def scaled(self, column_diagonal, meta_update=None):
         """New matrix with columns multiplied by a diagonal vector."""
@@ -182,7 +181,7 @@ class OperatorMatrix:
         meta = dict(self.meta)
         meta.update(meta_update or {})
         return OperatorMatrix(self.values * diag[None, :], self.flow,
-                              self.phase_out, self.phase_in, meta)
+                              self.phase, meta)
 
     def fingerprint(self):
         blob = json.dumps({"meta": self.meta,
@@ -193,95 +192,105 @@ class OperatorMatrix:
     def singular_values(self):
         return np.linalg.svd(self.values, compute_uv=False)
 
-    def _grid_record(self, pg):
-        return [{"centers": ax.centers.tolist(),
-                 "freqs": ax.freqs.tolist(),
-                 "y": ax.y.tolist()} for ax in pg.axes]
 
-    def save(self, path):
-        """Binary array at path.npy plus a sidecar record at path.json."""
-        base = str(path)
-        np.save(base + ".npy", self.values)
-        record = {
-            "meta": self.meta,
-            "fingerprint": self.fingerprint(),
-            "flow": {"half_period": self.flow.half_period,
-                     "n_points": self.flow.n_points},
-            "phase_out": self._grid_record(self.phase_out),
-            "phase_in": self._grid_record(self.phase_in),
-        }
-        with open(base + ".json", "w") as fh:
-            json.dump(record, fh)
+def slice_coupling(ghat, shift, out_idx, in_idx, in_freqs, band):
+    """Coupling of flow frequency slices on the transversal quadrature.
 
-    @classmethod
-    def load(cls, path):
-        base = str(path)
-        values = np.load(base + ".npy")
-        with open(base + ".json") as fh:
-            record = json.load(fh)
-        flow = FlowGrid(record["flow"]["half_period"],
-                        record["flow"]["n_points"])
-
-        def build(axes):
-            return PhaseGrid([PhaseAxis(np.array(a["centers"]),
-                                        np.array(a["freqs"]),
-                                        np.array(a["y"])) for a in axes])
-
-        return cls(values, flow, build(record["phase_out"]),
-                   build(record["phase_in"]), record.get("meta"))
-
-    def export_singular_values(self, path):
-        sig = self.singular_values()
-        lines = ["# fingerprint=%s rows=%d cols=%d" % (
-            self.fingerprint(), self.values.shape[0], self.values.shape[1]),
-            "index,sigma"]
-        lines += ["%d,%.17g" % (i, s) for i, s in enumerate(sig)]
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return sig
+    Entry (s, t, y) is ghat(out_idx[s] - in_idx[t], y) exp(i in_freqs[t]
+    shift(y)) for offsets within the band and zero beyond it.  ghat is
+    indexed by offset as flow_fourier_coeffs returns it; a single column
+    (the amplitude data at one point) serves every quadrature point.
+    """
+    ghat = np.asarray(ghat, dtype=complex)
+    ghat = ghat.reshape(ghat.shape[0], -1)
+    n0 = (ghat.shape[0] + 1) // 2
+    off = np.subtract.outer(out_idx, in_idx)
+    inside = np.abs(off) <= min(band, n0 - 1)
+    rows = ghat[np.where(inside, off + n0 - 1, 0)] * inside[:, :, None]
+    return rows * np.exp(1j * np.multiply.outer(in_freqs, shift))
 
 
-def lift_kernel(spec, flow, trans, pg_out, pg_in=None):
-    """Assemble the dense lifted kernel matrix by quadrature."""
-    if pg_in is None:
-        pg_in = pg_out
-    check_transversal_spacing(trans, flow)
-    n0 = flow.n_points
-    rows = n0 * pg_out.num_points
-    cols = n0 * pg_in.num_points
-    check_dense(rows, cols, "lift matrix")
-    dim2 = trans.dim
+def coupled_forward(vals, pg_in, kap_in, points, coupling, pg_out, kap_out):
+    """Lift in-slice coefficients through a slice coupling.
+
+    Each in slice is reconstructed at the mapped quadrature points, the
+    coupling sums them per out slice, and each sum is transformed once;
+    returns an array of shape (n_out,) + pg_out.shape().
+    """
+    recs = np.empty(coupling.shape[1:], dtype=complex)
+    for t, kap in enumerate(kap_in):
+        recs[t] = reconstruct_slice(np.reshape(vals[t], pg_in.shape()),
+                                    pg_in, kap, points)
+    mids = np.einsum("sty,ty->sy", coupling, recs)
+    y_shape = tuple(ax.y.size for ax in pg_out.axes)
+    out = np.empty((len(kap_out),) + pg_out.shape(), dtype=complex)
+    for s, kap in enumerate(kap_out):
+        out[s] = _slice_forward(mids[s].reshape(y_shape), pg_out, kap)
+    return out
+
+
+def coupled_adjoint(vals, pg_out, kap_out, coupling, pg_in, kap_in, points):
+    """Adjoint of coupled_forward up to the two grid measures: slice
+    adjoints on the out side, the conjugate coupling, then one scatter per
+    in slice; returns an array of shape (n_in,) + pg_in.shape()."""
+    backs = np.empty((coupling.shape[0], coupling.shape[2]), dtype=complex)
+    for s, kap in enumerate(kap_out):
+        backs[s] = _slice_adjoint(np.reshape(vals[s], pg_out.shape()),
+                                  pg_out, kap).ravel()
+    # conj(coupling) contracted over s, without a conjugated copy of it
+    mids = np.einsum("sty,sy->ty", coupling, backs.conj()).conj()
+    out = np.empty((len(kap_in),) + pg_in.shape(), dtype=complex)
+    for t, kap in enumerate(kap_in):
+        out[t] = scatter_slice(mids[t], pg_in, kap, points)
+    return out
+
+
+def _lift_coupling(spec, flow, trans):
+    """Slice coupling of the lift over the whole flow lattice, and the
+    mapped quadrature points."""
     yd = trans.nodes()
-    fy = spec.map.f_dag(yd)
-    fv = spec.map.flow_shift(yd)
     ghat = flow_fourier_coeffs(spec.g_values(flow, trans), flow)
-    freqs = flow.freqs()
-    po = pg_out.points()
-    xs, fo = po[:, :dim2], po[:, dim2:]
-    pi_ = pg_in.points()
-    zs, fi = pi_[:, :dim2], pi_[:, dim2:]
+    idx = np.arange(flow.n_points)
+    coupling = slice_coupling(ghat, spec.map.flow_shift(yd), idx, idx,
+                              flow.freqs(), flow.n_points - 1)
+    return coupling, spec.map.f_dag(yd)
 
-    # the distance and phase matrices do not depend on the slice; only
-    # the width kappa does
-    d2i = (np.sum(fy ** 2, 1)[:, None] + np.sum(zs ** 2, 1)[None, :]
-           - 2.0 * fy @ zs.T)
-    pha_i = fy @ fi.T - 0.5 * np.sum(fi * zs, 1)[None, :]
-    d2o = (np.sum(xs ** 2, 1)[:, None] + np.sum(yd ** 2, 1)[None, :]
-           - 2.0 * xs @ yd.T)
-    pha_o = fo @ yd.T - 0.5 * np.sum(fo * xs, 1)[:, None]
-    kaps = [float(bracket(f)) for f in freqs]
-    b_mats = [np.exp(1j * pha_i - 0.5 * kap_i * d2i) for kap_i in kaps]
-    shifts = [np.exp(1j * f * fv) for f in freqs]
 
-    values = np.empty((rows, cols), dtype=complex)
-    npo, npi = pg_out.num_points, pg_in.num_points
+def _dense_packets(pg, kappa, points):
+    """One slice's conjugate packets at the quadrature nodes, shape
+    (num_points, n_quad), and its packets at points, (n_quad, num_points)."""
+    grid, subscripts, factors = _point_factors(pg, kappa, points, conj=False)
+    ys = string.ascii_uppercase[:pg.dim]
+    on_grid = [_slice_axis_matrix(ax, kappa, conj=True) for ax in pg.axes]
+    at_nodes = np.einsum(",".join(s[:2] + y for s, y in zip(subscripts, ys))
+                         + "->" + grid + ys, *on_grid)
+    at_points = np.einsum(",".join(subscripts) + "->z" + grid, *factors)
+    npts = pg.num_points
+    return at_nodes.reshape(npts, -1), at_points.reshape(-1, npts)
+
+
+def lift_kernel(spec, flow, trans, pg):
+    """Assemble the dense lifted kernel matrix by quadrature.
+
+    Block (s, t) pairs the conjugate slice-s packets at the quadrature
+    nodes with the slice-t packets at the mapped nodes through the same
+    slice coupling that lift_apply uses.
+    """
+    check_transversal_spacing(trans, flow)
+    n0, npts = flow.n_points, pg.num_points
+    check_dense(n0 * npts, n0 * npts, "lift matrix")
+    coupling, fy = _lift_coupling(spec, flow, trans)
+    kaps = bracket(flow.freqs())
+    amps = [_amplitude(kap, pg.dim) for kap in kaps]
+    packets = [_dense_packets(pg, kap, fy) for kap in kaps]
+    scale = trans.weight / np.sqrt(2.0 * np.pi)
+    values = np.empty((n0 * npts, n0 * npts), dtype=complex)
     for s in range(n0):
-        a_mat = np.exp(-1j * pha_o - 0.5 * kaps[s] * d2o)
         for t in range(n0):
-            mid = trans.weight * ghat[s - t + n0 - 1] * shifts[t]
-            block = _block_prefactor(kaps[s], kaps[t], dim2) * \
-                ((a_mat * mid[None, :]) @ b_mats[t])
-            values[s * npo:(s + 1) * npo, t * npi:(t + 1) * npi] = block
+            block = values[s * npts:(s + 1) * npts, t * npts:(t + 1) * npts]
+            np.matmul(packets[s][0] * coupling[s, t], packets[t][1],
+                      out=block)
+            block *= amps[s] * amps[t] * scale
     meta = {"kind": "lift-kernel", "map_family": spec.map.family,
             "map_params": {k: np.asarray(v).tolist()
                            for k, v in spec.map.params.items()},
@@ -289,34 +298,24 @@ def lift_kernel(spec, flow, trans, pg_out, pg_in=None):
             "half_period": flow.half_period,
             "trans_n": trans.points_per_axis,
             "trans_half_width": trans.half_width}
-    return OperatorMatrix(values, flow, pg_out, pg_in, meta)
+    return OperatorMatrix(values, flow, pg, meta)
 
 
 def lift_apply(spec, flow, trans, pg_out, pf):
     """Matrix free application of the lifted kernel to a phase field.
 
-    Identical to assembling lift_kernel and applying it, but the kernel
-    is contracted block by block so only thin factors are materialized.
+    Equal to assembling lift_kernel and applying it, through one
+    reconstruction per in slice and one transform per out slice.
     """
+    if pf.flow.n_points != flow.n_points:
+        raise ValueError("phase field has %d flow slices, the lift %d"
+                         % (pf.flow.n_points, flow.n_points))
     check_transversal_spacing(trans, flow)
-    n0 = flow.n_points
-    assert pf.flow.n_points == n0
-    yd = trans.nodes()
-    fy = spec.map.f_dag(yd)
-    fv = spec.map.flow_shift(yd)
-    ghat = flow_fourier_coeffs(spec.g_values(flow, trans), flow)
-    freqs = flow.freqs()
-    scale = flow.freq_spacing / np.sqrt(2.0 * np.pi)
-    kaps = [float(bracket(f)) for f in freqs]
-    recs = np.stack([reconstruct_slice(pf.values[t], pf.phase, kaps[t], fy)
-                     * np.exp(1j * freqs[t] * fv) for t in range(n0)])
-    # the transform is linear: sum the ghat-weighted in slices on the
-    # quadrature points, then transform once per out slice
-    out = np.empty((n0,) + pg_out.shape(), dtype=complex)
-    for s in range(n0):
-        mid = np.sum(ghat[s + n0 - 1 - np.arange(n0)] * recs, axis=0)
-        out[s] = _slice_forward(mid.reshape(trans.shape()), pg_out, kaps[s])
-    out *= scale
+    coupling, fy = _lift_coupling(spec, flow, trans)
+    kaps = bracket(flow.freqs())
+    out = coupled_forward(pf.values, pf.phase, kaps, fy, coupling, pg_out,
+                          kaps)
+    out *= flow.freq_spacing / np.sqrt(2.0 * np.pi)
     return PartialPhaseField(flow, pg_out, out)
 
 
@@ -427,7 +426,7 @@ def decompose(matrix, wspec):
     X0, X_ctr (1 - X0) and (1 - X_ctr)(1 - X0); their sum recovers the
     matrix up to floating point.
     """
-    x0, ctr, hyp = cutoff_diagonals(matrix.flow, matrix.phase_in, wspec)
+    x0, ctr, hyp = cutoff_diagonals(matrix.flow, matrix.phase, wspec)
     cpt = matrix.scaled(x0, {"part": "cpt"})
     mid = matrix.scaled(ctr, {"part": "ctr"})
     tail = matrix.scaled(hyp, {"part": "hyp"})

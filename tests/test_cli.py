@@ -72,14 +72,15 @@ class TestConfigParsing:
                      "d = inf\n", "lams = 0\n", "lams = 4, 1\n",
                      "s_values = 0.5\n", "s_values = 1, nan\n",
                      "norm_spacing = 0\n", "norm_spacing = -0.35\n",
-                     "norm_half_width = 0\n"):
+                     "norm_half_width = 0\n", "n_freq = 4\n"):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_file(write(tmp_path / "a.cfg", body))
 
     def test_integral_float_counts_pass(self):
         cfg = ExperimentConfig({"flow_points": 8.0, "ks": [6.0],
-                                "n_freq": 4.0})
-        assert (cfg.flow_points, cfg.ks, cfg.n_freq) == (8, [6], 4)
+                                "n_freq": 4.0, "n_per_axis": 4.0})
+        assert (cfg.flow_points, cfg.ks, cfg.n_freq, cfg.n_per_axis) == \
+            (8, [6], 4, 4)
 
 
 class TestExitCodes:
@@ -126,15 +127,31 @@ class TestExitCodes:
             assert "config error" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_norm_bound_over_budget_exits_one(self, tmp_path):
+    def test_norm_bound_over_budget_exits_one(self, tmp_path, capsys):
         # d = 2 puts 12^4 = 20736 points on the norm grid
         path = write(tmp_path / "d2.cfg", "d = 2\n")
         code = main(["norm-bound", "--config", path, "--out", str(tmp_path)])
         assert code == 1
+        message = ("weighted L0_hat kernel would need a 20736 x 20736 matrix "
+                   "(6879707136 bytes), above the dense budget of 320000000 "
+                   "bytes")
+        err = capsys.readouterr().err
+        assert "error in norm-bound: " + message in err
+        assert "tolerance violation" not in err
         rep = json.loads((tmp_path / "summary.json").read_text())
-        assert rep["error"] == (
-            "weighted L0_hat kernel would need a 20736 x 20736 matrix "
-            "(6879707136 bytes), above the dense budget of 320000000 bytes")
+        assert rep["error"] == message
+        assert rep["error_kind"] == "ValueError"
+
+    def test_small_n_freq_exits_two(self, tmp_path, capsys):
+        # n_freq below n_per_axis = 12 leaves no valid phase grid
+        path = write(tmp_path / "bad.cfg", "d = 1\nn_freq = 4\n")
+        for sub in ("check-identity", "lower-bound", "lift-audit"):
+            out = tmp_path / sub
+            code = main([sub, "--config", path, "--out", str(out)])
+            assert code == 2
+            assert "n_freq must be at least n_per_axis" in \
+                capsys.readouterr().err
+            assert not out.exists()
 
     def test_coarse_identity_exits_one(self, tmp_path, capsys):
         path = write(tmp_path / "coarse.cfg",

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from contactfbi.contact_geometry import (AffineContactMap, ContactMap,
                                          alpha0_covector, alpha_dag,
                                          check_hyperbolic, cone_member,
-                                         det_on_unstable, load_contact_map,
+                                         det_on_unstable,
                                          reconstruct_flow_shift,
-                                         save_contact_map,
                                          second_order_audit)
 
 
@@ -227,28 +226,3 @@ class TestAudits:
         # the unstable column of the shear Jacobian never depends on b
         cm = ContactMap.shear(4.0, 0.5)
         assert det_on_unstable(cm, np.array([0.3, 0.5])) == pytest.approx(4.0)
-
-
-class TestSerialization:
-
-    def test_roundtrip_shear(self, tmp_path):
-        cm = ContactMap.shear(8.0, 0.25, f_base=0.1)
-        path = tmp_path / "map.txt"
-        save_contact_map(cm, path)
-        back = load_contact_map(path)
-        assert back.family == "shear"
-        x = np.array([0.2, 0.3, -0.4])
-        assert np.allclose(back.apply(x), cm.apply(x), atol=1e-15)
-
-    def test_roundtrip_linear(self, tmp_path):
-        cm = ContactMap.linear(np.array([[4.0, 0.05], [0.0, 0.25]]))
-        path = tmp_path / "map.txt"
-        save_contact_map(cm, path)
-        back = load_contact_map(path)
-        assert np.allclose(back.params["matrix"], cm.params["matrix"])
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("hello = world\n")
-        with pytest.raises(ValueError):
-            load_contact_map(path)

@@ -88,13 +88,38 @@ class TestDenseBudget:
         # python -O strips assert statements; these checks must still raise
         script = textwrap.dedent("""
             import numpy as np
+            from contactfbi.aniso_norm import WeightSpec
+            from contactfbi.contact_geometry import ContactMap
             from contactfbi.fbi_core import LinearHyperbolicMap, dual_phase_grid
             from contactfbi.numerics import check_dense, make_grid
+            from contactfbi.partial_fbi import FlowGrid, PartialPhaseField
+            from contactfbi.spectra import CentralBlock, CentralFrame
+            from contactfbi.transfer_ops import (TransferSpec, lift_apply,
+                                                 lift_kernel)
             assert False, "assert statements are not stripped"
             th = np.pi / 6.0
             rot = np.array([[np.cos(th), -np.sin(th)],
                             [np.sin(th), np.cos(th)]])
+            spec = TransferSpec(ContactMap.shear(2.0, 0.3), lambda p: np.exp(
+                -np.sum(p[:, 1:] ** 2, axis=-1)))
+            block = CentralBlock(CentralFrame(
+                spec, 3, WeightSpec(big_n=8.0), FlowGrid(np.pi / 2.0, 2),
+                c_margin=2.5, f_margin=1.0, ghat_offsets=3), primed=False)
+            flow, trans = FlowGrid(np.pi, 2), make_grid(2, 1.2, 4)
+            pg = dual_phase_grid(trans, n_freq=4)
+            four_slices = PartialPhaseField(FlowGrid(np.pi, 4), pg,
+                                            np.zeros((4,) + pg.shape()))
+            pg6 = dual_phase_grid(trans, n_freq=6)
+            other_grid = PartialPhaseField(flow, pg6,
+                                           np.zeros((2,) + pg6.shape()))
+            mat = lift_kernel(spec, flow, trans, pg)
             cases = {
+                "block apply": lambda: block.apply(np.zeros((1, 1))),
+                "block adjoint": lambda: block.apply_adjoint(
+                    np.zeros((1, 1))),
+                "lift_apply slices": lambda: lift_apply(spec, flow, trans,
+                                                        pg, four_slices),
+                "matrix apply": lambda: mat.apply(other_grid),
                 "small band": lambda: dual_phase_grid(make_grid(1, 8.0, 32),
                                                       n_freq=16),
                 "rotation": lambda: LinearHyperbolicMap(rot, lam=1.0),

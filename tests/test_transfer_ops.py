@@ -5,18 +5,18 @@ import pytest
 
 from contactfbi.aniso_norm import WeightSpec, bracket
 from contactfbi.contact_geometry import ContactMap
-from contactfbi.fbi_core import dual_phase_grid
+from contactfbi.fbi_core import dual_phase_grid, normalization
 from contactfbi import numerics
 from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
                                     _slice_forward, pcal_apply, pfbi_forward,
                                     reconstruct_slice, sample_volume)
-from contactfbi.transfer_ops import (OperatorMatrix, TransferSpec,
-                                     cutoff_diagonals, decompose,
-                                     flow_fourier_coeffs,
+from contactfbi.transfer_ops import (TransferSpec, cutoff_diagonals,
+                                     decompose, flow_fourier_coeffs,
                                      kernel_bound_audit, kernel_entry_direct,
                                      lambda_delta, lambda_global, lift_apply,
-                                     lift_kernel, phase_index, transfer_apply)
+                                     lift_kernel, phase_index, slice_coupling,
+                                     transfer_apply)
 
 
 def gauss_amp(sigma, amp=1.0):
@@ -128,7 +128,78 @@ def shear_spec():
     return TransferSpec(ContactMap.shear(2.0, 0.3), g, name="shear-bump")
 
 
+def closed_form_lift(spec, flow, trans, pg):
+    """The lift matrix from the closed-form packet Gaussians, block by
+    block: distance and phase matrices of both packets, the flow-summed
+    amplitude ghat(xi0 - eta0) e^{i eta0 f} and the block prefactor."""
+    dim2 = trans.dim
+    n0, npts = flow.n_points, pg.num_points
+    yd = trans.nodes()
+    fy = spec.map.f_dag(yd)
+    fv = spec.map.flow_shift(yd)
+    ghat = flow_fourier_coeffs(spec.g_values(flow, trans), flow)
+    freqs = flow.freqs()
+    pts = pg.points()
+    xs, fs = pts[:, :dim2], pts[:, dim2:]
+    d2i = (np.sum(fy ** 2, 1)[:, None] + np.sum(xs ** 2, 1)[None, :]
+           - 2.0 * fy @ xs.T)
+    pha_i = fy @ fs.T - 0.5 * np.sum(fs * xs, 1)[None, :]
+    d2o = (np.sum(xs ** 2, 1)[:, None] + np.sum(yd ** 2, 1)[None, :]
+           - 2.0 * xs @ yd.T)
+    pha_o = fs @ yd.T - 0.5 * np.sum(fs * xs, 1)[:, None]
+    a = normalization(dim2)
+    values = np.empty((n0 * npts, n0 * npts), dtype=complex)
+    for s in range(n0):
+        kap_o = float(bracket(freqs[s]))
+        a_mat = np.exp(-1j * pha_o - 0.5 * kap_o * d2o)
+        for t in range(n0):
+            kap_i = float(bracket(freqs[t]))
+            b_mat = np.exp(1j * pha_i - 0.5 * kap_i * d2i)
+            mid = trans.weight * ghat[s - t + n0 - 1] \
+                * np.exp(1j * freqs[t] * fv)
+            pref = (kap_o * kap_i) ** (dim2 / 4.0) * a * a \
+                / np.sqrt(2.0 * np.pi)
+            values[s * npts:(s + 1) * npts, t * npts:(t + 1) * npts] = \
+                pref * ((a_mat * mid[None, :]) @ b_mat)
+    return values
+
+
+class TestSliceCoupling:
+
+    def test_band_and_flow_shift(self):
+        rng = np.random.default_rng(4)
+        ghat = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+        shift = rng.standard_normal(5)
+        out_idx, in_idx = np.arange(-1, 4), np.arange(0, 3)
+        freqs = 0.5 * in_idx
+        c = slice_coupling(ghat, shift, out_idx, in_idx, freqs, band=2)
+        assert c.shape == (5, 3, 5)
+        for s, m in enumerate(out_idx):
+            for t, n in enumerate(in_idx):
+                want = ghat[m - n + 3] * np.exp(1j * freqs[t] * shift) \
+                    if abs(m - n) <= 2 else np.zeros(5)
+                assert np.array_equal(c[s, t], want)
+
+    def test_single_column_serves_every_point(self):
+        ghat0 = np.arange(1.0, 8.0) + 0j
+        c = slice_coupling(ghat0, np.zeros(4), np.arange(3), np.arange(3),
+                           np.ones(3), band=6)
+        assert c.shape == (3, 3, 4)
+        assert np.array_equal(c[2, 0], np.full(4, ghat0[5]))
+
+
 class TestLiftKernel:
+
+    def test_matches_closed_form_assembly(self):
+        # the 2-slice small grid and the 4-slice, 1024-row grid of C10
+        trans = make_grid(2, 0.7, 4)
+        settings = (small_setting(), (FlowGrid(np.pi, 4), trans,
+                                      dual_phase_grid(trans, n_freq=4)))
+        spec = shear_spec()
+        for flow, trans, pg in settings:
+            ref = closed_form_lift(spec, flow, trans, pg)
+            got = lift_kernel(spec, flow, trans, pg).values
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_zero_amplitude_zero_matrix(self):
         flow, trans, pg = small_setting()
@@ -338,29 +409,3 @@ class TestLambdaDelta:
 
     def test_global_anchor(self):
         assert lambda_global(1.0, np.e) == pytest.approx(np.exp(-0.5))
-
-
-class TestOperatorMatrixIO:
-
-    def test_save_load_roundtrip(self, tmp_path):
-        flow, trans, pg = small_setting()
-        mat = lift_kernel(shear_spec(), flow, trans, pg)
-        base = tmp_path / "lift"
-        mat.save(base)
-        back = OperatorMatrix.load(base)
-        assert np.array_equal(back.values, mat.values)
-        rng = np.random.default_rng(9)
-        shape = (flow.n_points,) + pg.shape()
-        pf = PartialPhaseField(flow, pg, rng.standard_normal(shape) + 0j)
-        assert np.allclose(back.apply(pf).values, mat.apply(pf).values)
-        assert back.fingerprint() == mat.fingerprint()
-
-    def test_singular_value_export(self, tmp_path):
-        flow, trans, pg = small_setting()
-        mat = lift_kernel(shear_spec(), flow, trans, pg)
-        path = tmp_path / "sv.csv"
-        sig = mat.export_singular_values(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[1] == "index,sigma"
-        assert len(lines) == 2 + len(sig)
-        assert float(lines[2].split(",")[1]) == pytest.approx(sig[0])
