@@ -138,8 +138,7 @@ def w_s(x_dag, xi_dag, s, r, psi=None):
 class WeightSpec:
     """Parameters of the anisotropic norm and the frequency cutoffs."""
 
-    def __init__(self, r=4.0, d=1, tau=None, big_n=32.0, delta=0.1,
-                 chi_name="exp-mollifier"):
+    def __init__(self, r=4.0, d=1, tau=None, big_n=32.0, delta=0.1):
         self.r = float(r)
         self.d = int(d)
         if tau is None:
@@ -151,16 +150,13 @@ class WeightSpec:
                              "got %g" % self.tau)
         if big_n <= 0:
             raise ValueError("big_n must be positive")
-        if chi_name != "exp-mollifier":
-            raise ValueError("unknown cutoff profile %r" % chi_name)
         self.big_n = float(big_n)
         self.delta = float(delta)
-        self.chi_name = chi_name
 
     def as_dict(self):
         return {"r": self.r, "d": self.d, "tau": self.tau,
                 "big_n": self.big_n, "delta": self.delta,
-                "chi": self.chi_name}
+                "chi": "exp-mollifier"}  # the profile behind chi
 
 
 def x_zero(x_dag, xi, spec):

@@ -21,12 +21,14 @@ from .aniso_norm import (WeightSpec, chi_n, cutoffs, lp_partition, q_k,
 from .contact_geometry import ContactMap
 from .fbi_core import det_factor, dual_phase_grid, fbi_adjoint, fbi_forward
 from .numerics import make_grid, sample
-from .partial_fbi import FlowGrid, pfbi_roundtrip, sample_volume
+from .partial_fbi import (FlowGrid, check_transversal_spacing,
+                          min_transversal_points, pfbi_roundtrip,
+                          sample_volume)
 from .spectra import (central_block_audit, lower_bound_family,
                       model_spectrum, persistent_outliers,
                       weighted_norm_measure)
 from .transfer_ops import (TransferSpec, kernel_bound_audit, lambda_delta,
-                           lift_kernel)
+                           lift_fingerprint)
 
 SUBCOMMANDS = ("check-identity", "lift-audit", "norm-bound",
                "partition-audit", "spectrum", "lower-bound", "central-audit")
@@ -256,28 +258,46 @@ def _suite(dim, rng):
     return funcs
 
 
-def run_check_identity(cfg, out, seed, refine):
+def _volume_grids(cfg, flow_points, min_points, fill_freq):
+    """Flow grid, transversal grid of at least min_points per axis that is
+    fine enough for the flow frequencies, and its phase grid.  With
+    fill_freq an unset n_freq becomes the transversal point count, else
+    dual_phase_grid's default."""
+    flow = FlowGrid(cfg.flow_half_period, flow_points)
+    trans = make_grid(2 * cfg.d, cfg.box_half,
+                      max(min_points,
+                          min_transversal_points(cfg.box_half, flow)))
+    check_transversal_spacing(trans, flow)
+    n_freq = cfg.n_freq or (trans.points_per_axis if fill_freq else None)
+    return flow, trans, dual_phase_grid(trans, n_freq=n_freq)
+
+
+def _identity_grids(cfg, refine):
+    spaces = []
+    for dim in (1, 2):
+        grid = make_grid(dim, cfg.box_half, cfg.n_per_axis * refine)
+        spaces.append((grid, dual_phase_grid(grid, n_freq=cfg.n_freq,
+                                             center_margin=3.5)))
+    return spaces, _volume_grids(cfg, cfg.flow_points * refine,
+                                 cfg.n_per_axis * refine, False)
+
+
+def run_check_identity(cfg, out, seed, grids):
     rng = np.random.default_rng(seed)
-    scale = refine
+    spaces, (flow, trans, pg_vol) = grids
     rows = []
     worst = 0.0
-    for dim in (1, 2):
-        grid = make_grid(dim, cfg.box_half, cfg.n_per_axis * scale)
-        pg = dual_phase_grid(grid, n_freq=cfg.n_freq, center_margin=3.5)
-        for i, f in enumerate(_suite(dim, rng)):
+    for grid, pg in spaces:
+        for i, f in enumerate(_suite(grid.dim, rng)):
             u = sample(f, grid)
             back = fbi_adjoint(fbi_forward(u, pg), grid)
             defect = np.sqrt(np.sum(np.abs(back.values - u.values) ** 2)
                              * grid.weight) / u.norm()
             worst = max(worst, defect)
-            rows.append([dim, i, grid.spacing, pg.num_points, defect])
-    flow = FlowGrid(cfg.flow_half_period, cfg.flow_points * scale)
-    trans = make_grid(2 * cfg.d, cfg.box_half,
-                      max(cfg.n_per_axis * scale,
-                          _min_trans_points(cfg, flow)))
+            rows.append([grid.dim, i, grid.spacing, pg.num_points, defect])
     for i, f in enumerate(_suite(2 * cfg.d + 1, rng)):
         vol = sample_volume(f, flow, trans)
-        back = pfbi_roundtrip(vol, n_freq=cfg.n_freq)
+        back = pfbi_roundtrip(vol, pg=pg_vol)
         defect = np.sqrt(np.sum(np.abs(back.values - vol.values) ** 2)
                          * flow.spacing * trans.weight) / vol.norm()
         worst = max(worst, defect)
@@ -290,37 +310,25 @@ def run_check_identity(cfg, out, seed, refine):
     return summary, 0 if worst <= cfg.tol else 1
 
 
-def _min_trans_points(cfg, flow):
-    from .aniso_norm import bracket
-    kappa = float(np.max(bracket(flow.freqs())))
-    need = 2.0 * cfg.box_half / (0.7 / np.sqrt(kappa))
-    n = int(np.ceil(need))
-    return n + n % 2
-
-
-def run_lift_audit(cfg, out, seed, refine):
-    flow = FlowGrid(cfg.flow_half_period, cfg.flow_points * refine)
-    trans = make_grid(2 * cfg.d, cfg.box_half,
-                      max(cfg.n_per_axis, _min_trans_points(cfg, flow)))
-    pg = dual_phase_grid(trans, n_freq=cfg.n_freq or trans.points_per_axis)
+def run_lift_audit(cfg, out, seed, grids):
+    flow, trans, pg = grids
     spec = TransferSpec(cfg.contact_map(), cfg.amplitude_fn(), name=cfg.tag)
-    mat = lift_kernel(spec, flow, trans, pg)
     audit = kernel_bound_audit(spec, flow, trans, pg, rho=1.0,
                                rng_seed=seed)
     rows = [[flow.n_points, trans.spacing, k, float(v)]
             for k, v in sorted(audit.items()) if np.isscalar(v)]
     _write_csv(os.path.join(out, "audit.csv"), cfg.grid_meta(),
                ["flow_points", "spacing", "quantity", "value"], rows)
-    summary = {"rows": int(mat.values.shape[0]),
-               "fingerprint": mat.fingerprint(),
+    # the lift matrix is never assembled: its size and hash need only grids
+    summary = {"rows": flow.n_points * pg.num_points,
+               "fingerprint": lift_fingerprint(spec, flow, trans, pg),
                "audit": {k: float(v) for k, v in audit.items()
                          if np.isscalar(v)}}
     return summary, 0
 
 
-def run_norm_bound(cfg, out, seed, refine):
+def run_norm_bound(cfg, out, seed, spacing):
     half = tuple([cfg.norm_half_width] * (2 * cfg.d))
-    spacing = cfg.norm_spacing / refine
     rows = []
     ratios = []
     for s in cfg.s_values:
@@ -345,9 +353,8 @@ def run_norm_bound(cfg, out, seed, refine):
     return summary, 0
 
 
-def run_partition_audit(cfg, out, seed, refine):
+def run_partition_audit(cfg, out, seed, n):
     rng = np.random.default_rng(seed)
-    n = cfg.samples * refine
     x = rng.uniform(-2.0, 2.0, size=(n, 2 * cfg.d))
     xi = rng.uniform(-100.0, 100.0, size=(n, 2 * cfg.d + 1))
     chi_sum = sum(chi_n(np.linalg.norm(xi, axis=-1), m) for m in range(12))
@@ -373,16 +380,8 @@ def run_partition_audit(cfg, out, seed, refine):
     return summary, 0 if summary["passed"] else 1
 
 
-def run_spectrum(cfg, out, seed, refine):
+def run_spectrum(cfg, out, seed, levels):
     spec = TransferSpec(cfg.contact_map(), cfg.amplitude_fn(), name=cfg.tag)
-    levels = []
-    for level in range(refine):
-        flow = FlowGrid(cfg.flow_half_period, cfg.flow_points + 2 * level)
-        trans = make_grid(2 * cfg.d, cfg.box_half,
-                          max(cfg.n_per_axis, _min_trans_points(cfg, flow)))
-        pg = dual_phase_grid(trans,
-                             n_freq=cfg.n_freq or trans.points_per_axis)
-        levels.append((flow, trans, pg))
     _, _, bound = lambda_delta(spec, levels[0][0], levels[0][1],
                                cfg.map_lam, cfg.weight.r)
     reports = model_spectrum(spec, cfg.weight, levels, bound,
@@ -397,12 +396,8 @@ def run_spectrum(cfg, out, seed, refine):
     return summary, 0
 
 
-def run_lower_bound(cfg, out, seed, refine):
-    flow = FlowGrid(cfg.flow_half_period, cfg.flow_points * refine)
-    trans = make_grid(2 * cfg.d, cfg.box_half,
-                      max(cfg.n_per_axis * refine,
-                          _min_trans_points(cfg, flow)))
-    pg = dual_phase_grid(trans, n_freq=cfg.n_freq)
+def run_lower_bound(cfg, out, seed, grids):
+    flow, trans, pg = grids
     spec = TransferSpec(cfg.contact_map(), cfg.amplitude_fn(), name=cfg.tag)
     res = lower_bound_family(spec, flow, trans, pg, cfg.n_ks, cfg.weight,
                              m=cfg.window_m)
@@ -417,8 +412,7 @@ def run_lower_bound(cfg, out, seed, refine):
     return summary, 0
 
 
-def run_central_audit(cfg, out, seed, refine):
-    flow = FlowGrid(cfg.flow_half_period, cfg.flow_points * refine)
+def run_central_audit(cfg, out, seed, flow):
     spec = TransferSpec(cfg.contact_map(), cfg.amplitude_fn(), name=cfg.tag)
     trans = make_grid(2 * cfg.d, 1.2, 10)
     _, _, bound = lambda_delta(spec, flow, trans, cfg.map_lam, cfg.weight.r)
@@ -453,6 +447,24 @@ _RUNNERS = {
     "central-audit": run_central_audit,
 }
 
+# What each runner takes from --refine: its grids, or a spacing or sample
+# count.  main plans before the output directory exists, so a grid the
+# config cannot support is a config error.
+_PLANS = {
+    "check-identity": _identity_grids,
+    "lift-audit": lambda cfg, refine: _volume_grids(
+        cfg, cfg.flow_points * refine, cfg.n_per_axis, True),
+    "norm-bound": lambda cfg, refine: cfg.norm_spacing / refine,
+    "partition-audit": lambda cfg, refine: cfg.samples * refine,
+    "spectrum": lambda cfg, refine: [
+        _volume_grids(cfg, cfg.flow_points + 2 * level, cfg.n_per_axis, True)
+        for level in range(refine)],
+    "lower-bound": lambda cfg, refine: _volume_grids(
+        cfg, cfg.flow_points * refine, cfg.n_per_axis * refine, False),
+    "central-audit": lambda cfg, refine: FlowGrid(
+        cfg.flow_half_period, cfg.flow_points * refine),
+}
+
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
@@ -467,14 +479,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config)
-    except ConfigError as exc:
+        plan = _PLANS[args.subcommand](cfg, args.refine)
+    except (ConfigError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     out = args.out or cfg.raw.get("out_dir") or "."
     os.makedirs(out, exist_ok=True)
     runner = _RUNNERS[args.subcommand]
     try:
-        summary, code = runner(cfg, out, args.seed, args.refine)
+        summary, code = runner(cfg, out, args.seed, plan)
     except (AssertionError, ValueError) as exc:
         summary = {"error": str(exc), "error_kind": type(exc).__name__}
         code = 1

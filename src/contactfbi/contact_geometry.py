@@ -65,19 +65,6 @@ class AffineContactMap:
         return AffineContactMap(-self.c)
 
 
-def cone_member(x, which, theta):
-    """Membership in C_+/-(theta) of R^(2d+1), split after the flow axis."""
-    x = np.asarray(x, dtype=float)
-    d = (x.size - 1) // 2
-    plus = np.linalg.norm(x[1:1 + d])
-    minus = np.linalg.norm(x[1 + d:])
-    if which == "plus":
-        return minus <= theta * plus
-    if which == "minus":
-        return plus <= theta * minus
-    raise ValueError("which must be 'plus' or 'minus'")
-
-
 class ContactMap:
     """Normal-form contact map F(x0, x_dag) = (x0 + f(x_dag), F_dag(x_dag)).
 

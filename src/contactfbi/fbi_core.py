@@ -153,8 +153,9 @@ def dual_phase_grid(space_grid, n_freq=None, center_margin=0.0):
     if n_freq is None:
         n_freq = space_grid.points_per_axis + 8
     if n_freq * h <= 2.0 * space_grid.half_width - h:
-        raise ValueError("frequency count too small, alias window does not "
-                         "cover the box")
+        raise ValueError("frequency count %d too small for %d points per "
+                         "axis, alias window does not cover the box"
+                         % (n_freq, space_grid.points_per_axis))
     freqs = dual_frequencies(n_freq, h)
     ax = PhaseAxis(centers, freqs, y)
     return PhaseGrid([ax] * space_grid.dim)
@@ -165,8 +166,9 @@ class PhaseField:
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=complex)
-        assert values.shape == grid.shape(), \
-            "shape %s does not match phase grid %s" % (values.shape, grid.shape())
+        if values.shape != grid.shape():
+            raise ValueError("shape %s does not match phase grid %s"
+                             % (values.shape, grid.shape()))
         self.grid = grid
         self.values = values
 
@@ -207,7 +209,10 @@ def fbi_adjoint(v, space_grid=None):
 
 
 def fbi_forward_at(u, points):
-    """T u evaluated at arbitrary phase space points of shape (N, 2 D)."""
+    """T u evaluated at arbitrary phase space points of shape (N, 2 D).
+
+    Sums each packet against u node by node; this is the reference oracle
+    that the tests hold fbi_forward (the slice core at kappa = 1) to."""
     pts = np.asarray(points, dtype=float)
     d = u.grid.dim
     assert pts.shape[1] == 2 * d
@@ -224,15 +229,6 @@ def fbi_forward_at(u, points):
         packet = np.exp(-1j * phase - np.sum(dy ** 2, axis=-1) / 2.0)
         out[start:start + chunk] = packet @ u.values
     return a * u.grid.weight * out
-
-
-def symplectic_form_matrix(dim):
-    """Matrix S of the standard form Omega(p, q) = p . S q on R^(2D)."""
-    d = dim
-    s = np.zeros((2 * d, 2 * d))
-    s[:d, d:] = np.eye(d)
-    s[d:, :d] = -np.eye(d)
-    return s
 
 
 def projection_kernel(p, q):
@@ -252,7 +248,7 @@ def projection_kernel_matrix(pts_out, pts_in):
     po = np.asarray(pts_out, dtype=float)
     pi_ = np.asarray(pts_in, dtype=float)
     dim = po.shape[1] // 2
-    s = symplectic_form_matrix(dim)
+    s = dagger_form_matrix(2 * dim)
     omega = po @ s @ pi_.T
     sq_o = np.sum(po ** 2, axis=1)
     sq_i = np.sum(pi_ ** 2, axis=1)
@@ -431,7 +427,7 @@ def linear_lift_kernel(b, pts_out, pts_in):
     """
     b = np.asarray(b, dtype=float)
     dim = b.shape[0]
-    s = symplectic_form_matrix(dim)
+    s = dagger_form_matrix(2 * dim)
     btilde = np.zeros((2 * dim, 2 * dim))
     btilde[:dim, :dim] = b
     btilde[dim:, dim:] = np.linalg.inv(b).T
@@ -515,18 +511,10 @@ def z_change(x, xi):
     return z, w
 
 
-def z_change_inverse(z, w):
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    xi = (z + w) / np.sqrt(2.0)
-    jx = (z - w) / np.sqrt(2.0)
-    # invert J: J(Jx) = -x
-    x = -flip_half(jx)
-    return x, xi
-
-
 def dagger_form_matrix(dim):
-    """Matrix of omega_dagger(u, v) = u . J v on R^(2d)."""
+    """Matrix J of the form u . J v on R^dim, dim even: omega_dagger on
+    R^(2d), and the standard form Omega(p, q) = x . xi' - xi . x' on
+    R^(2D) for dim = 2 D."""
     d = dim // 2
     j = np.zeros((dim, dim))
     j[:d, d:] = np.eye(d)

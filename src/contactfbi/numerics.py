@@ -75,9 +75,9 @@ class Field:
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=complex).ravel()
-        assert values.size == grid.num_points, \
-            "value count %d does not match grid point count %d" % (
-                values.size, grid.num_points)
+        if values.size != grid.num_points:
+            raise ValueError("value count %d does not match grid point count "
+                             "%d" % (values.size, grid.num_points))
         self.grid = grid
         self.values = values
 
@@ -124,51 +124,31 @@ def quad_inner(u, v):
     return complex(np.vdot(u.values, v.values) * u.grid.weight)
 
 
-def operator_norm(matvec, rmatvec, n, iters=200, restarts=3, seed=0):
+def operator_norm(matvec, rmatvec, shape, iters=200, restarts=3, seed=0):
     """Largest singular value of a linear operator by power iteration.
 
-    Runs power iteration on A* A from `restarts` random starts and reports
-    the largest estimate seen, which guards against unlucky starts that are
-    near-orthogonal to the top singular vector.
+    Runs power iteration on A* A from `restarts` random complex starts of
+    the given array shape (an int for vectors) and reports the largest
+    Rayleigh estimate sqrt(<v, A* A v>) seen, which guards against unlucky
+    starts that are near-orthogonal to the top singular vector.  A start
+    stops at the first step where A* A v vanishes or the quotient is not
+    positive, keeping the estimate it had (zero for a zero operator).
+    Inner products are plain vdot, so the operator must be expressed in
+    coordinates where the quadrature weights are uniform or folded in.
     """
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(restarts):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        sigma = 0.0
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v /= np.linalg.norm(v.ravel())
+        est = 0.0
         for _ in range(iters):
             w = rmatvec(matvec(v))
-            nrm = np.linalg.norm(w)
-            if nrm == 0.0:
-                sigma = 0.0
+            num = float(np.real(np.vdot(v, w)))
+            size = float(np.linalg.norm(w.ravel()))
+            if size == 0.0 or num <= 0.0:
                 break
-            sigma = np.sqrt(nrm)
-            v = w / nrm
-        best = max(best, float(sigma))
-    return best
-
-
-def matrix_norm(mat, row_weights=None, col_weights=None, dense_limit=4000,
-                iters=200, restarts=3, seed=0):
-    """Operator norm of an integral-operator matrix between weighted L2 spaces.
-
-    The matrix maps coefficient vectors u to mat @ (col_weights * u) where
-    col_weights are the quadrature weights of the input nodes; the norm is
-    taken with respect to the weighted l2 inner products on both sides.
-    Defaults to plain matrix 2-norm when no weights are given.
-    """
-    mat = np.asarray(mat)
-    m, n = mat.shape
-    if row_weights is None:
-        row_weights = np.ones(m)
-    if col_weights is None:
-        col_weights = np.ones(n)
-    rw = np.sqrt(np.asarray(row_weights, dtype=float))
-    cw = np.sqrt(np.asarray(col_weights, dtype=float))
-    scaled = rw[:, None] * mat * cw[None, :]
-    if max(m, n) <= dense_limit:
-        return float(np.linalg.norm(scaled, 2))
-    matvec = lambda v: scaled @ v
-    rmatvec = lambda v: (v.conj() @ scaled).conj()
-    return operator_norm(matvec, rmatvec, n, iters=iters, restarts=restarts, seed=seed)
+            est = np.sqrt(num)
+            v = w / size
+        best = max(best, est)
+    return float(best)

@@ -78,15 +78,19 @@ class FlowGrid:
             np.exp(1j * np.outer(y, f))
 
 
+def _check_field_shape(values, expect):
+    if values.shape != expect:
+        raise ValueError("shape %s does not match %s"
+                         % (values.shape, expect))
+
+
 class VolumeField:
     """Function on the periodic-flow times transversal-box grid, stored
     with shape (n0, n_t, ..., n_t)."""
 
     def __init__(self, flow, trans, values):
         values = np.asarray(values, dtype=complex)
-        expect = (flow.n_points,) + trans.shape()
-        assert values.shape == expect, \
-            "shape %s does not match %s" % (values.shape, expect)
+        _check_field_shape(values, (flow.n_points,) + trans.shape())
         self.flow = flow
         self.trans = trans
         self.values = values
@@ -118,8 +122,7 @@ class PartialPhaseField:
 
     def __init__(self, flow, phase, values):
         values = np.asarray(values, dtype=complex)
-        expect = (flow.n_points,) + phase.shape()
-        assert values.shape == expect
+        _check_field_shape(values, (flow.n_points,) + phase.shape())
         self.flow = flow
         self.phase = phase
         self.values = values
@@ -170,13 +173,26 @@ def partial_packet(x_dag, xi=None):
     return phi
 
 
+def _max_transversal_spacing(flow):
+    """Coarsest transversal spacing that resolves the narrowest slice
+    packet: 0.7 / sqrt(max <xi0>) over the flow frequencies."""
+    return 0.7 / np.sqrt(float(np.max(bracket(flow.freqs()))))
+
+
 def check_transversal_spacing(trans, flow):
-    kappa_max = float(np.max(bracket(flow.freqs())))
-    if trans.spacing > 0.7 / np.sqrt(kappa_max):
+    need = _max_transversal_spacing(flow)
+    if trans.spacing > need:
         raise ValueError(
             "transversal spacing %.4g too coarse for flow frequencies up to "
             "<xi0> = %.4g (need <= %.4g)" % (
-                trans.spacing, kappa_max, 0.7 / np.sqrt(kappa_max)))
+                trans.spacing, float(np.max(bracket(flow.freqs()))), need))
+
+
+def min_transversal_points(half_width, flow):
+    """Fewest points per axis, rounded up to even, of a transversal grid on
+    [-half_width, half_width] that passes check_transversal_spacing."""
+    n = int(np.ceil(2.0 * half_width / _max_transversal_spacing(flow)))
+    return n + n % 2
 
 
 def _amplitude(kappa, d2):
@@ -311,7 +327,11 @@ def pfbi_forward(vol, pg=None, n_freq=None):
 
 
 def pfbi_adjoint(pf, trans=None):
-    """Adjoint of the partial transform back to the volume grid."""
+    """Adjoint of the partial transform back to the volume grid.
+
+    Materializes every slice; this is the reference oracle of the slice
+    adjoints: the tests check pfbi_forward against it for adjointness and
+    the streamed pfbi_roundtrip against pfbi_adjoint(pfbi_forward(.))."""
     pg = pf.phase
     if trans is None:
         trans = pg.space_grid()

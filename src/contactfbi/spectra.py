@@ -471,30 +471,16 @@ def _check_shape(vals, shape):
                          % (vals.shape, shape))
 
 
-def _pair_norm(matvec, rmatvec, shape, iters=20, restarts=2, seed=0):
-    """Largest singular value via power iteration on A* A.
+# kept as a named span because bench/tracer.py times it; the iteration is
+# numerics.operator_norm
+def _pair_norm(matvec, rmatvec, shape, iters=20, seed=0):
+    """Power-iteration norm of a block pair, from two starts.
 
     The in-space quadrature weight is uniform over the index set, so it
     cancels in the Rayleigh quotient and plain vdot inner products apply.
     """
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(restarts):
-        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        v /= np.linalg.norm(v.ravel())
-        est = 0.0
-        for _ in range(iters):
-            av = matvec(v)
-            v2 = rmatvec(av)
-            num = float(np.real(np.vdot(v.ravel(), v2.ravel())))
-            size = float(np.linalg.norm(v2.ravel()))
-            if size == 0.0 or num <= 0.0:
-                est = max(est, 0.0)
-                break
-            est = np.sqrt(num)
-            v = v2 / size
-        best = max(best, est)
-    return best
+    return operator_norm(matvec, rmatvec, shape, iters=iters, restarts=2,
+                         seed=seed)
 
 
 def central_block_audit(spec, k, wspec, flow, iters=20, seed=0,

@@ -153,14 +153,15 @@ class OperatorMatrix:
     the grid measure, so the matrix itself holds plain kernel values.
     """
 
-    def __init__(self, values, flow, phase, meta=None):
+    def __init__(self, values, flow, phase):
         values = np.asarray(values, dtype=complex)
         n = flow.n_points * phase.num_points
-        assert values.shape == (n, n)
+        if values.shape != (n, n):
+            raise ValueError("matrix of shape %s, the grids need %d x %d"
+                             % (values.shape, n, n))
         self.values = values
         self.flow = flow
         self.phase = phase
-        self.meta = dict(meta or {})
 
     @property
     def in_measure(self):
@@ -174,23 +175,14 @@ class OperatorMatrix:
         out = self.values @ pf.values.ravel() * self.in_measure
         return PartialPhaseField(self.flow, self.phase, out.reshape(shape))
 
-    def scaled(self, column_diagonal, meta_update=None):
+    def scaled(self, column_diagonal):
         """New matrix with columns multiplied by a diagonal vector."""
         diag = np.asarray(column_diagonal)
-        assert diag.shape == (self.values.shape[1],)
-        meta = dict(self.meta)
-        meta.update(meta_update or {})
+        if diag.shape != (self.values.shape[1],):
+            raise ValueError("column diagonal of shape %s for %d columns"
+                             % (diag.shape, self.values.shape[1]))
         return OperatorMatrix(self.values * diag[None, :], self.flow,
-                              self.phase, meta)
-
-    def fingerprint(self):
-        blob = json.dumps({"meta": self.meta,
-                           "shape": list(self.values.shape)},
-                          sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def singular_values(self):
-        return np.linalg.svd(self.values, compute_uv=False)
+                              self.phase)
 
 
 def slice_coupling(ghat, shift, out_idx, in_idx, in_freqs, band):
@@ -291,14 +283,24 @@ def lift_kernel(spec, flow, trans, pg):
             np.matmul(packets[s][0] * coupling[s, t], packets[t][1],
                       out=block)
             block *= amps[s] * amps[t] * scale
+    return OperatorMatrix(values, flow, pg)
+
+
+def lift_fingerprint(spec, flow, trans, pg):
+    """Short hash of what fixes the lift_kernel matrix: the map, the
+    amplitude's name, the grid sizes and the matrix shape.  Nothing is
+    assembled."""
+    rows = flow.n_points * pg.num_points
     meta = {"kind": "lift-kernel", "map_family": spec.map.family,
             "map_params": {k: np.asarray(v).tolist()
                            for k, v in spec.map.params.items()},
-            "amplitude": spec.name, "n0": n0,
+            "amplitude": spec.name, "n0": flow.n_points,
             "half_period": flow.half_period,
             "trans_n": trans.points_per_axis,
             "trans_half_width": trans.half_width}
-    return OperatorMatrix(values, flow, pg, meta)
+    blob = json.dumps({"meta": meta, "shape": [rows, rows]},
+                      sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def lift_apply(spec, flow, trans, pg_out, pf):
@@ -427,10 +429,7 @@ def decompose(matrix, wspec):
     matrix up to floating point.
     """
     x0, ctr, hyp = cutoff_diagonals(matrix.flow, matrix.phase, wspec)
-    cpt = matrix.scaled(x0, {"part": "cpt"})
-    mid = matrix.scaled(ctr, {"part": "ctr"})
-    tail = matrix.scaled(hyp, {"part": "hyp"})
-    return cpt, mid, tail
+    return matrix.scaled(x0), matrix.scaled(ctr), matrix.scaled(hyp)
 
 
 def lambda_delta(spec, flow, trans, lam, r, c0=1.0):

@@ -138,9 +138,11 @@ class TestWeightSpec:
         with pytest.raises(ValueError):
             WeightSpec(big_n=0.0)
 
-    def test_bad_chi(self):
-        with pytest.raises(ValueError):
-            WeightSpec(chi_name="polynomial")
+    def test_as_dict_names_the_cutoff_profile(self):
+        # summary.json records the weight through as_dict
+        assert WeightSpec().as_dict() == {
+            "r": 4.0, "d": 1, "tau": 0.5 + 1.0 / 800.0, "big_n": 32.0,
+            "delta": 0.1, "chi": "exp-mollifier"}
 
 
 class TestCutoffs:

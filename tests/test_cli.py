@@ -153,6 +153,21 @@ class TestExitCodes:
                 capsys.readouterr().err
             assert not out.exists()
 
+    def test_refined_grid_below_n_freq_exits_two(self, tmp_path, capsys):
+        # n_freq = n_per_axis passes the config, but --refine 2 builds
+        # 24-point space grids (check-identity, lower-bound) and a
+        # 14-point transversal grid for 16 flow points (lift-audit)
+        path = write(tmp_path / "nf.cfg", "d = 1\nn_freq = 12\n")
+        for sub, points in (("check-identity", 24), ("lower-bound", 24),
+                            ("lift-audit", 14)):
+            out = tmp_path / sub
+            code = main([sub, "--config", path, "--out", str(out),
+                         "--refine", "2"])
+            assert code == 2
+            assert "config error: frequency count 12 too small for %d " \
+                "points per axis" % points in capsys.readouterr().err
+            assert not out.exists()
+
     def test_coarse_identity_exits_one(self, tmp_path, capsys):
         path = write(tmp_path / "coarse.cfg",
                      "d = 1\nbox_half = 5.0\nn_per_axis = 8\n"
@@ -199,6 +214,19 @@ class TestSubcommands:
         assert outs[0]["seed"] == 7
         assert outs[0]["fingerprint"] == outs[1]["fingerprint"]
         assert outs[0]["audit"] == outs[1]["audit"]
+        # the hash of the lift's meta and shape, as when it was assembled
+        assert outs[0]["rows"] == 1024
+        assert outs[0]["fingerprint"] == "71c390569aa19aec"
+
+    def test_lift_audit_default_config(self, tmp_path):
+        # 8 flow slices x 12^4 phase points: far above the dense budget,
+        # but lift-audit needs only the grids and a sampled audit
+        path = write(tmp_path / "d.cfg", "d = 1\n")
+        assert main(["lift-audit", "--config", path,
+                     "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "summary.json").read_text())
+        assert rep["rows"] == 165888
+        assert rep["audit"]["c_rho"] > 0
 
     def test_partition_audit(self, tmp_path):
         path = write(tmp_path / "m.cfg", TINY_MODEL)

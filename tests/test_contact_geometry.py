@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from contactfbi.contact_geometry import (AffineContactMap, ContactMap,
                                          alpha0_covector, alpha_dag,
-                                         check_hyperbolic, cone_member,
+                                         check_hyperbolic,
                                          det_on_unstable,
                                          reconstruct_flow_shift,
                                          second_order_audit)
@@ -68,16 +68,6 @@ class TestAffineContactMap:
     def test_translation_origin(self):
         c = np.array([0.5, 1.0, -2.0])
         assert np.allclose(AffineContactMap(c).apply(np.zeros(3)), c)
-
-
-class TestConeMember:
-
-    def test_plus(self):
-        assert cone_member(np.array([5.0, 1.0, 0.05]), "plus", 0.1)
-        assert not cone_member(np.array([0.0, 1.0, 0.5]), "plus", 0.1)
-
-    def test_minus(self):
-        assert cone_member(np.array([1.0, 0.05, 1.0]), "minus", 0.1)
 
 
 class TestContactMapFamilies:

@@ -12,9 +12,8 @@ from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseAxis, PhaseGrid,
                                  l0_hat_kernel, lift_linear,
                                  linear_lift_kernel, normalization,
                                  projection_kernel, projection_kernel_matrix,
-                                 wave_packet, z_change, z_change_inverse)
-from contactfbi.numerics import (Field, make_grid, matrix_norm, quad_inner,
-                                 sample)
+                                 wave_packet, z_change)
+from contactfbi.numerics import make_grid, quad_inner, sample
 
 
 def packet_field(grid, x, xi):
@@ -330,8 +329,8 @@ class TestLiftedMaps:
         g = make_grid(2, 8.0, 32)
         pts = g.nodes()
         k = l0_hat_kernel(np.diag([4.0, 0.25]), pts, pts)
-        w = np.full(g.num_points, g.weight)
-        nrm = matrix_norm(k, row_weights=w, col_weights=w, dense_limit=1200)
+        # uniform weights on both sides: the norm is the weighted SVD norm
+        nrm = np.linalg.norm(k * g.weight, 2)
         assert 0.97 <= nrm <= 1.03
 
     def test_l0_hat_applies(self):
@@ -349,15 +348,13 @@ class TestZChange:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))
-    def test_isometry_and_inverse(self, seed):
+    def test_isometry(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=2)
         xi = rng.normal(size=2)
         z, w = z_change(x, xi)
         assert (np.sum(z ** 2) + np.sum(w ** 2)) == pytest.approx(
             np.sum(x ** 2) + np.sum(xi ** 2), rel=1e-12)
-        xb, xib = z_change_inverse(z, w)
-        assert np.allclose(xb, x) and np.allclose(xib, xi)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))

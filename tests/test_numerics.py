@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import contactfbi
-from contactfbi.numerics import (Field, check_dense, make_grid, matrix_norm,
+from contactfbi.numerics import (Field, check_dense, make_grid,
                                  operator_norm, quad_inner, sample)
 
 
@@ -90,12 +90,14 @@ class TestDenseBudget:
             import numpy as np
             from contactfbi.aniso_norm import WeightSpec
             from contactfbi.contact_geometry import ContactMap
-            from contactfbi.fbi_core import LinearHyperbolicMap, dual_phase_grid
-            from contactfbi.numerics import check_dense, make_grid
-            from contactfbi.partial_fbi import FlowGrid, PartialPhaseField
+            from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseField,
+                                             dual_phase_grid)
+            from contactfbi.numerics import Field, check_dense, make_grid
+            from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
+                                                VolumeField)
             from contactfbi.spectra import CentralBlock, CentralFrame
-            from contactfbi.transfer_ops import (TransferSpec, lift_apply,
-                                                 lift_kernel)
+            from contactfbi.transfer_ops import (OperatorMatrix, TransferSpec,
+                                                 lift_apply, lift_kernel)
             assert False, "assert statements are not stripped"
             th = np.pi / 6.0
             rot = np.array([[np.cos(th), -np.sin(th)],
@@ -126,6 +128,15 @@ class TestDenseBudget:
                 "non-unimodular": lambda: LinearHyperbolicMap(
                     np.diag([4.0, 0.5]), lam=1.0),
                 "over budget": lambda: check_dense(10 ** 5, 10 ** 5, "big"),
+                "field": lambda: Field(trans, np.zeros(3)),
+                "phase field": lambda: PhaseField(pg, np.zeros(3)),
+                "volume field": lambda: VolumeField(flow, trans,
+                                                    np.zeros((2, 3))),
+                "partial phase field": lambda: PartialPhaseField(
+                    flow, pg, np.zeros((3,) + pg.shape())),
+                "operator matrix": lambda: OperatorMatrix(
+                    np.zeros((3, 3)), flow, pg),
+                "scaled": lambda: mat.scaled(np.ones(3)),
             }
             for name, case in cases.items():
                 try:
@@ -222,14 +233,58 @@ class TestOperatorNorm:
         mv = lambda v: d * v
         assert operator_norm(mv, mv, 3) == pytest.approx(3.0, rel=1e-8)
 
-    def test_matrix_norm_matches_svd(self):
+    def test_matches_weighted_svd(self):
+        # an integral-operator matrix between weighted l2 spaces, written
+        # in orthonormal coordinates: sqrt(row w) * m * sqrt(col w)
         rng = np.random.default_rng(1)
         m = rng.standard_normal((20, 15)) + 1j * rng.standard_normal((20, 15))
-        assert matrix_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
-
-    def test_matrix_norm_weighted(self):
-        # A kernel matrix that acts as the identity on a weighted grid has
-        # norm 1 regardless of the weight.
+        rw, cw = rng.uniform(0.1, 1.0, 20), rng.uniform(0.1, 1.0, 15)
+        scaled = np.sqrt(rw)[:, None] * m * np.sqrt(cw)[None, :]
+        est = operator_norm(lambda v: scaled @ v,
+                            lambda v: scaled.conj().T @ v, 15)
+        assert est == pytest.approx(np.linalg.norm(scaled, 2), rel=1e-12)
+        # a kernel acting as the identity on a weighted grid has norm 1
         w = np.array([0.5, 0.5, 0.25, 0.25])
-        m = np.diag(1.0 / w)
-        assert matrix_norm(m, row_weights=w, col_weights=w) == pytest.approx(1.0)
+        ident = np.sqrt(w)[:, None] * np.diag(1.0 / w) * np.sqrt(w)[None, :]
+        mv = lambda v: ident @ v
+        assert operator_norm(mv, mv, 4) == pytest.approx(1.0, rel=1e-12)
+
+    def test_matches_two_dimensional_pair_loop(self):
+        # the central-block audit's former loop, on a (3, 8) index set
+        def pair_loop(matvec, rmatvec, shape, iters, restarts, seed):
+            rng = np.random.default_rng(seed)
+            best = 0.0
+            for _ in range(restarts):
+                v = rng.standard_normal(shape) + \
+                    1j * rng.standard_normal(shape)
+                v /= np.linalg.norm(v.ravel())
+                est = 0.0
+                for _ in range(iters):
+                    av = matvec(v)
+                    v2 = rmatvec(av)
+                    num = float(np.real(np.vdot(v.ravel(), v2.ravel())))
+                    size = float(np.linalg.norm(v2.ravel()))
+                    if size == 0.0 or num <= 0.0:
+                        est = max(est, 0.0)
+                        break
+                    est = np.sqrt(num)
+                    v = v2 / size
+                best = max(best, est)
+            return best
+
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((5, 4, 3, 8)) + \
+            1j * rng.standard_normal((5, 4, 3, 8))
+        mv = lambda u: np.tensordot(a, u, axes=2)
+        rmv = lambda w: np.tensordot(a.conj(), w, axes=([0, 1], [0, 1]))
+        for iters, seed in ((20, 0), (7, 3)):
+            want = pair_loop(mv, rmv, (3, 8), iters, 2, seed)
+            assert operator_norm(mv, rmv, (3, 8), iters=iters, restarts=2,
+                                 seed=seed) == want
+        dense = a.reshape(20, 24)
+        assert operator_norm(mv, rmv, (3, 8)) == pytest.approx(
+            np.linalg.norm(dense, 2), rel=1e-12)
+
+    def test_zero_operator(self):
+        zero = lambda v: np.zeros_like(v)
+        assert operator_norm(zero, zero, (2, 3)) == 0.0

@@ -8,6 +8,8 @@ from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField, VolumeField,
                                     _amplitude, _axis_factor, _point_factors,
                                     _slice_adjoint, _slice_forward,
+                                    check_transversal_spacing,
+                                    min_transversal_points,
                                     partial_packet, pcal_apply, pfbi_adjoint,
                                     pfbi_forward, pfbi_roundtrip,
                                     reconstruct_slice, sample_volume,
@@ -66,6 +68,20 @@ class TestForward:
         direct = np.sum(np.conj(phi(pts)) * self.vol.values.ravel()) * w
         assert abs(pf.values[s, ci, cj, fi, fj] - direct) <= 1e-13
 
+    def test_min_transversal_points_is_the_spacing_rule(self):
+        for half_width, n0 in ((1.6, 8), (1.6, 16), (5.0, 6), (0.7, 4)):
+            flow = FlowGrid(np.pi, n0)
+            n = min_transversal_points(half_width, flow)
+            assert n % 2 == 0
+            check_transversal_spacing(make_grid(2, half_width, n), flow)
+            if n > 4:
+                with pytest.raises(ValueError, match="too coarse"):
+                    check_transversal_spacing(
+                        make_grid(2, half_width, n - 2), flow)
+        # the default CLI box at 8 and 16 flow points
+        assert min_transversal_points(1.6, FlowGrid(np.pi, 8)) == 10
+        assert min_transversal_points(1.6, FlowGrid(np.pi, 16)) == 14
+
     def test_spacing_guard(self):
         coarse = make_grid(2, 4.0, 8)
         vol = gaussian_volume(self.flow, coarse)
@@ -86,6 +102,17 @@ class TestForward:
 
 
 class TestIdentity:
+
+    def test_roundtrip_matches_materialized_pair(self):
+        # pfbi_adjoint is the reference oracle of the streamed adjoints
+        flow = FlowGrid(np.pi, 4)
+        trans = make_grid(2, 3.0, 14)
+        vol = gaussian_volume(flow, trans)
+        pg = dual_phase_grid(trans)
+        want = pfbi_adjoint(pfbi_forward(vol, pg), trans).values
+        got = pfbi_roundtrip(vol, pg).values
+        assert np.linalg.norm((got - want).ravel()) <= \
+            1e-13 * np.linalg.norm(want.ravel())
 
     def test_roundtrip_identity(self):
         flow = FlowGrid(np.pi, 6)

@@ -286,7 +286,7 @@ class TestLiftKernel:
     def test_singular_decay_of_smooth_kernel(self):
         flow, trans, pg = small_setting()
         mat = lift_kernel(shear_spec(), flow, trans, pg)
-        sig = mat.singular_values()
+        sig = np.linalg.svd(mat.values, compute_uv=False)
         assert sig[49] <= 1e-3 * sig[0]
 
 
