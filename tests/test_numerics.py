@@ -233,7 +233,7 @@ class TestOperatorNorm:
         mv = lambda v: d * v
         assert operator_norm(mv, mv, 3) == pytest.approx(3.0, rel=1e-8)
 
-    def test_matches_weighted_svd(self):
+    def test_matrix_norm_matches_svd(self):
         # an integral-operator matrix between weighted l2 spaces, written
         # in orthonormal coordinates: sqrt(row w) * m * sqrt(col w)
         rng = np.random.default_rng(1)
@@ -243,7 +243,10 @@ class TestOperatorNorm:
         est = operator_norm(lambda v: scaled @ v,
                             lambda v: scaled.conj().T @ v, 15)
         assert est == pytest.approx(np.linalg.norm(scaled, 2), rel=1e-12)
+
+    def test_matrix_norm_weighted(self):
         # a kernel acting as the identity on a weighted grid has norm 1
+        # regardless of the weight
         w = np.array([0.5, 0.5, 0.25, 0.25])
         ident = np.sqrt(w)[:, None] * np.diag(1.0 / w) * np.sqrt(w)[None, :]
         mv = lambda v: ident @ v
