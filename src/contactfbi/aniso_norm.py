@@ -74,13 +74,11 @@ def psi_minus(zeta):
     return 1.0 - psi_plus(zeta)
 
 
-def w_aniso(zeta, r, psi=None):
+def w_aniso(zeta, r):
     """Anisotropic symbol W^r on R^(2d): decays like <|zeta|>^-r in the
     plus cone and grows like <|zeta|>^r in the minus cone."""
     zeta = np.asarray(zeta, dtype=float)
-    if psi is None:
-        psi = psi_plus
-    pp = psi(zeta)
+    pp = psi_plus(zeta)
     br = bracket(np.linalg.norm(zeta, axis=-1))
     return pp * br ** (-r) + (1.0 - pp) * br ** r
 
@@ -112,27 +110,28 @@ def slice_covectors(pts, xi0):
     return pts[:, :d2], xi
 
 
-def cal_w_aniso(x_dag, xi, r, psi=None):
+def cal_w_aniso(x_dag, xi, r):
     """Phase space weight: W^2r of the rescaled transversal frequency,
     invariant under the affine contact group by construction."""
-    return w_aniso(_rescaled_twist(x_dag, xi), 2 * r, psi=psi)
+    return w_aniso(_rescaled_twist(x_dag, xi), 2 * r)
 
 
-def v_s(z, s, r, psi=None):
+def v_s(z, s, r):
     """Model weight on R^(2d) used for the lifted linear map estimates:
     W^2r(z / <(1 + |z|^2 / s)^(1/2)>^(1/2))."""
     z = np.asarray(z, dtype=float)
-    assert s >= 1
+    if not s >= 1:
+        raise ValueError("s must be at least 1, got %r" % (s,))
     nz = np.linalg.norm(z, axis=-1)
     scale = bracket(np.sqrt(1.0 + nz ** 2 / s)) ** 0.5
-    return w_aniso(z / scale[..., None], 2 * r, psi=psi)
+    return w_aniso(z / scale[..., None], 2 * r)
 
 
-def w_s(x_dag, xi_dag, s, r, psi=None):
+def w_s(x_dag, xi_dag, s, r):
     """The same model weight in the unseparated variables, with the
     argument xi_dag + J x_dag."""
     arg = np.asarray(xi_dag, dtype=float) + flip_half(np.asarray(x_dag, dtype=float))
-    return v_s(arg, s, r, psi=psi)
+    return v_s(arg, s, r)
 
 
 class WeightSpec:
@@ -182,26 +181,24 @@ def cutoff_triple(x_dag, xi, spec):
     return x0, x_hyp, x_ctr0
 
 
-def psi_dyadic(zeta, m, psi=None):
+def psi_dyadic(zeta, m):
     """Combined dyadic/cone partition on R^(2d), indexed by an integer m:
     outward plus-cone pieces for m > 0, minus-cone for m < 0, the unit
     ball piece for m = 0.  Sums to 1 over m."""
     zeta = np.asarray(zeta, dtype=float)
-    if psi is None:
-        psi = psi_plus
     nz = np.linalg.norm(zeta, axis=-1)
     if m == 0:
         return chi_n(nz, 0)
     if m > 0:
-        return chi_n(nz, m) * psi(zeta)
-    return chi_n(nz, -m) * (1.0 - psi(zeta))
+        return chi_n(nz, m) * psi_plus(zeta)
+    return chi_n(nz, -m) * psi_minus(zeta)
 
 
-def lp_partition(m, x_dag, xi, psi=None):
+def lp_partition(m, x_dag, xi):
     """Littlewood-Paley style partition member Psi_m on phase space: the
     dyadic/cone partition transported with the same rescaled twisted
     frequency used by the weight."""
-    return psi_dyadic(_rescaled_twist(x_dag, xi), m, psi=psi)
+    return psi_dyadic(_rescaled_twist(x_dag, xi), m)
 
 
 def cutoffs(x_dag, xi, spec):

@@ -30,9 +30,6 @@ from .spectra import (central_block_audit, lower_bound_family,
 from .transfer_ops import (TransferSpec, kernel_bound_audit, lambda_delta,
                            lift_fingerprint)
 
-SUBCOMMANDS = ("check-identity", "lift-audit", "norm-bound",
-               "partition-audit", "spectrum", "lower-bound", "central-audit")
-
 
 class ConfigError(Exception):
     """Raised for unreadable or out-of-range configuration input."""
@@ -102,7 +99,7 @@ class ExperimentConfig:
 
     def __init__(self, mapping):
         data = dict(_DEFAULTS)
-        unknown = set(mapping) - set(data) - {"out_dir", "seed"}
+        unknown = set(mapping) - set(data) - {"out_dir"}
         if unknown:
             raise ConfigError("unknown config keys: %s"
                               % ", ".join(sorted(unknown)))
@@ -150,6 +147,9 @@ class ExperimentConfig:
         self.norm_spacing = float(data["norm_spacing"])
         if not all(v > 1.0 for v in self.lams):
             raise ConfigError("lams must each exceed 1")
+        if len(set(self.lams)) < 2:
+            raise ConfigError("lams needs at least two distinct values to "
+                              "fit a slope")
         if not all(v >= 1.0 for v in self.s_values):
             raise ConfigError("s_values must each be at least 1")
         if not (self.norm_half_width > 0 and self.norm_spacing > 0):
@@ -158,6 +158,8 @@ class ExperimentConfig:
         self.n_ks = [float(v) for v in _aslist(data["n_ks"])]
         self.window_m = float(data["window_m"])
         self.ks = [_count("ks", v) for v in _aslist(data["ks"])]
+        if not all(k >= 1 for k in self.ks):
+            raise ConfigError("ks must each be at least 1")
         self.n_freq = data["n_freq"]
         if self.n_freq is not None:
             self.n_freq = _count("n_freq", self.n_freq)
@@ -168,6 +170,8 @@ class ExperimentConfig:
                                   % self.n_per_axis)
         self.margin = float(data["margin"])
         self.samples = _count("samples", data["samples"])
+        if self.samples < 1:
+            raise ConfigError("samples must be at least 1")
         self.tag = str(data["tag"])
 
     @classmethod
@@ -205,6 +209,11 @@ class ExperimentConfig:
         if self.map_family == "shear":
             return ContactMap.shear(self.map_lam, self.map_eps)
         return ContactMap.linear(self.matrix())
+
+    def transfer_spec(self):
+        """The configured map and amplitude, named by the tag."""
+        return TransferSpec(self.contact_map(), self.amplitude_fn(),
+                            name=self.tag)
 
     def amplitude_fn(self):
         width = self.amp_width
@@ -312,7 +321,7 @@ def run_check_identity(cfg, out, seed, grids):
 
 def run_lift_audit(cfg, out, seed, grids):
     flow, trans, pg = grids
-    spec = TransferSpec(cfg.contact_map(), cfg.amplitude_fn(), name=cfg.tag)
+    spec = cfg.transfer_spec()
     audit = kernel_bound_audit(spec, flow, trans, pg, rho=1.0,
                                rng_seed=seed)
     rows = [[flow.n_points, trans.spacing, k, float(v)]
@@ -336,8 +345,7 @@ def run_norm_bound(cfg, out, seed, spacing):
         for lam in cfg.lams:
             b = np.diag([lam] * cfg.d + [1.0 / lam] * cfg.d)
             val = weighted_norm_measure(b, s, cfg.weight.r,
-                                        half_widths=half, spacing=spacing,
-                                        seed=seed)
+                                        half_widths=half, spacing=spacing)
             d_b = det_factor(b)
             branch = max(d_b ** -0.5, d_b ** 0.5 * lam ** -cfg.weight.r)
             norms.append(val)
@@ -381,7 +389,7 @@ def run_partition_audit(cfg, out, seed, n):
 
 
 def run_spectrum(cfg, out, seed, levels):
-    spec = TransferSpec(cfg.contact_map(), cfg.amplitude_fn(), name=cfg.tag)
+    spec = cfg.transfer_spec()
     _, _, bound = lambda_delta(spec, levels[0][0], levels[0][1],
                                cfg.map_lam, cfg.weight.r)
     reports = model_spectrum(spec, cfg.weight, levels, bound,
@@ -398,7 +406,7 @@ def run_spectrum(cfg, out, seed, levels):
 
 def run_lower_bound(cfg, out, seed, grids):
     flow, trans, pg = grids
-    spec = TransferSpec(cfg.contact_map(), cfg.amplitude_fn(), name=cfg.tag)
+    spec = cfg.transfer_spec()
     res = lower_bound_family(spec, flow, trans, pg, cfg.n_ks, cfg.weight,
                              m=cfg.window_m)
     rows = [[flow.n_points, trans.spacing, nk, c, ratio]
@@ -413,7 +421,7 @@ def run_lower_bound(cfg, out, seed, grids):
 
 
 def run_central_audit(cfg, out, seed, flow):
-    spec = TransferSpec(cfg.contact_map(), cfg.amplitude_fn(), name=cfg.tag)
+    spec = cfg.transfer_spec()
     trans = make_grid(2 * cfg.d, 1.2, 10)
     _, _, bound = lambda_delta(spec, flow, trans, cfg.map_lam, cfg.weight.r)
     rows = []
@@ -437,32 +445,27 @@ def run_central_audit(cfg, out, seed, flow):
     return summary, 0
 
 
-_RUNNERS = {
-    "check-identity": run_check_identity,
-    "lift-audit": run_lift_audit,
-    "norm-bound": run_norm_bound,
-    "partition-audit": run_partition_audit,
-    "spectrum": run_spectrum,
-    "lower-bound": run_lower_bound,
-    "central-audit": run_central_audit,
-}
-
-# What each runner takes from --refine: its grids, or a spacing or sample
-# count.  main plans before the output directory exists, so a grid the
-# config cannot support is a config error.
-_PLANS = {
-    "check-identity": _identity_grids,
-    "lift-audit": lambda cfg, refine: _volume_grids(
+# Each subcommand's plan and runner.  The plan builds what the runner
+# takes from --refine: its grids, or a spacing or sample count.  main
+# plans before the output directory exists, so a grid the config cannot
+# support is a config error.
+SUBCOMMANDS = {
+    "check-identity": (_identity_grids, run_check_identity),
+    "lift-audit": (lambda cfg, refine: _volume_grids(
         cfg, cfg.flow_points * refine, cfg.n_per_axis, True),
-    "norm-bound": lambda cfg, refine: cfg.norm_spacing / refine,
-    "partition-audit": lambda cfg, refine: cfg.samples * refine,
-    "spectrum": lambda cfg, refine: [
+        run_lift_audit),
+    "norm-bound": (lambda cfg, refine: cfg.norm_spacing / refine,
+                   run_norm_bound),
+    "partition-audit": (lambda cfg, refine: cfg.samples * refine,
+                        run_partition_audit),
+    "spectrum": (lambda cfg, refine: [
         _volume_grids(cfg, cfg.flow_points + 2 * level, cfg.n_per_axis, True)
-        for level in range(refine)],
-    "lower-bound": lambda cfg, refine: _volume_grids(
+        for level in range(refine)], run_spectrum),
+    "lower-bound": (lambda cfg, refine: _volume_grids(
         cfg, cfg.flow_points * refine, cfg.n_per_axis * refine, False),
-    "central-audit": lambda cfg, refine: FlowGrid(
-        cfg.flow_half_period, cfg.flow_points * refine),
+        run_lower_bound),
+    "central-audit": (lambda cfg, refine: FlowGrid(
+        cfg.flow_half_period, cfg.flow_points * refine), run_central_audit),
 }
 
 
@@ -470,22 +473,22 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="contactfbi",
         description="desk-scale transfer operator experiments")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=tuple(SUBCOMMANDS))
     parser.add_argument("--config", required=True, metavar="PATH")
     parser.add_argument("--out", default=None, metavar="DIR")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--refine", type=int, choices=(1, 2), default=1)
     parser.add_argument("--version", action="version", version=__version__)
     args = parser.parse_args(argv)
+    make_plan, runner = SUBCOMMANDS[args.subcommand]
     try:
         cfg = ExperimentConfig.from_file(args.config)
-        plan = _PLANS[args.subcommand](cfg, args.refine)
+        plan = make_plan(cfg, args.refine)
     except (ConfigError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     out = args.out or cfg.raw.get("out_dir") or "."
     os.makedirs(out, exist_ok=True)
-    runner = _RUNNERS[args.subcommand]
     try:
         summary, code = runner(cfg, out, args.seed, plan)
     except (AssertionError, ValueError) as exc:

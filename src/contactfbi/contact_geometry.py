@@ -10,8 +10,9 @@ also preserves the vertical vector field and therefore splits as
 
 with F_dag symplectic for omega_dag and f determined up to a constant by
 df = alpha_dag - F_dag^* alpha_dag.  This module provides the affine
-contact group, the normal-form map with a couple of concrete families, the
-reconstruction of f by path integration and hyperbolicity certification.
+contact group, the normal-form map with its two concrete families, the
+reconstruction of f by path integration (an independent check of the
+families' closed forms) and hyperbolicity certification.
 """
 
 import numpy as np
@@ -68,36 +69,32 @@ class AffineContactMap:
 class ContactMap:
     """Normal-form contact map F(x0, x_dag) = (x0 + f(x_dag), F_dag(x_dag)).
 
-    Construct through the `linear` or `shear` family constructors, or pass
-    callables for a custom transversal map and its Jacobian.  f_dag and f
-    receive batches of transversal points of shape (N, 2d) and return
-    arrays of shape (N, 2d) and (N,); f_dag_jac receives one point of
-    shape (2d,) and returns its (2d, 2d) Jacobian.  Without f, flow_shift
-    integrates df along a path and takes a single point, so the batched
-    callers (the lift and the central block) need f.  The symplectic
-    property of F_dag is spot-checked on construction.
+    Construct through the `linear` or `shear` family constructors, which
+    supply the transversal map, its Jacobian and the flow shift f in
+    closed form.  f_dag and f receive batches of transversal points of
+    shape (N, 2d) and return arrays of shape (N, 2d) and (N,); f_dag_jac
+    receives one point of shape (2d,) and returns its (2d, 2d) Jacobian.
+    The symplectic property of F_dag is spot-checked on construction.
     """
 
-    def __init__(self, d, f_dag, f_dag_jac, f=None, f_base=0.0,
-                 family="custom", params=None, check=True):
+    def __init__(self, d, f_dag, f_dag_jac, f, f_base, family, params):
         self.d = int(d)
         self.f_dag = f_dag
         self.f_dag_jac = f_dag_jac
         self.f_base = float(f_base)
         self._f = f
         self.family = family
-        self.params = dict(params or {})
-        if check:
-            self._check_symplectic()
+        self.params = dict(params)
+        self._check_symplectic()
 
-    def _check_symplectic(self, n_samples=16, rng_seed=2):
+    def _check_symplectic(self):
         j = dagger_form_matrix(2 * self.d)
-        rng = np.random.default_rng(rng_seed)
-        pts = rng.uniform(-0.8, 0.8, size=(n_samples, 2 * self.d))
-        for p in pts:
+        rng = np.random.default_rng(2)
+        for p in rng.uniform(-0.8, 0.8, size=(16, 2 * self.d)):
             dm = np.asarray(self.f_dag_jac(p), dtype=float)
-            assert np.linalg.norm(dm.T @ j @ dm - j, 2) <= 1e-8, \
-                "transversal map is not symplectic at %r" % (p,)
+            if np.linalg.norm(dm.T @ j @ dm - j, 2) > 1e-8:
+                raise ValueError("transversal map is not symplectic at %r"
+                                 % (p,))
 
     @classmethod
     def linear(cls, b, f_base=0.0):
@@ -139,10 +136,8 @@ class ContactMap:
                    family="shear", params=params)
 
     def flow_shift(self, x_dag):
-        """The function f, analytic when the family provides it."""
-        if self._f is not None:
-            return self._f(x_dag)
-        return reconstruct_flow_shift(self, x_dag)
+        """The function f, in the family's closed form."""
+        return self._f(x_dag)
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -167,17 +162,18 @@ def flow_shift_gradient(cmap, x_dag):
     return alpha_dag(x_dag) - dm.T @ alpha_dag(cmap.f_dag(x_dag))
 
 
-def reconstruct_flow_shift(cmap, x_dag, base_point=None, n_quad=24):
+def reconstruct_flow_shift(cmap, x_dag, base_point=None):
     """Integrate df along the straight path from the base point.
 
-    Gauss-Legendre quadrature along the segment; exact for families whose
-    df is polynomial of modest degree.
+    24-node Gauss-Legendre quadrature along the segment; exact for
+    families whose df is polynomial of modest degree.  One point at a
+    time: it cross-checks the families' closed-form f.
     """
     x_dag = np.asarray(x_dag, dtype=float)
     if base_point is None:
         base_point = np.zeros(2 * cmap.d)
     base_point = np.asarray(base_point, dtype=float)
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
     t = (nodes + 1.0) / 2.0
     delta = x_dag - base_point
     total = 0.0
@@ -186,9 +182,9 @@ def reconstruct_flow_shift(cmap, x_dag, base_point=None, n_quad=24):
     return cmap.f_base + total / 2.0
 
 
-def check_hyperbolic(cmap, lam, theta=0.1, half_width=0.8, n_points=25,
-                     rng_seed=4):
-    """Certify cone invariance and transversal expansion of DF on a sample.
+def check_hyperbolic(cmap, lam):
+    """Certify cone invariance and transversal expansion of DF on 25 base
+    points in [-0.8, 0.8]^(2d) and 240 directions, cone aperture 0.1.
 
     Same reading as for linear maps: expansion by lam is required on the
     cones where it holds, the achieved image apertures of the cone
@@ -197,29 +193,28 @@ def check_hyperbolic(cmap, lam, theta=0.1, half_width=0.8, n_points=25,
     ignore the flow direction (see fbi_core.cone_certificate).
     """
     d = cmap.d
-    rng = np.random.default_rng(rng_seed)
-    base_pts = rng.uniform(-half_width, half_width, size=(n_points, 2 * d))
+    rng = np.random.default_rng(4)
+    base_pts = rng.uniform(-0.8, 0.8, size=(25, 2 * d))
     dirs = rng.standard_normal((240, 2 * d + 1))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     jacs = np.stack([cmap.jacobian(p) for p in base_pts])
-    return cone_certificate(jacs, dirs, lam, theta)
+    return cone_certificate(jacs, dirs, lam, 0.1)
 
 
-def second_order_audit(cmap, x_fix=None, step=1e-3):
-    """Finite-difference gradient and Hessian of the reconstructed f.
+def second_order_audit(cmap):
+    """Finite-difference gradient and Hessian (step 1e-3) of the
+    reconstructed f at the origin.
 
     At a fixed point of the transversal map moved to the origin, both must
     vanish; the returned dict carries the max absolute entries.
     """
-    d = cmap.d
-    if x_fix is None:
-        x_fix = np.zeros(2 * d)
-    x_fix = np.asarray(x_fix, dtype=float)
+    step = 1e-3
+    n = 2 * cmap.d
+    x_fix = np.zeros(n)
 
     def f(p):
-        return float(reconstruct_flow_shift(cmap, p, base_point=x_fix))
+        return float(reconstruct_flow_shift(cmap, p))
 
-    n = 2 * d
     grad = np.zeros(n)
     hess = np.zeros((n, n))
     eye = np.eye(n) * step

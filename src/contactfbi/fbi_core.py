@@ -371,7 +371,7 @@ class LinearHyperbolicMap:
     degrades to roughly theta * L and is likewise not gated on.
     """
 
-    def __init__(self, matrix, lam, check=True, n_samples=720):
+    def __init__(self, matrix, lam, check=True):
         self.matrix = np.asarray(matrix, dtype=float)
         self.lam = float(lam)
         assert self.matrix.shape[0] == self.matrix.shape[1]
@@ -381,22 +381,23 @@ class LinearHyperbolicMap:
         if check:
             if abs(np.linalg.det(self.matrix) - 1.0) > 1e-10:
                 raise ValueError("matrix must have unit determinant")
-            report = self.certify(n_samples=n_samples)
+            report = self.certify()
             if not report["ok"]:
                 raise ValueError("cone/expansion certificate failed: %r"
                                  % report)
 
-    def certify(self, theta=0.1, n_samples=720, rng_seed=7):
-        """Sample unit vectors and check the cone mapping and expansion
-        with cone_certificate."""
+    def certify(self):
+        """Check the cone mapping and expansion with cone_certificate on
+        720 unit vectors (evenly spaced angles in the plane, seeded random
+        directions above it)."""
         if self.dim == 2:
-            ang = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
+            ang = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
             dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         else:
-            rng = np.random.default_rng(rng_seed)
-            dirs = rng.standard_normal((n_samples, self.dim))
+            rng = np.random.default_rng(7)
+            dirs = rng.standard_normal((720, self.dim))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return cone_certificate(self.matrix[None], dirs, self.lam, theta)
+        return cone_certificate(self.matrix[None], dirs, self.lam, 0.1)
 
 
 def _gaussian_pair_kernel(a_mat, p1, p2, pref, pts_out, pts_in):
@@ -447,8 +448,9 @@ def _pair_points(ax):
     return np.stack([c, f], axis=-1)
 
 
-def lift_linear(b, v, out_grid=None):
-    """Apply the lifted linear map d(B) P Ltilde_B P to a phase field.
+def lift_linear(b, v):
+    """Apply the lifted linear map d(B) P Ltilde_B P to a phase field, on
+    the field's own phase grid.
 
     For diagonal B the kernel factorizes over the (x_a, xi_a) pairs and is
     applied axis by axis; otherwise a dense kernel is assembled, which is
@@ -458,8 +460,6 @@ def lift_linear(b, v, out_grid=None):
     pg = v.grid
     dim = pg.dim
     assert b.shape == (dim, dim)
-    if out_grid is None:
-        out_grid = pg
     if np.allclose(b, np.diag(np.diag(b))):
         d = dim
         nc = [ax.centers.size for ax in pg.axes]
@@ -471,27 +471,23 @@ def lift_linear(b, v, out_grid=None):
         work = np.transpose(v.values, perm).reshape([nc[a] * nf[a] for a in range(d)])
         for a in range(d):
             beta = np.array([[b[a, a]]])
-            k = linear_lift_kernel(beta, _pair_points(out_grid.axes[a]),
-                                   _pair_points(pg.axes[a]))
+            pairs = _pair_points(pg.axes[a])
+            k = linear_lift_kernel(beta, pairs, pairs)
             w = pg.axes[a].c_spacing * pg.axes[a].f_spacing
             work = np.tensordot(w * k, work, axes=([1], [0]))
             work = np.moveaxis(work, 0, d - 1)
-        shape = []
-        for a in range(d):
-            shape += [out_grid.axes[a].centers.size, out_grid.axes[a].freqs.size]
-        work = work.reshape(shape)
+        work = work.reshape([n for a in range(d) for n in (nc[a], nf[a])])
         inv = []
         for a in range(d):
             inv += [2 * a]
         for a in range(d):
             inv += [2 * a + 1]
-        out_vals = np.transpose(work, inv)
-        return PhaseField(out_grid, out_vals)
-    check_dense(out_grid.num_points, pg.num_points,
+        return PhaseField(pg, np.transpose(work, inv))
+    check_dense(pg.num_points, pg.num_points,
                 "dense non-diagonal lift kernel")
-    k = linear_lift_kernel(b, out_grid.points(), pg.points())
-    out = (k @ v.values.ravel()) * pg.weight
-    return PhaseField(out_grid, out.reshape(out_grid.shape()))
+    pts = pg.points()
+    out = (linear_lift_kernel(b, pts, pts) @ v.values.ravel()) * pg.weight
+    return PhaseField(pg, out.reshape(pg.shape()))
 
 
 def flip_half(x):

@@ -135,6 +135,8 @@ def operator_norm(matvec, rmatvec, shape, iters=200, restarts=3, seed=0):
     positive, keeping the estimate it had (zero for a zero operator).
     Inner products are plain vdot, so the operator must be expressed in
     coordinates where the quadrature weights are uniform or folded in.
+    It serves the matrix-free central audit; a dense kernel's norm is
+    taken exactly by SVD (spectra.weighted_norm_measure).
     """
     rng = np.random.default_rng(seed)
     best = 0.0

@@ -17,6 +17,7 @@ the true essential spectral radius.
 """
 
 import numpy as np
+from scipy.linalg import svdvals
 
 from .aniso_norm import (bracket, cal_w_aniso, chi, cutoffs, q_block,
                          q_tilde, q_tilde_support, slice_covectors, v_s)
@@ -41,7 +42,8 @@ class SpectrumReport:
 
     def __init__(self, eigenvalues, refinement, lambda_t_bound, margin=0.1):
         eigs = np.asarray(eigenvalues, dtype=complex).ravel()
-        assert np.all(np.isfinite(eigs.real)) and np.all(np.isfinite(eigs.imag))
+        if not np.all(np.isfinite(eigs)):
+            raise ValueError("non-finite eigenvalue in the spectrum report")
         order = np.argsort(-np.abs(eigs))
         self.eigenvalues = eigs[order]
         self.refinement = dict(refinement)
@@ -87,11 +89,11 @@ class SpectrumReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def persistent_outliers(rep_a, rep_b, rel=0.05):
+def persistent_outliers(rep_a, rep_b):
     """Pairwise comparison of the outlier sets of two reports.
 
     The counts must agree and the sorted outlier moduli must match within
-    the relative tolerance for the pair to count as persistent.
+    5% relative for the pair to count as persistent.
     """
     ca, cb = rep_a.stable_count, rep_b.stable_count
     out = {"count_a": ca, "count_b": cb, "counts_match": ca == cb,
@@ -101,7 +103,7 @@ def persistent_outliers(rep_a, rep_b, rel=0.05):
         mb = np.abs(rep_b.outliers())
         gap = float(np.max(np.abs(ma - mb) / np.maximum(ma, mb)))
         out["max_rel_gap"] = gap
-        out["persistent"] = gap <= rel
+        out["persistent"] = gap <= 0.05
     else:
         out["persistent"] = ca == cb
     return out
@@ -109,41 +111,40 @@ def persistent_outliers(rep_a, rep_b, rel=0.05):
 
 def _axis_lattice(half_width, step):
     """Symmetric half-offset lattice of the given step covering the box."""
-    assert half_width > 0 and step > 0
+    if not (half_width > 0 and step > 0):
+        raise ValueError("lattice needs a positive half width and step, got "
+                         "%r and %r" % (half_width, step))
     n = max(2, int(np.ceil(2.0 * half_width / step)))
     return (np.arange(n) + 0.5 - n / 2.0) * step
 
 
-def weighted_norm_measure(b, s, r, half_widths=None, spacing=0.7,
-                          iters=300, restarts=3, seed=0):
-    """Power-iteration norm of L0_hat on the V_s-weighted grid over R^(2d).
+def weighted_norm_measure(b, s, r, half_widths, spacing=0.7):
+    """Exact norm of L0_hat for the matrix b on the V_s-weighted grid over
+    R^(2d): spacing^(2d) times the largest singular value of W K W^-1.
 
     With r = 0 the weight is identically one and the value measures the
     plain L2 norm of the model operator.  half_widths gives the box size
     per axis, so the grid may be anisotropic.
     """
-    bm = np.asarray(getattr(b, "matrix", b), dtype=float)
+    bm = np.asarray(b, dtype=float)
     dim = bm.shape[0]
-    assert s >= 1
-    if half_widths is None:
-        half_widths = (12.0,) * dim
-    assert len(half_widths) == dim
+    if len(half_widths) != dim:
+        raise ValueError("%d half widths for a %d-dimensional grid"
+                         % (len(half_widths), dim))
     lattices = [_axis_lattice(hw, spacing) for hw in half_widths]
     mesh = np.meshgrid(*lattices, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     check_dense(pts.shape[0], pts.shape[0], "weighted L0_hat kernel")
-    mu = float(spacing ** dim)
-    kern = l0_hat_kernel(bm, pts, pts)
     w = np.asarray(v_s(pts, s, r), dtype=float)
-    assert np.all(w > 0)
-    # weight the kernel in place; the adjoint needs no transposed copy
+    if not np.all((w > 0) & np.isfinite(w)):
+        raise ValueError("weight V_s is not positive and finite on the grid")
+    kern = l0_hat_kernel(bm, pts, pts)
     kern *= w[:, None]
     kern /= w[None, :]
-    sig = operator_norm(lambda v: kern @ v,
-                        lambda v: (v.conj() @ kern).conj(),
-                        pts.shape[0], iters=iters, restarts=restarts,
-                        seed=seed)
-    return mu * sig
+    # the transpose is Fortran-ordered, so LAPACK overwrites the kernel in
+    # place instead of copying it
+    sig = svdvals(kern.T, overwrite_a=True, check_finite=False)[0]
+    return float(spacing ** dim * sig)
 
 
 def weight_diagonal(flow, pg, r):
@@ -304,8 +305,10 @@ class CentralFrame:
     """
 
     def __init__(self, spec, k, wspec, flow, c_margin=3.2, f_margin=1.5,
-                 ghat_offsets=6, spacing_factor=0.7):
-        assert k >= 1
+                 ghat_offsets=6):
+        if not k >= 1:
+            raise ValueError("frequency block index k must be at least 1, "
+                             "got %r" % (k,))
         self.spec = spec
         self.k = int(k)
         self.wspec = wspec
@@ -331,9 +334,10 @@ class CentralFrame:
         bmat = np.asarray(spec.map.f_dag_jac(np.zeros(d2)), dtype=float)
         self.bmat = bmat
 
+        # lattice steps of 0.7 packet widths in centers and frequencies
         width = 1.0 / k
-        c_h = spacing_factor * width
-        f_h = spacing_factor * k
+        c_h = 0.7 * width
+        f_h = 0.7 * k
         z_half = (2.0 / 3.0) * float(k) ** (wspec.delta - 1.0) + 0.5 * width
         f_half_in = 2.0 * float(bracket(self.xi0.max())) ** wspec.tau \
             + f_margin * k

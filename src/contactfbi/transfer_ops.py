@@ -37,6 +37,9 @@ from .partial_fbi import (PartialPacketIndex, PartialPhaseField, VolumeField,
                           check_transversal_spacing, partial_packet,
                           reconstruct_slice, scatter_slice)
 
+# |g| below this fraction of its peak counts as outside the support of g
+_SUPPORT_TOL = 1e-8
+
 
 class TransferSpec:
     """A contact map together with a complex amplitude g.
@@ -64,7 +67,7 @@ class TransferSpec:
             raise ValueError("amplitude produced non-finite values")
         return vals.reshape((flow.n_points,) + trans.shape())
 
-    def support_check(self, flow, trans, tol=1e-8):
+    def support_check(self, flow, trans):
         """Raise if g carries significant mass on the transversal border."""
         vals = self.g_values(flow, trans)
         peak = float(np.max(np.abs(vals)))
@@ -77,7 +80,7 @@ class TransferSpec:
                 idx[a] = edge
                 border[tuple(idx)] = True
         worst = float(np.max(np.abs(vals[:, border])))
-        if worst > tol * peak:
+        if worst > _SUPPORT_TOL * peak:
             raise ValueError(
                 "amplitude is %.3g of its peak at the box border; "
                 "enlarge the box or shrink the support" % (worst / peak))
@@ -103,13 +106,12 @@ def _interpolate_volume(u, pts, method):
     return re(q) + 1j * im(q)
 
 
-def transfer_apply(spec, u, flow=None, trans=None, method="linear",
-                   support_tol=1e-8):
+def transfer_apply(spec, u, flow=None, trans=None, method="linear"):
     """Apply L u = g (u o F) on the volume grid.
 
     u may be a VolumeField (interpolated at the image points, error when
-    the map escapes the box where |g| exceeds support_tol of its peak)
-    or a plain callable evaluated exactly at the image points.
+    the map escapes the box where |g| exceeds 1e-8 of its peak) or a
+    plain callable evaluated exactly at the image points.
     """
     if isinstance(u, VolumeField):
         flow = u.flow if flow is None else flow
@@ -122,7 +124,7 @@ def transfer_apply(spec, u, flow=None, trans=None, method="linear",
         uv = _interpolate_volume(u, fpts, method)
         bad = ~np.isfinite(uv)
         gmax = max(float(np.max(np.abs(gv))), 1e-300)
-        if np.any(bad & (np.abs(gv) > support_tol * gmax)):
+        if np.any(bad & (np.abs(gv) > _SUPPORT_TOL * gmax)):
             raise ValueError(
                 "the map leaves the grid inside the support of g")
         uv[bad] = 0.0
@@ -432,13 +434,13 @@ def decompose(matrix, wspec):
     return matrix.scaled(x0), matrix.scaled(ctr), matrix.scaled(hyp)
 
 
-def lambda_delta(spec, flow, trans, lam, r, c0=1.0):
+def lambda_delta(spec, flow, trans, lam, r):
     """Expansion statistics of the pair (F, g) over the grid support.
 
     Lambda = max |g| / sqrt(det DF on the unstable subspace),
     Delta = max sqrt(det DF on the unstable subspace), both over points
     where g is non-negligible, and the combined norm bound
-    c0 max(Lambda, sup|g| lam^-r Delta).
+    max(Lambda, sup|g| lam^-r Delta), whose constant callers fit.
     """
     gv = spec.g_values(flow, trans)
     ga = np.abs(gv).reshape(flow.n_points, -1)
@@ -451,7 +453,7 @@ def lambda_delta(spec, flow, trans, lam, r, c0=1.0):
     assert np.all(roots > 0), "degenerate unstable Jacobian"
     lam_fg = float(np.max((ga / roots[None, :])[mask]))
     delta_fg = float(np.max(roots[mask.any(axis=0)]))
-    bound = c0 * max(lam_fg, peak * float(lam) ** (-float(r)) * delta_fg)
+    bound = max(lam_fg, peak * float(lam) ** (-float(r)) * delta_fg)
     return lam_fg, delta_fg, bound
 
 

@@ -72,7 +72,9 @@ class TestConfigParsing:
                      "d = inf\n", "lams = 0\n", "lams = 4, 1\n",
                      "s_values = 0.5\n", "s_values = 1, nan\n",
                      "norm_spacing = 0\n", "norm_spacing = -0.35\n",
-                     "norm_half_width = 0\n", "n_freq = 4\n"):
+                     "norm_half_width = 0\n", "n_freq = 4\n",
+                     "samples = 0\n", "ks = -3\nbig_n = 1\n",
+                     "lams = 4.0\n", "lams = 4, 4\n", "seed = 5\n"):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_file(write(tmp_path / "a.cfg", body))
 
@@ -98,10 +100,15 @@ class TestExitCodes:
         assert code == 2
 
     def test_bad_value_exits_two_before_compute(self, tmp_path, capsys):
-        for i, body in enumerate(("d = 2\nmap_family = shear\n",
-                                  "tol = abc\n")):
+        for i, (sub, body) in enumerate((
+                ("lower-bound", "d = 2\nmap_family = shear\n"),
+                ("lower-bound", "tol = abc\n"),
+                ("partition-audit", "samples = 0\n"),
+                ("central-audit", "ks = -3\nbig_n = 1\n"),
+                ("norm-bound", "lams = 4.0\n"),
+                ("norm-bound", "seed = 5\n"))):
             out = tmp_path / ("run%d" % i)
-            code = main(["lower-bound", "--config",
+            code = main([sub, "--config",
                          write(tmp_path / "bad.cfg", body), "--out", str(out)])
             assert code == 2
             assert "config error" in capsys.readouterr().err
@@ -246,6 +253,18 @@ class TestSubcommands:
         assert rep["fitted_c"] > 0
         rows = (tmp_path / "norms.csv").read_text().splitlines()
         assert len(rows) == 2 + 2 + 1
+
+    def test_norm_bound_ignores_seed(self, tmp_path):
+        # the norms are exact dense singular values, with nothing drawn
+        path = write(tmp_path / "n.cfg", "d = 1\nlams = 4, 8\ns_values = 1\n")
+        fitted = []
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            assert main(["norm-bound", "--config", path, "--out", str(out),
+                         "--seed", seed]) == 0
+            rep = json.loads((out / "summary.json").read_text())
+            fitted.append(rep["fitted_c"])
+        assert fitted[0] == fitted[1]
 
     def test_lower_bound(self, tmp_path):
         path = write(tmp_path / "l.cfg",

@@ -78,7 +78,7 @@ class TestContactMapFamilies:
         assert np.allclose(out, [0.5, 4.0, 0.5])
 
     def test_linear_rejects_nonsymplectic(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="not symplectic"):
             ContactMap.linear(np.diag([2.0, 1.0]))
 
     def test_shear_apply(self):

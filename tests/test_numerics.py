@@ -95,7 +95,10 @@ class TestDenseBudget:
             from contactfbi.numerics import Field, check_dense, make_grid
             from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
                                                 VolumeField)
-            from contactfbi.spectra import CentralBlock, CentralFrame
+            from contactfbi.aniso_norm import v_s
+            from contactfbi.spectra import (CentralBlock, CentralFrame,
+                                            SpectrumReport, _axis_lattice,
+                                            weighted_norm_measure)
             from contactfbi.transfer_ops import (OperatorMatrix, TransferSpec,
                                                  lift_apply, lift_kernel)
             assert False, "assert statements are not stripped"
@@ -115,7 +118,22 @@ class TestDenseBudget:
             other_grid = PartialPhaseField(flow, pg6,
                                            np.zeros((2,) + pg6.shape()))
             mat = lift_kernel(spec, flow, trans, pg)
+            b4 = np.diag([4.0, 0.25])
             cases = {
+                "not symplectic": lambda: ContactMap.linear(
+                    np.diag([2.0, 1.0])),
+                "norm s below one": lambda: weighted_norm_measure(
+                    b4, 0.5, 0.0, half_widths=(2.0, 2.0)),
+                "norm half widths": lambda: weighted_norm_measure(
+                    b4, 1.0, 0.0, half_widths=(2.0,)),
+                # W^2r under- and overflows at r = 1000: zero or nan
+                "norm weight": lambda: weighted_norm_measure(
+                    b4, 1.0, 1000.0, half_widths=(10.0, 10.0)),
+                "lattice": lambda: _axis_lattice(2.0, 0.0),
+                "frame k": lambda: CentralFrame(
+                    spec, 0, WeightSpec(big_n=8.0), FlowGrid(np.pi, 2)),
+                "v_s": lambda: v_s(np.zeros((1, 2)), 0.5, 1.0),
+                "report": lambda: SpectrumReport([1.0, np.nan], {}, 0.5),
                 "block apply": lambda: block.apply(np.zeros((1, 1))),
                 "block adjoint": lambda: block.apply_adjoint(
                     np.zeros((1, 1))),

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from contactfbi.aniso_norm import WeightSpec
+from contactfbi.aniso_norm import WeightSpec, v_s
 from contactfbi.contact_geometry import ContactMap
-from contactfbi.fbi_core import det_factor, dual_phase_grid
+from contactfbi.fbi_core import det_factor, dual_phase_grid, l0_hat_kernel
 from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import (FlowGrid, _slice_adjoint, _slice_forward,
                                     reconstruct_slice, scatter_slice)
@@ -111,6 +111,31 @@ class TestWeightedNorm:
         with pytest.raises(ValueError, match="20736 x 20736"):
             weighted_norm_measure(np.diag([4.0, 4.0, 0.25, 0.25]), 1.0, 4.0,
                                   half_widths=(2.0,) * 4, spacing=0.35)
+
+    @pytest.mark.parametrize("b, s, r, half, h", [
+        (sym_block(4.0), 1.0, 0.0, 10.0, 0.7),       # C6 grid
+        (sym_block(16.0), 1.0, 0.0, 10.0, 0.7),
+        (sym_block(4.0), 1.0, 4.0, 2.0, 0.35),       # C7 grids
+        (sym_block(32.0), 256.0, 4.0, 2.0, 0.35),
+    ])
+    def test_equals_dense_two_norm(self, b, s, r, half, h):
+        n = int(np.ceil(2.0 * half / h))
+        axis = (np.arange(n) + 0.5 - n / 2.0) * h
+        pts = np.stack([m.ravel() for m in np.meshgrid(axis, axis,
+                                                       indexing="ij")], -1)
+        w = v_s(pts, s, r)
+        weighted = w[:, None] * l0_hat_kernel(b, pts, pts) / w[None, :]
+        want = h ** 2 * np.linalg.norm(weighted, 2)
+        got = weighted_norm_measure(b, s, r, half_widths=(half, half),
+                                    spacing=h)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_unweighted_norm_at_lam_four_is_one(self):
+        # the C6 grid resolves the isometry: the exact norm is 1 to 1e-9,
+        # a bound that an unconverged iterative estimate misses
+        val = weighted_norm_measure(sym_block(4.0), 1.0, 0.0,
+                                    half_widths=(10.0, 10.0))
+        assert abs(val - 1.0) <= 1e-8
 
     def test_norm_decreases_with_lam(self):
         vals = [weighted_norm_measure(sym_block(lam), 16.0, 4.0,
