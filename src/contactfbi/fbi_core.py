@@ -190,10 +190,17 @@ def fbi_forward(u, pg):
     This is the partial transform's slice core at kappa = 1."""
     from .partial_fbi import _slice_forward
     _check_nyquist(pg)
-    assert u.grid.dim == pg.dim
+    if u.grid.dim != pg.dim:
+        raise ValueError("a %d-dimensional field on a %d-dimensional phase "
+                         "grid" % (u.grid.dim, pg.dim))
     for ax in pg.axes:
-        assert ax.y.size == u.grid.points_per_axis
-        assert np.allclose(ax.y, u.grid.axis_nodes())
+        if ax.y.size != u.grid.points_per_axis:
+            raise ValueError("phase grid has %d quadrature nodes per axis, "
+                             "the field %d" % (ax.y.size,
+                                               u.grid.points_per_axis))
+        if not np.allclose(ax.y, u.grid.axis_nodes()):
+            raise ValueError("phase grid quadrature nodes differ from the "
+                             "field's grid nodes")
     return PhaseField(pg, _slice_forward(u.reshape(), pg, 1.0))
 
 
@@ -259,31 +266,21 @@ def projection_kernel_matrix(pts_out, pts_in):
 
 def apply_p_omega(v, omega):
     """Apply the projection P_omega with kernel
-    (2 pi)^(-m) exp(i omega(z, z')/2 - |z - z'|^2/4) on R^(2m)."""
+    (2 pi)^(-m) exp(i omega(z, z')/2 - |z - z'|^2/4) on R^(2m).
+
+    The kernel is assembled densely on the grid nodes, within the dense
+    budget of numerics.check_dense.
+    """
     j = np.asarray(omega, dtype=float)
     dim = v.grid.dim
-    assert dim % 2 == 0 and j.shape == (dim, dim)
+    if dim % 2 or j.shape != (dim, dim):
+        raise ValueError("omega must be a square matrix of the even grid "
+                         "dimension %d, got shape %s" % (dim, j.shape))
     if np.linalg.norm(j @ j + np.eye(dim), 2) > 1e-8:
         raise ValueError("omega is not compatible with the Euclidean norm "
                          "(J^2 + Id is not negligible)")
-    m = dim // 2
-    nodes = v.grid.axis_nodes()
-    w = v.grid.weight
-    pref = (2.0 * np.pi) ** (-m) * w
-    if dim == 2:
-        z1 = nodes
-        z2 = nodes
-        g1 = np.exp(-(z1[:, None] - z1[None, :]) ** 2 / 4.0
-                    + 0.5j * j[0, 0] * z1[:, None] * z1[None, :])
-        g2 = np.exp(-(z2[:, None] - z2[None, :]) ** 2 / 4.0
-                    + 0.5j * j[1, 1] * z2[:, None] * z2[None, :])
-        c12 = np.exp(0.5j * j[0, 1] * z1[:, None] * z2[None, :])
-        c21 = np.exp(0.5j * j[1, 0] * z2[:, None] * z1[None, :])
-        vals = v.reshape()
-        out = np.einsum("ac,bd,ad,bc,cd->ab", g1, g2, c12, c21, vals,
-                        optimize=True)
-        return Field(v.grid, pref * out.ravel())
     check_dense(v.grid.num_points, v.grid.num_points, "dense P_omega kernel")
+    pref = (2.0 * np.pi) ** (-(dim // 2)) * v.grid.weight
     pts = v.grid.nodes()
     ph = pts @ j @ pts.T
     d2 = (np.sum(pts ** 2, axis=1)[:, None] + np.sum(pts ** 2, axis=1)[None, :]

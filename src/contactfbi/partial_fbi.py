@@ -46,7 +46,9 @@ class FlowGrid:
     integer-type frequency lattice k pi / L0."""
 
     def __init__(self, half_period, n_points):
-        assert n_points >= 2 and n_points % 2 == 0
+        if not (n_points >= 2 and n_points % 2 == 0):
+            raise ValueError("flow grid needs an even number of points, at "
+                             "least 2, got %r" % (n_points,))
         self.half_period = float(half_period)
         self.n_points = int(n_points)
         self.spacing = 2.0 * self.half_period / self.n_points
@@ -265,7 +267,9 @@ def _point_factors(pg, kappa, pts, conj):
     subscripts of the phase grid and of each factor."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     d2 = pg.dim
-    assert pts.shape[1] == d2
+    if pts.shape[1] != d2:
+        raise ValueError("points of width %d on a %d-dimensional phase grid"
+                         % (pts.shape[1], d2))
     letters = string.ascii_lowercase
     cs, fs = letters[:d2], letters[d2:2 * d2]
     factors = [_cached_axis_factor(ax, pts[:, a], kappa, conj)
@@ -295,7 +299,9 @@ def scatter_slice(vals, pg, kappa, pts):
     slice, with the same prefactor and measure."""
     vals = np.asarray(vals, dtype=complex).ravel()
     grid, subscripts, factors = _point_factors(pg, kappa, pts, conj=True)
-    assert vals.size == factors[0].shape[2]
+    if vals.size != factors[0].shape[2]:
+        raise ValueError("%d values for %d points"
+                         % (vals.size, factors[0].shape[2]))
     out = np.einsum(",".join(["z"] + subscripts) + "->" + grid,
                     vals, *factors, optimize=True)
     return _amplitude(kappa, pg.dim) * pg.weight * out
@@ -344,19 +350,13 @@ def pfbi_adjoint(pf, trans=None):
     return VolumeField(pf.flow, trans, vals)
 
 
-def pfbi_roundtrip(vol, pg=None, n_freq=None, weight=None):
-    """Streamed T* (W .) T application, one flow slice at a time.
-
-    With weight None this is the resolution of identity; a callable
-    weight(xi0, pg) returning an array of the phase grid shape turns it
-    into a multiplier sandwiched between the transform pair.
-    """
+def pfbi_roundtrip(vol, pg=None, n_freq=None):
+    """Streamed T* T application, the resolution of identity, one flow
+    slice at a time."""
     if pg is None:
         pg = dual_phase_grid(vol.trans, n_freq=n_freq)
     out_hat = np.empty_like(vol.values)
-    for s, (xi0, kappa, coeff) in enumerate(flow_slices(vol, pg)):
-        if weight is not None:
-            coeff = coeff * weight(xi0, pg)
+    for s, (_, kappa, coeff) in enumerate(flow_slices(vol, pg)):
         out_hat[s] = _slice_adjoint(coeff, pg, kappa)
     vals = np.tensordot(vol.flow.idft_matrix(), out_hat, axes=([1], [0]))
     return VolumeField(vol.flow, vol.trans, vals)

@@ -21,15 +21,14 @@ from scipy.linalg import svdvals
 
 from .aniso_norm import (bracket, cal_w_aniso, chi, cutoffs, q_block,
                          q_tilde, q_tilde_support, slice_covectors, v_s)
-from .contact_geometry import alpha0_covector, det_on_unstable
+from .contact_geometry import ContactMap, alpha0_covector, det_on_unstable
 from .fbi_core import PhaseAxis, PhaseGrid, l0_hat_kernel
 from .numerics import check_dense, operator_norm
 # unused here, but bench/test_smoke.py checks the tracer rewraps this binding
-from .partial_fbi import (_slice_forward, _volume_points, flow_slices,
-                          partial_packet, sample_volume)
-from .transfer_ops import (coupled_adjoint, coupled_forward,
-                           flow_fourier_coeffs, lift_kernel, slice_coupling,
-                           transfer_apply)
+from .partial_fbi import (_slice_forward, flow_slices, partial_packet,
+                          sample_volume)
+from .transfer_ops import (TransferSpec, coupled_adjoint, coupled_forward,
+                           lift_coupling, lift_kernel, transfer_apply)
 
 
 class SpectrumReport:
@@ -147,11 +146,16 @@ def weighted_norm_measure(b, s, r, half_widths, spacing=0.7):
     return float(spacing ** dim * sig)
 
 
-def weight_diagonal(flow, pg, r):
-    """The phase space weight on the lift index set, flow-slice major."""
+def weight_diagonal(freqs, pg, r):
+    """The phase space weight cal_w_aniso on the slices of the given flow
+    frequencies, shape (len(freqs), pg.num_points).
+
+    Raveled, it is the weight on the lift index set (flow-slice major); a
+    single frequency gives one row that broadcasts over every slice.
+    """
     pts = pg.points()
-    return np.concatenate([cal_w_aniso(*slice_covectors(pts, xi0), r)
-                           for xi0 in flow.freqs()])
+    return np.stack([cal_w_aniso(*slice_covectors(pts, xi0), r)
+                     for xi0 in freqs])
 
 
 def conjugated_operator(matrix, wspec):
@@ -162,7 +166,7 @@ def conjugated_operator(matrix, wspec):
     the weight explicit matches the weighted-space formulation and keeps
     the eigenvectors meaningful.
     """
-    w = weight_diagonal(matrix.flow, matrix.phase, wspec.r)
+    w = weight_diagonal(matrix.flow.freqs(), matrix.phase, wspec.r).ravel()
     a = matrix.values * matrix.in_measure
     return (w[:, None] / w[None, :]) * a
 
@@ -211,7 +215,7 @@ def slice_block_defect(matrix):
 
 def expansion_argmax(spec, flow, trans):
     """Transversal grid point maximizing |g| / sqrt(det DF on E^+)."""
-    gv = np.abs(spec.g_values(flow, trans)).reshape(flow.n_points, -1)
+    gv = np.abs(spec.g_values(flow, trans.nodes()))
     roots = np.sqrt(np.array([det_on_unstable(spec.map, p)
                               for p in trans.nodes()]))
     score = gv.max(axis=0) / roots
@@ -295,13 +299,15 @@ def lower_bound_family(spec, flow, trans, pg, n_ks, wspec, m=4,
 
 
 class CentralFrame:
-    """Index sets, quadrature and amplitude data for one frequency block.
+    """Index sets, quadrature and cutoff for one frequency block.
 
     Everything that the block and its linearized surrogate share is built
     once here: the eta0 lattice inside the q-tilde slab, anisotropic
     center/frequency/quadrature lattices scaled to the packet width 1/k,
-    the flow Fourier data of the amplitude, the mapped quadrature points
-    and the column cutoff.
+    the column cutoff, and the two transfer specs.  spec is the true
+    operator; linearized is its linearization at the fixed point, the
+    linear map with the Jacobian bmat of F_dag at the origin (so no flow
+    shift) and g frozen at y_dag = 0.
     """
 
     def __init__(self, spec, k, wspec, flow, c_margin=3.2, f_margin=1.5,
@@ -315,8 +321,7 @@ class CentralFrame:
         self.flow = flow
         d2 = 2 * spec.d
         self.d2 = d2
-        kk = float(k * k)
-        self.kk = kk
+        self.kk = float(k * k)
         fs = flow.freq_spacing
         self.fs = fs
         lo, hi = q_tilde_support(k)
@@ -333,6 +338,12 @@ class CentralFrame:
         self.xi0 = fs * self.xi_idx
         bmat = np.asarray(spec.map.f_dag_jac(np.zeros(d2)), dtype=float)
         self.bmat = bmat
+        g = spec.g
+        self.linearized = TransferSpec(
+            ContactMap.linear(bmat),
+            lambda pts: g(np.concatenate(
+                [pts[:, :1], np.zeros((pts.shape[0], d2))], axis=1)),
+            name=spec.name + "-linearized")
 
         # lattice steps of 0.7 packet widths in centers and frequencies
         width = 1.0 / k
@@ -363,41 +374,14 @@ class CentralFrame:
         mesh = np.meshgrid(*y_lattices, indexing="ij")
         self.ypts = np.stack([mm.ravel() for mm in mesh], axis=-1)
 
-        # amplitude data: flow Fourier coefficients on the quadrature
-        # points and at the origin of the transversal slice
-        gv = np.asarray(spec.g(_volume_points(flow, self.ypts)),
-                        dtype=complex)
-        self.ghat = flow_fourier_coeffs(gv, flow)
-        g0 = np.asarray(spec.g(_volume_points(flow, np.zeros((1, d2)))),
-                        dtype=complex)
-        self.ghat0 = flow_fourier_coeffs(g0, flow)[:, 0]
-
-        self.fy = spec.map.f_dag(self.ypts)
-        self.fv = spec.map.flow_shift(self.ypts)
-        self.by = self.ypts @ bmat.T
-
-        # column cutoff q~_k(eta0) Q_{k,0}(z) X_ctr0(z, eta), and the
-        # weights in both the true and the frozen frequency
+        # column cutoff q~_k(eta0) Q_{k,0}(z) X_ctr0(z, eta)
         pts_in = self.pg_in.points()
-        zs = pts_in[:, :d2]
-        qb = np.asarray(q_block(zs, k, (0,) * d2, wspec.delta), dtype=float)
-        self.col_cut = np.empty((self.eta0.size, self.pg_in.num_points))
-        self.w_in = np.empty_like(self.col_cut)
-        for t, e0 in enumerate(self.eta0):
-            covectors = slice_covectors(pts_in, e0)
-            _, ctr0, _ = cutoffs(*covectors, wspec)
-            self.col_cut[t] = float(q_tilde(e0, k)) * qb * ctr0
-            self.w_in[t] = cal_w_aniso(*covectors, wspec.r)
-        self.w_in_frozen = np.broadcast_to(
-            cal_w_aniso(*slice_covectors(pts_in, kk), wspec.r),
-            self.col_cut.shape)
-
-        pts_out = self.pg_out.points()
-        self.w_out = np.stack([cal_w_aniso(*slice_covectors(pts_out, x0),
-                                           wspec.r) for x0 in self.xi0])
-        self.w_out_frozen = np.broadcast_to(
-            cal_w_aniso(*slice_covectors(pts_out, kk), wspec.r),
-            self.w_out.shape)
+        qb = np.asarray(q_block(pts_in[:, :d2], k, (0,) * d2, wspec.delta),
+                        dtype=float)
+        self.col_cut = np.stack([
+            float(q_tilde(e0, k)) * qb
+            * cutoffs(*slice_covectors(pts_in, e0), wspec)[1]
+            for e0 in self.eta0])
 
     def sizes(self):
         return {"n_eta": int(self.eta0.size), "n_xi": int(self.xi0.size),
@@ -409,17 +393,16 @@ class CentralFrame:
 class CentralBlock:
     """One frequency block of the weighted lift, applied matrix free.
 
-    primed=False gives the true block: amplitude Fourier data on the
-    quadrature points, the nonlinear transversal map and the flow shift,
-    packet widths <xi0> and <eta0>, weights at the true frequencies.
-    primed=True gives the linearized surrogate: frozen Jacobian at the
-    origin, amplitude data at y = 0, both widths k^2, no flow shift and
-    weights at the frozen frequency.
+    primed=False gives the true block, the lift of frame.spec with packet
+    widths <xi0> and <eta0> and weights at the true frequencies.
+    primed=True gives the linearized surrogate, the lift of
+    frame.linearized with widths and weights at the one frozen frequency
+    k^2; a single frequency row broadcasts over every slice.
 
     The block is the lift of transfer_ops restricted to the slab: its
-    slice coupling (ghat within dmax offsets, times the flow shift phase)
-    is built once, and apply / apply_adjoint run coupled_forward /
-    coupled_adjoint between the column and row weights.  An apply costs
+    slice coupling (lift_coupling on the frame's quadrature, within dmax
+    offsets) is built once, and apply / apply_adjoint run coupled_forward
+    / coupled_adjoint between the column and row weights.  An apply costs
     n_eta reconstruct_slice plus n_xi _slice_forward calls, an adjoint
     n_xi _slice_adjoint plus n_eta scatter_slice calls.
     """
@@ -429,21 +412,15 @@ class CentralBlock:
         self.primed = bool(primed)
         f = frame
         if primed:
-            self.kap_i = np.full(f.eta0.size, f.kk)
-            self.kap_o = np.full(f.xi0.size, f.kk)
-            self.mapped = f.by
-            ghat, shift = f.ghat0, np.zeros(f.ypts.shape[0])
-            self.col = f.col_cut / f.w_in_frozen
-            self.row = f.w_out_frozen
+            spec, eta0, xi0 = f.linearized, [f.kk], [f.kk]
         else:
-            self.kap_i = np.asarray(bracket(f.eta0), dtype=float)
-            self.kap_o = np.asarray(bracket(f.xi0), dtype=float)
-            self.mapped = f.fy
-            ghat, shift = f.ghat, f.fv
-            self.col = f.col_cut / f.w_in
-            self.row = f.w_out
-        self.coupling = slice_coupling(ghat, shift, f.xi_idx, f.eta_idx,
-                                       f.eta0, f.dmax)
+            spec, eta0, xi0 = f.spec, f.eta0, f.xi0
+        self.kap_i = np.broadcast_to(bracket(eta0), f.eta0.shape)
+        self.kap_o = np.broadcast_to(bracket(xi0), f.xi0.shape)
+        self.col = f.col_cut / weight_diagonal(eta0, f.pg_in, f.wspec.r)
+        self.row = weight_diagonal(xi0, f.pg_out, f.wspec.r)
+        self.coupling, self.mapped = lift_coupling(
+            spec, f.flow, f.ypts, f.xi_idx, f.eta_idx, f.eta0, f.dmax)
         self.scale = f.fs / np.sqrt(2.0 * np.pi)
 
     def apply(self, u):

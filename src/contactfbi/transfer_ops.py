@@ -11,14 +11,16 @@ transversal quadrature of Gaussian factors,
     C(xi0, eta0, y) = ghat(xi0 - eta0, y) e^{i eta0 f(y)}.
 
 The slice coupling C (slice_coupling) is the one place where slices
-meet.  coupled_forward applies it between the slice transforms of
-partial_fbi (reconstruct_slice per in slice, C, _slice_forward per out
-slice) and coupled_adjoint is its adjoint; lift_apply and the central
-block of spectra both run through them, and lift_kernel assembles the
-same C between dense slice packets within the dense budget.  The module
-also provides a per-entry quadrature used as an independent cross check,
-the decomposition by the frequency cutoffs, and the expansion statistics
-Lambda / Delta entering the norm bounds.
+meet, and lift_coupling is the one place that builds it from a
+TransferSpec on a set of quadrature points.  coupled_forward applies it
+between the slice transforms of partial_fbi (reconstruct_slice per in
+slice, C, _slice_forward per out slice) and coupled_adjoint is its
+adjoint; lift_apply and the central block of spectra (the true block
+and its linearized surrogate) both run through them, and lift_kernel
+assembles the same C between dense slice packets within the dense
+budget.  The module also provides a per-entry quadrature used as an
+independent cross check, the decomposition by the frequency cutoffs, and
+the expansion statistics Lambda / Delta entering the norm bounds.
 """
 
 import hashlib
@@ -51,7 +53,8 @@ class TransferSpec:
     """
 
     def __init__(self, cmap, g, name="transfer"):
-        assert callable(g)
+        if not callable(g):
+            raise ValueError("amplitude g must be callable, got %r" % (g,))
         self.map = cmap
         self.g = g
         self.name = str(name)
@@ -60,16 +63,18 @@ class TransferSpec:
     def d(self):
         return self.map.d
 
-    def g_values(self, flow, trans):
-        vals = np.asarray(self.g(_volume_points(flow, trans.nodes())),
+    def g_values(self, flow, points):
+        """g on the flow nodes times the transversal points, shape
+        (n0, len(points)); raises on non-finite values."""
+        vals = np.asarray(self.g(_volume_points(flow, points)),
                           dtype=complex)
         if not np.all(np.isfinite(vals)):
             raise ValueError("amplitude produced non-finite values")
-        return vals.reshape((flow.n_points,) + trans.shape())
+        return vals.reshape(flow.n_points, -1)
 
     def support_check(self, flow, trans):
         """Raise if g carries significant mass on the transversal border."""
-        vals = self.g_values(flow, trans)
+        vals = self.g_values(flow, trans.nodes())
         peak = float(np.max(np.abs(vals)))
         if peak == 0.0:
             return
@@ -79,7 +84,7 @@ class TransferSpec:
             for edge in (0, -1):
                 idx[a] = edge
                 border[tuple(idx)] = True
-        worst = float(np.max(np.abs(vals[:, border])))
+        worst = float(np.max(np.abs(vals[:, border.ravel()])))
         if worst > _SUPPORT_TOL * peak:
             raise ValueError(
                 "amplitude is %.3g of its peak at the box border; "
@@ -116,7 +121,9 @@ def transfer_apply(spec, u, flow=None, trans=None, method="linear"):
     if isinstance(u, VolumeField):
         flow = u.flow if flow is None else flow
         trans = u.trans if trans is None else trans
-    assert flow is not None and trans is not None
+    if flow is None or trans is None:
+        raise ValueError("transfer_apply needs the flow and transversal "
+                         "grids when u is not a VolumeField")
     pts = _volume_points(flow, trans.nodes())
     fpts = spec.map.apply(pts)
     gv = np.asarray(spec.g(pts), dtype=complex)
@@ -239,15 +246,19 @@ def coupled_adjoint(vals, pg_out, kap_out, coupling, pg_in, kap_in, points):
     return out
 
 
-def _lift_coupling(spec, flow, trans):
-    """Slice coupling of the lift over the whole flow lattice, and the
-    mapped quadrature points."""
-    yd = trans.nodes()
-    ghat = flow_fourier_coeffs(spec.g_values(flow, trans), flow)
-    idx = np.arange(flow.n_points)
-    coupling = slice_coupling(ghat, spec.map.flow_shift(yd), idx, idx,
-                              flow.freqs(), flow.n_points - 1)
-    return coupling, spec.map.f_dag(yd)
+def lift_coupling(spec, flow, points, out_idx, in_idx, in_freqs, band):
+    """Slice coupling of the lift of spec on the transversal quadrature
+    points, and the points mapped by F_dag.
+
+    The one place where a lift evaluates its data: g on the flow nodes
+    times the points (refused when non-finite), its flow Fourier
+    coefficients, the flow shift f and F_dag.  The slice indices, the in
+    frequencies and the band are those of slice_coupling.
+    """
+    ghat = flow_fourier_coeffs(spec.g_values(flow, points), flow)
+    coupling = slice_coupling(ghat, spec.map.flow_shift(points), out_idx,
+                              in_idx, in_freqs, band)
+    return coupling, spec.map.f_dag(points)
 
 
 def _dense_packets(pg, kappa, points):
@@ -273,7 +284,9 @@ def lift_kernel(spec, flow, trans, pg):
     check_transversal_spacing(trans, flow)
     n0, npts = flow.n_points, pg.num_points
     check_dense(n0 * npts, n0 * npts, "lift matrix")
-    coupling, fy = _lift_coupling(spec, flow, trans)
+    idx = np.arange(n0)
+    coupling, fy = lift_coupling(spec, flow, trans.nodes(), idx, idx,
+                                 flow.freqs(), n0 - 1)
     kaps = bracket(flow.freqs())
     amps = [_amplitude(kap, pg.dim) for kap in kaps]
     packets = [_dense_packets(pg, kap, fy) for kap in kaps]
@@ -315,7 +328,9 @@ def lift_apply(spec, flow, trans, pg_out, pf):
         raise ValueError("phase field has %d flow slices, the lift %d"
                          % (pf.flow.n_points, flow.n_points))
     check_transversal_spacing(trans, flow)
-    coupling, fy = _lift_coupling(spec, flow, trans)
+    idx = np.arange(flow.n_points)
+    coupling, fy = lift_coupling(spec, flow, trans.nodes(), idx, idx,
+                                 flow.freqs(), flow.n_points - 1)
     kaps = bracket(flow.freqs())
     out = coupled_forward(pf.values, pf.phase, kaps, fy, coupling, pg_out,
                           kaps)
@@ -346,16 +361,6 @@ def kernel_entry_direct(spec, flow, trans, out_index, in_index):
     return complex(val * flow.spacing * trans.weight)
 
 
-class LiftKernelEntry:
-    """A single sampled kernel value with its packet labels."""
-
-    def __init__(self, out_index, in_index, value):
-        self.out_index = out_index
-        self.in_index = in_index
-        self.value = complex(value)
-        assert np.isfinite(self.value.real) and np.isfinite(self.value.imag)
-
-
 def kernel_bound_audit(spec, flow, trans, pg, rho, n_per_stratum=4,
                        rng_seed=0):
     """Compare sampled |K| against the four-factor distance weight.
@@ -372,7 +377,9 @@ def kernel_bound_audit(spec, flow, trans, pg, rho, n_per_stratum=4,
     Returns the smallest constant making the bound hold on the sample
     and the full ratio list.
     """
-    assert rho > 0
+    if not rho > 0:
+        raise ValueError("kernel bound exponent rho must be positive, got %r"
+                         % (rho,))
     rng = np.random.default_rng(rng_seed)
     n0 = flow.n_points
     freqs = flow.freqs()
@@ -381,7 +388,7 @@ def kernel_bound_audit(spec, flow, trans, pg, rho, n_per_stratum=4,
     fy = spec.map.f_dag(yd)
     jacs = np.stack([spec.map.jacobian(p).T for p in yd])
     two_l0 = 2.0 * flow.half_period
-    entries, ratios, mismatch = [], [], []
+    ratios, mismatch = [], []
     for dm in range(n0):
         pairs = [(s, s - dm) for s in range(dm, n0)]
         for _ in range(n_per_stratum):
@@ -406,13 +413,11 @@ def kernel_bound_audit(spec, flow, trans, pg, rho, n_per_stratum=4,
             integral = two_l0 * trans.weight * \
                 np.sum((f1 * f2 * f3 * f4) ** (-rho))
             bound = (kap_o * kap_i) ** (dim2 / 4.0) * integral
-            entries.append(LiftKernelEntry(out_idx, in_idx, value))
             ratios.append(abs(value) / bound)
             mismatch.append(dm)
     ratios = np.array(ratios)
     return {"rho": float(rho), "c_rho": float(np.max(ratios)),
-            "ratios": ratios, "mismatch": np.array(mismatch),
-            "entries": entries}
+            "ratios": ratios, "mismatch": np.array(mismatch)}
 
 
 def cutoff_diagonals(flow, pg, wspec):
@@ -442,8 +447,7 @@ def lambda_delta(spec, flow, trans, lam, r):
     where g is non-negligible, and the combined norm bound
     max(Lambda, sup|g| lam^-r Delta), whose constant callers fit.
     """
-    gv = spec.g_values(flow, trans)
-    ga = np.abs(gv).reshape(flow.n_points, -1)
+    ga = np.abs(spec.g_values(flow, trans.nodes()))
     peak = float(np.max(ga))
     if peak == 0.0:
         return 0.0, 0.0, 0.0

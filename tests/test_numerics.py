@@ -91,16 +91,20 @@ class TestDenseBudget:
             from contactfbi.aniso_norm import WeightSpec
             from contactfbi.contact_geometry import ContactMap
             from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseField,
-                                             dual_phase_grid)
+                                             apply_p_omega, dual_phase_grid,
+                                             fbi_forward)
             from contactfbi.numerics import Field, check_dense, make_grid
             from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
-                                                VolumeField)
+                                                VolumeField, reconstruct_slice,
+                                                scatter_slice)
             from contactfbi.aniso_norm import v_s
             from contactfbi.spectra import (CentralBlock, CentralFrame,
                                             SpectrumReport, _axis_lattice,
                                             weighted_norm_measure)
             from contactfbi.transfer_ops import (OperatorMatrix, TransferSpec,
-                                                 lift_apply, lift_kernel)
+                                                 kernel_bound_audit,
+                                                 lift_apply, lift_kernel,
+                                                 transfer_apply)
             assert False, "assert statements are not stripped"
             th = np.pi / 6.0
             rot = np.array([[np.cos(th), -np.sin(th)],
@@ -155,6 +159,24 @@ class TestDenseBudget:
                 "operator matrix": lambda: OperatorMatrix(
                     np.zeros((3, 3)), flow, pg),
                 "scaled": lambda: mat.scaled(np.ones(3)),
+                "forward dimension": lambda: fbi_forward(
+                    Field(make_grid(1, 1.2, 4), np.zeros(4)), pg),
+                "forward node count": lambda: fbi_forward(
+                    Field(make_grid(2, 1.2, 6), np.zeros(36)), pg),
+                "forward nodes": lambda: fbi_forward(
+                    Field(make_grid(2, 1.0, 4), np.zeros(16)), pg),
+                "flow points": lambda: FlowGrid(np.pi, 3),
+                "point width": lambda: reconstruct_slice(
+                    np.zeros(pg.shape()), pg, 1.0, np.zeros((2, 3))),
+                "scatter count": lambda: scatter_slice(
+                    np.zeros(3), pg, 1.0, np.zeros((2, 2))),
+                "amplitude": lambda: TransferSpec(spec.map, 1.0),
+                "transfer grids": lambda: transfer_apply(
+                    spec, lambda p: p[:, 0]),
+                "rho": lambda: kernel_bound_audit(spec, flow, trans, pg,
+                                                  rho=0.0),
+                "omega shape": lambda: apply_p_omega(
+                    Field(trans, np.zeros(16)), np.eye(3)),
             }
             for name, case in cases.items():
                 try:

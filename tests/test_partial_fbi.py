@@ -146,15 +146,6 @@ class TestIdentity:
         pf = pfbi_forward(vol)
         assert abs(pf.norm() - vol.norm()) / vol.norm() <= 1e-5
 
-    def test_weighted_roundtrip_flat_weight(self):
-        # a constant weight of one must reproduce the identity application
-        flow = FlowGrid(np.pi, 6)
-        trans = make_grid(2, 5.0, 26)
-        vol = gaussian_volume(flow, trans)
-        a = pfbi_roundtrip(vol)
-        b = pfbi_roundtrip(vol, weight=lambda xi0, pg: 1.0)
-        assert np.allclose(a.values, b.values, atol=1e-14)
-
 
 class TestProjection:
 

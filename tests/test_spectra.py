@@ -5,18 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from contactfbi.aniso_norm import WeightSpec, v_s
+from contactfbi.aniso_norm import (WeightSpec, bracket, cal_w_aniso,
+                                   slice_covectors, v_s)
 from contactfbi.contact_geometry import ContactMap
 from contactfbi.fbi_core import det_factor, dual_phase_grid, l0_hat_kernel
 from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import (FlowGrid, _slice_adjoint, _slice_forward,
-                                    reconstruct_slice, scatter_slice)
+                                    _volume_points, reconstruct_slice,
+                                    scatter_slice)
 from contactfbi.spectra import (CentralBlock, CentralFrame, SpectrumReport,
                                 central_block_audit, conjugated_operator,
                                 expansion_argmax, lower_bound_family,
                                 model_spectrum, persistent_outliers,
                                 slice_block_defect, weighted_norm_measure)
-from contactfbi.transfer_ops import TransferSpec, lambda_delta, lift_kernel
+from contactfbi.transfer_ops import (TransferSpec, flow_fourier_coeffs,
+                                     lambda_delta, lift_coupling, lift_kernel)
 
 
 def sym_block(lam):
@@ -231,6 +234,10 @@ class TestLowerBoundFamily:
         assert np.linalg.norm(x) <= 0.3
 
 
+def flow_only_amp(pts):
+    return 0.8 + 0.2 * np.cos(2.0 * pts[:, 0])
+
+
 def central_setting(g=None, cmap=None):
     flow = FlowGrid(np.pi / 2.0, 8)
     if cmap is None:
@@ -252,45 +259,63 @@ def frame_pairs(f):
                 yield s, t, moff
 
 
-def ghat_row(blk, moff):
-    """Amplitude data of one offset: on the quadrature, or at the origin
-    for the surrogate."""
+def old_definition(blk):
+    """The data of a block by its definition, built from frame.spec: on the
+    quadrature for the true block, widths <eta0> / <xi0> and weights per
+    slice; for the surrogate g at the origin, no flow shift, the points
+    mapped by the Jacobian there, and widths and weights at k^2."""
     f = blk.frame
-    return (f.ghat0 if blk.primed else f.ghat)[moff + f.flow.n_points - 1]
+    ys = np.zeros((1, f.d2)) if blk.primed else f.ypts
+    ghat = flow_fourier_coeffs(f.spec.g(_volume_points(f.flow, ys)), f.flow)
+    if blk.primed:
+        eta0, xi0 = np.full(f.eta0.size, f.kk), np.full(f.xi0.size, f.kk)
+        kap_i, kap_o = eta0, xi0
+        shift, mapped = 0.0, f.ypts @ f.bmat.T
+    else:
+        eta0, xi0 = f.eta0, f.xi0
+        kap_i, kap_o = bracket(eta0), bracket(xi0)
+        shift, mapped = f.spec.map.flow_shift(f.ypts), f.spec.map.f_dag(f.ypts)
 
-
-def flow_shift(blk):
-    return 0.0 if blk.primed else blk.frame.fv
+    def weights(pg, freqs):
+        pts = pg.points()
+        return np.stack([cal_w_aniso(*slice_covectors(pts, x), f.wspec.r)
+                         for x in freqs])
+    return {"ghat": ghat, "shift": shift, "mapped": mapped, "kap_i": kap_i,
+            "kap_o": kap_o, "col": f.col_cut / weights(f.pg_in, eta0),
+            "row": weights(f.pg_out, xi0)}
 
 
 def pair_apply(blk, u):
     """CentralBlock.apply as one slice transform per (out, in) pair."""
     f = blk.frame
-    v = u * blk.col
+    d = old_definition(blk)
+    v = u * d["col"]
     out = np.zeros((f.xi0.size, f.pg_out.num_points), dtype=complex)
     for s, t, moff in frame_pairs(f):
         rec = reconstruct_slice(v[t].reshape(f.pg_in.shape()), f.pg_in,
-                                blk.kap_i[t], blk.mapped)
-        mid = ghat_row(blk, moff) * rec \
-            * np.exp(1j * f.eta0[t] * flow_shift(blk))
+                                d["kap_i"][t], d["mapped"])
+        mid = d["ghat"][moff + f.flow.n_points - 1] * rec \
+            * np.exp(1j * f.eta0[t] * d["shift"])
         out[s] += blk.scale * _slice_forward(
-            mid.reshape(f.y_shape), f.pg_out, blk.kap_o[s]).ravel()
-    return out * blk.row
+            mid.reshape(f.y_shape), f.pg_out, d["kap_o"][s]).ravel()
+    return out * d["row"]
 
 
 def pair_apply_adjoint(blk, w):
     """CentralBlock.apply_adjoint as one scatter per (out, in) pair."""
     f = blk.frame
-    wr = w * blk.row
+    d = old_definition(blk)
+    wr = w * d["row"]
     acc = np.zeros((f.eta0.size, f.pg_in.num_points), dtype=complex)
     for s, t, moff in frame_pairs(f):
         back = _slice_adjoint(wr[s].reshape(f.pg_out.shape()), f.pg_out,
-                              blk.kap_o[s]).ravel() \
+                              d["kap_o"][s]).ravel() \
             * (f.pg_out.y_weight / f.pg_out.weight)
-        gfac = ghat_row(blk, moff) * np.exp(1j * f.eta0[t] * flow_shift(blk))
+        gfac = d["ghat"][moff + f.flow.n_points - 1] \
+            * np.exp(1j * f.eta0[t] * d["shift"])
         acc[t] += blk.scale * scatter_slice(np.conj(gfac) * back, f.pg_in,
-                                            blk.kap_i[t], blk.mapped).ravel()
-    return (f.pg_out.weight / f.pg_in.weight) * acc * blk.col
+                                            d["kap_i"][t], d["mapped"]).ravel()
+    return (f.pg_out.weight / f.pg_in.weight) * acc * d["col"]
 
 
 class TestCentralBlock:
@@ -360,15 +385,28 @@ class TestCentralBlock:
         # linear map with an amplitude depending only on the flow
         # coordinate: the surrogate differs only through the frequency
         # freeze, so the difference stays below the block norm itself
-        def g(pts):
-            return 0.8 + 0.2 * np.cos(2.0 * pts[:, 0])
-        cmap = ContactMap.linear(sym_block(2.0))
-        spec, wspec, flow = central_setting(g=g, cmap=cmap)
+        spec, wspec, flow = central_setting(
+            g=flow_only_amp, cmap=ContactMap.linear(sym_block(2.0)))
         res = central_block_audit(spec, 6, wspec, flow, iters=8,
                                   **self.kwargs)
         assert not res["vanishes"]
         assert res["norm_primed"] > 0
         assert res["norm_diff"] < res["norm_primed"]
+
+    def test_linearized_lift_of_linear_map_is_the_lift(self):
+        # in the same setting the linearization is the operator itself, so
+        # both specs give the same slice coupling and mapped points
+        spec, wspec, flow = central_setting(
+            g=flow_only_amp, cmap=ContactMap.linear(sym_block(2.0)))
+        f = CentralFrame(spec, 6, wspec, flow, **self.kwargs)
+        args = (f.flow, f.ypts, f.xi_idx, f.eta_idx, f.eta0, f.dmax)
+        coupling, mapped = lift_coupling(f.spec, *args)
+        lin_coupling, lin_mapped = lift_coupling(f.linearized, *args)
+        assert np.max(np.abs(coupling)) > 0
+        assert np.max(np.abs(lin_coupling - coupling)) <= \
+            1e-15 * np.max(np.abs(coupling))
+        assert np.max(np.abs(lin_mapped - mapped)) <= \
+            1e-15 * np.max(np.abs(mapped))
 
     def test_lattice_miss_guard(self):
         spec, wspec, _ = central_setting()
