@@ -34,8 +34,9 @@ def main():
         lambda p: np.exp(2j * p[:, 0]
                          - np.sum(p[:, 1:] ** 2, axis=-1) / 1.28),
         flow, trans)
-    pf = pfbi_forward(vol)
-    back = pfbi_roundtrip(vol)
+    pg = dual_phase_grid(trans)
+    pf = pfbi_forward(vol, pg)
+    back = pfbi_roundtrip(vol, pg)
     err = np.linalg.norm((back.values - vol.values).ravel())
     ref = np.linalg.norm(vol.values.ravel())
     print("roundtrip defect %.3e" % (err / ref))
@@ -49,7 +50,7 @@ def main():
         lambda p: np.exp(2j * p[:, 0]
                          - np.sum(p[:, 1:] ** 2, axis=-1) / 1.28),
         flow, coarse)
-    backc = pfbi_roundtrip(volc)
+    backc = pfbi_roundtrip(volc, dual_phase_grid(coarse))
     errc = np.linalg.norm((backc.values - volc.values).ravel())
     print("same on a truncated box %.3e  (resolution matters)"
           % (errc / np.linalg.norm(volc.values.ravel())))

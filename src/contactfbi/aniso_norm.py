@@ -211,13 +211,13 @@ def cutoffs(x_dag, xi, spec):
     return x0, x_ctr0, x_hyp
 
 
-def _streamed_norm(vol, weight, pg, n_freq, center_margin):
+def _streamed_norm(vol, weight):
     """L2 norm of weight(xi0, pts) times the partial transform of vol,
-    streamed over the flow slices; pts are the phase points of pg."""
+    streamed over the flow slices on the norm grid
+    dual_phase_grid(vol.trans, center_margin=3.5); pts are its phase
+    points."""
     from .partial_fbi import flow_slices
-    if pg is None:
-        pg = dual_phase_grid(vol.trans, n_freq=n_freq,
-                             center_margin=center_margin)
+    pg = dual_phase_grid(vol.trans, center_margin=3.5)
     pts = pg.points()
     total = 0.0
     for xi0, _, coeff in flow_slices(vol, pg):
@@ -225,7 +225,7 @@ def _streamed_norm(vol, weight, pg, n_freq, center_margin):
     return float(np.sqrt(total * vol.flow.freq_spacing * pg.weight))
 
 
-def aniso_norm(vol, spec, pg=None, n_freq=None, center_margin=3.5):
+def aniso_norm(vol, spec):
     """Weighted L2 norm of the partial transform image of a volume field.
 
     Streams one flow slice at a time; the weight is the phase space lift
@@ -235,10 +235,10 @@ def aniso_norm(vol, spec, pg=None, n_freq=None, center_margin=3.5):
     def weight(xi0, pts):
         return cal_w_aniso(*slice_covectors(pts, xi0), spec.r)
 
-    return _streamed_norm(vol, weight, pg, n_freq, center_margin)
+    return _streamed_norm(vol, weight)
 
 
-def sobolev_norms(vol, r, pg=None, n_freq=None, center_margin=3.5):
+def sobolev_norms(vol, r):
     """Pair of H^r norms: plain Fourier and partial-transform version.
 
     Returns (|<xi>^r F u|_2, |<xi>^r T u|_2).  The transversal box is
@@ -266,7 +266,7 @@ def sobolev_norms(vol, r, pg=None, n_freq=None, center_margin=3.5):
         full = np.sqrt(xi0 ** 2 + np.sum(pts[:, d2:] ** 2, axis=-1))
         return bracket(full) ** r
 
-    pfbi = _streamed_norm(vol, weight, pg, n_freq, center_margin)
+    pfbi = _streamed_norm(vol, weight)
     return float(fourier), float(pfbi)
 
 

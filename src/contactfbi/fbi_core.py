@@ -21,6 +21,11 @@ fbi_adjoint check their inputs and call it.  Operators such as the lifted
 linear map are applied through closed-form Gaussian-integral kernels, which
 keeps them accurate even when the linear map moves frequencies outside the
 band that plain quadrature could resolve.
+
+Every closed form is pref * exp(quadratic form in (p, p')), built in place
+by the one builder _gaussian_kernel: the projection kernels through
+_form_projection_kernel, and linear_lift_kernel and l0_hat_kernel, Gaussian
+integrals of two projections, through _pair_kernel.
 """
 
 import numpy as np
@@ -244,24 +249,41 @@ def projection_kernel(p, q):
     Equals (2 pi)^(-D) exp(i Omega(p,q)/2 - |x-x'|^2/4 - |xi-xi'|^2/4) with
     Omega((x,xi),(x',xi')) = x.xi' - xi.x'.
     """
-    assert p.dim == q.dim
-    omega = float(p.x @ q.xi - p.xi @ q.x)
-    d2 = np.sum((p.x - q.x) ** 2) + np.sum((p.xi - q.xi) ** 2)
-    return (2.0 * np.pi) ** (-p.dim) * np.exp(0.5j * omega - d2 / 4.0)
+    if p.dim != q.dim:
+        raise ValueError("packets of dimensions %d and %d" % (p.dim, q.dim))
+    return projection_kernel_matrix(np.concatenate([p.x, p.xi])[None],
+                                    np.concatenate([q.x, q.xi])[None])[0, 0]
+
+
+def _gaussian_kernel(q_out, q_cross, q_in, pref, pts_out, pts_in):
+    """Kernel pref exp(p.Q_out p + p.Q_cross p' + p'.Q_in p') on two point
+    sets p in pts_out, p' in pts_in.
+
+    The exponent is built and exponentiated in place, so the only matrix of
+    the output size is the returned kernel.
+    """
+    po = np.asarray(pts_out, dtype=float)
+    pi_ = np.asarray(pts_in, dtype=float)
+    out = po @ q_cross @ pi_.T
+    out += np.einsum("ni,ij,nj->n", po, q_out, po)[:, None]
+    out += np.einsum("ni,ij,nj->n", pi_, q_in, pi_)[None, :]
+    np.exp(out, out=out)
+    out *= pref
+    return out
+
+
+def _form_projection_kernel(form, pref, pts_out, pts_in):
+    """pref exp(i form(p, p')/2 - |p - p'|^2/4) with form(p, p') = p.J p'."""
+    eye = np.eye(form.shape[0])
+    return _gaussian_kernel(-eye / 4.0, (eye + 1j * form) / 2.0, -eye / 4.0,
+                            pref, pts_out, pts_in)
 
 
 def projection_kernel_matrix(pts_out, pts_in):
     """Projection kernel sampled on two point sets of shape (N, 2 D)."""
-    po = np.asarray(pts_out, dtype=float)
-    pi_ = np.asarray(pts_in, dtype=float)
-    dim = po.shape[1] // 2
-    s = dagger_form_matrix(2 * dim)
-    omega = po @ s @ pi_.T
-    sq_o = np.sum(po ** 2, axis=1)
-    sq_i = np.sum(pi_ ** 2, axis=1)
-    cross = po @ pi_.T
-    d2 = sq_o[:, None] + sq_i[None, :] - 2.0 * cross
-    return (2.0 * np.pi) ** (-dim) * np.exp(0.5j * omega - d2 / 4.0)
+    dim = np.shape(pts_out)[1] // 2
+    return _form_projection_kernel(dagger_form_matrix(2 * dim),
+                                   (2.0 * np.pi) ** (-dim), pts_out, pts_in)
 
 
 def apply_p_omega(v, omega):
@@ -280,13 +302,10 @@ def apply_p_omega(v, omega):
         raise ValueError("omega is not compatible with the Euclidean norm "
                          "(J^2 + Id is not negligible)")
     check_dense(v.grid.num_points, v.grid.num_points, "dense P_omega kernel")
-    pref = (2.0 * np.pi) ** (-(dim // 2)) * v.grid.weight
     pts = v.grid.nodes()
-    ph = pts @ j @ pts.T
-    d2 = (np.sum(pts ** 2, axis=1)[:, None] + np.sum(pts ** 2, axis=1)[None, :]
-          - 2.0 * pts @ pts.T)
-    kern = np.exp(0.5j * ph - d2 / 4.0)
-    return Field(v.grid, pref * (kern @ v.values))
+    kern = _form_projection_kernel(
+        j, (2.0 * np.pi) ** (-(dim // 2)) * v.grid.weight, pts, pts)
+    return Field(v.grid, kern @ v.values)
 
 
 def det_factor(b):
@@ -397,23 +416,23 @@ class LinearHyperbolicMap:
         return cone_certificate(self.matrix[None], dirs, self.lam, 0.1)
 
 
-def _gaussian_pair_kernel(a_mat, p1, p2, pref, pts_out, pts_in):
-    """Kernel pref exp(b^T A^{-1} b / 2 - |p|^2/4 - |p'|^2/4) with
-    b = P1 p + P2 p', evaluated on two point sets."""
-    po = np.asarray(pts_out, dtype=float)
-    pi_ = np.asarray(pts_in, dtype=float)
-    q11 = p1.T @ np.linalg.solve(a_mat, p1)
-    q12 = p1.T @ np.linalg.solve(a_mat, p2)
-    q22 = p2.T @ np.linalg.solve(a_mat, p2)
-    e_out = 0.5 * np.einsum("ni,ij,nj->n", po, q11, po) - np.sum(po ** 2, axis=1) / 4.0
-    e_in = 0.5 * np.einsum("ni,ij,nj->n", pi_, q22, pi_) - np.sum(pi_ ** 2, axis=1) / 4.0
-    # build the exponent in place: one matrix of the output size
-    out = po @ q12 @ pi_.T
-    out += e_out[:, None]
-    out += e_in[None, :]
-    np.exp(out, out=out)
-    out *= pref
-    return out
+def _pair_kernel(n_mat, form, scale, pts_out, pts_in):
+    """Gaussian integral over the middle point of two projection kernels of
+    the form J on R^n, the second composed with zeta -> N^T zeta:
+    scale det(A)^(-1/2) (2 pi)^(-n/2) exp(b.A^{-1} b/2 - |p|^2/4 - |p'|^2/4)
+    with b = P1 p + P2 p', A = (Id + N N^T)/2, P1 = (Id - i J)/2 and
+    P2 = N (Id + i J)/2."""
+    eye = np.eye(form.shape[0])
+    a_mat = (eye + n_mat @ n_mat.T) / 2.0
+    p1 = (eye - 1j * form) / 2.0
+    p2 = n_mat @ (eye + 1j * form) / 2.0
+    sol1 = np.linalg.solve(a_mat, p1)
+    sol2 = np.linalg.solve(a_mat, p2)
+    pref = scale * (2.0 * np.pi) ** (-eye.shape[0] / 2.0) \
+        / np.sqrt(np.linalg.det(a_mat))
+    return _gaussian_kernel(0.5 * p1.T @ sol1 - eye / 4.0, p1.T @ sol2,
+                            0.5 * p2.T @ sol2 - eye / 4.0, pref,
+                            pts_out, pts_in)
 
 
 def linear_lift_kernel(b, pts_out, pts_in):
@@ -425,24 +444,11 @@ def linear_lift_kernel(b, pts_out, pts_in):
     """
     b = np.asarray(b, dtype=float)
     dim = b.shape[0]
-    s = dagger_form_matrix(2 * dim)
     btilde = np.zeros((2 * dim, 2 * dim))
     btilde[:dim, :dim] = b
     btilde[dim:, dim:] = np.linalg.inv(b).T
-    eye = np.eye(2 * dim)
-    a_mat = (eye + btilde.T @ btilde) / 2.0
-    p1 = (eye - 1j * s) / 2.0
-    p2 = btilde.T @ (eye + 1j * s) / 2.0
-    pref = det_factor(b) * (2.0 * np.pi) ** (-dim) \
-        / np.sqrt(np.linalg.det(a_mat))
-    return _gaussian_pair_kernel(a_mat, p1, p2, pref, pts_out, pts_in)
-
-
-def _pair_points(ax):
-    """(x, xi) pairs of one phase axis, ordered (center-major, freq-minor)."""
-    c = np.repeat(ax.centers, ax.freqs.size)
-    f = np.tile(ax.freqs, ax.centers.size)
-    return np.stack([c, f], axis=-1)
+    return _pair_kernel(btilde.T, dagger_form_matrix(2 * dim), det_factor(b),
+                        pts_out, pts_in)
 
 
 def lift_linear(b, v):
@@ -450,36 +456,28 @@ def lift_linear(b, v):
     the field's own phase grid.
 
     For diagonal B the kernel factorizes over the (x_a, xi_a) pairs and is
-    applied axis by axis; otherwise a dense kernel is assembled, which is
-    only feasible for small phase grids.
+    applied axis by axis, one tensordot over each axis's (center, frequency)
+    pair; otherwise a dense kernel is assembled, which is only feasible for
+    small phase grids.
     """
     b = np.asarray(b, dtype=float)
     pg = v.grid
     dim = pg.dim
-    assert b.shape == (dim, dim)
+    if b.shape != (dim, dim):
+        raise ValueError("lifted map of shape %s on a %d-dimensional phase "
+                         "grid" % (b.shape, dim))
     if np.allclose(b, np.diag(np.diag(b))):
-        d = dim
-        nc = [ax.centers.size for ax in pg.axes]
-        nf = [ax.freqs.size for ax in pg.axes]
-        # move to pair-major layout (c1, f1, c2, f2, ...) and fold pairs
-        perm = []
-        for a in range(d):
-            perm += [a, d + a]
-        work = np.transpose(v.values, perm).reshape([nc[a] * nf[a] for a in range(d)])
-        for a in range(d):
-            beta = np.array([[b[a, a]]])
-            pairs = _pair_points(pg.axes[a])
-            k = linear_lift_kernel(beta, pairs, pairs)
-            w = pg.axes[a].c_spacing * pg.axes[a].f_spacing
-            work = np.tensordot(w * k, work, axes=([1], [0]))
-            work = np.moveaxis(work, 0, d - 1)
-        work = work.reshape([n for a in range(d) for n in (nc[a], nf[a])])
-        inv = []
-        for a in range(d):
-            inv += [2 * a]
-        for a in range(d):
-            inv += [2 * a + 1]
-        return PhaseField(pg, np.transpose(work, inv))
+        work = v.values
+        for a, ax in enumerate(pg.axes):
+            nc, nf = ax.centers.size, ax.freqs.size
+            pairs = np.stack([np.repeat(ax.centers, nf),
+                              np.tile(ax.freqs, nc)], axis=-1)
+            k = linear_lift_kernel(b[a:a + 1, a:a + 1], pairs, pairs)
+            k *= ax.c_spacing * ax.f_spacing
+            work = np.tensordot(k.reshape(nc, nf, nc, nf), work,
+                                axes=([2, 3], [a, dim + a]))
+            work = np.moveaxis(work, (0, 1), (a, dim + a))
+        return PhaseField(pg, work)
     check_dense(pg.num_points, pg.num_points,
                 "dense non-diagonal lift kernel")
     pts = pg.points()
@@ -519,25 +517,19 @@ def l0_hat_kernel(b, pts_out, pts_in):
     """Closed-form kernel of L0_hat = d(B)^(1/2) P_0 L_0 P_0 on R^(2d),
     where L_0 u(zeta) = u(B^{-T} zeta) and P_0 projects with omega_dagger."""
     b = np.asarray(b, dtype=float)
-    dim = b.shape[0]
-    d = dim // 2
-    j = dagger_form_matrix(dim)
+    j = dagger_form_matrix(b.shape[0])
     if np.linalg.norm(b.T @ j @ b - j, 2) > 1e-10:
         raise ValueError("B does not preserve omega_dagger")
-    binv = np.linalg.inv(b)
-    eye = np.eye(dim)
-    a_mat = (eye + binv @ binv.T) / 2.0
-    p1 = (eye - 1j * j) / 2.0
-    p2 = binv @ (eye + 1j * j) / 2.0
-    pref = np.sqrt(det_factor(b)) * (2.0 * np.pi) ** (-d) \
-        / np.sqrt(np.linalg.det(a_mat))
-    return _gaussian_pair_kernel(a_mat, p1, p2, pref, pts_out, pts_in)
+    return _pair_kernel(np.linalg.inv(b), j, np.sqrt(det_factor(b)),
+                        pts_out, pts_in)
 
 
 def l0_hat(b, u):
     """Apply L0_hat to a field on a grid over R^(2d)."""
     b = np.asarray(b, dtype=float)
-    assert u.grid.dim == b.shape[0]
+    if u.grid.dim != b.shape[0]:
+        raise ValueError("L0_hat of a %d x %d matrix on a %d-dimensional "
+                         "grid" % (b.shape + (u.grid.dim,)))
     check_dense(u.grid.num_points, u.grid.num_points, "L0_hat kernel")
     pts = u.grid.nodes()
     k = l0_hat_kernel(b, pts, pts)

@@ -38,7 +38,7 @@ import string
 import numpy as np
 
 from .aniso_norm import bracket
-from .fbi_core import dual_phase_grid, normalization
+from .fbi_core import normalization
 
 
 class FlowGrid:
@@ -151,13 +151,8 @@ class PartialPacketIndex:
         return np.concatenate([[self.xi0], self.xi_dag])
 
 
-def partial_packet(x_dag, xi=None):
-    """Pointwise packet Phi_{x_dag, xi} on R^(2d+1) for oracle checks.
-
-    Accepts either a PartialPacketIndex or the pair (x_dag, xi)."""
-    if xi is None:
-        idx = x_dag
-        x_dag, xi = idx.x_dag, idx.xi
+def partial_packet(x_dag, xi):
+    """Pointwise packet Phi_{x_dag, xi} on R^(2d+1) for oracle checks."""
     x_dag = np.asarray(x_dag, dtype=float)
     xi = np.asarray(xi, dtype=float)
     d2 = x_dag.size
@@ -322,10 +317,8 @@ def flow_slices(vol, pg):
         yield xi0, kappa, _slice_forward(slice_vals, pg, kappa)
 
 
-def pfbi_forward(vol, pg=None, n_freq=None):
+def pfbi_forward(vol, pg):
     """Apply the partial transform, materializing all flow slices."""
-    if pg is None:
-        pg = dual_phase_grid(vol.trans, n_freq=n_freq)
     out = np.empty((vol.flow.n_points,) + pg.shape(), dtype=complex)
     for s, (_, _, coeff) in enumerate(flow_slices(vol, pg)):
         out[s] = coeff
@@ -350,11 +343,9 @@ def pfbi_adjoint(pf, trans=None):
     return VolumeField(pf.flow, trans, vals)
 
 
-def pfbi_roundtrip(vol, pg=None, n_freq=None):
+def pfbi_roundtrip(vol, pg):
     """Streamed T* T application, the resolution of identity, one flow
     slice at a time."""
-    if pg is None:
-        pg = dual_phase_grid(vol.trans, n_freq=n_freq)
     out_hat = np.empty_like(vol.values)
     for s, (_, kappa, coeff) in enumerate(flow_slices(vol, pg)):
         out_hat[s] = _slice_adjoint(coeff, pg, kappa)

@@ -354,8 +354,8 @@ def kernel_entry_direct(spec, flow, trans, out_index, in_index):
     """
     pts = _volume_points(flow, trans.nodes())
     fpts = spec.map.apply(pts)
-    phi_o = partial_packet(out_index)
-    phi_i = partial_packet(in_index)
+    phi_o = partial_packet(out_index.x_dag, out_index.xi)
+    phi_i = partial_packet(in_index.x_dag, in_index.xi)
     g = np.asarray(spec.g(pts), dtype=complex)
     val = np.sum(np.conj(phi_o(pts)) * g * phi_i(fpts))
     return complex(val * flow.spacing * trans.weight)

@@ -89,7 +89,7 @@ def test_criterion_02_isometry_full_and_partial():
         return np.exp(2j * p[:, 0]
                       - np.sum(p[:, 1:] ** 2, axis=-1) / 1.28)
     vol = sample_volume(f, flow, trans)
-    pf = pfbi_forward(vol)
+    pf = pfbi_forward(vol, dual_phase_grid(trans))
     partial = abs(pf.norm() - vol.norm()) / vol.norm()
     verdict(2, "isometry of full and partial transforms",
             worst <= 1e-6 and partial <= 1e-6,

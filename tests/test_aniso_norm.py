@@ -332,4 +332,4 @@ class TestVolumeNorms:
         spec = WeightSpec(r=2.0)
         pg = dual_phase_grid(self.trans, center_margin=3.5)
         ref = np.sqrt(weighted_gram([self.vol], pg, spec)[0, 0].real)
-        assert abs(aniso_norm(self.vol, spec, pg) - ref) <= 1e-12 * ref
+        assert abs(aniso_norm(self.vol, spec) - ref) <= 1e-12 * ref

@@ -1,11 +1,13 @@
 """Tests for wave packets, the transform pair and lifted linear maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseAxis, PhaseGrid,
-                                 PhaseSpacePoint, apply_p_omega,
+from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseAxis, PhaseField,
+                                 PhaseGrid, PhaseSpacePoint, apply_p_omega,
                                  cone_certificate, dagger_form_matrix, det_factor,
                                  dual_phase_grid, fbi_adjoint, fbi_forward,
                                  fbi_forward_at, flip_half, l0_hat,
@@ -13,7 +15,7 @@ from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseAxis, PhaseGrid,
                                  linear_lift_kernel, normalization,
                                  projection_kernel, projection_kernel_matrix,
                                  wave_packet, z_change)
-from contactfbi.numerics import make_grid, quad_inner, sample
+from contactfbi.numerics import Field, make_grid, quad_inner, sample
 
 
 def packet_field(grid, x, xi):
@@ -338,6 +340,160 @@ class TestLiftedMaps:
         u = sample(lambda p: np.exp(-np.sum(p ** 2, axis=-1) / 2.0), g)
         out = l0_hat(np.diag([4.0, 0.25]), u)
         assert out.norm() <= 1.05 * u.norm()
+
+
+def old_projection_kernel_matrix(po, pi_):
+    # the exponent as it was built before the one Gaussian kernel builder:
+    # the form, the squared distance, then one exp of the sum
+    dim = po.shape[1] // 2
+    s = dagger_form_matrix(2 * dim)
+    omega = po @ s @ pi_.T
+    d2 = (np.sum(po ** 2, axis=1)[:, None] + np.sum(pi_ ** 2, axis=1)[None, :]
+          - 2.0 * po @ pi_.T)
+    return (2.0 * np.pi) ** (-dim) * np.exp(0.5j * omega - d2 / 4.0)
+
+
+def old_apply_p_omega(u, j):
+    dim = u.grid.dim
+    pref = (2.0 * np.pi) ** (-(dim // 2)) * u.grid.weight
+    pts = u.grid.nodes()
+    ph = pts @ j @ pts.T
+    d2 = (np.sum(pts ** 2, axis=1)[:, None] + np.sum(pts ** 2, axis=1)[None, :]
+          - 2.0 * pts @ pts.T)
+    return pref * (np.exp(0.5j * ph - d2 / 4.0) @ u.values)
+
+
+def old_pair_kernel(a_mat, p1, p2, pref, po, pi_):
+    q11 = p1.T @ np.linalg.solve(a_mat, p1)
+    q12 = p1.T @ np.linalg.solve(a_mat, p2)
+    q22 = p2.T @ np.linalg.solve(a_mat, p2)
+    e_out = 0.5 * np.einsum("ni,ij,nj->n", po, q11, po) \
+        - np.sum(po ** 2, axis=1) / 4.0
+    e_in = 0.5 * np.einsum("ni,ij,nj->n", pi_, q22, pi_) \
+        - np.sum(pi_ ** 2, axis=1) / 4.0
+    return pref * np.exp(po @ q12 @ pi_.T + e_out[:, None] + e_in[None, :])
+
+
+def old_linear_lift_kernel(b, po, pi_):
+    dim = b.shape[0]
+    s = dagger_form_matrix(2 * dim)
+    btilde = np.zeros((2 * dim, 2 * dim))
+    btilde[:dim, :dim] = b
+    btilde[dim:, dim:] = np.linalg.inv(b).T
+    eye = np.eye(2 * dim)
+    a_mat = (eye + btilde.T @ btilde) / 2.0
+    pref = det_factor(b) * (2.0 * np.pi) ** (-dim) \
+        / np.sqrt(np.linalg.det(a_mat))
+    return old_pair_kernel(a_mat, (eye - 1j * s) / 2.0,
+                           btilde.T @ (eye + 1j * s) / 2.0, pref, po, pi_)
+
+
+def old_l0_hat_kernel(b, po, pi_):
+    dim = b.shape[0]
+    j = dagger_form_matrix(dim)
+    binv = np.linalg.inv(b)
+    eye = np.eye(dim)
+    a_mat = (eye + binv @ binv.T) / 2.0
+    pref = np.sqrt(det_factor(b)) * (2.0 * np.pi) ** (-(dim // 2)) \
+        / np.sqrt(np.linalg.det(a_mat))
+    return old_pair_kernel(a_mat, (eye - 1j * j) / 2.0,
+                           binv @ (eye + 1j * j) / 2.0, pref, po, pi_)
+
+
+def old_lift_linear_diagonal(b, v):
+    # the pair-major loop: permute to (c1, f1, c2, f2, ...), fold each
+    # (c_a, f_a) pair, contract axis by axis and permute back
+    pg = v.grid
+    d = pg.dim
+    nc = [ax.centers.size for ax in pg.axes]
+    nf = [ax.freqs.size for ax in pg.axes]
+    perm = [i for a in range(d) for i in (a, d + a)]
+    work = np.transpose(v.values, perm).reshape(
+        [nc[a] * nf[a] for a in range(d)])
+    for a in range(d):
+        ax = pg.axes[a]
+        pairs = np.stack([np.repeat(ax.centers, nf[a]),
+                          np.tile(ax.freqs, nc[a])], axis=-1)
+        k = old_linear_lift_kernel(np.array([[b[a, a]]]), pairs, pairs)
+        w = ax.c_spacing * ax.f_spacing
+        work = np.tensordot(w * k, work, axes=([1], [0]))
+        work = np.moveaxis(work, 0, d - 1)
+    work = work.reshape([n for a in range(d) for n in (nc[a], nf[a])])
+    inv = [2 * a for a in range(d)] + [2 * a + 1 for a in range(d)]
+    return np.transpose(work, inv)
+
+
+def max_rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestGaussianKernels:
+    """The in-place kernel builder against the exponent builds it replaced."""
+
+    def test_projection_kernel_matrix(self):
+        rng = np.random.default_rng(21)
+        for dim in (1, 2):
+            po = 2.0 * rng.normal(size=(30, 2 * dim))
+            pi_ = 2.0 * rng.normal(size=(25, 2 * dim))
+            assert max_rel(projection_kernel_matrix(po, pi_),
+                           old_projection_kernel_matrix(po, pi_)) <= 1e-13
+
+    def test_apply_p_omega_dagger_and_rotated_form(self):
+        rng = np.random.default_rng(22)
+        g = make_grid(2, 4.0, 12)
+        u = Field(g, rng.normal(size=g.num_points)
+                  + 1j * rng.normal(size=g.num_points))
+        j = dagger_form_matrix(2)
+        assert max_rel(apply_p_omega(u, j).values,
+                       old_apply_p_omega(u, j)) <= 1e-13
+        # a compatible form on R^4 other than omega_dagger: Q J Q^T
+        g4 = make_grid(4, 3.0, 6)
+        u4 = Field(g4, rng.normal(size=g4.num_points))
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        j4 = q @ dagger_form_matrix(4) @ q.T
+        assert max_rel(apply_p_omega(u4, j4).values,
+                       old_apply_p_omega(u4, j4)) <= 1e-13
+
+    @pytest.mark.parametrize("b", [np.diag([2.0, 0.5]),
+                                   np.array([[2.0, 0.3], [-0.1, 0.6]])])
+    def test_linear_lift_kernel(self, b):
+        rng = np.random.default_rng(23)
+        po = 2.0 * rng.normal(size=(30, 4))
+        pi_ = 2.0 * rng.normal(size=(25, 4))
+        assert max_rel(linear_lift_kernel(b, po, pi_),
+                       old_linear_lift_kernel(b, po, pi_)) <= 1e-13
+
+    def test_l0_hat_kernel(self):
+        rng = np.random.default_rng(24)
+        shear = np.array([[1.0, 0.4], [0.0, 1.0]])
+        for b in (np.diag([4.0, 0.25]), np.diag([4.0, 0.25]) @ shear):
+            po = 3.0 * rng.normal(size=(30, 2))
+            pi_ = 3.0 * rng.normal(size=(25, 2))
+            assert max_rel(l0_hat_kernel(b, po, pi_),
+                           old_l0_hat_kernel(b, po, pi_)) <= 1e-13
+
+    @pytest.mark.parametrize("dim, n, n_freq", [(1, 12, 16), (2, 8, 8)])
+    def test_lift_linear_matches_pair_major_loop(self, dim, n, n_freq):
+        rng = np.random.default_rng(25)
+        pg = dual_phase_grid(make_grid(dim, 4.0, n), n_freq=n_freq)
+        v = PhaseField(pg, rng.normal(size=pg.shape())
+                       + 1j * rng.normal(size=pg.shape()))
+        b = np.diag([2.0, 0.5][:dim])
+        assert max_rel(lift_linear(b, v).values,
+                       old_lift_linear_diagonal(b, v)) <= 1e-13
+
+    def test_p_omega_kernel_built_in_place(self):
+        g = make_grid(2, 8.0, 40)
+        u = sample(lambda p: np.exp(-np.sum(p ** 2, axis=-1) / 2.0), g)
+        j = dagger_form_matrix(2)
+        kernel_bytes = g.num_points ** 2 * 16
+        tracemalloc.start()
+        try:
+            apply_p_omega(u, j)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * kernel_bytes
 
 
 class TestZChange:

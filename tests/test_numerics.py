@@ -86,13 +86,17 @@ class TestDenseBudget:
 
     def test_input_checks_survive_optimized_mode(self):
         # python -O strips assert statements; these checks must still raise
+        # their own ValueError, told apart from one numpy raises later by
+        # a fragment of the package's message
         script = textwrap.dedent("""
             import numpy as np
             from contactfbi.aniso_norm import WeightSpec
             from contactfbi.contact_geometry import ContactMap
             from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseField,
-                                             apply_p_omega, dual_phase_grid,
-                                             fbi_forward)
+                                             PhaseSpacePoint, apply_p_omega,
+                                             dual_phase_grid, fbi_forward,
+                                             l0_hat, lift_linear,
+                                             projection_kernel)
             from contactfbi.numerics import Field, check_dense, make_grid
             from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
                                                 VolumeField, reconstruct_slice,
@@ -124,65 +128,121 @@ class TestDenseBudget:
             mat = lift_kernel(spec, flow, trans, pg)
             b4 = np.diag([4.0, 0.25])
             cases = {
-                "not symplectic": lambda: ContactMap.linear(
-                    np.diag([2.0, 1.0])),
-                "norm s below one": lambda: weighted_norm_measure(
-                    b4, 0.5, 0.0, half_widths=(2.0, 2.0)),
-                "norm half widths": lambda: weighted_norm_measure(
-                    b4, 1.0, 0.0, half_widths=(2.0,)),
+                "not symplectic": ("not symplectic", lambda: ContactMap.linear(
+                    np.diag([2.0, 1.0]))),
+                "norm s below one": ("s must be at least 1",
+                                     lambda: weighted_norm_measure(
+                                         b4, 0.5, 0.0, half_widths=(2.0, 2.0))),
+                "norm half widths": ("1 half widths for a 2-dimensional",
+                                     lambda: weighted_norm_measure(
+                                         b4, 1.0, 0.0, half_widths=(2.0,))),
                 # W^2r under- and overflows at r = 1000: zero or nan
-                "norm weight": lambda: weighted_norm_measure(
-                    b4, 1.0, 1000.0, half_widths=(10.0, 10.0)),
-                "lattice": lambda: _axis_lattice(2.0, 0.0),
-                "frame k": lambda: CentralFrame(
-                    spec, 0, WeightSpec(big_n=8.0), FlowGrid(np.pi, 2)),
-                "v_s": lambda: v_s(np.zeros((1, 2)), 0.5, 1.0),
-                "report": lambda: SpectrumReport([1.0, np.nan], {}, 0.5),
-                "block apply": lambda: block.apply(np.zeros((1, 1))),
-                "block adjoint": lambda: block.apply_adjoint(
-                    np.zeros((1, 1))),
-                "lift_apply slices": lambda: lift_apply(spec, flow, trans,
-                                                        pg, four_slices),
-                "matrix apply": lambda: mat.apply(other_grid),
-                "small band": lambda: dual_phase_grid(make_grid(1, 8.0, 32),
-                                                      n_freq=16),
-                "rotation": lambda: LinearHyperbolicMap(rot, lam=1.0),
-                "non-unimodular": lambda: LinearHyperbolicMap(
-                    np.diag([4.0, 0.5]), lam=1.0),
-                "over budget": lambda: check_dense(10 ** 5, 10 ** 5, "big"),
-                "field": lambda: Field(trans, np.zeros(3)),
-                "phase field": lambda: PhaseField(pg, np.zeros(3)),
-                "volume field": lambda: VolumeField(flow, trans,
-                                                    np.zeros((2, 3))),
-                "partial phase field": lambda: PartialPhaseField(
-                    flow, pg, np.zeros((3,) + pg.shape())),
-                "operator matrix": lambda: OperatorMatrix(
-                    np.zeros((3, 3)), flow, pg),
-                "scaled": lambda: mat.scaled(np.ones(3)),
-                "forward dimension": lambda: fbi_forward(
-                    Field(make_grid(1, 1.2, 4), np.zeros(4)), pg),
-                "forward node count": lambda: fbi_forward(
-                    Field(make_grid(2, 1.2, 6), np.zeros(36)), pg),
-                "forward nodes": lambda: fbi_forward(
-                    Field(make_grid(2, 1.0, 4), np.zeros(16)), pg),
-                "flow points": lambda: FlowGrid(np.pi, 3),
-                "point width": lambda: reconstruct_slice(
-                    np.zeros(pg.shape()), pg, 1.0, np.zeros((2, 3))),
-                "scatter count": lambda: scatter_slice(
-                    np.zeros(3), pg, 1.0, np.zeros((2, 2))),
-                "amplitude": lambda: TransferSpec(spec.map, 1.0),
-                "transfer grids": lambda: transfer_apply(
-                    spec, lambda p: p[:, 0]),
-                "rho": lambda: kernel_bound_audit(spec, flow, trans, pg,
-                                                  rho=0.0),
-                "omega shape": lambda: apply_p_omega(
-                    Field(trans, np.zeros(16)), np.eye(3)),
+                "norm weight": ("not positive and finite",
+                                lambda: weighted_norm_measure(
+                                    b4, 1.0, 1000.0,
+                                    half_widths=(10.0, 10.0))),
+                "lattice": ("positive half width and step",
+                            lambda: _axis_lattice(2.0, 0.0)),
+                "frame k": ("k must be at least 1", lambda: CentralFrame(
+                    spec, 0, WeightSpec(big_n=8.0), FlowGrid(np.pi, 2))),
+                "v_s": ("s must be at least 1",
+                        lambda: v_s(np.zeros((1, 2)), 0.5, 1.0)),
+                "report": ("non-finite eigenvalue",
+                           lambda: SpectrumReport([1.0, np.nan], {}, 0.5)),
+                "block apply": ("block input of shape (1, 1)",
+                                lambda: block.apply(np.zeros((1, 1)))),
+                "block adjoint": ("block input of shape (1, 1)",
+                                  lambda: block.apply_adjoint(
+                                      np.zeros((1, 1)))),
+                "lift_apply slices": ("4 flow slices, the lift 2",
+                                      lambda: lift_apply(spec, flow, trans,
+                                                         pg, four_slices)),
+                "matrix apply": ("the matrix acts on",
+                                 lambda: mat.apply(other_grid)),
+                "small band": ("frequency count 16 too small",
+                               lambda: dual_phase_grid(make_grid(1, 8.0, 32),
+                                                       n_freq=16)),
+                "rotation": ("cone/expansion certificate failed",
+                             lambda: LinearHyperbolicMap(rot, lam=1.0)),
+                "non-unimodular": ("unit determinant",
+                                   lambda: LinearHyperbolicMap(
+                                       np.diag([4.0, 0.5]), lam=1.0)),
+                "over budget": ("above the dense budget",
+                                lambda: check_dense(10 ** 5, 10 ** 5, "big")),
+                "field": ("value count 3 does not match",
+                          lambda: Field(trans, np.zeros(3))),
+                "phase field": ("does not match phase grid",
+                                lambda: PhaseField(pg, np.zeros(3))),
+                "volume field": ("shape (2, 3) does not match",
+                                 lambda: VolumeField(flow, trans,
+                                                     np.zeros((2, 3)))),
+                "partial phase field": ("shape (3, 4, 4, 4, 4) does not match",
+                                        lambda: PartialPhaseField(
+                                            flow, pg,
+                                            np.zeros((3,) + pg.shape()))),
+                "operator matrix": ("the grids need 512 x 512",
+                                    lambda: OperatorMatrix(
+                                        np.zeros((3, 3)), flow, pg)),
+                "scaled": ("column diagonal of shape (3,)",
+                           lambda: mat.scaled(np.ones(3))),
+                "forward dimension": ("a 1-dimensional field on a "
+                                      "2-dimensional phase grid",
+                                      lambda: fbi_forward(
+                                          Field(make_grid(1, 1.2, 4),
+                                                np.zeros(4)), pg)),
+                "forward node count": ("4 quadrature nodes per axis, the "
+                                       "field 6", lambda: fbi_forward(
+                                           Field(make_grid(2, 1.2, 6),
+                                                 np.zeros(36)), pg)),
+                "forward nodes": ("quadrature nodes differ",
+                                  lambda: fbi_forward(
+                                      Field(make_grid(2, 1.0, 4),
+                                            np.zeros(16)), pg)),
+                "flow points": ("even number of points",
+                                lambda: FlowGrid(np.pi, 3)),
+                "point width": ("points of width 3",
+                                lambda: reconstruct_slice(
+                                    np.zeros(pg.shape()), pg, 1.0,
+                                    np.zeros((2, 3)))),
+                "scatter count": ("3 values for 2 points",
+                                  lambda: scatter_slice(
+                                      np.zeros(3), pg, 1.0,
+                                      np.zeros((2, 2)))),
+                "amplitude": ("g must be callable",
+                              lambda: TransferSpec(spec.map, 1.0)),
+                "transfer grids": ("needs the flow and transversal grids",
+                                   lambda: transfer_apply(
+                                       spec, lambda p: p[:, 0])),
+                "rho": ("rho must be positive",
+                        lambda: kernel_bound_audit(spec, flow, trans, pg,
+                                                   rho=0.0)),
+                "omega shape": ("omega must be a square matrix",
+                                lambda: apply_p_omega(
+                                    Field(trans, np.zeros(16)), np.eye(3))),
+                "lift shape": ("lifted map of shape (3, 3) on a "
+                               "2-dimensional phase grid",
+                               lambda: lift_linear(
+                                   np.eye(3), PhaseField(
+                                       pg, np.zeros(pg.shape())))),
+                "l0_hat dimension": ("L0_hat of a 4 x 4 matrix on a "
+                                     "2-dimensional grid",
+                                     lambda: l0_hat(
+                                         np.eye(4),
+                                         Field(trans, np.zeros(16)))),
+                "packet dimensions": ("packets of dimensions 1 and 2",
+                                      lambda: projection_kernel(
+                                          PhaseSpacePoint([0.0], [0.0]),
+                                          PhaseSpacePoint([0.0, 0.0],
+                                                          [0.0, 0.0]))),
             }
-            for name, case in cases.items():
+            for name, (fragment, case) in cases.items():
                 try:
                     case()
-                except ValueError:
-                    continue
+                except ValueError as err:
+                    if fragment in str(err):
+                        continue
+                    raise SystemExit("%s: %r lacks %r" % (name, str(err),
+                                                          fragment))
                 raise SystemExit("no ValueError for " + name)
             print("ok")
         """)
