@@ -315,16 +315,20 @@ class TestLiftedMaps:
             l0_hat_kernel(np.diag([2.0, 1.0]), np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_lift_diagonal_matches_dense(self):
-        # the separable per-axis application must agree with the dense kernel
+        # the separable per-axis application (diagonal B) and the dense
+        # branch (non-diagonal B; an off-diagonal entry within allclose of
+        # zero still takes the separable one) must agree with the dense
+        # kernel applied on the whole phase grid
         g = make_grid(2, 4.0, 8)
         pg = dual_phase_grid(g, n_freq=8)
         u = sample(lambda p: np.exp(-np.sum(p ** 2, axis=-1) / 2.0), g)
         v = fbi_forward(u, pg)
-        b = np.diag([2.0, 0.5])
-        sep = lift_linear(b, v)
-        dense_b = b + np.array([[0.0, 1e-30], [0.0, 0.0]])  # force dense path
-        dense = lift_linear(dense_b, v)
-        assert np.allclose(sep.values, dense.values, atol=1e-10)
+        pts = pg.points()
+        for b in (np.diag([2.0, 0.5]), np.array([[2.0, 0.1], [0.0, 0.5]])):
+            dense = (linear_lift_kernel(b, pts, pts) @ v.values.ravel()) \
+                * pg.weight
+            assert np.allclose(lift_linear(b, v).values.ravel(), dense,
+                               atol=1e-10)
 
     def test_l0_hat_norm_near_one(self):
         # quick version of the operator norm anchor at lambda = 4
