@@ -466,7 +466,7 @@ def lift_linear(b, v):
     if b.shape != (dim, dim):
         raise ValueError("lifted map of shape %s on a %d-dimensional phase "
                          "grid" % (b.shape, dim))
-    if np.allclose(b, np.diag(np.diag(b))):
+    if not np.count_nonzero(b - np.diag(np.diag(b))):
         work = v.values
         for a, ax in enumerate(pg.axes):
             nc, nf = ax.centers.size, ax.freqs.size

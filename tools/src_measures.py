@@ -16,12 +16,12 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "contactfbi")
 
 
-def measures(src_dir=SRC):
+def measures():
     lines = defaults = asserts = 0
-    for name in sorted(os.listdir(src_dir)):
+    for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
             continue
-        with open(os.path.join(src_dir, name)) as fh:
+        with open(os.path.join(SRC, name)) as fh:
             text = fh.read()
         lines += sum(1 for ln in text.splitlines()
                      if ln.strip() and not ln.strip().startswith("#"))
