@@ -212,16 +212,21 @@ def cutoffs(x_dag, xi, spec):
 
 
 def _streamed_norm(vol, weight):
-    """L2 norm of weight(xi0, pts) times the partial transform of vol,
-    streamed over the flow slices on the norm grid
-    dual_phase_grid(vol.trans, center_margin=3.5); pts are its phase
-    points."""
+    """L2 norm of the weighted partial transform of vol, streamed over the
+    flow slices on the norm grid pg = dual_phase_grid(vol.trans,
+    center_margin=3.5).
+
+    weight(pg) is called once and returns the slice weight, a function of
+    xi0 whose values broadcast against a slice's coefficients of shape
+    pg.shape(): a weight of the frequencies alone has shape
+    (1,) * D + (nf_1, ..., nf_D), a pointwise one the full shape.
+    """
     from .partial_fbi import flow_slices
     pg = dual_phase_grid(vol.trans, center_margin=3.5)
-    pts = pg.points()
+    slice_weight = weight(pg)
     total = 0.0
     for xi0, _, coeff in flow_slices(vol, pg):
-        total += float(np.sum(np.abs(weight(xi0, pts) * coeff.ravel()) ** 2))
+        total += float(np.sum(np.abs(slice_weight(xi0) * coeff) ** 2))
     return float(np.sqrt(total * vol.flow.freq_spacing * pg.weight))
 
 
@@ -232,8 +237,10 @@ def aniso_norm(vol, spec):
     of W^2r evaluated at the slice frequency and the transversal phase
     point.
     """
-    def weight(xi0, pts):
-        return cal_w_aniso(*slice_covectors(pts, xi0), spec.r)
+    def weight(pg):
+        pts = pg.points()
+        return lambda xi0: cal_w_aniso(
+            *slice_covectors(pts, xi0), spec.r).reshape(pg.shape())
 
     return _streamed_norm(vol, weight)
 
@@ -262,9 +269,13 @@ def sobolev_norms(vol, r):
     fourier = np.sqrt(float(np.sum(
         np.abs(uhat) ** 2 * bracket(xi_norm) ** (2.0 * r))) * meas)
 
-    def weight(xi0, pts):
-        full = np.sqrt(xi0 ** 2 + np.sum(pts[:, d2:] ** 2, axis=-1))
-        return bracket(full) ** r
+    def weight(pg):
+        # |xi_dag|^2 on the frequency lattice alone, summed axis by axis in
+        # the order of the columns of pg.points(), so that the weight
+        # equals the pointwise one bit for bit
+        xi_dag2 = sum(f ** 2 for f in np.ix_(*(ax.freqs for ax in pg.axes)))
+        xi_dag2 = xi_dag2.reshape((1,) * d2 + xi_dag2.shape)
+        return lambda xi0: bracket(np.sqrt(xi0 ** 2 + xi_dag2)) ** r
 
     pfbi = _streamed_norm(vol, weight)
     return float(fourier), float(pfbi)

@@ -193,7 +193,7 @@ def fbi_forward(u, pg):
     """T u on the phase grid: quadrature pairing of u with every packet.
 
     This is the partial transform's slice core at kappa = 1."""
-    from .partial_fbi import _slice_forward
+    from .partial_fbi import _slice_forward, _slice_matrices
     _check_nyquist(pg)
     if u.grid.dim != pg.dim:
         raise ValueError("a %d-dimensional field on a %d-dimensional phase "
@@ -206,18 +206,20 @@ def fbi_forward(u, pg):
         if not np.allclose(ax.y, u.grid.axis_nodes()):
             raise ValueError("phase grid quadrature nodes differ from the "
                              "field's grid nodes")
-    return PhaseField(pg, _slice_forward(u.reshape(), pg, 1.0))
+    return PhaseField(pg, _slice_forward(
+        u.reshape(), pg, 1.0, _slice_matrices(pg, 1.0, conj=True)))
 
 
 def fbi_adjoint(v, space_grid=None):
     """T* v: weighted superposition of packets, sampled on the space grid.
 
     This is the partial transform's adjoint slice core at kappa = 1."""
-    from .partial_fbi import _slice_adjoint
+    from .partial_fbi import _slice_adjoint, _slice_matrices
     pg = v.grid
     if space_grid is None:
         space_grid = pg.space_grid()
-    return Field(space_grid, _slice_adjoint(v.values, pg, 1.0).ravel())
+    return Field(space_grid, _slice_adjoint(
+        v.values, pg, 1.0, _slice_matrices(pg, 1.0, conj=False)).ravel())
 
 
 def fbi_forward_at(u, points):

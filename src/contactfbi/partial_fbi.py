@@ -25,9 +25,13 @@ The off-grid packet factors of reconstruct_slice / scatter_slice are
 memoized on each PhaseAxis: their callers (the central block's power
 iteration, lift_apply, lift_kernel) evaluate the same mapped points at
 the same few widths on every application.  The on-grid factors of
-_slice_axis_matrix are rebuilt on each call: flow_slices builds each
-large (kappa, axis) matrix once per volume, so a cache would only pin all
-of them in memory.
+_slice_axis_matrix reach _slice_forward / _slice_adjoint as an argument
+(_slice_matrices) and are rebuilt on each call, except those the
+central block of spectra holds: flow_slices, pcal_apply and the pfbi_*
+transforms build each large (kappa, axis) matrix once per volume, so a
+cache on the axis would only pin all of them in memory, while the
+central block applies the same few small out-side matrices hundreds of
+times and keeps them only as long as the block lives.
 
 Since the packet width shrinks with <xi0>, the transversal spacing must
 satisfy h <= 0.7 <xi0>^(-1/2) for the largest flow frequency on the grid.
@@ -141,10 +145,17 @@ class PartialPacketIndex:
         self.x_dag = np.asarray(x_dag, dtype=float)
         self.xi0 = float(xi0)
         self.xi_dag = np.asarray(xi_dag, dtype=float)
-        assert self.x_dag.shape == self.xi_dag.shape
-        assert np.all(np.isfinite(self.x_dag))
-        assert np.isfinite(self.xi0)
-        assert np.all(np.isfinite(self.xi_dag))
+        if self.x_dag.shape != self.xi_dag.shape:
+            raise ValueError("packet center of shape %s and frequency of "
+                             "shape %s differ" % (self.x_dag.shape,
+                                                  self.xi_dag.shape))
+        if not np.all(np.isfinite(self.x_dag)):
+            raise ValueError("non-finite packet center %r" % (self.x_dag,))
+        if not np.isfinite(self.xi0):
+            raise ValueError("non-finite flow frequency %r" % (self.xi0,))
+        if not np.all(np.isfinite(self.xi_dag)):
+            raise ValueError("non-finite transversal frequency %r"
+                             % (self.xi_dag,))
 
     @property
     def xi(self):
@@ -215,13 +226,19 @@ def _slice_axis_matrix(ax, kappa, conj):
     return _axis_factor(ax.centers, ax.freqs, ax.y, kappa, conj)
 
 
-def _slice_forward(slice_vals, pg, kappa):
+def _slice_matrices(pg, kappa, conj):
+    """The on-grid axis matrices of one slice width, one per axis of pg:
+    conjugate ones for _slice_forward, plain ones for _slice_adjoint."""
+    return [_slice_axis_matrix(ax, kappa, conj) for ax in pg.axes]
+
+
+def _slice_forward(slice_vals, pg, kappa, mats):
     """Forward transform of one slice sampled on the quadrature nodes of
-    pg, with the quadrature weight pg.y_weight."""
+    pg, with the quadrature weight pg.y_weight; mats are
+    _slice_matrices(pg, kappa, conj=True)."""
     d2 = pg.dim
     work = slice_vals
-    for ax in pg.axes:
-        m = _slice_axis_matrix(ax, kappa, conj=True)
+    for m in mats:
         # contract the leading y axis, appending (center, freq) at the end
         work = np.tensordot(work, m, axes=([0], [2]))
     # axes are now (c1, f1, c2, f2, ...) -> reorder to (c..., f...)
@@ -231,13 +248,13 @@ def _slice_forward(slice_vals, pg, kappa):
     return pref * work
 
 
-def _slice_adjoint(slice_vals, pg, kappa):
+def _slice_adjoint(slice_vals, pg, kappa, mats):
     """Adjoint of one slice: packet superposition with the phase grid
-    measure pg.weight, sampled on the quadrature nodes of pg."""
+    measure pg.weight, sampled on the quadrature nodes of pg; mats are
+    _slice_matrices(pg, kappa, conj=False)."""
     d2 = pg.dim
     work = slice_vals
-    for a, ax in enumerate(pg.axes):
-        m = _slice_axis_matrix(ax, kappa, conj=False)
+    for a, m in enumerate(mats):
         # after a contractions the layout is (c_{a+1}..c_D, f_{a+1}..f_D,
         # y_1..y_a); contract the leading center axis with its frequency
         work = np.tensordot(work, m, axes=([0, d2 - a], [0, 1]))
@@ -314,7 +331,8 @@ def flow_slices(vol, pg):
     hat = np.tensordot(vol.flow.dft_matrix(), vol.values, axes=([1], [0]))
     for xi0, slice_vals in zip(vol.flow.freqs(), hat):
         kappa = float(bracket(xi0))
-        yield xi0, kappa, _slice_forward(slice_vals, pg, kappa)
+        yield xi0, kappa, _slice_forward(
+            slice_vals, pg, kappa, _slice_matrices(pg, kappa, conj=True))
 
 
 def pfbi_forward(vol, pg):
@@ -337,7 +355,8 @@ def pfbi_adjoint(pf, trans=None):
     hat = np.empty((pf.flow.n_points,) + trans.shape(), dtype=complex)
     for s, xi0 in enumerate(pf.flow.freqs()):
         kappa = float(bracket(xi0))
-        hat[s] = _slice_adjoint(pf.values[s], pg, kappa)
+        hat[s] = _slice_adjoint(pf.values[s], pg, kappa,
+                                _slice_matrices(pg, kappa, conj=False))
     inv = pf.flow.idft_matrix()
     vals = np.tensordot(inv, hat, axes=([1], [0]))
     return VolumeField(pf.flow, trans, vals)
@@ -348,7 +367,8 @@ def pfbi_roundtrip(vol, pg):
     slice at a time."""
     out_hat = np.empty_like(vol.values)
     for s, (_, kappa, coeff) in enumerate(flow_slices(vol, pg)):
-        out_hat[s] = _slice_adjoint(coeff, pg, kappa)
+        out_hat[s] = _slice_adjoint(coeff, pg, kappa,
+                                    _slice_matrices(pg, kappa, conj=False))
     vals = np.tensordot(vol.flow.idft_matrix(), out_hat, axes=([1], [0]))
     return VolumeField(vol.flow, vol.trans, vals)
 
@@ -360,6 +380,8 @@ def pcal_apply(pf):
     out = np.empty_like(pf.values)
     for s, xi0 in enumerate(pf.flow.freqs()):
         kappa = float(bracket(xi0))
-        mid = _slice_adjoint(pf.values[s], pg, kappa)
-        out[s] = _slice_forward(mid, pg, kappa)
+        mid = _slice_adjoint(pf.values[s], pg, kappa,
+                             _slice_matrices(pg, kappa, conj=False))
+        out[s] = _slice_forward(mid, pg, kappa,
+                                _slice_matrices(pg, kappa, conj=True))
     return PartialPhaseField(pf.flow, pg, out)

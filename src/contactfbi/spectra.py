@@ -24,9 +24,10 @@ from .aniso_norm import (bracket, cal_w_aniso, chi, cutoffs, q_block,
 from .contact_geometry import ContactMap, alpha0_covector, det_on_unstable
 from .fbi_core import PhaseAxis, PhaseGrid, l0_hat_kernel
 from .numerics import check_dense, operator_norm
-# unused here, but bench/test_smoke.py checks the tracer rewraps this binding
-from .partial_fbi import (_slice_forward, flow_slices, partial_packet,
-                          sample_volume)
+# _slice_forward is unused here, but bench/test_smoke.py checks the tracer
+# rewraps this binding
+from .partial_fbi import (_slice_forward, _slice_matrices, flow_slices,
+                          partial_packet, sample_volume)
 from .transfer_ops import (TransferSpec, coupled_adjoint, coupled_forward,
                            lift_coupling, lift_kernel, transfer_apply)
 
@@ -399,12 +400,19 @@ class CentralBlock:
     frame.linearized with widths and weights at the one frozen frequency
     k^2; a single frequency row broadcasts over every slice.
 
-    The block is the lift of transfer_ops restricted to the slab: its
-    slice coupling (lift_coupling on the frame's quadrature, within dmax
-    offsets) is built once, and apply / apply_adjoint run coupled_forward
-    / coupled_adjoint between the column and row weights.  An apply costs
-    n_eta reconstruct_slice plus n_xi _slice_forward calls, an adjoint
-    n_xi _slice_adjoint plus n_eta scatter_slice calls.
+    The block is the lift of transfer_ops restricted to the slab.  It
+    holds, built once: its slice coupling (lift_coupling on the frame's
+    quadrature, within dmax offsets) and mapped points; the column weight
+    col and the row weight row, with the flow measure fs / sqrt(2 pi)
+    folded into row; and the on-grid axis matrices of pg_out, conjugate
+    (fwd_mats) and plain (adj_mats), for each distinct out width (n_xi
+    widths for the true block, one for the surrogate).  apply /
+    apply_adjoint run coupled_forward / coupled_adjoint between the
+    weights.  An apply costs n_eta reconstruct_slice plus n_xi
+    _slice_forward calls, an adjoint n_xi _slice_adjoint plus n_eta
+    scatter_slice calls; neither builds an axis matrix, since the
+    off-grid factors of the reconstructions and scatters are memoized on
+    the phase axes after the first application.
     """
 
     def __init__(self, frame, primed):
@@ -419,19 +427,24 @@ class CentralBlock:
         self.kap_o = np.broadcast_to(bracket(xi0), f.xi0.shape)
         self.col = f.col_cut / weight_diagonal(eta0, f.pg_in, f.wspec.r)
         self.row = weight_diagonal(xi0, f.pg_out, f.wspec.r)
+        self.row *= f.fs / np.sqrt(2.0 * np.pi)
+        widths = np.unique(self.kap_o)
+        self.fwd_mats = {kap: _slice_matrices(f.pg_out, kap, conj=True)
+                         for kap in widths}
+        self.adj_mats = {kap: _slice_matrices(f.pg_out, kap, conj=False)
+                         for kap in widths}
         self.coupling, self.mapped = lift_coupling(
             spec, f.flow, f.ypts, f.xi_idx, f.eta_idx, f.eta0, f.dmax)
-        self.scale = f.fs / np.sqrt(2.0 * np.pi)
 
     def apply(self, u):
         f = self.frame
         u = np.asarray(u, dtype=complex)
         _check_shape(u, (f.eta0.size, f.pg_in.num_points))
         out = coupled_forward(u * self.col, f.pg_in, self.kap_i, self.mapped,
-                              self.coupling, f.pg_out, self.kap_o)
+                              self.coupling, f.pg_out, self.kap_o,
+                              self.fwd_mats)
         out = out.reshape(f.xi0.size, -1)
         out *= self.row
-        out *= self.scale
         return out
 
     def apply_adjoint(self, w):
@@ -439,10 +452,11 @@ class CentralBlock:
         w = np.asarray(w, dtype=complex)
         _check_shape(w, (f.xi0.size, f.pg_out.num_points))
         out = coupled_adjoint(w * self.row, f.pg_out, self.kap_o,
-                              self.coupling, f.pg_in, self.kap_i, self.mapped)
+                              self.adj_mats, self.coupling, f.pg_in,
+                              self.kap_i, self.mapped)
         out = out.reshape(f.eta0.size, -1)
         out *= self.col
-        out *= self.scale * f.pg_out.y_weight / f.pg_in.weight
+        out *= f.pg_out.y_weight / f.pg_in.weight
         return out
 
 

@@ -35,7 +35,7 @@ from .contact_geometry import det_on_unstable
 from .numerics import check_dense
 from .partial_fbi import (PartialPacketIndex, PartialPhaseField, VolumeField,
                           _amplitude, _point_factors, _slice_adjoint,
-                          _slice_axis_matrix, _slice_forward, _volume_points,
+                          _slice_forward, _slice_matrices, _volume_points,
                           check_transversal_spacing, partial_packet,
                           reconstruct_slice, scatter_slice)
 
@@ -211,12 +211,15 @@ def slice_coupling(ghat, shift, out_idx, in_idx, in_freqs, band):
     return rows * np.exp(1j * np.multiply.outer(in_freqs, shift))
 
 
-def coupled_forward(vals, pg_in, kap_in, points, coupling, pg_out, kap_out):
+def coupled_forward(vals, pg_in, kap_in, points, coupling, pg_out, kap_out,
+                    out_mats):
     """Lift in-slice coefficients through a slice coupling.
 
     Each in slice is reconstructed at the mapped quadrature points, the
-    coupling sums them per out slice, and each sum is transformed once;
-    returns an array of shape (n_out,) + pg_out.shape().
+    coupling sums them per out slice, and each sum is transformed once
+    with the axis matrices out_mats[kappa] = _slice_matrices(pg_out,
+    kappa, conj=True) of its width; returns an array of shape
+    (n_out,) + pg_out.shape().
     """
     recs = np.empty(coupling.shape[1:], dtype=complex)
     for t, kap in enumerate(kap_in):
@@ -226,18 +229,21 @@ def coupled_forward(vals, pg_in, kap_in, points, coupling, pg_out, kap_out):
     y_shape = tuple(ax.y.size for ax in pg_out.axes)
     out = np.empty((len(kap_out),) + pg_out.shape(), dtype=complex)
     for s, kap in enumerate(kap_out):
-        out[s] = _slice_forward(mids[s].reshape(y_shape), pg_out, kap)
+        out[s] = _slice_forward(mids[s].reshape(y_shape), pg_out, kap,
+                                out_mats[kap])
     return out
 
 
-def coupled_adjoint(vals, pg_out, kap_out, coupling, pg_in, kap_in, points):
+def coupled_adjoint(vals, pg_out, kap_out, out_mats, coupling, pg_in, kap_in,
+                    points):
     """Adjoint of coupled_forward up to the two grid measures: slice
-    adjoints on the out side, the conjugate coupling, then one scatter per
-    in slice; returns an array of shape (n_in,) + pg_in.shape()."""
+    adjoints on the out side, with out_mats[kappa] = _slice_matrices(pg_out,
+    kappa, conj=False), the conjugate coupling, then one scatter per in
+    slice; returns an array of shape (n_in,) + pg_in.shape()."""
     backs = np.empty((coupling.shape[0], coupling.shape[2]), dtype=complex)
     for s, kap in enumerate(kap_out):
         backs[s] = _slice_adjoint(np.reshape(vals[s], pg_out.shape()),
-                                  pg_out, kap).ravel()
+                                  pg_out, kap, out_mats[kap]).ravel()
     # conj(coupling) contracted over s, without a conjugated copy of it
     mids = np.einsum("sty,sy->ty", coupling, backs.conj()).conj()
     out = np.empty((len(kap_in),) + pg_in.shape(), dtype=complex)
@@ -266,7 +272,7 @@ def _dense_packets(pg, kappa, points):
     (num_points, n_quad), and its packets at points, (n_quad, num_points)."""
     grid, subscripts, factors = _point_factors(pg, kappa, points, conj=False)
     ys = string.ascii_uppercase[:pg.dim]
-    on_grid = [_slice_axis_matrix(ax, kappa, conj=True) for ax in pg.axes]
+    on_grid = _slice_matrices(pg, kappa, conj=True)
     at_nodes = np.einsum(",".join(s[:2] + y for s, y in zip(subscripts, ys))
                          + "->" + grid + ys, *on_grid)
     at_points = np.einsum(",".join(subscripts) + "->z" + grid, *factors)
@@ -332,8 +338,10 @@ def lift_apply(spec, flow, trans, pg_out, pf):
     coupling, fy = lift_coupling(spec, flow, trans.nodes(), idx, idx,
                                  flow.freqs(), flow.n_points - 1)
     kaps = bracket(flow.freqs())
+    out_mats = {kap: _slice_matrices(pg_out, kap, conj=True)
+                for kap in np.unique(kaps)}
     out = coupled_forward(pf.values, pf.phase, kaps, fy, coupling, pg_out,
-                          kaps)
+                          kaps, out_mats)
     out *= flow.freq_spacing / np.sqrt(2.0 * np.pi)
     return PartialPhaseField(flow, pg_out, out)
 
@@ -341,9 +349,11 @@ def lift_apply(spec, flow, trans, pg_out, pf):
 def phase_index(flow, pg, flat):
     """Packet label of a flat matrix row or column index."""
     s, rem = divmod(int(flat), pg.num_points)
-    pt = pg.points()[rem]
+    idx = np.unravel_index(rem, pg.shape())
     d2 = pg.dim
-    return PartialPacketIndex(pt[:d2], flow.freqs()[s], pt[d2:])
+    x_dag = [ax.centers[i] for ax, i in zip(pg.axes, idx[:d2])]
+    xi_dag = [ax.freqs[i] for ax, i in zip(pg.axes, idx[d2:])]
+    return PartialPacketIndex(x_dag, flow.freqs()[s], xi_dag)
 
 
 def kernel_entry_direct(spec, flow, trans, out_index, in_index):

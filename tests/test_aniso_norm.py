@@ -295,6 +295,34 @@ class TestVolumeNorms:
         assert aniso_norm(zero, WeightSpec()) == 0.0
         assert sobolev_norms(zero, 2.0) == (0.0, 0.0)
 
+    def test_sobolev_matches_pointwise_weight(self):
+        # the <(xi0, xi_dag)>^r weight evaluated at every phase point on
+        # the ravelled coefficients, as a pointwise weight would be
+        from contactfbi.aniso_norm import sobolev_norms
+        from contactfbi.fbi_core import dual_phase_grid
+        from contactfbi.partial_fbi import flow_slices
+        pg = dual_phase_grid(self.trans, center_margin=3.5)
+        pts = pg.points()
+        for r in (0.0, 1.0, 2.0):
+            total = 0.0
+            for xi0, _, coeff in flow_slices(self.vol, pg):
+                full = np.sqrt(xi0 ** 2 + np.sum(pts[:, 2:] ** 2, axis=-1))
+                total += np.sum(np.abs(bracket(full) ** r
+                                       * coeff.ravel()) ** 2)
+            ref = np.sqrt(total * self.flow.freq_spacing * pg.weight)
+            got = sobolev_norms(self.vol, r)[1]
+            assert abs(got - ref) <= 1e-13 * ref
+
+    def test_sobolev_builds_no_phase_points(self, monkeypatch):
+        from contactfbi.aniso_norm import sobolev_norms
+        from contactfbi.fbi_core import PhaseGrid
+
+        def refuse(self):
+            raise AssertionError("PhaseGrid.points called")
+        monkeypatch.setattr(PhaseGrid, "points", refuse)
+        four, pfbi = sobolev_norms(self.vol, 1.0)
+        assert pfbi > 0.0
+
     def test_sobolev_weights_increase_norm(self):
         from contactfbi.aniso_norm import sobolev_norms
         f1, p1 = sobolev_norms(self.vol, 1.0)

@@ -98,8 +98,9 @@ class TestDenseBudget:
                                              l0_hat, lift_linear,
                                              projection_kernel)
             from contactfbi.numerics import Field, check_dense, make_grid
-            from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
-                                                VolumeField, reconstruct_slice,
+            from contactfbi.partial_fbi import (FlowGrid, PartialPacketIndex,
+                                                PartialPhaseField, VolumeField,
+                                                reconstruct_slice,
                                                 scatter_slice)
             from contactfbi.aniso_norm import v_s
             from contactfbi.spectra import (CentralBlock, CentralFrame,
@@ -229,6 +230,19 @@ class TestDenseBudget:
                                      lambda: l0_hat(
                                          np.eye(4),
                                          Field(trans, np.zeros(16)))),
+                "packet index shape": ("center of shape (1,) and frequency "
+                                       "of shape (2,) differ",
+                                       lambda: PartialPacketIndex(
+                                           [0.0], 1.0, [0.0, 0.0])),
+                "packet index center": ("non-finite packet center",
+                                        lambda: PartialPacketIndex(
+                                            [np.nan], 1.0, [0.0])),
+                "packet index flow": ("non-finite flow frequency",
+                                      lambda: PartialPacketIndex(
+                                          [0.0], np.inf, [0.0])),
+                "packet index frequency": ("non-finite transversal frequency",
+                                           lambda: PartialPacketIndex(
+                                               [0.0], 1.0, [np.nan])),
                 "packet dimensions": ("packets of dimensions 1 and 2",
                                       lambda: projection_kernel(
                                           PhaseSpacePoint([0.0], [0.0]),

@@ -8,6 +8,7 @@ from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField, VolumeField,
                                     _amplitude, _axis_factor, _point_factors,
                                     _slice_adjoint, _slice_forward,
+                                    _slice_matrices,
                                     check_transversal_spacing,
                                     min_transversal_points,
                                     partial_packet, pcal_apply, pfbi_adjoint,
@@ -212,13 +213,15 @@ class TestSliceCore:
 
     def test_reconstruct_at_nodes_is_adjoint(self):
         v = self._noise(self.pg.shape())
-        ref = _slice_adjoint(v, self.pg, self.kappa).ravel()
+        ref = _slice_adjoint(v, self.pg, self.kappa, _slice_matrices(
+            self.pg, self.kappa, conj=False)).ravel()
         got = reconstruct_slice(v, self.pg, self.kappa, self.nodes)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_scatter_at_nodes_is_forward(self):
         u = self._noise((self.pg.axes[0].y.size, self.pg.axes[1].y.size))
-        ref = _slice_forward(u, self.pg, self.kappa)
+        ref = _slice_forward(u, self.pg, self.kappa, _slice_matrices(
+            self.pg, self.kappa, conj=True))
         got = scatter_slice(u.ravel(), self.pg, self.kappa, self.nodes) \
             * (self.pg.y_weight / self.pg.weight)
         assert np.linalg.norm((got - ref).ravel()) <= \

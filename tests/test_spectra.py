@@ -10,9 +10,10 @@ from contactfbi.aniso_norm import (WeightSpec, bracket, cal_w_aniso,
 from contactfbi.contact_geometry import ContactMap
 from contactfbi.fbi_core import det_factor, dual_phase_grid, l0_hat_kernel
 from contactfbi.numerics import make_grid
+from contactfbi import partial_fbi
 from contactfbi.partial_fbi import (FlowGrid, _slice_adjoint, _slice_forward,
-                                    _volume_points, reconstruct_slice,
-                                    scatter_slice)
+                                    _slice_matrices, _volume_points,
+                                    reconstruct_slice, scatter_slice)
 from contactfbi.spectra import (CentralBlock, CentralFrame, SpectrumReport,
                                 central_block_audit, conjugated_operator,
                                 expansion_argmax, lower_bound_family,
@@ -281,7 +282,8 @@ def old_definition(blk):
         return np.stack([cal_w_aniso(*slice_covectors(pts, x), f.wspec.r)
                          for x in freqs])
     return {"ghat": ghat, "shift": shift, "mapped": mapped, "kap_i": kap_i,
-            "kap_o": kap_o, "col": f.col_cut / weights(f.pg_in, eta0),
+            "kap_o": kap_o, "scale": f.fs / np.sqrt(2.0 * np.pi),
+            "col": f.col_cut / weights(f.pg_in, eta0),
             "row": weights(f.pg_out, xi0)}
 
 
@@ -296,8 +298,9 @@ def pair_apply(blk, u):
                                 d["kap_i"][t], d["mapped"])
         mid = d["ghat"][moff + f.flow.n_points - 1] * rec \
             * np.exp(1j * f.eta0[t] * d["shift"])
-        out[s] += blk.scale * _slice_forward(
-            mid.reshape(f.y_shape), f.pg_out, d["kap_o"][s]).ravel()
+        out[s] += d["scale"] * _slice_forward(
+            mid.reshape(f.y_shape), f.pg_out, d["kap_o"][s],
+            _slice_matrices(f.pg_out, d["kap_o"][s], conj=True)).ravel()
     return out * d["row"]
 
 
@@ -308,12 +311,13 @@ def pair_apply_adjoint(blk, w):
     wr = w * d["row"]
     acc = np.zeros((f.eta0.size, f.pg_in.num_points), dtype=complex)
     for s, t, moff in frame_pairs(f):
+        mats = _slice_matrices(f.pg_out, d["kap_o"][s], conj=False)
         back = _slice_adjoint(wr[s].reshape(f.pg_out.shape()), f.pg_out,
-                              d["kap_o"][s]).ravel() \
+                              d["kap_o"][s], mats).ravel() \
             * (f.pg_out.y_weight / f.pg_out.weight)
         gfac = d["ghat"][moff + f.flow.n_points - 1] \
             * np.exp(1j * f.eta0[t] * d["shift"])
-        acc[t] += blk.scale * scatter_slice(np.conj(gfac) * back, f.pg_in,
+        acc[t] += d["scale"] * scatter_slice(np.conj(gfac) * back, f.pg_in,
                                             d["kap_i"][t], d["mapped"]).ravel()
     return (f.pg_out.weight / f.pg_in.weight) * acc * d["col"]
 
@@ -372,6 +376,33 @@ class TestCentralBlock:
                               pair_apply_adjoint(blk, w))):
                 assert np.linalg.norm(got - ref) <= \
                     1e-13 * np.linalg.norm(ref)
+
+    def test_second_application_builds_no_axis_factor(self, monkeypatch):
+        # the block holds its on-grid axis matrices and the phase axes
+        # memoize the off-grid ones, so only the first application may
+        # evaluate a packet factor
+        spec, wspec, flow = central_setting()
+        frame = CentralFrame(spec, 6, wspec, flow, **self.kwargs)
+        rng = np.random.default_rng(7)
+        shape_in = (frame.eta0.size, frame.pg_in.num_points)
+        shape_out = (frame.xi0.size, frame.pg_out.num_points)
+        u = rng.standard_normal(shape_in) + 1j * rng.standard_normal(shape_in)
+        w = rng.standard_normal(shape_out) \
+            + 1j * rng.standard_normal(shape_out)
+        calls = []
+        original = partial_fbi._axis_factor
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(partial_fbi, "_axis_factor", counted)
+        for primed in (False, True):
+            blk = CentralBlock(frame, primed=primed)
+            first = (blk.apply(u), blk.apply_adjoint(w))
+            del calls[:]
+            second = (blk.apply(u), blk.apply_adjoint(w))
+            assert calls == []
+            assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_zero_amplitude_gives_zero_block(self):
         spec, wspec, flow = central_setting(g=zero_amp())

@@ -5,11 +5,13 @@ import pytest
 
 from contactfbi.aniso_norm import WeightSpec, bracket
 from contactfbi.contact_geometry import ContactMap
-from contactfbi.fbi_core import dual_phase_grid, normalization
+from contactfbi.fbi_core import (PhaseAxis, PhaseGrid, dual_phase_grid,
+                                normalization)
 from contactfbi import numerics
 from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
-                                    _slice_forward, pcal_apply, pfbi_forward,
+                                    _slice_forward, _slice_matrices,
+                                    pcal_apply, pfbi_forward,
                                     reconstruct_slice, sample_volume)
 from contactfbi.transfer_ops import (TransferSpec, cutoff_diagonals,
                                      decompose, flow_fourier_coeffs,
@@ -207,6 +209,23 @@ class TestLiftKernel:
         mat = lift_kernel(spec, flow, trans, pg)
         assert np.max(np.abs(mat.values)) == 0.0
 
+    def test_phase_index_matches_points(self):
+        # two axes of different sizes, so that a mixed-up axis order or
+        # center/frequency split shows
+        axes = [PhaseAxis(np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 4),
+                          np.linspace(-1.0, 1.0, 4)),
+                PhaseAxis(np.linspace(-0.5, 0.5, 2), np.linspace(-3.0, 3.0, 5),
+                          np.linspace(-1.0, 1.0, 4))]
+        pg = PhaseGrid(axes)
+        flow = FlowGrid(np.pi, 2)
+        pts = pg.points()
+        for flat in range(flow.n_points * pg.num_points):
+            s, rem = divmod(flat, pg.num_points)
+            label = phase_index(flow, pg, flat)
+            assert np.array_equal(label.x_dag, pts[rem, :2])
+            assert np.array_equal(label.xi_dag, pts[rem, 2:])
+            assert label.xi0 == flow.freqs()[s]
+
     def test_two_kernel_forms_agree(self):
         # factored flow-summed assembly vs direct volume quadrature
         flow, trans, pg = small_setting()
@@ -272,7 +291,8 @@ class TestLiftKernel:
             for s in range(n0):
                 m = (ghat[s - t + n0 - 1] * rec).reshape(trans.shape())
                 ref[s] += flow.freq_spacing / np.sqrt(2.0 * np.pi) \
-                    * _slice_forward(m, pg, kaps[s])
+                    * _slice_forward(m, pg, kaps[s], _slice_matrices(
+                        pg, kaps[s], conj=True))
         free = lift_apply(spec, flow, trans, pg, pf).values
         assert np.linalg.norm((free - ref).ravel()) <= \
             1e-13 * np.linalg.norm(ref.ravel())
