@@ -32,7 +32,7 @@ def main():
         trans = make_grid(2, 0.7, 4)
         pg = dual_phase_grid(trans, n_freq=4)
         levels.append((flow, trans, pg))
-    reps = model_spectrum(spec, WeightSpec(r=4.0), levels, 0.5, margin=0.1)
+    reps = model_spectrum(spec, levels, 0.5, margin=0.1)
     for rep in reps:
         print("rows %-5d  max |eig| %.4f  outliers above 0.55: %d"
               % (rep.refinement["rows"], rep.moduli.max(),

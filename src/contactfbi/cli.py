@@ -392,8 +392,7 @@ def run_spectrum(cfg, out, seed, levels):
     spec = cfg.transfer_spec()
     _, _, bound = lambda_delta(spec, levels[0][0], levels[0][1],
                                cfg.map_lam, cfg.weight.r)
-    reports = model_spectrum(spec, cfg.weight, levels, bound,
-                             margin=cfg.margin)
+    reports = model_spectrum(spec, levels, bound, margin=cfg.margin)
     for i, rep in enumerate(reports, start=1):
         rep.save_csv(os.path.join(out, "eigenvalues.csv" if i == len(reports)
                                   else "eigenvalues_level%d.csv" % i))

@@ -44,8 +44,12 @@ class PhaseSpacePoint:
     def __init__(self, x, xi):
         self.x = np.atleast_1d(np.asarray(x, dtype=float))
         self.xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        assert self.x.shape == self.xi.shape
-        assert np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.xi))
+        if self.x.shape != self.xi.shape:
+            raise ValueError("phase space point with center of shape %s and "
+                             "frequency of shape %s" % (self.x.shape,
+                                                        self.xi.shape))
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.xi))):
+            raise ValueError("non-finite phase space point")
 
     @property
     def dim(self):
@@ -129,7 +133,9 @@ class PhaseGrid:
         n = self.axes[0].y.size
         h = self.axes[0].y_spacing
         for ax in self.axes:
-            assert ax.y.size == n and abs(ax.y_spacing - h) < 1e-12
+            if ax.y.size != n or abs(ax.y_spacing - h) >= 1e-12:
+                raise ValueError("space grid needs the same quadrature on "
+                                 "every axis")
         return GridSpec(self.dim, n * h / 2.0, n)
 
 
@@ -229,7 +235,9 @@ def fbi_forward_at(u, points):
     that the tests hold fbi_forward (the slice core at kappa = 1) to."""
     pts = np.asarray(points, dtype=float)
     d = u.grid.dim
-    assert pts.shape[1] == 2 * d
+    if pts.ndim != 2 or pts.shape[1] != 2 * d:
+        raise ValueError("points of shape %s for a %d-dimensional field; "
+                         "need width %d" % (pts.shape, d, 2 * d))
     nodes = u.grid.nodes()
     out = np.empty(pts.shape[0], dtype=complex)
     a = normalization(d)
@@ -392,8 +400,11 @@ class LinearHyperbolicMap:
     def __init__(self, matrix, lam, check=True):
         self.matrix = np.asarray(matrix, dtype=float)
         self.lam = float(lam)
-        assert self.matrix.shape[0] == self.matrix.shape[1]
-        assert self.matrix.shape[0] % 2 == 0
+        if self.matrix.ndim != 2 or \
+                self.matrix.shape[0] != self.matrix.shape[1] or \
+                self.matrix.shape[0] % 2:
+            raise ValueError("hyperbolic map needs a square matrix of even "
+                             "size, got shape %s" % (self.matrix.shape,))
         self.dim = self.matrix.shape[0]
         self.d = self.dim // 2
         if check:

@@ -5,7 +5,9 @@ Four groups of tools live here:
 * weighted norm measurements of the model operator L0_hat on a grid over
   R^(2d), with the interpolating family of weights V_s;
 * dense spectra of the lift matrix at several refinement levels, with
-  bookkeeping for which eigenvalues persist under refinement;
+  bookkeeping for which eigenvalues persist under refinement; the weight
+  of the anisotropic space enters only the bound they are compared with,
+  since conjugating the finite lift by it leaves the eigenvalues alone;
 * a family of localized packets concentrated at the point of maximal
   expansion, whose Rayleigh ratios bound the operator norm from below;
 * a matrix-free audit of one frequency block of the weighted lift around
@@ -17,7 +19,7 @@ the true essential spectral radius.
 """
 
 import numpy as np
-from scipy.linalg import svdvals
+from scipy.linalg import eigvals, svdvals
 
 from .aniso_norm import (bracket, cal_w_aniso, chi, cutoffs, q_block,
                          q_tilde, q_tilde_support, slice_covectors, v_s)
@@ -162,28 +164,32 @@ def weight_diagonal(freqs, pg, r):
 def conjugated_operator(matrix, wspec):
     """Dense W-conjugated operator W (A mu) W^{-1} of a lift matrix.
 
-    The conjugation is a similarity of the finite matrix, so the computed
-    eigenvalues coincide with those of the unconjugated operator; keeping
-    the weight explicit matches the weighted-space formulation and keeps
-    the eigenvectors meaningful.
+    The conjugation is a similarity of the finite matrix, so its
+    eigenvalues are those of the lift itself, and model_spectrum takes
+    them from the lift directly.  Nothing in the package calls this; it
+    stays for the benchmark tracer, which names it, and for the test
+    that shows the two spectra agree.
     """
     w = weight_diagonal(matrix.flow.freqs(), matrix.phase, wspec.r).ravel()
     a = matrix.values * matrix.in_measure
     return (w[:, None] / w[None, :]) * a
 
 
-def model_spectrum(spec, wspec, levels, bound, margin=0.1):
-    """Dense spectra of the weighted lift at the given refinement levels.
+def model_spectrum(spec, levels, bound, margin=0.1):
+    """Dense spectra of the lift at the given refinement levels.
 
     levels is a list of (flow, trans, pg) triples from coarse to fine;
-    each yields one SpectrumReport against the same bound.  lift_kernel
-    refuses a matrix above numerics.DENSE_BYTES, which bounds the
-    eigenvalue problem too.
+    each yields one SpectrumReport against the same bound.  The weighted
+    space fixes the bound (lambda_delta reads the weight exponent), not
+    the eigenvalues: conjugating the finite lift by the weight is a
+    similarity.  LAPACK solves in place on the Fortran-ordered transpose
+    of the lift, which has the same eigenvalues, so the solve holds the
+    one matrix that lift_kernel checked against numerics.DENSE_BYTES.
     """
     reports = []
     for flow, trans, pg in levels:
         mat = lift_kernel(spec, flow, trans, pg)
-        eigs = np.linalg.eigvals(conjugated_operator(mat, wspec))
+        eigs = mat.in_measure * eigvals(mat.values.T, overwrite_a=True)
         refinement = {"n0": flow.n_points,
                       "half_period": flow.half_period,
                       "trans_n": trans.points_per_axis,
@@ -193,25 +199,6 @@ def model_spectrum(spec, wspec, levels, bound, margin=0.1):
                       "rows": mat.values.shape[0]}
         reports.append(SpectrumReport(eigs, refinement, bound, margin))
     return reports
-
-
-def slice_block_defect(matrix):
-    """Largest cross-slice entry relative to the largest diagonal-block
-    entry; near zero exactly when the lift is block diagonal over xi0."""
-    n0 = matrix.flow.n_points
-    npts = matrix.phase.num_points
-    diag = 0.0
-    off = 0.0
-    for s in range(n0):
-        for t in range(n0):
-            peak = float(np.max(np.abs(matrix.values[
-                s * npts:(s + 1) * npts, t * npts:(t + 1) * npts])))
-            if s == t:
-                diag = max(diag, peak)
-            else:
-                off = max(off, peak)
-    assert diag > 0, "empty operator has no diagonal scale"
-    return off / diag
 
 
 def expansion_argmax(spec, flow, trans):

@@ -273,8 +273,7 @@ def test_criterion_10_toy_spectrum():
         pg = dual_phase_grid(trans, n_freq=4)
         levels.append((flow, trans, pg))
     lam_big = 0.5
-    reps = model_spectrum(spec, WeightSpec(r=4.0), levels, lam_big,
-                          margin=0.1)
+    reps = model_spectrum(spec, levels, lam_big, margin=0.1)
     counts = [r.stable_count for r in reps]
     inside = float(np.mean(reps[1].moduli <= lam_big * 1.1))
     rows = max(r.refinement["rows"] for r in reps)

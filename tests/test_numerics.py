@@ -4,14 +4,20 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import contactfbi
+from contactfbi import fbi_core, spectra, transfer_ops
+from contactfbi.contact_geometry import ContactMap
+from contactfbi.fbi_core import PhaseField, dual_phase_grid
 from contactfbi.numerics import (Field, check_dense, make_grid,
                                  operator_norm, quad_inner, sample)
+from contactfbi.partial_fbi import FlowGrid
+from contactfbi.transfer_ops import TransferSpec
 
 
 def gaussian_l2(pts):
@@ -84,6 +90,49 @@ class TestDenseBudget:
                            r"\(320123664 bytes\).*320000000 bytes"):
             check_dense(4473, 4473, "square")
 
+    @pytest.mark.parametrize("routine", [
+        "model_spectrum", "lift_kernel", "weighted_norm_measure",
+        "apply_p_omega", "lift_linear", "l0_hat"])
+    def test_one_budget_holds_one_matrix(self, routine, monkeypatch):
+        # one call peaks at about the one dense matrix it checked against
+        # the budget, not at copies of it
+        checked = []
+
+        def record(rows, cols, what):
+            check_dense(rows, cols, what)
+            checked.append(16 * rows * cols)
+        for mod in (fbi_core, spectra, transfer_ops):
+            monkeypatch.setattr(mod, "check_dense", record)
+        b4 = np.diag([4.0, 0.25])
+        spec = TransferSpec(ContactMap.linear(b4), lambda p: np.exp(
+            -np.sum(p[:, 1:] ** 2, axis=-1) / 0.5))
+        trans = make_grid(2, 0.7, 4)
+        level = (FlowGrid(np.pi, 4), trans, dual_phase_grid(trans, n_freq=4))
+        plane = make_grid(2, 6.0, 36)
+        u = Field(plane, np.exp(-np.sum(plane.nodes() ** 2, axis=-1)))
+        pg = dual_phase_grid(make_grid(2, 1.2, 6), n_freq=6)
+        v = PhaseField(pg, np.ones(pg.shape(), dtype=complex))
+        calls = {
+            "model_spectrum": lambda: spectra.model_spectrum(
+                spec, [level], 0.5),
+            "lift_kernel": lambda: transfer_ops.lift_kernel(spec, *level),
+            "weighted_norm_measure": lambda: spectra.weighted_norm_measure(
+                b4, 1.0, 1.0, half_widths=(14.0, 14.0)),
+            "apply_p_omega": lambda: fbi_core.apply_p_omega(
+                u, fbi_core.dagger_form_matrix(2)),
+            "lift_linear": lambda: fbi_core.lift_linear(
+                np.array([[1.0, 0.5], [0.0, 1.0]]), v),
+            "l0_hat": lambda: fbi_core.l0_hat(b4, u),
+        }
+        tracemalloc.start()
+        try:
+            calls[routine]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(checked) == 1 and checked[0] >= 10 ** 7
+        assert peak <= 1.5 * checked[0], peak / checked[0]
+
     def test_input_checks_survive_optimized_mode(self):
         # python -O strips assert statements; these checks must still raise
         # their own ValueError, told apart from one numpy raises later by
@@ -92,11 +141,12 @@ class TestDenseBudget:
             import numpy as np
             from contactfbi.aniso_norm import WeightSpec
             from contactfbi.contact_geometry import ContactMap
-            from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseField,
+            from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseAxis,
+                                             PhaseField, PhaseGrid,
                                              PhaseSpacePoint, apply_p_omega,
                                              dual_phase_grid, fbi_forward,
-                                             l0_hat, lift_linear,
-                                             projection_kernel)
+                                             fbi_forward_at, l0_hat,
+                                             lift_linear, projection_kernel)
             from contactfbi.numerics import Field, check_dense, make_grid
             from contactfbi.partial_fbi import (FlowGrid, PartialPacketIndex,
                                                 PartialPhaseField, VolumeField,
@@ -168,6 +218,27 @@ class TestDenseBudget:
                 "non-unimodular": ("unit determinant",
                                    lambda: LinearHyperbolicMap(
                                        np.diag([4.0, 0.5]), lam=1.0)),
+                "odd map": ("square matrix of even size, got shape (3, 3)",
+                            lambda: LinearHyperbolicMap(np.eye(3), lam=1.0)),
+                "non-square map": ("square matrix of even size, got shape "
+                                   "(2, 4)", lambda: LinearHyperbolicMap(
+                                       np.ones((2, 4)), lam=1.0)),
+                "point shape": ("phase space point with center of shape "
+                                "(1,) and frequency of shape (2,)",
+                                lambda: PhaseSpacePoint([0.0], [0.0, 0.0])),
+                "point finite": ("non-finite phase space point",
+                                 lambda: PhaseSpacePoint([0.0], [np.inf])),
+                "space grid": ("same quadrature on every axis",
+                               lambda: PhaseGrid([
+                                   PhaseAxis([0.0, 1.0], [0.0, 1.0],
+                                             [0.0, 1.0]),
+                                   PhaseAxis([0.0, 1.0], [0.0, 1.0],
+                                             [0.0, 0.5])]).space_grid()),
+                "point set width": ("points of shape (2, 3) for a "
+                                    "2-dimensional field; need width 4",
+                                    lambda: fbi_forward_at(
+                                        Field(trans, np.zeros(16)),
+                                        np.zeros((2, 3)))),
                 "over budget": ("above the dense budget",
                                 lambda: check_dense(10 ** 5, 10 ** 5, "big")),
                 "field": ("value count 3 does not match",

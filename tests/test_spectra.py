@@ -10,7 +10,7 @@ from contactfbi.aniso_norm import (WeightSpec, bracket, cal_w_aniso,
 from contactfbi.contact_geometry import ContactMap
 from contactfbi.fbi_core import det_factor, dual_phase_grid, l0_hat_kernel
 from contactfbi.numerics import make_grid
-from contactfbi import partial_fbi
+from contactfbi import partial_fbi, spectra
 from contactfbi.partial_fbi import (FlowGrid, _slice_adjoint, _slice_forward,
                                     _slice_matrices, _volume_points,
                                     reconstruct_slice, scatter_slice)
@@ -18,7 +18,7 @@ from contactfbi.spectra import (CentralBlock, CentralFrame, SpectrumReport,
                                 central_block_audit, conjugated_operator,
                                 expansion_argmax, lower_bound_family,
                                 model_spectrum, persistent_outliers,
-                                slice_block_defect, weighted_norm_measure)
+                                weighted_norm_measure)
 from contactfbi.transfer_ops import (TransferSpec, flow_fourier_coeffs,
                                      lambda_delta, lift_coupling, lift_kernel)
 
@@ -148,26 +148,48 @@ class TestWeightedNorm:
         assert vals[1] < vals[0]
 
 
+def slice_defect(mat):
+    """Largest cross-slice entry over the largest diagonal-block entry;
+    near zero exactly when the lift is block diagonal over xi0."""
+    n0, npts = mat.flow.n_points, mat.phase.num_points
+    peak = np.abs(mat.values).reshape(n0, npts, n0, npts).max(axis=(1, 3))
+    return np.max(peak[~np.eye(n0, dtype=bool)]) / np.max(np.diag(peak))
+
+
 class TestModelSpectrum:
 
     def test_zero_amplitude(self):
         flow, trans, pg = toy_setting()
         cmap = ContactMap.linear(sym_block(4.0))
         spec = TransferSpec(cmap, zero_amp(), name="zero")
-        reps = model_spectrum(spec, WeightSpec(), [(flow, trans, pg)], 0.5)
+        reps = model_spectrum(spec, [(flow, trans, pg)], 0.5)
         assert np.max(reps[0].moduli) <= 1e-14
         assert reps[0].stable_count == 0
 
     def test_conjugation_is_similarity(self):
+        # the W-conjugated lift has the lift's spectrum, which is why
+        # model_spectrum takes the eigenvalues of the lift as assembled
         flow, trans, pg = toy_setting()
         cmap = ContactMap.linear(sym_block(4.0))
         spec = TransferSpec(cmap, bump_amp(), name="bump")
         mat = lift_kernel(spec, flow, trans, pg)
-        plain = np.linalg.eigvals(mat.values * mat.in_measure)
         conj = np.linalg.eigvals(conjugated_operator(mat, WeightSpec()))
-        a = np.sort_complex(plain)
+        rep = model_spectrum(spec, [(flow, trans, pg)], 0.5)[0]
+        a = np.sort_complex(rep.eigenvalues)
         b = np.sort_complex(conj)
         assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
+        want = np.sort(np.abs(conj))[::-1]
+        assert np.max(np.abs(rep.moduli - want)) <= 1e-12 * want[0]
+
+    def test_evaluates_no_weight(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("model_spectrum evaluated a weight")
+        monkeypatch.setattr(spectra, "weight_diagonal", refuse)
+        monkeypatch.setattr(spectra, "cal_w_aniso", refuse)
+        flow, trans, pg = toy_setting()
+        spec = TransferSpec(ContactMap.linear(sym_block(4.0)), bump_amp())
+        rep = model_spectrum(spec, [(flow, trans, pg)], 0.5)[0]
+        assert rep.refinement["rows"] == flow.n_points * pg.num_points
 
     def test_size_guard(self):
         flow = FlowGrid(np.pi, 6)
@@ -176,21 +198,21 @@ class TestModelSpectrum:
         cmap = ContactMap.linear(sym_block(4.0))
         spec = TransferSpec(cmap, bump_amp(), name="bump")
         with pytest.raises(ValueError, match="dense budget"):
-            model_spectrum(spec, WeightSpec(), [(flow, trans, pg)], 0.5)
+            model_spectrum(spec, [(flow, trans, pg)], 0.5)
 
     def test_block_diagonal_for_flow_independent_amplitude(self):
         flow, trans, pg = toy_setting()
         cmap = ContactMap.linear(sym_block(4.0))
         spec = TransferSpec(cmap, bump_amp(), name="bump")
         mat = lift_kernel(spec, flow, trans, pg)
-        assert slice_block_defect(mat) <= 1e-8
+        assert slice_defect(mat) <= 1e-8
 
     def test_not_block_diagonal_with_flow_dependence(self):
         flow, trans, pg = toy_setting()
         cmap = ContactMap.linear(sym_block(4.0))
         spec = TransferSpec(cmap, flow_amp(), name="flow")
         mat = lift_kernel(spec, flow, trans, pg)
-        assert slice_block_defect(mat) > 1e-3
+        assert slice_defect(mat) > 1e-3
 
 
 class TestLowerBoundFamily:
