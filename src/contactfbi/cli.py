@@ -20,7 +20,7 @@ from .aniso_norm import (WeightSpec, chi_n, cutoffs, lp_partition, q_k,
                          q_tilde_separation)
 from .contact_geometry import ContactMap
 from .fbi_core import det_factor, dual_phase_grid, fbi_adjoint, fbi_forward
-from .numerics import make_grid, sample
+from .numerics import check_dense, make_grid, sample
 from .partial_fbi import (FlowGrid, check_transversal_spacing,
                           min_transversal_points, pfbi_roundtrip,
                           sample_volume)
@@ -291,6 +291,18 @@ def _identity_grids(cfg, refine):
                                  cfg.n_per_axis * refine, False)
 
 
+def _spectrum_levels(cfg, refine):
+    """The refinement levels of spectrum, each refused here when its
+    reduced lift (n0 * n_quad rows, see transfer_ops.reduced_lift) is over
+    the dense budget."""
+    levels = [_volume_grids(cfg, cfg.flow_points + 2 * level,
+                            cfg.n_per_axis, True) for level in range(refine)]
+    for flow, trans, _ in levels:
+        side = flow.n_points * trans.num_points
+        check_dense(side, side, "reduced lift matrix")
+    return levels
+
+
 def run_check_identity(cfg, out, seed, grids):
     rng = np.random.default_rng(seed)
     spaces, (flow, trans, pg_vol) = grids
@@ -457,9 +469,7 @@ SUBCOMMANDS = {
                    run_norm_bound),
     "partition-audit": (lambda cfg, refine: cfg.samples * refine,
                         run_partition_audit),
-    "spectrum": (lambda cfg, refine: [
-        _volume_grids(cfg, cfg.flow_points + 2 * level, cfg.n_per_axis, True)
-        for level in range(refine)], run_spectrum),
+    "spectrum": (_spectrum_levels, run_spectrum),
     "lower-bound": (lambda cfg, refine: _volume_grids(
         cfg, cfg.flow_points * refine, cfg.n_per_axis * refine, False),
         run_lower_bound),

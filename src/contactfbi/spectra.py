@@ -4,10 +4,12 @@ Four groups of tools live here:
 
 * weighted norm measurements of the model operator L0_hat on a grid over
   R^(2d), with the interpolating family of weights V_s;
-* dense spectra of the lift matrix at several refinement levels, with
-  bookkeeping for which eigenvalues persist under refinement; the weight
-  of the anisotropic space enters only the bound they are compared with,
-  since conjugating the finite lift by it leaves the eigenvalues alone;
+* spectra of the lift at several refinement levels, solved on its
+  quadrature-space factor (transfer_ops.reduced_lift) instead of the
+  dense lift, with bookkeeping for which eigenvalues persist under
+  refinement; the weight of the anisotropic space enters only the bound
+  they are compared with, since conjugating the finite lift by it leaves
+  the eigenvalues alone;
 * a family of localized packets concentrated at the point of maximal
   expansion, whose Rayleigh ratios bound the operator norm from below;
 * a matrix-free audit of one frequency block of the weighted lift around
@@ -31,7 +33,7 @@ from .numerics import check_dense, operator_norm
 from .partial_fbi import (_slice_forward, _slice_matrices, flow_slices,
                           partial_packet, sample_volume)
 from .transfer_ops import (TransferSpec, coupled_adjoint, coupled_forward,
-                           lift_coupling, lift_kernel, transfer_apply)
+                           lift_coupling, reduced_lift, transfer_apply)
 
 
 class SpectrumReport:
@@ -166,9 +168,10 @@ def conjugated_operator(matrix, wspec):
 
     The conjugation is a similarity of the finite matrix, so its
     eigenvalues are those of the lift itself, and model_spectrum takes
-    them from the lift directly.  Nothing in the package calls this; it
-    stays for the benchmark tracer, which names it, and for the test
-    that shows the two spectra agree.
+    them from the lift's quadrature-space factor without forming either
+    matrix.  Nothing in the package calls this; it stays for the
+    benchmark tracer, which names it, and for the test that shows the
+    two spectra agree.
     """
     w = weight_diagonal(matrix.flow.freqs(), matrix.phase, wspec.r).ravel()
     a = matrix.values * matrix.in_measure
@@ -176,27 +179,36 @@ def conjugated_operator(matrix, wspec):
 
 
 def model_spectrum(spec, levels, bound, margin=0.1):
-    """Dense spectra of the lift at the given refinement levels.
+    """Spectra of the lift at the given refinement levels, taken from its
+    quadrature-space factor.
 
     levels is a list of (flow, trans, pg) triples from coarse to fine;
-    each yields one SpectrumReport against the same bound.  The weighted
-    space fixes the bound (lambda_delta reads the weight exponent), not
-    the eigenvalues: conjugating the finite lift by the weight is a
-    similarity.  LAPACK solves in place on the Fortran-ordered transpose
-    of the lift, which has the same eigenvalues, so the solve holds the
-    one matrix that lift_kernel checked against numerics.DENSE_BYTES.
+    each yields one SpectrumReport against the same bound.  The lift
+    U C V of lift_kernel has rank at most n0 * n_quad, and its nonzero
+    eigenvalues are those of transfer_ops.reduced_lift, C (V U), which
+    LAPACK solves in place on its Fortran-ordered transpose.  The report
+    lists them followed by exact zeros up to the lift's row count; should
+    the factor be the larger side, its smallest eigenvalues, zeros of
+    rank, are the ones dropped.  refinement records both sizes, rows and
+    reduced_rows.  The weighted space fixes the bound (lambda_delta reads
+    the weight exponent), not the eigenvalues: conjugating the finite
+    lift by the weight is a similarity.
     """
     reports = []
     for flow, trans, pg in levels:
-        mat = lift_kernel(spec, flow, trans, pg)
-        eigs = mat.in_measure * eigvals(mat.values.T, overwrite_a=True)
+        rows = flow.n_points * pg.num_points
+        lam = eigvals(reduced_lift(spec, flow, trans, pg).T,
+                      overwrite_a=True)
+        eigs = np.zeros(rows, dtype=complex)
+        keep = min(rows, lam.size)
+        eigs[:keep] = lam[np.argsort(-np.abs(lam))[:keep]]
         refinement = {"n0": flow.n_points,
                       "half_period": flow.half_period,
                       "trans_n": trans.points_per_axis,
                       "trans_half_width": trans.half_width,
                       "n_centers": pg.axes[0].centers.size,
                       "n_freqs": pg.axes[0].freqs.size,
-                      "rows": mat.values.shape[0]}
+                      "rows": rows, "reduced_rows": lam.size}
         reports.append(SpectrumReport(eigs, refinement, bound, margin))
     return reports
 
@@ -229,7 +241,8 @@ def weighted_gram(vols, pg, wspec):
     Streams one flow frequency slice at a time so the full transform of
     the fields is never materialized.
     """
-    assert len(vols) > 0
+    if len(vols) == 0:
+        raise ValueError("weighted_gram needs at least one volume field")
     pts = pg.points()
     mu = vols[0].flow.freq_spacing * pg.weight
     gram = np.zeros((len(vols), len(vols)), dtype=complex)
@@ -273,7 +286,9 @@ def lower_bound_family(spec, flow, trans, pg, n_ks, wspec, m=4,
     nk_count = len(n_ks)
     norms_phi = np.sqrt(np.abs(np.diag(gram)[0::2]))
     norms_img = np.sqrt(np.abs(np.diag(gram)[1::2]))
-    assert np.all(norms_phi > 0), "degenerate test packet"
+    if not np.all(norms_phi > 0):
+        raise ValueError("degenerate test packet: a windowed packet has "
+                         "zero weighted norm on the grid")
     c_k = 1.0 / norms_phi
     ratios = norms_img / norms_phi
     gram_phi = gram[0::2, 0::2] / np.outer(norms_phi, norms_phi)

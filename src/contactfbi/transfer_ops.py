@@ -18,7 +18,11 @@ slice, C, _slice_forward per out slice) and coupled_adjoint is its
 adjoint; lift_apply and the central block of spectra (the true block
 and its linearized surrogate) both run through them, and lift_kernel
 assembles the same C between dense slice packets within the dense
-budget.  The module also provides a per-entry quadrature used as an
+budget.  That lift is U C V, of rank at most n0 * n_quad, and
+reduced_lift builds its quadrature-space factor C (V U), which has the
+lift's nonzero eigenvalues and is what spectra solves; the packet Gram
+V U is summed axis by axis, so neither the lift nor a packet matrix is
+formed.  The module also provides a per-entry quadrature used as an
 independent cross check, the decomposition by the frequency cutoffs, and
 the expansion statistics Lambda / Delta entering the norm bounds.
 """
@@ -34,10 +38,11 @@ from .aniso_norm import bracket, cutoffs, slice_covectors
 from .contact_geometry import det_on_unstable
 from .numerics import check_dense
 from .partial_fbi import (PartialPacketIndex, PartialPhaseField, VolumeField,
-                          _amplitude, _point_factors, _slice_adjoint,
-                          _slice_forward, _slice_matrices, _volume_points,
-                          check_transversal_spacing, partial_packet,
-                          reconstruct_slice, scatter_slice)
+                          _amplitude, _axis_factor, _point_factors,
+                          _slice_adjoint, _slice_axis_matrix, _slice_forward,
+                          _slice_matrices, _volume_points,
+                          check_transversal_spacing,
+                          partial_packet, reconstruct_slice, scatter_slice)
 
 # |g| below this fraction of its peak counts as outside the support of g
 _SUPPORT_TOL = 1e-8
@@ -307,6 +312,52 @@ def lift_kernel(spec, flow, trans, pg):
     return OperatorMatrix(values, flow, pg)
 
 
+def _packet_gram(pg, kappa, points):
+    """V U of one slice width: its packets at points against its conjugate
+    packets at the quadrature nodes, summed over the phase grid axis by
+    axis, shape (len(points), n_quad).  Neither packet matrix is formed."""
+    gram = np.ones((len(points), 1), dtype=complex)
+    for a, ax in enumerate(pg.axes):
+        at_points = _axis_factor(ax.centers, ax.freqs, points[:, a], kappa,
+                                 conj=False)
+        axis = np.tensordot(at_points, _slice_axis_matrix(ax, kappa, True),
+                            axes=([0, 1], [0, 1]))
+        gram = (gram[:, :, None] * axis[:, None, :]).reshape(len(points), -1)
+    return gram
+
+
+def reduced_lift(spec, flow, trans, pg):
+    """The lift's quadrature-space factor, with the lift's nonzero
+    eigenvalues, as a square array of side n0 * n_quad.
+
+    lift_kernel times its in measure is U C V: U holds the conjugate
+    packets at the n_quad transversal nodes, C the slice coupling and V
+    the packets at the mapped nodes.  By Sylvester's identity the nonzero
+    eigenvalues of U C V are those of C (V U), whose block (s, t) is
+    scale coupling[s, t][:, None] a_t^2 (V_t U_t), with a_t the packet
+    amplitude of slice t and V_t U_t (_packet_gram) built once per
+    distinct width.  The size is checked against the dense budget before
+    anything is evaluated.
+    """
+    check_transversal_spacing(trans, flow)
+    n0, nq = flow.n_points, trans.num_points
+    check_dense(n0 * nq, n0 * nq, "reduced lift matrix")
+    idx = np.arange(n0)
+    coupling, fy = lift_coupling(spec, flow, trans.nodes(), idx, idx,
+                                 flow.freqs(), n0 - 1)
+    kaps = bracket(flow.freqs())
+    grams = {kap: _packet_gram(pg, kap, fy) for kap in np.unique(kaps)}
+    scale = trans.weight / np.sqrt(2.0 * np.pi) * flow.freq_spacing \
+        * pg.weight
+    values = np.empty((n0 * nq, n0 * nq), dtype=complex)
+    blocks = values.reshape(n0, nq, n0, nq)
+    for t, kap in enumerate(kaps):
+        np.multiply(coupling[:, t, :, None],
+                    scale * _amplitude(kap, pg.dim) ** 2 * grams[kap],
+                    out=blocks[:, :, t, :])
+    return values
+
+
 def lift_fingerprint(spec, flow, trans, pg):
     """Short hash of what fixes the lift_kernel matrix: the map, the
     amplitude's name, the grid sizes and the matrix shape.  Nothing is
@@ -464,7 +515,9 @@ def lambda_delta(spec, flow, trans, lam, r):
     mask = ga > 1e-12 * peak
     roots = np.sqrt(np.array([det_on_unstable(spec.map, p)
                               for p in trans.nodes()]))
-    assert np.all(roots > 0), "degenerate unstable Jacobian"
+    if not np.all(roots > 0):
+        raise ValueError("degenerate unstable Jacobian: its determinant "
+                         "vanishes at a transversal node")
     lam_fg = float(np.max((ga / roots[None, :])[mask]))
     delta_fg = float(np.max(roots[mask.any(axis=0)]))
     bound = max(lam_fg, peak * float(lam) ** (-float(r)) * delta_fg)

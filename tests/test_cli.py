@@ -149,6 +149,18 @@ class TestExitCodes:
         assert rep["error"] == message
         assert rep["error_kind"] == "ValueError"
 
+    def test_spectrum_over_budget_exits_two_before_compute(self, tmp_path,
+                                                          capsys):
+        # d = 2: 8 flow slices x 12^4 transversal nodes, a 165,888-row
+        # reduced lift, refused while the levels are planned
+        out = tmp_path / "run"
+        path = write(tmp_path / "d2.cfg", "d = 2\n")
+        code = main(["spectrum", "--config", path, "--out", str(out)])
+        assert code == 2
+        assert ("config error: reduced lift matrix would need a 165888 x "
+                "165888 matrix") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_n_freq_exits_two(self, tmp_path, capsys):
         # n_freq below n_per_axis = 12 leaves no valid phase grid
         path = write(tmp_path / "bad.cfg", "d = 1\nn_freq = 4\n")
@@ -234,6 +246,16 @@ class TestSubcommands:
         rep = json.loads((tmp_path / "summary.json").read_text())
         assert rep["rows"] == 165888
         assert rep["audit"]["c_rho"] > 0
+
+    def test_spectrum_default_config(self, tmp_path):
+        # the 165,888-row lift's spectrum comes from its 8 x 144-row factor
+        path = write(tmp_path / "d.cfg", "d = 1\n")
+        assert main(["spectrum", "--config", path,
+                     "--out", str(tmp_path)]) == 0
+        level, = json.loads((tmp_path / "summary.json").read_text())["levels"]
+        assert level["refinement"]["rows"] == 165888
+        assert level["refinement"]["reduced_rows"] == 1152
+        assert len(level["moduli"]) == 165888
 
     def test_partition_audit(self, tmp_path):
         path = write(tmp_path / "m.cfg", TINY_MODEL)

@@ -108,13 +108,17 @@ class TestDenseBudget:
             -np.sum(p[:, 1:] ** 2, axis=-1) / 0.5))
         trans = make_grid(2, 0.7, 4)
         level = (FlowGrid(np.pi, 4), trans, dual_phase_grid(trans, n_freq=4))
+        # 8 slices x 12^2 nodes: a 1,152-row reduced lift
+        nodes = make_grid(2, 1.6, 12)
+        reduced = (FlowGrid(np.pi, 8), nodes,
+                   dual_phase_grid(nodes, n_freq=12))
         plane = make_grid(2, 6.0, 36)
         u = Field(plane, np.exp(-np.sum(plane.nodes() ** 2, axis=-1)))
         pg = dual_phase_grid(make_grid(2, 1.2, 6), n_freq=6)
         v = PhaseField(pg, np.ones(pg.shape(), dtype=complex))
         calls = {
             "model_spectrum": lambda: spectra.model_spectrum(
-                spec, [level], 0.5),
+                spec, [reduced], 0.5),
             "lift_kernel": lambda: transfer_ops.lift_kernel(spec, *level),
             "weighted_norm_measure": lambda: spectra.weighted_norm_measure(
                 b4, 1.0, 1.0, half_widths=(14.0, 14.0)),
@@ -138,6 +142,7 @@ class TestDenseBudget:
         # their own ValueError, told apart from one numpy raises later by
         # a fragment of the package's message
         script = textwrap.dedent("""
+            from types import SimpleNamespace
             import numpy as np
             from contactfbi.aniso_norm import WeightSpec
             from contactfbi.contact_geometry import ContactMap
@@ -155,11 +160,13 @@ class TestDenseBudget:
             from contactfbi.aniso_norm import v_s
             from contactfbi.spectra import (CentralBlock, CentralFrame,
                                             SpectrumReport, _axis_lattice,
+                                            lower_bound_family,
+                                            weighted_gram,
                                             weighted_norm_measure)
             from contactfbi.transfer_ops import (OperatorMatrix, TransferSpec,
                                                  kernel_bound_audit,
-                                                 lift_apply, lift_kernel,
-                                                 transfer_apply)
+                                                 lambda_delta, lift_apply,
+                                                 lift_kernel, transfer_apply)
             assert False, "assert statements are not stripped"
             th = np.pi / 6.0
             rot = np.array([[np.cos(th), -np.sin(th)],
@@ -178,6 +185,10 @@ class TestDenseBudget:
                                            np.zeros((2,) + pg6.shape()))
             mat = lift_kernel(spec, flow, trans, pg)
             b4 = np.diag([4.0, 0.25])
+            # a map whose Jacobian vanishes, so E^+ has zero volume
+            flat = TransferSpec(SimpleNamespace(
+                d=1, jacobian=lambda p: np.zeros((3, 3))),
+                lambda p: np.ones(p.shape[0]))
             cases = {
                 "not symplectic": ("not symplectic", lambda: ContactMap.linear(
                     np.diag([2.0, 1.0]))),
@@ -314,6 +325,16 @@ class TestDenseBudget:
                 "packet index frequency": ("non-finite transversal frequency",
                                            lambda: PartialPacketIndex(
                                                [0.0], 1.0, [np.nan])),
+                "empty gram": ("needs at least one volume field",
+                               lambda: weighted_gram([], pg, WeightSpec())),
+                # the window chi(4 |y - x|) around x = (10, 10) misses the box
+                "test packet": ("degenerate test packet",
+                                lambda: lower_bound_family(
+                                    spec, flow, trans, pg, [0.0],
+                                    WeightSpec(), x_star=[10.0, 10.0])),
+                "unstable jacobian": ("degenerate unstable Jacobian",
+                                      lambda: lambda_delta(flat, flow, trans,
+                                                           4.0, 1.0)),
                 "packet dimensions": ("packets of dimensions 1 and 2",
                                       lambda: projection_kernel(
                                           PhaseSpacePoint([0.0], [0.0]),

@@ -8,7 +8,8 @@ import pytest
 from contactfbi.aniso_norm import (WeightSpec, bracket, cal_w_aniso,
                                    slice_covectors, v_s)
 from contactfbi.contact_geometry import ContactMap
-from contactfbi.fbi_core import det_factor, dual_phase_grid, l0_hat_kernel
+from contactfbi.fbi_core import (PhaseAxis, PhaseGrid, det_factor,
+                                 dual_phase_grid, l0_hat_kernel)
 from contactfbi.numerics import make_grid
 from contactfbi import partial_fbi, spectra
 from contactfbi.partial_fbi import (FlowGrid, _slice_adjoint, _slice_forward,
@@ -192,13 +193,53 @@ class TestModelSpectrum:
         assert rep.refinement["rows"] == flow.n_points * pg.num_points
 
     def test_size_guard(self):
+        # 6 slices x 28^2 nodes: a 4,704-row reduced lift, refused before
+        # the amplitude is evaluated
+        def refuse(pts):
+            raise AssertionError("the amplitude was evaluated")
         flow = FlowGrid(np.pi, 6)
-        trans = make_grid(2, 3.0, 16)
-        pg = dual_phase_grid(trans)
-        cmap = ContactMap.linear(sym_block(4.0))
-        spec = TransferSpec(cmap, bump_amp(), name="bump")
+        trans = make_grid(2, 3.0, 28)
+        spec = TransferSpec(ContactMap.linear(sym_block(4.0)), refuse)
         with pytest.raises(ValueError, match="dense budget"):
-            model_spectrum(spec, [(flow, trans, pg)], 0.5)
+            model_spectrum(spec, [(flow, trans, dual_phase_grid(trans))], 0.5)
+
+    @pytest.mark.parametrize("n0", [4, 6])
+    @pytest.mark.parametrize("cmap, g", [
+        (ContactMap.linear(sym_block(4.0)), bump_amp()),
+        (ContactMap.linear(sym_block(4.0)), flow_amp()),
+        (ContactMap.shear(2.0, 0.3), flow_amp()),
+    ], ids=["linear-bump", "linear-flow", "shear-flow"])
+    def test_matches_dense_lift(self, cmap, g, n0):
+        # the C10 levels: 1,024 and 1,536 lift rows, 64 and 96 reduced
+        flow = FlowGrid(np.pi, n0)
+        trans = make_grid(2, 0.7, 4)
+        pg = dual_phase_grid(trans, n_freq=4)
+        spec = TransferSpec(cmap, g)
+        rep = model_spectrum(spec, [(flow, trans, pg)], 0.5)[0]
+        mat = lift_kernel(spec, flow, trans, pg)
+        dense = np.abs(mat.in_measure * np.linalg.eigvals(mat.values))
+        dense = np.sort(dense)[::-1]
+        reduced = rep.refinement["reduced_rows"]
+        assert reduced == n0 * trans.num_points
+        assert rep.refinement["rows"] == mat.values.shape[0]
+        assert np.all(rep.eigenvalues[reduced:] == 0)
+        assert np.max(np.abs(rep.moduli - dense)) <= 1e-12 * dense[0]
+
+    def test_factor_larger_than_lift(self):
+        # 2 centers x 2 frequencies per axis: 16 phase points per slice
+        # against 36 quadrature nodes, so the factor is the larger side
+        flow = FlowGrid(np.pi, 4)
+        trans = make_grid(2, 0.9, 6)
+        pg = PhaseGrid([PhaseAxis([-0.3, 0.3], [-1.0, 1.0],
+                                  trans.axis_nodes())] * 2)
+        spec = TransferSpec(ContactMap.shear(2.0, 0.3), flow_amp())
+        rep = model_spectrum(spec, [(flow, trans, pg)], 0.5)[0]
+        mat = lift_kernel(spec, flow, trans, pg)
+        dense = np.abs(mat.in_measure * np.linalg.eigvals(mat.values))
+        dense = np.sort(dense)[::-1]
+        assert rep.refinement["reduced_rows"] == 144
+        assert rep.eigenvalues.size == rep.refinement["rows"] == 64
+        assert np.max(np.abs(rep.moduli - dense)) <= 1e-12 * dense[0]
 
     def test_block_diagonal_for_flow_independent_amplitude(self):
         flow, trans, pg = toy_setting()

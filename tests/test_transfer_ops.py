@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from contactfbi.aniso_norm import WeightSpec, bracket
 from contactfbi.contact_geometry import ContactMap
@@ -17,8 +18,8 @@ from contactfbi.transfer_ops import (TransferSpec, cutoff_diagonals,
                                      decompose, flow_fourier_coeffs,
                                      kernel_bound_audit, kernel_entry_direct,
                                      lambda_delta, lambda_global, lift_apply,
-                                     lift_kernel, phase_index, slice_coupling,
-                                     transfer_apply)
+                                     lift_kernel, phase_index, reduced_lift,
+                                     slice_coupling, transfer_apply)
 
 
 def gauss_amp(sigma, amp=1.0):
@@ -308,6 +309,32 @@ class TestLiftKernel:
         mat = lift_kernel(shear_spec(), flow, trans, pg)
         sig = np.linalg.svd(mat.values, compute_uv=False)
         assert sig[49] <= 1e-3 * sig[0]
+
+
+class TestReducedLift:
+
+    def test_eigenvectors_lift_through_lift_apply(self):
+        # the default spectrum grid: 8 slices x 12^4 phase points, a
+        # 165,888-row lift far over the dense budget, and a 1,152-row
+        # factor; U z is each slice's forward transform of z off the
+        # quadrature nodes, and matrix-free lift_apply must map it to lam U z
+        flow = FlowGrid(np.pi, 8)
+        trans = make_grid(2, 1.6, 12)
+        pg = dual_phase_grid(trans, n_freq=12)
+        spec = TransferSpec(ContactMap.linear(np.diag([4.0, 0.25])),
+                            gauss_amp(0.5))
+        lam, vecs = scipy.linalg.eig(reduced_lift(spec, flow, trans, pg))
+        kaps = bracket(flow.freqs())
+        for i in np.argsort(-np.abs(lam))[:4]:
+            z = vecs[:, i].reshape((flow.n_points,) + trans.shape())
+            lifted = np.stack([
+                _slice_forward(z[s], pg, kap,
+                               _slice_matrices(pg, kap, conj=True))
+                for s, kap in enumerate(kaps)])
+            out = lift_apply(spec, flow, trans, pg,
+                             PartialPhaseField(flow, pg, lifted)).values
+            assert np.linalg.norm(out - lam[i] * lifted) <= \
+                1e-12 * abs(lam[i]) * np.linalg.norm(lifted)
 
 
 class TestDiagram:
