@@ -49,7 +49,8 @@ def bracket(s):
 def chi_n(s, n):
     """Dyadic partition on the line: chi_0 = chi(|s|) and for n >= 1
     chi_n = chi(2^-n |s|) - chi(2^-n+1 |s|); the sum over n >= 0 is 1."""
-    assert n >= 0
+    if not n >= 0:
+        raise ValueError("dyadic index n must be at least 0, got %r" % (n,))
     a = np.abs(np.asarray(s, dtype=float))
     if n == 0:
         return chi(a)
@@ -211,38 +212,23 @@ def cutoffs(x_dag, xi, spec):
     return x0, x_ctr0, x_hyp
 
 
-def _streamed_norm(vol, weight):
-    """L2 norm of the weighted partial transform of vol, streamed over the
-    flow slices on the norm grid pg = dual_phase_grid(vol.trans,
-    center_margin=3.5).
-
-    weight(pg) is called once and returns the slice weight, a function of
-    xi0 whose values broadcast against a slice's coefficients of shape
-    pg.shape(): a weight of the frequencies alone has shape
-    (1,) * D + (nf_1, ..., nf_D), a pointwise one the full shape.
-    """
-    from .partial_fbi import flow_slices
-    pg = dual_phase_grid(vol.trans, center_margin=3.5)
-    slice_weight = weight(pg)
-    total = 0.0
-    for xi0, _, coeff in flow_slices(vol, pg):
-        total += float(np.sum(np.abs(slice_weight(xi0) * coeff) ** 2))
-    return float(np.sqrt(total * vol.flow.freq_spacing * pg.weight))
-
-
 def aniso_norm(vol, spec):
     """Weighted L2 norm of the partial transform image of a volume field.
 
-    Streams one flow slice at a time; the weight is the phase space lift
-    of W^2r evaluated at the slice frequency and the transversal phase
-    point.
+    Streams one flow slice at a time on the norm grid
+    pg = dual_phase_grid(vol.trans, center_margin=3.5); the weight is the
+    phase space lift of W^2r evaluated at the slice frequency and the
+    transversal phase point.
     """
-    def weight(pg):
-        pts = pg.points()
-        return lambda xi0: cal_w_aniso(
-            *slice_covectors(pts, xi0), spec.r).reshape(pg.shape())
-
-    return _streamed_norm(vol, weight)
+    from .partial_fbi import flow_slices
+    pg = dual_phase_grid(vol.trans, center_margin=3.5)
+    pts = pg.points()
+    total = 0.0
+    for xi0, _, coeff in flow_slices(vol, pg):
+        weight = cal_w_aniso(*slice_covectors(pts, xi0), spec.r)
+        total += float(np.sum(np.abs(weight.reshape(pg.shape()) * coeff)
+                              ** 2))
+    return float(np.sqrt(total * vol.flow.freq_spacing * pg.weight))
 
 
 def sobolev_norms(vol, r):
@@ -251,7 +237,14 @@ def sobolev_norms(vol, r):
     Returns (|<xi>^r F u|_2, |<xi>^r T u|_2).  The transversal box is
     treated as periodic for the Fourier factor, which is harmless for the
     compactly supported suite.  At r = 0 both reduce to the L2 norm.
+
+    The weight of T u depends on the frequencies alone, so each flow
+    slice enters through partial_fbi.slice_energy, the sum of its squared
+    coefficients over the centers on the norm grid
+    pg = dual_phase_grid(vol.trans, center_margin=3.5); no slice
+    coefficient is formed.
     """
+    from .partial_fbi import flow_dft, slice_energy
     vals = vol.values
     d2 = vals.ndim - 1
     h_t = vol.trans.spacing
@@ -269,15 +262,15 @@ def sobolev_norms(vol, r):
     fourier = np.sqrt(float(np.sum(
         np.abs(uhat) ** 2 * bracket(xi_norm) ** (2.0 * r))) * meas)
 
-    def weight(pg):
-        # |xi_dag|^2 on the frequency lattice alone, summed axis by axis in
-        # the order of the columns of pg.points(), so that the weight
-        # equals the pointwise one bit for bit
-        xi_dag2 = sum(f ** 2 for f in np.ix_(*(ax.freqs for ax in pg.axes)))
-        xi_dag2 = xi_dag2.reshape((1,) * d2 + xi_dag2.shape)
-        return lambda xi0: bracket(np.sqrt(xi0 ** 2 + xi_dag2)) ** r
-
-    pfbi = _streamed_norm(vol, weight)
+    pg = dual_phase_grid(vol.trans, center_margin=3.5)
+    # |xi_dag|^2 on the frequency lattice, summed axis by axis in the order
+    # of the columns of pg.points(), as the pointwise weight sums it
+    xi_dag2 = sum(f ** 2 for f in np.ix_(*(ax.freqs for ax in pg.axes)))
+    total = 0.0
+    for xi0, kappa, slice_vals in flow_dft(vol):
+        weight2 = bracket(np.sqrt(xi0 ** 2 + xi_dag2)) ** (2.0 * r)
+        total += float(np.sum(weight2 * slice_energy(slice_vals, pg, kappa)))
+    pfbi = np.sqrt(total * vol.flow.freq_spacing * pg.weight)
     return float(fourier), float(pfbi)
 
 
@@ -298,7 +291,8 @@ def q_tilde(s, k):
 
 def q_tilde_support(k):
     """Support interval of q_tilde(., k) for k > 0."""
-    assert k > 0
+    if not k > 0:
+        raise ValueError("q_tilde support needs k > 0, got %r" % (k,))
     return ((k - 2.0 / 3.0) ** 2, (k + 2.0 / 3.0) ** 2)
 
 

@@ -42,7 +42,9 @@ class AffineContactMap:
 
     def __init__(self, c):
         self.c = np.asarray(c, dtype=float)
-        assert self.c.ndim == 1 and self.c.size % 2 == 1
+        if not (self.c.ndim == 1 and self.c.size % 2 == 1):
+            raise ValueError("affine contact map needs a 1-D c of odd size, "
+                             "got shape %s" % (self.c.shape,))
 
     @property
     def d(self):
@@ -59,7 +61,9 @@ class AffineContactMap:
 
     def compose(self, other):
         """A_c after A_c' is again affine contact; group law via A_c(c')."""
-        assert self.d == other.d
+        if self.d != other.d:
+            raise ValueError("cannot compose affine contact maps of d = %d "
+                             "and d = %d" % (self.d, other.d))
         return AffineContactMap(self.apply(other.c))
 
     def inverse(self):

@@ -30,12 +30,17 @@ class GridSpec:
     """
 
     def __init__(self, dim, half_width, points_per_axis):
-        assert int(dim) == dim and dim >= 1
+        if not (int(dim) == dim and dim >= 1):
+            raise ValueError("grid dimension must be an integer of at least "
+                             "1, got %r" % (dim,))
         self.dim = int(dim)
         self.half_width = float(half_width)
         self.points_per_axis = int(points_per_axis)
+        if not (self.half_width > 0 and self.points_per_axis >= 1):
+            raise ValueError("grid spacing must be positive, got half width "
+                             "%r and %d points per axis"
+                             % (half_width, self.points_per_axis))
         self.spacing = 2.0 * self.half_width / self.points_per_axis
-        assert self.spacing > 0
 
     @property
     def num_points(self):

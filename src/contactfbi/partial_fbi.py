@@ -15,11 +15,20 @@ reuses the dual-lattice construction of the plain transform.  The slice
 transform of width kappa^(-1/2) (_slice_forward / _slice_adjoint, and
 reconstruct_slice / scatter_slice off the quadrature grid) is the one
 transform core of the package: the plain FBI transform of fbi_core is its
-kappa = 1 case, flow_slices streams it over the flow frequencies, and
-every form of the lift in transfer_ops chains it through one slice
-coupling (coupled_forward / coupled_adjoint for lift_apply and the
-central block; lift_kernel builds its dense packets from the same axis
-factors).
+kappa = 1 case, flow_slices streams it over the flow frequencies of
+flow_dft, and every form of the lift in transfer_ops chains it through
+one slice coupling (coupled_forward / coupled_adjoint for lift_apply and
+the central block; lift_kernel builds its dense packets from the same
+axis factors).
+
+A packet is a product of one factor per axis, so a quadratic form of a
+slice whose weight depends on the frequencies alone factors through the
+Gram of each axis over its centers, K[f, y, y'] (_slice_gram), a
+(nf, ny, ny) array, where the slice itself holds nc^D nf^D coefficients.
+slice_energy (the sum over the centers of a slice's squared
+coefficients, per frequency, behind aniso_norm.sobolev_norms) and
+pfbi_roundtrip (T* T, the tensor product of the sums over f of the
+Grams) apply one Gram per axis and form no coefficient.
 
 The off-grid packet factors of reconstruct_slice / scatter_slice are
 memoized on each PhaseAxis: their callers (the central block's power
@@ -27,11 +36,11 @@ iteration, lift_apply, lift_kernel) evaluate the same mapped points at
 the same few widths on every application.  The on-grid factors of
 _slice_axis_matrix reach _slice_forward / _slice_adjoint as an argument
 (_slice_matrices) and are rebuilt on each call, except those the
-central block of spectra holds: flow_slices, pcal_apply and the pfbi_*
-transforms build each large (kappa, axis) matrix once per volume, so a
-cache on the axis would only pin all of them in memory, while the
-central block applies the same few small out-side matrices hundreds of
-times and keeps them only as long as the block lives.
+central block of spectra holds: flow_slices, pcal_apply, pfbi_forward /
+pfbi_adjoint and _slice_gram build each large (kappa, axis) matrix once
+per slice, so a cache on the axis would only pin all of them in memory,
+while the central block applies the same few small out-side matrices
+hundreds of times and keeps them only as long as the block lives.
 
 Since the packet width shrinks with <xi0>, the transversal spacing must
 satisfy h <= 0.7 <xi0>^(-1/2) for the largest flow frequency on the grid.
@@ -226,6 +235,14 @@ def _slice_axis_matrix(ax, kappa, conj):
     return _axis_factor(ax.centers, ax.freqs, ax.y, kappa, conj)
 
 
+def _slice_gram(ax, kappa):
+    """Gram of the on-grid packets of one axis over their centers,
+    K[f, y, y'] = sum_c M[c, f, y] conj(M[c, f, y']) with
+    M = _slice_axis_matrix(ax, kappa, conj=False)."""
+    m = np.transpose(_slice_axis_matrix(ax, kappa, conj=False), (1, 2, 0))
+    return m @ np.conj(np.transpose(m, (0, 2, 1)))
+
+
 def _slice_matrices(pg, kappa, conj):
     """The on-grid axis matrices of one slice width, one per axis of pg:
     conjugate ones for _slice_forward, plain ones for _slice_adjoint."""
@@ -319,20 +336,43 @@ def scatter_slice(vals, pg, kappa, pts):
     return _amplitude(kappa, pg.dim) * pg.weight * out
 
 
-def flow_slices(vol, pg):
-    """Stream the partial transform of a volume field slice by slice.
-
-    Checks the transversal spacing, Fourier transforms along the flow and
-    yields (xi0, kappa, coefficients) for each flow frequency xi0, with
-    kappa = <xi0> and the slice coefficients on the phase grid pg; only
-    one slice of coefficients exists at a time.
-    """
+def flow_dft(vol):
+    """Check the transversal spacing and Fourier transform a volume field
+    along the flow; yield (xi0, kappa, values) for each flow frequency
+    xi0, with kappa = <xi0> and the slice values on the transversal grid."""
     check_transversal_spacing(vol.trans, vol.flow)
     hat = np.tensordot(vol.flow.dft_matrix(), vol.values, axes=([1], [0]))
     for xi0, slice_vals in zip(vol.flow.freqs(), hat):
-        kappa = float(bracket(xi0))
+        yield xi0, float(bracket(xi0)), slice_vals
+
+
+def flow_slices(vol, pg):
+    """Stream the partial transform of a volume field slice by slice.
+
+    Yields (xi0, kappa, coefficients) for each flow frequency of
+    flow_dft(vol), with the slice coefficients on the phase grid pg; only
+    one slice of coefficients exists at a time.
+    """
+    for xi0, kappa, slice_vals in flow_dft(vol):
         yield xi0, kappa, _slice_forward(
             slice_vals, pg, kappa, _slice_matrices(pg, kappa, conj=True))
+
+
+def slice_energy(slice_vals, pg, kappa):
+    """sum over the centers of |_slice_forward(slice_vals)|^2, of shape
+    (nf_1, ..., nf_D): at f the form <v, (K_1(f_1) x ... x K_D(f_D)) v>
+    of the axis Grams, applied one axis at a time (at most nf^D ny^D
+    values)."""
+    d2 = pg.dim
+    work = slice_vals
+    for ax in pg.axes:
+        # contract the leading y axis, appending (freq, y) at the end
+        work = np.tensordot(work, _slice_gram(ax, kappa), axes=([0], [2]))
+    # axes are now (f1, y1, f2, y2, ...) -> reorder to (f..., y...)
+    perm = list(range(0, 2 * d2, 2)) + list(range(1, 2 * d2, 2))
+    quad = np.tensordot(np.transpose(work, perm), np.conj(slice_vals),
+                        axes=d2)
+    return (_amplitude(kappa, d2) * pg.y_weight) ** 2 * quad.real
 
 
 def pfbi_forward(vol, pg):
@@ -364,11 +404,16 @@ def pfbi_adjoint(pf, trans=None):
 
 def pfbi_roundtrip(vol, pg):
     """Streamed T* T application, the resolution of identity, one flow
-    slice at a time."""
+    slice at a time: the slice's T* T applies sum_f K_a[f], an (ny, ny)
+    matrix, along each axis a."""
     out_hat = np.empty_like(vol.values)
-    for s, (_, kappa, coeff) in enumerate(flow_slices(vol, pg)):
-        out_hat[s] = _slice_adjoint(coeff, pg, kappa,
-                                    _slice_matrices(pg, kappa, conj=False))
+    for s, (_, kappa, work) in enumerate(flow_dft(vol)):
+        for ax in pg.axes:
+            # contract the leading y' axis, appending y at the end
+            work = np.tensordot(work, _slice_gram(ax, kappa).sum(axis=0),
+                                axes=([0], [1]))
+        out_hat[s] = _amplitude(kappa, pg.dim) ** 2 * pg.y_weight * \
+            pg.weight * work
     vals = np.tensordot(vol.flow.idft_matrix(), out_hat, axes=([1], [0]))
     return VolumeField(vol.flow, vol.trans, vals)
 

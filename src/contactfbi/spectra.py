@@ -70,10 +70,23 @@ class SpectrumReport:
         cut = self.lambda_t_bound * (1.0 + self.margin)
         return float(np.mean(self.moduli <= cut))
 
+    @property
+    def structural_zeros(self):
+        """Number of the zeros that pad the eigenvalues of a reduced factor
+        (refinement["reduced_rows"]) up to the lift's row count; to_dict
+        and save_csv count them instead of listing them."""
+        reduced = self.refinement.get("reduced_rows", self.eigenvalues.size)
+        return max(0, self.eigenvalues.size - int(reduced))
+
+    def _listed(self):
+        return self.eigenvalues[:self.eigenvalues.size - self.structural_zeros]
+
     def to_dict(self):
-        return {"eigenvalues_re": self.eigenvalues.real.tolist(),
-                "eigenvalues_im": self.eigenvalues.imag.tolist(),
-                "moduli": self.moduli.tolist(),
+        listed = self._listed()
+        return {"eigenvalues_re": listed.real.tolist(),
+                "eigenvalues_im": listed.imag.tolist(),
+                "moduli": np.abs(listed).tolist(),
+                "structural_zeros": self.structural_zeros,
                 "lambda_t_bound": self.lambda_t_bound,
                 "margin": self.margin,
                 "stable_count": self.stable_count,
@@ -83,10 +96,12 @@ class SpectrumReport:
         meta = " ".join("%s=%s" % (k, self.refinement[k])
                         for k in sorted(self.refinement))
         lines = ["# %s" % meta,
-                 "# bound=%.17g margin=%.17g stable_count=%d" % (
-                     self.lambda_t_bound, self.margin, self.stable_count),
+                 "# bound=%.17g margin=%.17g stable_count=%d "
+                 "structural_zeros=%d" % (
+                     self.lambda_t_bound, self.margin, self.stable_count,
+                     self.structural_zeros),
                  "index,re,im,modulus"]
-        for i, z in enumerate(self.eigenvalues):
+        for i, z in enumerate(self._listed()):
             lines.append("%d,%.17g,%.17g,%.17g"
                          % (i, z.real, z.imag, abs(z)))
         with open(path, "w") as fh:
@@ -187,12 +202,13 @@ def model_spectrum(spec, levels, bound, margin=0.1):
     U C V of lift_kernel has rank at most n0 * n_quad, and its nonzero
     eigenvalues are those of transfer_ops.reduced_lift, C (V U), which
     LAPACK solves in place on its Fortran-ordered transpose.  The report
-    lists them followed by exact zeros up to the lift's row count; should
-    the factor be the larger side, its smallest eigenvalues, zeros of
-    rank, are the ones dropped.  refinement records both sizes, rows and
-    reduced_rows.  The weighted space fixes the bound (lambda_delta reads
-    the weight exponent), not the eigenvalues: conjugating the finite
-    lift by the weight is a similarity.
+    holds them followed by exact zeros up to the lift's row count, and
+    writes out only a count of those zeros; should the factor be the
+    larger side, its smallest eigenvalues, zeros of rank, are the ones
+    dropped.  refinement records both sizes, rows and reduced_rows.  The
+    weighted space fixes the bound (lambda_delta reads the weight
+    exponent), not the eigenvalues: conjugating the finite lift by the
+    weight is a similarity.
     """
     reports = []
     for flow, trans, pg in levels:

@@ -313,6 +313,38 @@ class TestVolumeNorms:
             got = sobolev_norms(self.vol, r)[1]
             assert abs(got - ref) <= 1e-13 * ref
 
+    def test_sobolev_matches_pointwise_weight_d2(self, monkeypatch):
+        # a d = 2 (D = 4) volume; one slice on its norm grid would hold
+        # 22^4 * 12^4 coefficients, so the grid is shrunk to one the
+        # pointwise reference, which forms whole slices, can afford
+        from contactfbi import aniso_norm, fbi_core
+        from contactfbi.aniso_norm import sobolev_norms
+        from contactfbi.numerics import make_grid
+        from contactfbi.partial_fbi import (FlowGrid, flow_slices,
+                                            sample_volume)
+        trans = make_grid(4, 0.8, 4)
+        flow = FlowGrid(np.pi, 4)
+
+        def u(pts):
+            prof = np.exp(-np.sum(pts[:, 1:] ** 2, axis=-1) / 0.2)
+            return (1.0 + 0.5 * np.sin(pts[:, 0])) * prof * \
+                np.exp(1j * pts[:, 2])
+
+        vol = sample_volume(u, flow, trans)
+        pg = fbi_core.dual_phase_grid(trans, n_freq=6, center_margin=0.4)
+        monkeypatch.setattr(aniso_norm, "dual_phase_grid",
+                            lambda trans, center_margin: pg)
+        pts = pg.points()
+        for r in (0.0, 1.0, 2.0):
+            total = 0.0
+            for xi0, _, coeff in flow_slices(vol, pg):
+                full = np.sqrt(xi0 ** 2 + np.sum(pts[:, 4:] ** 2, axis=-1))
+                total += np.sum(np.abs(bracket(full) ** r
+                                       * coeff.ravel()) ** 2)
+            ref = np.sqrt(total * flow.freq_spacing * pg.weight)
+            got = sobolev_norms(vol, r)[1]
+            assert abs(got - ref) <= 1e-13 * ref
+
     def test_sobolev_builds_no_phase_points(self, monkeypatch):
         from contactfbi.aniso_norm import sobolev_norms
         from contactfbi.fbi_core import PhaseGrid

@@ -255,7 +255,8 @@ class TestSubcommands:
         level, = json.loads((tmp_path / "summary.json").read_text())["levels"]
         assert level["refinement"]["rows"] == 165888
         assert level["refinement"]["reduced_rows"] == 1152
-        assert len(level["moduli"]) == 165888
+        # the 164,736 structural zeros are counted, not listed
+        assert len(level["moduli"]) + level["structural_zeros"] == 165888
 
     def test_partition_audit(self, tmp_path):
         path = write(tmp_path / "m.cfg", TINY_MODEL)

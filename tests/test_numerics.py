@@ -144,15 +144,18 @@ class TestDenseBudget:
         script = textwrap.dedent("""
             from types import SimpleNamespace
             import numpy as np
-            from contactfbi.aniso_norm import WeightSpec
-            from contactfbi.contact_geometry import ContactMap
+            from contactfbi.aniso_norm import (WeightSpec, chi_n,
+                                               q_tilde_support)
+            from contactfbi.contact_geometry import (AffineContactMap,
+                                                     ContactMap)
             from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseAxis,
                                              PhaseField, PhaseGrid,
                                              PhaseSpacePoint, apply_p_omega,
                                              dual_phase_grid, fbi_forward,
                                              fbi_forward_at, l0_hat,
                                              lift_linear, projection_kernel)
-            from contactfbi.numerics import Field, check_dense, make_grid
+            from contactfbi.numerics import (Field, GridSpec, check_dense,
+                                             make_grid)
             from contactfbi.partial_fbi import (FlowGrid, PartialPacketIndex,
                                                 PartialPhaseField, VolumeField,
                                                 reconstruct_slice,
@@ -335,6 +338,23 @@ class TestDenseBudget:
                 "unstable jacobian": ("degenerate unstable Jacobian",
                                       lambda: lambda_delta(flat, flow, trans,
                                                            4.0, 1.0)),
+                "dyadic index": ("n must be at least 0",
+                                 lambda: chi_n(1.0, -1)),
+                "q_tilde support": ("needs k > 0",
+                                    lambda: q_tilde_support(0)),
+                "affine c": ("1-D c of odd size, got shape (2,)",
+                             lambda: AffineContactMap([0.0, 1.0])),
+                "affine compose": ("maps of d = 1 and d = 2",
+                                   lambda: AffineContactMap(
+                                       np.zeros(3)).compose(
+                                           AffineContactMap(np.zeros(5)))),
+                "grid dimension": ("integer of at least 1, got 1.5",
+                                   lambda: GridSpec(1.5, 1.0, 4)),
+                "grid spacing": ("spacing must be positive",
+                                 lambda: GridSpec(1, 0.0, 4)),
+                "grid points": ("spacing must be positive, got half width "
+                                "1.0 and 0 points",
+                                lambda: GridSpec(1, 1.0, 0)),
                 "packet dimensions": ("packets of dimensions 1 and 2",
                                       lambda: projection_kernel(
                                           PhaseSpacePoint([0.0], [0.0]),

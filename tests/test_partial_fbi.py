@@ -5,16 +5,18 @@ import pytest
 
 from contactfbi.fbi_core import dual_phase_grid
 from contactfbi.numerics import make_grid
+from contactfbi import partial_fbi
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField, VolumeField,
                                     _amplitude, _axis_factor, _point_factors,
-                                    _slice_adjoint, _slice_forward,
+                                    _slice_adjoint, _slice_axis_matrix,
+                                    _slice_forward, _slice_gram,
                                     _slice_matrices,
-                                    check_transversal_spacing,
-                                    min_transversal_points,
+                                    check_transversal_spacing, flow_dft,
+                                    flow_slices, min_transversal_points,
                                     partial_packet, pcal_apply, pfbi_adjoint,
                                     pfbi_forward, pfbi_roundtrip,
                                     reconstruct_slice, sample_volume,
-                                    scatter_slice)
+                                    scatter_slice, slice_energy)
 
 
 def gaussian_volume(flow, trans, k_flow=2.0, width=0.8):
@@ -258,3 +260,71 @@ class TestSliceCore:
                     factor[0, 0, 0] = 0.0
             _, _, again = _point_factors(self.pg, self.kappa, pts, conj)
             assert all(a is b for a, b in zip(factors, again))
+
+
+class TestGramPath:
+    """The quadratic forms of the transform through the per-axis packet
+    Grams agree with the materialized slices they replace."""
+
+    @staticmethod
+    def _volume(flow, trans):
+        # no symmetry between the transversal axes or under conjugation
+        def f(pts):
+            yd = pts[:, 1:]
+            return np.exp(1j * pts[:, 0] + 1.5j * yd[:, -1]
+                          - np.sum(yd ** 2, axis=-1) / 0.5) * \
+                (1.0 + 0.3 * yd[:, 0] + 0.2j * np.cos(2.0 * pts[:, 0]))
+        return sample_volume(f, flow, trans)
+
+    def test_slice_gram_sums_over_centers(self):
+        ax = dual_phase_grid(make_grid(1, 2.0, 10), center_margin=1.0).axes[0]
+        for kappa in (1.0, 3.5):
+            m = _slice_axis_matrix(ax, kappa, conj=False)
+            want = sum(m[c][:, :, None] * np.conj(m[c][:, None, :])
+                       for c in range(ax.centers.size))
+            got = _slice_gram(ax, kappa)
+            assert got.shape == (ax.freqs.size, ax.y.size, ax.y.size)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    # (dim, half width, points per axis, n_freq): n_freq differs from the
+    # points per axis, and D = 4 is the d = 2 transversal block
+    GRIDS = [(2, 3.0, 14, 17), (4, 0.8, 4, 6)]
+
+    @pytest.mark.parametrize("dim, half, n, n_freq", GRIDS)
+    def test_roundtrip_matches_materialized_pair(self, dim, half, n, n_freq):
+        flow = FlowGrid(np.pi, 4)
+        trans = make_grid(dim, half, n)
+        vol = self._volume(flow, trans)
+        pg = dual_phase_grid(trans, n_freq=n_freq)
+        want = pfbi_adjoint(pfbi_forward(vol, pg), trans).values
+        got = pfbi_roundtrip(vol, pg).values
+        assert np.linalg.norm((got - want).ravel()) <= \
+            1e-13 * np.linalg.norm(want.ravel())
+
+    @pytest.mark.parametrize("dim, half, n, n_freq", GRIDS)
+    def test_slice_energy_sums_coefficients(self, dim, half, n, n_freq):
+        flow = FlowGrid(np.pi, 4)
+        trans = make_grid(dim, half, n)
+        vol = self._volume(flow, trans)
+        pg = dual_phase_grid(trans, n_freq=n_freq, center_margin=0.5)
+        for (_, kappa, vals), (_, _, coeff) in zip(flow_dft(vol),
+                                                   flow_slices(vol, pg)):
+            want = np.sum(np.abs(coeff) ** 2, axis=tuple(range(dim)))
+            got = slice_energy(vals, pg, kappa)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    def test_quadratic_forms_form_no_coefficients(self, monkeypatch):
+        from contactfbi.aniso_norm import sobolev_norms
+
+        def refuse(*args):
+            raise AssertionError("slice transform called")
+        monkeypatch.setattr(partial_fbi, "_slice_forward", refuse)
+        monkeypatch.setattr(partial_fbi, "_slice_adjoint", refuse)
+        flow = FlowGrid(np.pi, 4)
+        trans = make_grid(2, 1.6, 8)
+        vol = self._volume(flow, trans)
+        assert sobolev_norms(vol, 1.0)[1] > 0.0
+        back = pfbi_roundtrip(vol, dual_phase_grid(trans))
+        assert np.linalg.norm(back.values.ravel()) > 0.0
+

@@ -79,6 +79,21 @@ class TestSpectrumReport:
         assert lines[2] == "index,re,im,modulus"
         assert len(lines) == 5
 
+    def test_structural_zeros_counted_not_listed(self, tmp_path):
+        eigs = [0.2, 0.9, 0.0, 0.0, 0.0]
+        rep = SpectrumReport(eigs, {"rows": 5, "reduced_rows": 2}, 0.5)
+        assert rep.eigenvalues.size == 5 and rep.stable_count == 1
+        data = rep.to_dict()
+        assert data["moduli"] == [0.9, 0.2]
+        assert data["eigenvalues_re"] == [0.9, 0.2]
+        assert data["structural_zeros"] == 3
+        cp = tmp_path / "spec.csv"
+        rep.save_csv(cp)
+        lines = cp.read_text().strip().split("\n")
+        assert "structural_zeros=3" in lines[1]
+        assert lines[3:] == ["0,0.90000000000000002,0,0.90000000000000002",
+                             "1,0.20000000000000001,0,0.20000000000000001"]
+
     def test_persistence(self):
         a = SpectrumReport([1.0, 0.9, 0.1], {}, 0.5)
         b = SpectrumReport([1.02, 0.88, 0.2], {}, 0.5)
