@@ -57,13 +57,8 @@ def chi_n(s, n):
     return chi(a / 2.0 ** n) - chi(a / 2.0 ** (n - 1))
 
 
-def psi_plus(zeta):
-    """Cone function on the projective space of R^(2d), equal to 1 on
-    C*_+(1/3) and 0 on C*_-(1/3); depends only on the direction."""
-    zeta = np.asarray(zeta, dtype=float)
-    d = zeta.shape[-1] // 2
-    plus = np.linalg.norm(zeta[..., :d], axis=-1)
-    minus = np.linalg.norm(zeta[..., d:], axis=-1)
+def _psi_halves(plus, minus):
+    """psi_plus from the norms of the two halves of its argument."""
     # ratio 1 at zeta = 0 gives the symmetric value 1/2 there
     rho = np.where((plus == 0) & (minus == 0), 1.0,
                    minus / np.maximum(plus, 1e-300))
@@ -71,17 +66,34 @@ def psi_plus(zeta):
     return smooth_step(1.0 - u)
 
 
+def _half_norms(zeta):
+    """Norms of the plus and minus halves of points of R^(2d)."""
+    d = zeta.shape[-1] // 2
+    return (np.linalg.norm(zeta[..., :d], axis=-1),
+            np.linalg.norm(zeta[..., d:], axis=-1))
+
+
+def psi_plus(zeta):
+    """Cone function on the projective space of R^(2d), equal to 1 on
+    C*_+(1/3) and 0 on C*_-(1/3); depends only on the direction."""
+    return _psi_halves(*_half_norms(np.asarray(zeta, dtype=float)))
+
+
 def psi_minus(zeta):
     return 1.0 - psi_plus(zeta)
+
+
+def _w_halves(plus, minus, r):
+    """W^r of a point of R^(2d) from the norms of its two halves."""
+    pp = _psi_halves(plus, minus)
+    br = bracket(np.hypot(plus, minus))
+    return pp * br ** (-r) + (1.0 - pp) * br ** r
 
 
 def w_aniso(zeta, r):
     """Anisotropic symbol W^r on R^(2d): decays like <|zeta|>^-r in the
     plus cone and grows like <|zeta|>^r in the minus cone."""
-    zeta = np.asarray(zeta, dtype=float)
-    pp = psi_plus(zeta)
-    br = bracket(np.linalg.norm(zeta, axis=-1))
-    return pp * br ** (-r) + (1.0 - pp) * br ** r
+    return _w_halves(*_half_norms(np.asarray(zeta, dtype=float)), r)
 
 
 def twisted_frequency(x_dag, xi):
@@ -115,6 +127,38 @@ def cal_w_aniso(x_dag, xi, r):
     """Phase space weight: W^2r of the rescaled transversal frequency,
     invariant under the affine contact group by construction."""
     return w_aniso(_rescaled_twist(x_dag, xi), 2 * r)
+
+
+def slice_weight(pg, xi0, r):
+    """cal_w_aniso on the flow slice xi0 of the phase grid pg, of shape
+    pg.shape(), built from the per-axis twisted components.
+
+    Component a of the transversal twisted frequency is
+    v_a = xi_a + xi0 x_(a+d) for a < d and v_a = xi_a - xi0 x_(a-d) for
+    a >= d, a small (nc, nf) array over one center and one frequency
+    axis; |v_+|^2 and |v_-|^2 are summed from them by broadcasting, and
+    W^2r is evaluated from the two half norms, as cal_w_aniso evaluates
+    it on the points of slice_covectors(pg.points(), xi0).
+    """
+    d2 = pg.dim
+    if d2 % 2:
+        raise ValueError("the phase-space weight needs an even transversal "
+                         "dimension, got %d" % d2)
+    d = d2 // 2
+    plus2 = minus2 = 0.0
+    for a, ax in enumerate(pg.axes):
+        # frequency axis a pairs with center axis b
+        b = (a + d) % d2
+        sign = 1.0 if a < d else -1.0
+        v = ax.freqs[None, :] + sign * xi0 * pg.axes[b].centers[:, None]
+        shape = [1] * (2 * d2)
+        shape[b], shape[d2 + a] = v.shape
+        if a < d:
+            plus2 = plus2 + (v ** 2).reshape(shape)
+        else:
+            minus2 = minus2 + (v ** 2).reshape(shape)
+    scale = bracket(np.sqrt(xi0 ** 2 + plus2 + minus2)) ** 0.5
+    return _w_halves(np.sqrt(plus2) / scale, np.sqrt(minus2) / scale, 2 * r)
 
 
 def v_s(z, s, r):
@@ -218,16 +262,14 @@ def aniso_norm(vol, spec):
     Streams one flow slice at a time on the norm grid
     pg = dual_phase_grid(vol.trans, center_margin=3.5); the weight is the
     phase space lift of W^2r evaluated at the slice frequency and the
-    transversal phase point.
+    transversal phase point (slice_weight).
     """
     from .partial_fbi import flow_slices
     pg = dual_phase_grid(vol.trans, center_margin=3.5)
-    pts = pg.points()
     total = 0.0
     for xi0, _, coeff in flow_slices(vol, pg):
-        weight = cal_w_aniso(*slice_covectors(pts, xi0), spec.r)
-        total += float(np.sum(np.abs(weight.reshape(pg.shape()) * coeff)
-                              ** 2))
+        weight = slice_weight(pg, xi0, spec.r)
+        total += float(np.sum(np.abs(weight * coeff) ** 2))
     return float(np.sqrt(total * vol.flow.freq_spacing * pg.weight))
 
 

@@ -19,7 +19,7 @@ from . import __version__
 from .aniso_norm import (WeightSpec, chi_n, cutoffs, lp_partition, q_k,
                          q_tilde_separation)
 from .contact_geometry import ContactMap
-from .fbi_core import det_factor, dual_phase_grid, fbi_adjoint, fbi_forward
+from .fbi_core import det_factor, dual_phase_grid, fbi_roundtrip
 from .numerics import check_dense, make_grid, sample
 from .partial_fbi import (FlowGrid, check_transversal_spacing,
                           min_transversal_points, pfbi_roundtrip,
@@ -304,6 +304,10 @@ def _spectrum_levels(cfg, refine):
 
 
 def run_check_identity(cfg, out, seed, grids):
+    """Relative defect of T* T u against u for a seeded suite: the plain
+    transform on a D = 1 and a D = 2 grid through fbi_roundtrip, and the
+    partial transform through pfbi_roundtrip; both apply one summed packet
+    Gram per axis and form no phase-space coefficient."""
     rng = np.random.default_rng(seed)
     spaces, (flow, trans, pg_vol) = grids
     rows = []
@@ -311,7 +315,7 @@ def run_check_identity(cfg, out, seed, grids):
     for grid, pg in spaces:
         for i, f in enumerate(_suite(grid.dim, rng)):
             u = sample(f, grid)
-            back = fbi_adjoint(fbi_forward(u, pg), grid)
+            back = fbi_roundtrip(u, pg)
             defect = np.sqrt(np.sum(np.abs(back.values - u.values) ** 2)
                              * grid.weight) / u.norm()
             worst = max(worst, defect)

@@ -17,10 +17,12 @@ window, so the discrete T* T is diagonal and the only identity/isometry
 errors are Gaussian boundary tails.  The pair T / T* is the kappa = 1
 case of the slice transform core in partial_fbi (_slice_forward /
 _slice_adjoint, packets of width kappa^(-1/2)); fbi_forward and
-fbi_adjoint check their inputs and call it.  Operators such as the lifted
-linear map are applied through closed-form Gaussian-integral kernels, which
-keeps them accurate even when the linear map moves frequencies outside the
-band that plain quadrature could resolve.
+fbi_adjoint check their inputs and call it, and fbi_roundtrip applies
+T* T through the per-axis packet Grams of partial_fbi.slice_roundtrip.
+Operators such as the lifted linear map are applied through closed-form
+Gaussian-integral kernels, which keeps them accurate even when the linear
+map moves frequencies outside the band that plain quadrature could
+resolve.
 
 Every closed form is pref * exp(quadratic form in (p, p')), built in place
 by the one builder _gaussian_kernel: the projection kernels through
@@ -74,9 +76,10 @@ def wave_packet(p):
 class PhaseAxis:
     """Center, frequency and space-quadrature nodes along one axis.
 
-    point_factors holds the read-only packet factors of this axis at
-    off-grid points, keyed by (points bytes, kappa, conj); see
-    partial_fbi._point_factors.
+    factors holds the read-only packet factors of this axis at its own
+    nodes and at off-grid points, keyed by (points bytes, kappa, conj),
+    and grams its read-only packet Grams, keyed by kappa; see
+    partial_fbi._cached_axis_factor and partial_fbi._slice_gram.
     """
 
     def __init__(self, centers, freqs, y):
@@ -86,7 +89,8 @@ class PhaseAxis:
         self.c_spacing = float(self.centers[1] - self.centers[0])
         self.f_spacing = float(self.freqs[1] - self.freqs[0])
         self.y_spacing = float(self.y[1] - self.y[0])
-        self.point_factors = {}
+        self.factors = {}
+        self.grams = {}
 
 
 class PhaseGrid:
@@ -195,11 +199,8 @@ def _check_nyquist(pg):
                 "spacing %.4g, max |xi| %.4g" % (ax.y_spacing, np.max(np.abs(ax.freqs))))
 
 
-def fbi_forward(u, pg):
-    """T u on the phase grid: quadrature pairing of u with every packet.
-
-    This is the partial transform's slice core at kappa = 1."""
-    from .partial_fbi import _slice_forward, _slice_matrices
+def _check_field_on(u, pg):
+    """Refuse a field whose grid is not the quadrature grid of pg."""
     _check_nyquist(pg)
     if u.grid.dim != pg.dim:
         raise ValueError("a %d-dimensional field on a %d-dimensional phase "
@@ -212,8 +213,27 @@ def fbi_forward(u, pg):
         if not np.allclose(ax.y, u.grid.axis_nodes()):
             raise ValueError("phase grid quadrature nodes differ from the "
                              "field's grid nodes")
+
+
+def fbi_forward(u, pg):
+    """T u on the phase grid: quadrature pairing of u with every packet.
+
+    This is the partial transform's slice core at kappa = 1."""
+    from .partial_fbi import _slice_forward, _slice_matrices
+    _check_field_on(u, pg)
     return PhaseField(pg, _slice_forward(
         u.reshape(), pg, 1.0, _slice_matrices(pg, 1.0, conj=True)))
+
+
+def fbi_roundtrip(u, pg):
+    """T* T u on the field's grid, with the input checks of fbi_forward.
+
+    This is partial_fbi.slice_roundtrip at kappa = 1: one summed packet
+    Gram per axis, with no phase-space coefficient formed; the tests hold
+    it to fbi_adjoint(fbi_forward(.))."""
+    from .partial_fbi import slice_roundtrip
+    _check_field_on(u, pg)
+    return Field(u.grid, slice_roundtrip(u.reshape(), pg, 1.0).ravel())
 
 
 def fbi_adjoint(v, space_grid=None):

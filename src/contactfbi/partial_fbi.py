@@ -27,20 +27,24 @@ Gram of each axis over its centers, K[f, y, y'] (_slice_gram), a
 (nf, ny, ny) array, where the slice itself holds nc^D nf^D coefficients.
 slice_energy (the sum over the centers of a slice's squared
 coefficients, per frequency, behind aniso_norm.sobolev_norms) and
-pfbi_roundtrip (T* T, the tensor product of the sums over f of the
-Grams) apply one Gram per axis and form no coefficient.
+slice_roundtrip (T* T of one slice, the tensor product of the sums over
+f of the Grams, behind pfbi_roundtrip and fbi_core.fbi_roundtrip) apply
+one Gram per axis and form no coefficient.
 
-The off-grid packet factors of reconstruct_slice / scatter_slice are
-memoized on each PhaseAxis: their callers (the central block's power
-iteration, lift_apply, lift_kernel) evaluate the same mapped points at
-the same few widths on every application.  The on-grid factors of
-_slice_axis_matrix reach _slice_forward / _slice_adjoint as an argument
-(_slice_matrices) and are rebuilt on each call, except those the
-central block of spectra holds: flow_slices, pcal_apply, pfbi_forward /
-pfbi_adjoint and _slice_gram build each large (kappa, axis) matrix once
-per slice, so a cache on the axis would only pin all of them in memory,
-while the central block applies the same few small out-side matrices
-hundreds of times and keeps them only as long as the block lives.
+Every packet factor of an axis is memoized on its PhaseAxis and returned
+read-only: the on-grid matrices of _slice_axis_matrix, the Grams of
+_slice_gram and the off-grid factors of reconstruct_slice /
+scatter_slice, with the conjugate factor taken as np.conj of the plain
+one.  dual_phase_grid repeats one axis D times and the slices at +-xi0
+share the width <xi0>, so each distinct factor is built once per grid,
+and the memo lives and dies with the grid.  The memo is small next to
+what it serves: one axis matrix holds nc nf ny values and one Gram
+nf ny^2, where one slice of coefficients holds nc^D nf^D.  On the fine
+C9 norm grid (nc = 64, nf = 28, ny = 20, D = 2) that is 573 kB per
+matrix against 51 MB per slice.  With the memo, fbi_core.fbi_roundtrip
+and aniso_norm.slice_weight in place of per-call builds, dense plain
+round trips and pointwise weights, the norms benchmark (bench/run.py,
+seed 0, 2 vCPUs) peaks at 100 MB RSS instead of 177 MB.
 
 Since the packet width shrinks with <xi0>, the transversal spacing must
 satisfy h <= 0.7 <xi0>^(-1/2) for the largest flow frequency on the grid.
@@ -230,17 +234,48 @@ def _axis_factor(centers, freqs, points, kappa, conj):
     return np.exp(sgn * 1j * f * (y - x / 2.0) - kappa * (y - x) ** 2 / 2.0)
 
 
+def _memoized(store, key, build):
+    """store[key], built by build() on first use and made read-only, since
+    every caller shares it."""
+    value = store.get(key)
+    if value is None:
+        value = build()
+        value.flags.writeable = False
+        store[key] = value
+    return value
+
+
+def _cached_axis_factor(ax, points, kappa, conj):
+    """_axis_factor of one phase axis at the given points, memoized on the
+    axis in ax.factors; the conjugate factor is np.conj of the plain one."""
+    key = (points.tobytes(), float(kappa), bool(conj))
+    if conj:
+        def build():
+            return np.conj(_cached_axis_factor(ax, points, kappa, False))
+    else:
+        def build():
+            return _axis_factor(ax.centers, ax.freqs, points, kappa, False)
+    return _memoized(ax.factors, key, build)
+
+
 def _slice_axis_matrix(ax, kappa, conj):
-    """The axis factor sampled at the quadrature nodes of the axis."""
-    return _axis_factor(ax.centers, ax.freqs, ax.y, kappa, conj)
+    """The axis factor sampled at the quadrature nodes of the axis, shape
+    (nc, nf, ny); memoized on the axis with the off-grid factors, so
+    identical axes and the slices at +-xi0 share one build, and returned
+    read-only."""
+    return _cached_axis_factor(ax, ax.y, kappa, conj)
 
 
 def _slice_gram(ax, kappa):
     """Gram of the on-grid packets of one axis over their centers,
     K[f, y, y'] = sum_c M[c, f, y] conj(M[c, f, y']) with
-    M = _slice_axis_matrix(ax, kappa, conj=False)."""
-    m = np.transpose(_slice_axis_matrix(ax, kappa, conj=False), (1, 2, 0))
-    return m @ np.conj(np.transpose(m, (0, 2, 1)))
+    M = _slice_axis_matrix(ax, kappa, conj=False); memoized on the axis
+    in ax.grams and returned read-only."""
+    def build():
+        m = np.transpose(_slice_axis_matrix(ax, kappa, conj=False),
+                         (1, 2, 0))
+        return m @ np.conj(np.transpose(m, (0, 2, 1)))
+    return _memoized(ax.grams, float(kappa), build)
 
 
 def _slice_matrices(pg, kappa, conj):
@@ -277,18 +312,6 @@ def _slice_adjoint(slice_vals, pg, kappa, mats):
         work = np.tensordot(work, m, axes=([0, d2 - a], [0, 1]))
     pref = _amplitude(kappa, d2) * pg.weight
     return pref * work
-
-
-def _cached_axis_factor(ax, points, kappa, conj):
-    """_axis_factor of one phase axis at off-grid points, memoized on the
-    axis and returned read-only, since every caller shares it."""
-    key = (points.tobytes(), float(kappa), bool(conj))
-    factor = ax.point_factors.get(key)
-    if factor is None:
-        factor = _axis_factor(ax.centers, ax.freqs, points, kappa, conj)
-        factor.flags.writeable = False
-        ax.point_factors[key] = factor
-    return factor
 
 
 def _point_factors(pg, kappa, pts, conj):
@@ -402,18 +425,23 @@ def pfbi_adjoint(pf, trans=None):
     return VolumeField(pf.flow, trans, vals)
 
 
+def slice_roundtrip(slice_vals, pg, kappa):
+    """T* T of one slice of width kappa^(-1/2) on the quadrature nodes of
+    pg: sum_f K_a[f], an (ny, ny) matrix, applied along each axis a."""
+    work = slice_vals
+    for ax in pg.axes:
+        # contract the leading y' axis, appending y at the end
+        work = np.tensordot(work, _slice_gram(ax, kappa).sum(axis=0),
+                            axes=([0], [1]))
+    return _amplitude(kappa, pg.dim) ** 2 * pg.y_weight * pg.weight * work
+
+
 def pfbi_roundtrip(vol, pg):
     """Streamed T* T application, the resolution of identity, one flow
-    slice at a time: the slice's T* T applies sum_f K_a[f], an (ny, ny)
-    matrix, along each axis a."""
+    slice at a time through slice_roundtrip."""
     out_hat = np.empty_like(vol.values)
-    for s, (_, kappa, work) in enumerate(flow_dft(vol)):
-        for ax in pg.axes:
-            # contract the leading y' axis, appending y at the end
-            work = np.tensordot(work, _slice_gram(ax, kappa).sum(axis=0),
-                                axes=([0], [1]))
-        out_hat[s] = _amplitude(kappa, pg.dim) ** 2 * pg.y_weight * \
-            pg.weight * work
+    for s, (_, kappa, slice_vals) in enumerate(flow_dft(vol)):
+        out_hat[s] = slice_roundtrip(slice_vals, pg, kappa)
     vals = np.tensordot(vol.flow.idft_matrix(), out_hat, axes=([1], [0]))
     return VolumeField(vol.flow, vol.trans, vals)
 

@@ -23,15 +23,15 @@ the true essential spectral radius.
 import numpy as np
 from scipy.linalg import eigvals, svdvals
 
-from .aniso_norm import (bracket, cal_w_aniso, chi, cutoffs, q_block,
-                         q_tilde, q_tilde_support, slice_covectors, v_s)
+from .aniso_norm import (bracket, chi, cutoffs, q_block, q_tilde,
+                         q_tilde_support, slice_covectors, slice_weight, v_s)
 from .contact_geometry import ContactMap, alpha0_covector, det_on_unstable
 from .fbi_core import PhaseAxis, PhaseGrid, l0_hat_kernel
 from .numerics import check_dense, operator_norm
 # _slice_forward is unused here, but bench/test_smoke.py checks the tracer
 # rewraps this binding
-from .partial_fbi import (_slice_forward, _slice_matrices, flow_slices,
-                          partial_packet, sample_volume)
+from .partial_fbi import (_slice_forward, flow_slices, partial_packet,
+                          sample_volume)
 from .transfer_ops import (TransferSpec, coupled_adjoint, coupled_forward,
                            lift_coupling, reduced_lift, transfer_apply)
 
@@ -168,14 +168,13 @@ def weighted_norm_measure(b, s, r, half_widths, spacing=0.7):
 
 def weight_diagonal(freqs, pg, r):
     """The phase space weight cal_w_aniso on the slices of the given flow
-    frequencies, shape (len(freqs), pg.num_points).
+    frequencies, shape (len(freqs), pg.num_points), one
+    aniso_norm.slice_weight per frequency (no phase point array).
 
     Raveled, it is the weight on the lift index set (flow-slice major); a
     single frequency gives one row that broadcasts over every slice.
     """
-    pts = pg.points()
-    return np.stack([cal_w_aniso(*slice_covectors(pts, xi0), r)
-                     for xi0 in freqs])
+    return np.stack([slice_weight(pg, xi0, r).ravel() for xi0 in freqs])
 
 
 def conjugated_operator(matrix, wspec):
@@ -255,15 +254,15 @@ def weighted_gram(vols, pg, wspec):
     """Gram matrix of volume fields in the W^r-weighted transform metric.
 
     Streams one flow frequency slice at a time so the full transform of
-    the fields is never materialized.
+    the fields is never materialized; the weight of a slice is
+    aniso_norm.slice_weight, built from the per-axis twisted components.
     """
     if len(vols) == 0:
         raise ValueError("weighted_gram needs at least one volume field")
-    pts = pg.points()
     mu = vols[0].flow.freq_spacing * pg.weight
     gram = np.zeros((len(vols), len(vols)), dtype=complex)
     for slices in zip(*[flow_slices(v, pg) for v in vols]):
-        w = cal_w_aniso(*slice_covectors(pts, slices[0][0]), wspec.r)
+        w = slice_weight(pg, slices[0][0], wspec.r).ravel()
         coeffs = np.stack([coeff.ravel() * w for _, _, coeff in slices])
         gram += mu * (coeffs.conj() @ coeffs.T)
     return gram
@@ -422,15 +421,14 @@ class CentralBlock:
     holds, built once: its slice coupling (lift_coupling on the frame's
     quadrature, within dmax offsets) and mapped points; the column weight
     col and the row weight row, with the flow measure fs / sqrt(2 pi)
-    folded into row; and the on-grid axis matrices of pg_out, conjugate
-    (fwd_mats) and plain (adj_mats), for each distinct out width (n_xi
-    widths for the true block, one for the surrogate).  apply /
-    apply_adjoint run coupled_forward / coupled_adjoint between the
-    weights.  An apply costs n_eta reconstruct_slice plus n_xi
-    _slice_forward calls, an adjoint n_xi _slice_adjoint plus n_eta
-    scatter_slice calls; neither builds an axis matrix, since the
-    off-grid factors of the reconstructions and scatters are memoized on
-    the phase axes after the first application.
+    folded into row.  apply / apply_adjoint run coupled_forward /
+    coupled_adjoint between the weights.  An apply costs n_eta
+    reconstruct_slice plus n_xi _slice_forward calls, an adjoint n_xi
+    _slice_adjoint plus n_eta scatter_slice calls; after the first
+    application neither builds an axis factor, since the on-grid matrices
+    of pg_out (one per distinct out width: n_xi widths for the true block,
+    one for the surrogate) and the off-grid factors of the reconstructions
+    and scatters are memoized on the phase axes.
     """
 
     def __init__(self, frame, primed):
@@ -446,11 +444,6 @@ class CentralBlock:
         self.col = f.col_cut / weight_diagonal(eta0, f.pg_in, f.wspec.r)
         self.row = weight_diagonal(xi0, f.pg_out, f.wspec.r)
         self.row *= f.fs / np.sqrt(2.0 * np.pi)
-        widths = np.unique(self.kap_o)
-        self.fwd_mats = {kap: _slice_matrices(f.pg_out, kap, conj=True)
-                         for kap in widths}
-        self.adj_mats = {kap: _slice_matrices(f.pg_out, kap, conj=False)
-                         for kap in widths}
         self.coupling, self.mapped = lift_coupling(
             spec, f.flow, f.ypts, f.xi_idx, f.eta_idx, f.eta0, f.dmax)
 
@@ -459,8 +452,7 @@ class CentralBlock:
         u = np.asarray(u, dtype=complex)
         _check_shape(u, (f.eta0.size, f.pg_in.num_points))
         out = coupled_forward(u * self.col, f.pg_in, self.kap_i, self.mapped,
-                              self.coupling, f.pg_out, self.kap_o,
-                              self.fwd_mats)
+                              self.coupling, f.pg_out, self.kap_o)
         out = out.reshape(f.xi0.size, -1)
         out *= self.row
         return out
@@ -470,8 +462,8 @@ class CentralBlock:
         w = np.asarray(w, dtype=complex)
         _check_shape(w, (f.xi0.size, f.pg_out.num_points))
         out = coupled_adjoint(w * self.row, f.pg_out, self.kap_o,
-                              self.adj_mats, self.coupling, f.pg_in,
-                              self.kap_i, self.mapped)
+                              self.coupling, f.pg_in, self.kap_i,
+                              self.mapped)
         out = out.reshape(f.eta0.size, -1)
         out *= self.col
         out *= f.pg_out.y_weight / f.pg_in.weight

@@ -32,7 +32,6 @@ import json
 import string
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .aniso_norm import bracket, cutoffs, slice_covectors
 from .contact_geometry import det_on_unstable
@@ -100,8 +99,10 @@ def _interpolate_volume(u, pts, method):
     """Evaluate a grid function at arbitrary points, periodic in flow.
 
     Points outside the transversal box come back as NaN for the caller
-    to handle.
+    to handle.  scipy.interpolate is imported here, on the one path that
+    uses it, so that importing the package does not load it.
     """
+    from scipy.interpolate import RegularGridInterpolator
     flow, trans = u.flow, u.trans
     y0 = np.append(flow.nodes(), flow.half_period)
     vals = np.concatenate([u.values, u.values[:1]], axis=0)
@@ -216,14 +217,13 @@ def slice_coupling(ghat, shift, out_idx, in_idx, in_freqs, band):
     return rows * np.exp(1j * np.multiply.outer(in_freqs, shift))
 
 
-def coupled_forward(vals, pg_in, kap_in, points, coupling, pg_out, kap_out,
-                    out_mats):
+def coupled_forward(vals, pg_in, kap_in, points, coupling, pg_out, kap_out):
     """Lift in-slice coefficients through a slice coupling.
 
     Each in slice is reconstructed at the mapped quadrature points, the
     coupling sums them per out slice, and each sum is transformed once
-    with the axis matrices out_mats[kappa] = _slice_matrices(pg_out,
-    kappa, conj=True) of its width; returns an array of shape
+    with the memoized axis matrices _slice_matrices(pg_out, kappa,
+    conj=True) of its width; returns an array of shape
     (n_out,) + pg_out.shape().
     """
     recs = np.empty(coupling.shape[1:], dtype=complex)
@@ -235,20 +235,22 @@ def coupled_forward(vals, pg_in, kap_in, points, coupling, pg_out, kap_out,
     out = np.empty((len(kap_out),) + pg_out.shape(), dtype=complex)
     for s, kap in enumerate(kap_out):
         out[s] = _slice_forward(mids[s].reshape(y_shape), pg_out, kap,
-                                out_mats[kap])
+                                _slice_matrices(pg_out, kap, conj=True))
     return out
 
 
-def coupled_adjoint(vals, pg_out, kap_out, out_mats, coupling, pg_in, kap_in,
-                    points):
+def coupled_adjoint(vals, pg_out, kap_out, coupling, pg_in, kap_in, points):
     """Adjoint of coupled_forward up to the two grid measures: slice
-    adjoints on the out side, with out_mats[kappa] = _slice_matrices(pg_out,
-    kappa, conj=False), the conjugate coupling, then one scatter per in
-    slice; returns an array of shape (n_in,) + pg_in.shape()."""
+    adjoints on the out side, with the memoized axis matrices
+    _slice_matrices(pg_out, kappa, conj=False), the conjugate coupling,
+    then one scatter per in slice; returns an array of shape
+    (n_in,) + pg_in.shape()."""
     backs = np.empty((coupling.shape[0], coupling.shape[2]), dtype=complex)
     for s, kap in enumerate(kap_out):
         backs[s] = _slice_adjoint(np.reshape(vals[s], pg_out.shape()),
-                                  pg_out, kap, out_mats[kap]).ravel()
+                                  pg_out, kap,
+                                  _slice_matrices(pg_out, kap, conj=False)
+                                  ).ravel()
     # conj(coupling) contracted over s, without a conjugated copy of it
     mids = np.einsum("sty,sy->ty", coupling, backs.conj()).conj()
     out = np.empty((len(kap_in),) + pg_in.shape(), dtype=complex)
@@ -389,10 +391,8 @@ def lift_apply(spec, flow, trans, pg_out, pf):
     coupling, fy = lift_coupling(spec, flow, trans.nodes(), idx, idx,
                                  flow.freqs(), flow.n_points - 1)
     kaps = bracket(flow.freqs())
-    out_mats = {kap: _slice_matrices(pg_out, kap, conj=True)
-                for kap in np.unique(kaps)}
     out = coupled_forward(pf.values, pf.phase, kaps, fy, coupling, pg_out,
-                          kaps, out_mats)
+                          kaps)
     out *= flow.freq_spacing / np.sqrt(2.0 * np.pi)
     return PartialPhaseField(flow, pg_out, out)
 

@@ -8,9 +8,11 @@ from contactfbi.aniso_norm import (WeightSpec, bracket, cal_w_aniso, chi,
                                    chi_n, cutoff_triple, lp_partition,
                                    psi_dyadic, psi_minus, psi_plus, q_block,
                                    q_k, q_tilde, q_tilde_separation,
-                                   q_tilde_support, smooth_step,
+                                   q_tilde_support, slice_covectors,
+                                   slice_weight, smooth_step,
                                    twisted_frequency, v_s, w_aniso, w_s)
 from contactfbi.contact_geometry import AffineContactMap
+from contactfbi.fbi_core import PhaseAxis, PhaseGrid, dual_frequencies
 
 
 class TestChi:
@@ -264,6 +266,62 @@ class TestNamedOps:
         assert np.array_equal(ctr, refc)
         assert np.array_equal(hyp, refh)
         assert np.max(np.abs(x0 + ctr + hyp - 1.0)) <= 1e-12
+
+
+class TestSliceWeight:
+    """slice_weight, built from the per-axis twisted components, against
+    the pointwise cal_w_aniso on the points of the slice."""
+
+    @staticmethod
+    def _grid(sizes):
+        # distinct axes, so that a center axis paired with the wrong
+        # frequency axis, or a wrong sign, changes the weight
+        axes = []
+        for a, (nc, nf) in enumerate(sizes):
+            centers = np.linspace(-2.0 - 0.3 * a, 1.7 + 0.2 * a, nc)
+            axes.append(PhaseAxis(centers, dual_frequencies(nf, 0.4 + 0.1 * a),
+                                  centers))
+        return PhaseGrid(axes)
+
+    # d = 1 and d = 2 transversal blocks, of 374,400 and 129,600 points
+    GRIDS = [[(30, 24), (26, 20)], [(5, 4), (4, 6), (6, 3), (3, 5)]]
+
+    @pytest.mark.parametrize("sizes", GRIDS)
+    @pytest.mark.parametrize("xi0", [0.0, -2.5, 60.0])
+    def test_matches_pointwise(self, sizes, xi0):
+        pg = self._grid(sizes)
+        for r in (1.0, 2.5):
+            want = cal_w_aniso(*slice_covectors(pg.points(), xi0), r)
+            got = slice_weight(pg, xi0, r)
+            assert got.shape == pg.shape()
+            assert np.max(np.abs(got.ravel() - want) / want) <= 1e-10
+
+    def test_refuses_odd_dimension(self):
+        with pytest.raises(ValueError, match="even"):
+            slice_weight(self._grid([(4, 4)]), 1.0, 1.0)
+
+    def test_callers_form_no_phase_points(self, monkeypatch):
+        from contactfbi.aniso_norm import aniso_norm
+        from contactfbi.fbi_core import dual_phase_grid
+        from contactfbi.numerics import make_grid
+        from contactfbi.partial_fbi import FlowGrid, sample_volume
+        from contactfbi.spectra import weight_diagonal, weighted_gram
+
+        def refuse(self):
+            raise AssertionError("phase points formed")
+        monkeypatch.setattr(PhaseGrid, "points", refuse)
+        flow = FlowGrid(np.pi, 4)
+        trans = make_grid(2, 1.6, 8)
+        vol = sample_volume(
+            lambda p: np.exp(1j * p[:, 0] - np.sum(p[:, 1:] ** 2, -1)),
+            flow, trans)
+        pg = dual_phase_grid(trans, center_margin=3.5)
+        spec = WeightSpec(r=1.0)
+        assert weight_diagonal(flow.freqs(), pg, 1.0).shape == \
+            (flow.n_points, pg.num_points)
+        gram = weighted_gram([vol], pg, spec)
+        assert aniso_norm(vol, spec) == pytest.approx(
+            np.sqrt(gram[0, 0].real), rel=1e-12)
 
 
 class TestVolumeNorms:

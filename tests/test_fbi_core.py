@@ -10,7 +10,8 @@ from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseAxis, PhaseField,
                                  PhaseGrid, PhaseSpacePoint, apply_p_omega,
                                  cone_certificate, dagger_form_matrix, det_factor,
                                  dual_phase_grid, fbi_adjoint, fbi_forward,
-                                 fbi_forward_at, flip_half, l0_hat,
+                                 fbi_forward_at, fbi_roundtrip, flip_half,
+                                 l0_hat,
                                  l0_hat_kernel, lift_linear,
                                  linear_lift_kernel, normalization,
                                  projection_kernel, projection_kernel_matrix,
@@ -151,6 +152,60 @@ class TestTransformPair:
     def test_dual_grid_rejects_small_band(self):
         with pytest.raises(ValueError):
             dual_phase_grid(self.g, n_freq=16)
+
+
+class TestRoundtrip:
+    """fbi_roundtrip, T* T through the summed axis Grams, against the
+    materialized pair it replaces in check-identity."""
+
+    @staticmethod
+    def _field(grid):
+        # no symmetry between the axes or under conjugation
+        def f(p):
+            return np.exp(-np.sum(p ** 2, axis=-1) / 1.5
+                          + 1j * p @ np.linspace(0.5, -1.0, p.shape[1])) * \
+                (1.0 + 0.3 * p[:, 0] + 0.2j * p[:, -1])
+        return sample(f, grid)
+
+    # (dim, half width, points per axis); n_freq differs from the points
+    @pytest.mark.parametrize("dim, half, n", [(1, 8.0, 32), (2, 3.0, 12),
+                                              (3, 1.5, 6)])
+    def test_matches_materialized_pair(self, dim, half, n):
+        g = make_grid(dim, half, n)
+        pg = dual_phase_grid(g, n_freq=n + 3, center_margin=1.0)
+        u = self._field(g)
+        want = fbi_adjoint(fbi_forward(u, pg), g).values
+        got = fbi_roundtrip(u, pg)
+        assert got.grid is g
+        assert np.linalg.norm(got.values - want) <= \
+            1e-13 * np.linalg.norm(want)
+
+    def test_forms_no_coefficients(self, monkeypatch):
+        from contactfbi import partial_fbi
+
+        def refuse(*args):
+            raise AssertionError("slice transform called")
+        monkeypatch.setattr(partial_fbi, "_slice_forward", refuse)
+        monkeypatch.setattr(partial_fbi, "_slice_adjoint", refuse)
+        g = make_grid(2, 3.0, 12)
+        u = self._field(g)
+        back = fbi_roundtrip(u, dual_phase_grid(g))
+        assert np.linalg.norm(back.values - u.values) <= \
+            1e-2 * np.linalg.norm(u.values)
+
+    def test_keeps_forward_input_checks(self):
+        g = make_grid(1, 8.0, 32)
+        ax = dual_phase_grid(g).axes[0]
+        u = self._field(g)
+        bad_grids = [PhaseGrid([PhaseAxis(ax.centers, ax.freqs * 4.0, ax.y)]),
+                     dual_phase_grid(make_grid(2, 8.0, 32)),
+                     dual_phase_grid(make_grid(1, 8.0, 16)),
+                     PhaseGrid([PhaseAxis(ax.centers, ax.freqs, ax.y + 0.1)])]
+        for pg in bad_grids:
+            with pytest.raises(ValueError):
+                fbi_forward(u, pg)
+            with pytest.raises(ValueError):
+                fbi_roundtrip(u, pg)
 
 
 class TestProjection:

@@ -262,6 +262,64 @@ class TestSliceCore:
             assert all(a is b for a, b in zip(factors, again))
 
 
+class TestAxisMemo:
+    """The on-grid axis matrices and Grams are built once per axis, width
+    and conjugation, and shared read-only."""
+
+    def setup_method(self):
+        self.trans = make_grid(2, 2.0, 10)
+        self.pg = dual_phase_grid(self.trans, center_margin=1.0)
+        self.ax = self.pg.axes[0]
+
+    def test_matrices_match_fresh_factors(self):
+        ax = self.ax
+        for kappa in (1.0, 3.5):
+            for conj in (False, True):
+                m = _slice_axis_matrix(ax, kappa, conj)
+                assert not m.flags.writeable
+                with pytest.raises(ValueError):
+                    m[0, 0, 0] = 0.0
+                want = _axis_factor(ax.centers, ax.freqs, ax.y, kappa, conj)
+                assert np.max(np.abs(m - want)) <= 1e-15
+            assert np.array_equal(_slice_axis_matrix(ax, kappa, True),
+                                  np.conj(_slice_axis_matrix(ax, kappa,
+                                                             False)))
+
+    def test_grams_match_explicit_sum(self):
+        ax = self.ax
+        for kappa in (1.0, 3.5):
+            m = _axis_factor(ax.centers, ax.freqs, ax.y, kappa, False)
+            want = sum(m[c][:, :, None] * np.conj(m[c][:, None, :])
+                       for c in range(ax.centers.size))
+            got = _slice_gram(ax, kappa)
+            assert not got.flags.writeable
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_identical_axes_and_opposite_slices_share(self):
+        # dual_phase_grid repeats one axis; the slices at +-xi0 share
+        # the width <xi0>
+        assert self.pg.axes[0] is self.pg.axes[1]
+        flow = FlowGrid(np.pi, 6)
+        kaps = {}
+        for xi0, kappa, _ in flow_dft(gaussian_volume(flow, self.trans)):
+            kaps.setdefault(abs(xi0), []).append(kappa)
+        pairs = [k for k in kaps.values() if len(k) == 2]
+        assert pairs
+        for kp, km in pairs:
+            for conj in (False, True):
+                mats = _slice_matrices(self.pg, kp, conj)
+                assert mats[0] is mats[1]
+                assert _slice_matrices(self.pg, km, conj)[0] is mats[0]
+            assert _slice_gram(self.pg.axes[1], km) is \
+                _slice_gram(self.pg.axes[0], kp)
+
+    def test_memo_lives_on_the_grid(self):
+        other = dual_phase_grid(self.trans, center_margin=1.0)
+        a = _slice_axis_matrix(self.ax, 2.0, False)
+        b = _slice_axis_matrix(other.axes[0], 2.0, False)
+        assert a is not b and np.array_equal(a, b)
+
+
 class TestGramPath:
     """The quadratic forms of the transform through the per-axis packet
     Grams agree with the materialized slices they replace."""

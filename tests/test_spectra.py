@@ -201,7 +201,7 @@ class TestModelSpectrum:
         def refuse(*args, **kwargs):
             raise AssertionError("model_spectrum evaluated a weight")
         monkeypatch.setattr(spectra, "weight_diagonal", refuse)
-        monkeypatch.setattr(spectra, "cal_w_aniso", refuse)
+        monkeypatch.setattr(spectra, "slice_weight", refuse)
         flow, trans, pg = toy_setting()
         spec = TransferSpec(ContactMap.linear(sym_block(4.0)), bump_amp())
         rep = model_spectrum(spec, [(flow, trans, pg)], 0.5)[0]
