@@ -256,21 +256,39 @@ def cutoffs(x_dag, xi, spec):
     return x0, x_ctr0, x_hyp
 
 
-def aniso_norm(vol, spec):
-    """Weighted L2 norm of the partial transform image of a volume field.
+def weighted_gram(vols, pg, wspec):
+    """Gram matrix of volume fields in the W^r-weighted transform metric.
 
-    Streams one flow slice at a time on the norm grid
-    pg = dual_phase_grid(vol.trans, center_margin=3.5); the weight is the
-    phase space lift of W^2r evaluated at the slice frequency and the
-    transversal phase point (slice_weight).
+    Streams one flow frequency slice at a time so the full transform of
+    the fields is never materialized; the weight of a slice is
+    slice_weight, built from the per-axis twisted components.  The fields
+    must share one flow grid, and partial_fbi.flow_dft refuses a field
+    whose transversal nodes are not the quadrature nodes of pg.
     """
     from .partial_fbi import flow_slices
+    if len(vols) == 0:
+        raise ValueError("weighted_gram needs at least one volume field")
+    flow = vols[0].flow
+    if not all(np.array_equal(v.flow.nodes(), flow.nodes()) for v in vols):
+        raise ValueError("volume fields on different flow grids, of %s "
+                         "points" % [v.flow.n_points for v in vols])
+    mu = flow.freq_spacing * pg.weight
+    gram = np.zeros((len(vols), len(vols)), dtype=complex)
+    for slices in zip(*[flow_slices(v, pg) for v in vols]):
+        w = slice_weight(pg, slices[0][0], wspec.r).ravel()
+        coeffs = np.stack([coeff.ravel() * w for _, _, coeff in slices])
+        gram += mu * (coeffs.conj() @ coeffs.T)
+    return gram
+
+
+def aniso_norm(vol, spec):
+    """Weighted L2 norm of the partial transform image of a volume field:
+    the square root of its weighted_gram on the norm grid
+    pg = dual_phase_grid(vol.trans, center_margin=3.5), where the weight
+    is the phase space lift of W^2r at the slice frequency and the
+    transversal phase point (slice_weight)."""
     pg = dual_phase_grid(vol.trans, center_margin=3.5)
-    total = 0.0
-    for xi0, _, coeff in flow_slices(vol, pg):
-        weight = slice_weight(pg, xi0, spec.r)
-        total += float(np.sum(np.abs(weight * coeff) ** 2))
-    return float(np.sqrt(total * vol.flow.freq_spacing * pg.weight))
+    return float(np.sqrt(weighted_gram([vol], pg, spec)[0, 0].real))
 
 
 def sobolev_norms(vol, r):
@@ -309,7 +327,7 @@ def sobolev_norms(vol, r):
     # of the columns of pg.points(), as the pointwise weight sums it
     xi_dag2 = sum(f ** 2 for f in np.ix_(*(ax.freqs for ax in pg.axes)))
     total = 0.0
-    for xi0, kappa, slice_vals in flow_dft(vol):
+    for xi0, kappa, slice_vals in flow_dft(vol, pg):
         weight2 = bracket(np.sqrt(xi0 ** 2 + xi_dag2)) ** (2.0 * r)
         total += float(np.sum(weight2 * slice_energy(slice_vals, pg, kappa)))
     pfbi = np.sqrt(total * vol.flow.freq_spacing * pg.weight)

@@ -504,7 +504,7 @@ def main(argv=None):
     os.makedirs(out, exist_ok=True)
     try:
         summary, code = runner(cfg, out, args.seed, plan)
-    except (AssertionError, ValueError) as exc:
+    except ValueError as exc:
         summary = {"error": str(exc), "error_kind": type(exc).__name__}
         code = 1
         print("error in %s: %s" % (args.subcommand, exc), file=sys.stderr)

@@ -199,30 +199,34 @@ def _check_nyquist(pg):
                 "spacing %.4g, max |xi| %.4g" % (ax.y_spacing, np.max(np.abs(ax.freqs))))
 
 
+def check_nodes(pg, grid):
+    """Refuse a field grid whose nodes are not the quadrature nodes of pg."""
+    if grid.dim != pg.dim:
+        raise ValueError("a %d-dimensional field on a %d-dimensional phase "
+                         "grid" % (grid.dim, pg.dim))
+    for ax in pg.axes:
+        if ax.y.size != grid.points_per_axis:
+            raise ValueError("phase grid has %d quadrature nodes per axis, "
+                             "the field %d" % (ax.y.size,
+                                               grid.points_per_axis))
+        if not np.allclose(ax.y, grid.axis_nodes()):
+            raise ValueError("phase grid quadrature nodes differ from the "
+                             "field's grid nodes")
+
+
 def _check_field_on(u, pg):
     """Refuse a field whose grid is not the quadrature grid of pg."""
     _check_nyquist(pg)
-    if u.grid.dim != pg.dim:
-        raise ValueError("a %d-dimensional field on a %d-dimensional phase "
-                         "grid" % (u.grid.dim, pg.dim))
-    for ax in pg.axes:
-        if ax.y.size != u.grid.points_per_axis:
-            raise ValueError("phase grid has %d quadrature nodes per axis, "
-                             "the field %d" % (ax.y.size,
-                                               u.grid.points_per_axis))
-        if not np.allclose(ax.y, u.grid.axis_nodes()):
-            raise ValueError("phase grid quadrature nodes differ from the "
-                             "field's grid nodes")
+    check_nodes(pg, u.grid)
 
 
 def fbi_forward(u, pg):
     """T u on the phase grid: quadrature pairing of u with every packet.
 
     This is the partial transform's slice core at kappa = 1."""
-    from .partial_fbi import _slice_forward, _slice_matrices
+    from .partial_fbi import _slice_forward
     _check_field_on(u, pg)
-    return PhaseField(pg, _slice_forward(
-        u.reshape(), pg, 1.0, _slice_matrices(pg, 1.0, conj=True)))
+    return PhaseField(pg, _slice_forward(u.reshape(), pg, 1.0))
 
 
 def fbi_roundtrip(u, pg):
@@ -240,12 +244,11 @@ def fbi_adjoint(v, space_grid=None):
     """T* v: weighted superposition of packets, sampled on the space grid.
 
     This is the partial transform's adjoint slice core at kappa = 1."""
-    from .partial_fbi import _slice_adjoint, _slice_matrices
+    from .partial_fbi import _slice_adjoint
     pg = v.grid
     if space_grid is None:
         space_grid = pg.space_grid()
-    return Field(space_grid, _slice_adjoint(
-        v.values, pg, 1.0, _slice_matrices(pg, 1.0, conj=False)).ravel())
+    return Field(space_grid, _slice_adjoint(v.values, pg, 1.0).ravel())
 
 
 def fbi_forward_at(u, points):

@@ -19,7 +19,9 @@ kappa = 1 case, flow_slices streams it over the flow frequencies of
 flow_dft, and every form of the lift in transfer_ops chains it through
 one slice coupling (coupled_forward / coupled_adjoint for lift_apply and
 the central block; lift_kernel builds its dense packets from the same
-axis factors).
+axis factors).  flow_dft is where every volume field enters the core: it
+refuses a volume whose transversal nodes are not the quadrature nodes of
+the phase grid, with the node check of fbi_core.fbi_forward.
 
 A packet is a product of one factor per axis, so a quadratic form of a
 slice whose weight depends on the frequencies alone factors through the
@@ -29,22 +31,22 @@ slice_energy (the sum over the centers of a slice's squared
 coefficients, per frequency, behind aniso_norm.sobolev_norms) and
 slice_roundtrip (T* T of one slice, the tensor product of the sums over
 f of the Grams, behind pfbi_roundtrip and fbi_core.fbi_roundtrip) apply
-one Gram per axis and form no coefficient.
+one Gram per axis and form no coefficient.  slice_energy and
+_slice_forward run the same per-axis contraction (_per_axis), one with
+the Grams and one with the conjugate axis matrices.
 
 Every packet factor of an axis is memoized on its PhaseAxis and returned
 read-only: the on-grid matrices of _slice_axis_matrix, the Grams of
 _slice_gram and the off-grid factors of reconstruct_slice /
 scatter_slice, with the conjugate factor taken as np.conj of the plain
-one.  dual_phase_grid repeats one axis D times and the slices at +-xi0
-share the width <xi0>, so each distinct factor is built once per grid,
-and the memo lives and dies with the grid.  The memo is small next to
-what it serves: one axis matrix holds nc nf ny values and one Gram
-nf ny^2, where one slice of coefficients holds nc^D nf^D.  On the fine
-C9 norm grid (nc = 64, nf = 28, ny = 20, D = 2) that is 573 kB per
-matrix against 51 MB per slice.  With the memo, fbi_core.fbi_roundtrip
-and aniso_norm.slice_weight in place of per-call builds, dense plain
-round trips and pointwise weights, the norms benchmark (bench/run.py,
-seed 0, 2 vCPUs) peaks at 100 MB RSS instead of 177 MB.
+one.  The slice transforms read their axis matrices from the memo, so
+no caller builds or passes a factor.  dual_phase_grid repeats one axis D
+times and the slices at +-xi0 share the width <xi0>, so each distinct
+factor is built once per grid, and the memo lives and dies with the
+grid.  The memo is small next to what it serves: one axis matrix holds
+nc nf ny values and one Gram nf ny^2, where one slice of coefficients
+holds nc^D nf^D.  On the fine C9 norm grid (nc = 64, nf = 28, ny = 20,
+D = 2) that is 573 kB per matrix against 51 MB per slice.
 
 Since the packet width shrinks with <xi0>, the transversal spacing must
 satisfy h <= 0.7 <xi0>^(-1/2) for the largest flow frequency on the grid.
@@ -55,7 +57,7 @@ import string
 import numpy as np
 
 from .aniso_norm import bracket
-from .fbi_core import normalization
+from .fbi_core import check_nodes, normalization
 
 
 class FlowGrid:
@@ -278,38 +280,37 @@ def _slice_gram(ax, kappa):
     return _memoized(ax.grams, float(kappa), build)
 
 
-def _slice_matrices(pg, kappa, conj):
-    """The on-grid axis matrices of one slice width, one per axis of pg:
-    conjugate ones for _slice_forward, plain ones for _slice_adjoint."""
-    return [_slice_axis_matrix(ax, kappa, conj) for ax in pg.axes]
-
-
-def _slice_forward(slice_vals, pg, kappa, mats):
-    """Forward transform of one slice sampled on the quadrature nodes of
-    pg, with the quadrature weight pg.y_weight; mats are
-    _slice_matrices(pg, kappa, conj=True)."""
-    d2 = pg.dim
-    work = slice_vals
-    for m in mats:
-        # contract the leading y axis, appending (center, freq) at the end
+def _per_axis(vals, factors):
+    """Contract the leading y axis of vals with the last axis of each
+    per-axis array (a_i, b_i, y_i) in turn; return the axes as (a..., b...)."""
+    work = vals
+    for m in factors:
         work = np.tensordot(work, m, axes=([0], [2]))
-    # axes are now (c1, f1, c2, f2, ...) -> reorder to (c..., f...)
-    perm = list(range(0, 2 * d2, 2)) + list(range(1, 2 * d2, 2))
-    work = np.transpose(work, perm)
-    pref = _amplitude(kappa, d2) * pg.y_weight
-    return pref * work
+    # axes are now (a_1, b_1, a_2, b_2, ...)
+    return np.transpose(work, [*range(0, work.ndim, 2),
+                               *range(1, work.ndim, 2)])
 
 
-def _slice_adjoint(slice_vals, pg, kappa, mats):
+def _slice_forward(slice_vals, pg, kappa):
+    """Forward transform of one slice sampled on the quadrature nodes of
+    pg, with the quadrature weight pg.y_weight, through the memoized
+    conjugate axis matrices of pg."""
+    factors = [_slice_axis_matrix(ax, kappa, True) for ax in pg.axes]
+    pref = _amplitude(kappa, pg.dim) * pg.y_weight
+    return pref * _per_axis(slice_vals, factors)
+
+
+def _slice_adjoint(slice_vals, pg, kappa):
     """Adjoint of one slice: packet superposition with the phase grid
-    measure pg.weight, sampled on the quadrature nodes of pg; mats are
-    _slice_matrices(pg, kappa, conj=False)."""
+    measure pg.weight, sampled on the quadrature nodes of pg, through the
+    memoized axis matrices of pg."""
     d2 = pg.dim
     work = slice_vals
-    for a, m in enumerate(mats):
+    for a, ax in enumerate(pg.axes):
         # after a contractions the layout is (c_{a+1}..c_D, f_{a+1}..f_D,
         # y_1..y_a); contract the leading center axis with its frequency
-        work = np.tensordot(work, m, axes=([0, d2 - a], [0, 1]))
+        work = np.tensordot(work, _slice_axis_matrix(ax, kappa, False),
+                            axes=([0, d2 - a], [0, 1]))
     pref = _amplitude(kappa, d2) * pg.weight
     return pref * work
 
@@ -359,11 +360,13 @@ def scatter_slice(vals, pg, kappa, pts):
     return _amplitude(kappa, pg.dim) * pg.weight * out
 
 
-def flow_dft(vol):
-    """Check the transversal spacing and Fourier transform a volume field
-    along the flow; yield (xi0, kappa, values) for each flow frequency
-    xi0, with kappa = <xi0> and the slice values on the transversal grid."""
+def flow_dft(vol, pg):
+    """Check the volume's transversal grid against the flow and the
+    quadrature nodes of the phase grid pg, and Fourier transform it along
+    the flow; yield (xi0, kappa, values) for each flow frequency xi0, with
+    kappa = <xi0> and the slice values on the transversal grid."""
     check_transversal_spacing(vol.trans, vol.flow)
+    check_nodes(pg, vol.trans)
     hat = np.tensordot(vol.flow.dft_matrix(), vol.values, axes=([1], [0]))
     for xi0, slice_vals in zip(vol.flow.freqs(), hat):
         yield xi0, float(bracket(xi0)), slice_vals
@@ -373,12 +376,11 @@ def flow_slices(vol, pg):
     """Stream the partial transform of a volume field slice by slice.
 
     Yields (xi0, kappa, coefficients) for each flow frequency of
-    flow_dft(vol), with the slice coefficients on the phase grid pg; only
-    one slice of coefficients exists at a time.
+    flow_dft(vol, pg), with the slice coefficients on the phase grid pg;
+    only one slice of coefficients exists at a time.
     """
-    for xi0, kappa, slice_vals in flow_dft(vol):
-        yield xi0, kappa, _slice_forward(
-            slice_vals, pg, kappa, _slice_matrices(pg, kappa, conj=True))
+    for xi0, kappa, slice_vals in flow_dft(vol, pg):
+        yield xi0, kappa, _slice_forward(slice_vals, pg, kappa)
 
 
 def slice_energy(slice_vals, pg, kappa):
@@ -386,16 +388,10 @@ def slice_energy(slice_vals, pg, kappa):
     (nf_1, ..., nf_D): at f the form <v, (K_1(f_1) x ... x K_D(f_D)) v>
     of the axis Grams, applied one axis at a time (at most nf^D ny^D
     values)."""
-    d2 = pg.dim
-    work = slice_vals
-    for ax in pg.axes:
-        # contract the leading y axis, appending (freq, y) at the end
-        work = np.tensordot(work, _slice_gram(ax, kappa), axes=([0], [2]))
-    # axes are now (f1, y1, f2, y2, ...) -> reorder to (f..., y...)
-    perm = list(range(0, 2 * d2, 2)) + list(range(1, 2 * d2, 2))
-    quad = np.tensordot(np.transpose(work, perm), np.conj(slice_vals),
-                        axes=d2)
-    return (_amplitude(kappa, d2) * pg.y_weight) ** 2 * quad.real
+    grams = [_slice_gram(ax, kappa) for ax in pg.axes]
+    quad = np.tensordot(_per_axis(slice_vals, grams), np.conj(slice_vals),
+                        axes=pg.dim)
+    return (_amplitude(kappa, pg.dim) * pg.y_weight) ** 2 * quad.real
 
 
 def pfbi_forward(vol, pg):
@@ -418,8 +414,7 @@ def pfbi_adjoint(pf, trans=None):
     hat = np.empty((pf.flow.n_points,) + trans.shape(), dtype=complex)
     for s, xi0 in enumerate(pf.flow.freqs()):
         kappa = float(bracket(xi0))
-        hat[s] = _slice_adjoint(pf.values[s], pg, kappa,
-                                _slice_matrices(pg, kappa, conj=False))
+        hat[s] = _slice_adjoint(pf.values[s], pg, kappa)
     inv = pf.flow.idft_matrix()
     vals = np.tensordot(inv, hat, axes=([1], [0]))
     return VolumeField(pf.flow, trans, vals)
@@ -440,7 +435,7 @@ def pfbi_roundtrip(vol, pg):
     """Streamed T* T application, the resolution of identity, one flow
     slice at a time through slice_roundtrip."""
     out_hat = np.empty_like(vol.values)
-    for s, (_, kappa, slice_vals) in enumerate(flow_dft(vol)):
+    for s, (_, kappa, slice_vals) in enumerate(flow_dft(vol, pg)):
         out_hat[s] = slice_roundtrip(slice_vals, pg, kappa)
     vals = np.tensordot(vol.flow.idft_matrix(), out_hat, axes=([1], [0]))
     return VolumeField(vol.flow, vol.trans, vals)
@@ -453,8 +448,6 @@ def pcal_apply(pf):
     out = np.empty_like(pf.values)
     for s, xi0 in enumerate(pf.flow.freqs()):
         kappa = float(bracket(xi0))
-        mid = _slice_adjoint(pf.values[s], pg, kappa,
-                             _slice_matrices(pg, kappa, conj=False))
-        out[s] = _slice_forward(mid, pg, kappa,
-                                _slice_matrices(pg, kappa, conj=True))
+        mid = _slice_adjoint(pf.values[s], pg, kappa)
+        out[s] = _slice_forward(mid, pg, kappa)
     return PartialPhaseField(pf.flow, pg, out)

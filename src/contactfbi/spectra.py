@@ -24,14 +24,14 @@ import numpy as np
 from scipy.linalg import eigvals, svdvals
 
 from .aniso_norm import (bracket, chi, cutoffs, q_block, q_tilde,
-                         q_tilde_support, slice_covectors, slice_weight, v_s)
+                         q_tilde_support, slice_covectors, slice_weight, v_s,
+                         weighted_gram)
 from .contact_geometry import ContactMap, alpha0_covector, det_on_unstable
 from .fbi_core import PhaseAxis, PhaseGrid, l0_hat_kernel
 from .numerics import check_dense, operator_norm
 # _slice_forward is unused here, but bench/test_smoke.py checks the tracer
 # rewraps this binding
-from .partial_fbi import (_slice_forward, flow_slices, partial_packet,
-                          sample_volume)
+from .partial_fbi import _slice_forward, partial_packet, sample_volume
 from .transfer_ops import (TransferSpec, coupled_adjoint, coupled_forward,
                            lift_coupling, reduced_lift, transfer_apply)
 
@@ -248,24 +248,6 @@ def _windowed_packet(x_star, xi, m):
         return phi(pts) * chi(m * dist)
 
     return u
-
-
-def weighted_gram(vols, pg, wspec):
-    """Gram matrix of volume fields in the W^r-weighted transform metric.
-
-    Streams one flow frequency slice at a time so the full transform of
-    the fields is never materialized; the weight of a slice is
-    aniso_norm.slice_weight, built from the per-axis twisted components.
-    """
-    if len(vols) == 0:
-        raise ValueError("weighted_gram needs at least one volume field")
-    mu = vols[0].flow.freq_spacing * pg.weight
-    gram = np.zeros((len(vols), len(vols)), dtype=complex)
-    for slices in zip(*[flow_slices(v, pg) for v in vols]):
-        w = slice_weight(pg, slices[0][0], wspec.r).ravel()
-        coeffs = np.stack([coeff.ravel() * w for _, _, coeff in slices])
-        gram += mu * (coeffs.conj() @ coeffs.T)
-    return gram
 
 
 def lower_bound_family(spec, flow, trans, pg, n_ks, wspec, m=4,

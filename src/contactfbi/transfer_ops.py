@@ -39,8 +39,7 @@ from .numerics import check_dense
 from .partial_fbi import (PartialPacketIndex, PartialPhaseField, VolumeField,
                           _amplitude, _axis_factor, _point_factors,
                           _slice_adjoint, _slice_axis_matrix, _slice_forward,
-                          _slice_matrices, _volume_points,
-                          check_transversal_spacing,
+                          _volume_points, check_transversal_spacing,
                           partial_packet, reconstruct_slice, scatter_slice)
 
 # |g| below this fraction of its peak counts as outside the support of g
@@ -222,8 +221,7 @@ def coupled_forward(vals, pg_in, kap_in, points, coupling, pg_out, kap_out):
 
     Each in slice is reconstructed at the mapped quadrature points, the
     coupling sums them per out slice, and each sum is transformed once
-    with the memoized axis matrices _slice_matrices(pg_out, kappa,
-    conj=True) of its width; returns an array of shape
+    by _slice_forward at its width; returns an array of shape
     (n_out,) + pg_out.shape().
     """
     recs = np.empty(coupling.shape[1:], dtype=complex)
@@ -234,23 +232,18 @@ def coupled_forward(vals, pg_in, kap_in, points, coupling, pg_out, kap_out):
     y_shape = tuple(ax.y.size for ax in pg_out.axes)
     out = np.empty((len(kap_out),) + pg_out.shape(), dtype=complex)
     for s, kap in enumerate(kap_out):
-        out[s] = _slice_forward(mids[s].reshape(y_shape), pg_out, kap,
-                                _slice_matrices(pg_out, kap, conj=True))
+        out[s] = _slice_forward(mids[s].reshape(y_shape), pg_out, kap)
     return out
 
 
 def coupled_adjoint(vals, pg_out, kap_out, coupling, pg_in, kap_in, points):
-    """Adjoint of coupled_forward up to the two grid measures: slice
-    adjoints on the out side, with the memoized axis matrices
-    _slice_matrices(pg_out, kappa, conj=False), the conjugate coupling,
-    then one scatter per in slice; returns an array of shape
-    (n_in,) + pg_in.shape()."""
+    """Adjoint of coupled_forward up to the two grid measures: one
+    _slice_adjoint per out slice, the conjugate coupling, then one scatter
+    per in slice; returns an array of shape (n_in,) + pg_in.shape()."""
     backs = np.empty((coupling.shape[0], coupling.shape[2]), dtype=complex)
     for s, kap in enumerate(kap_out):
         backs[s] = _slice_adjoint(np.reshape(vals[s], pg_out.shape()),
-                                  pg_out, kap,
-                                  _slice_matrices(pg_out, kap, conj=False)
-                                  ).ravel()
+                                  pg_out, kap).ravel()
     # conj(coupling) contracted over s, without a conjugated copy of it
     mids = np.einsum("sty,sy->ty", coupling, backs.conj()).conj()
     out = np.empty((len(kap_in),) + pg_in.shape(), dtype=complex)
@@ -274,12 +267,23 @@ def lift_coupling(spec, flow, points, out_idx, in_idx, in_freqs, band):
     return coupling, spec.map.f_dag(points)
 
 
+def _full_lift(spec, flow, trans):
+    """Set-up of every full lift of spec on flow x trans: the spacing
+    check, then the coupling of all slice pairs on the transversal nodes,
+    the nodes mapped by F_dag and the slice widths <xi0>."""
+    check_transversal_spacing(trans, flow)
+    idx = np.arange(flow.n_points)
+    coupling, fy = lift_coupling(spec, flow, trans.nodes(), idx, idx,
+                                 flow.freqs(), flow.n_points - 1)
+    return coupling, fy, bracket(flow.freqs())
+
+
 def _dense_packets(pg, kappa, points):
     """One slice's conjugate packets at the quadrature nodes, shape
     (num_points, n_quad), and its packets at points, (n_quad, num_points)."""
     grid, subscripts, factors = _point_factors(pg, kappa, points, conj=False)
     ys = string.ascii_uppercase[:pg.dim]
-    on_grid = _slice_matrices(pg, kappa, conj=True)
+    on_grid = [_slice_axis_matrix(ax, kappa, True) for ax in pg.axes]
     at_nodes = np.einsum(",".join(s[:2] + y for s, y in zip(subscripts, ys))
                          + "->" + grid + ys, *on_grid)
     at_points = np.einsum(",".join(subscripts) + "->z" + grid, *factors)
@@ -294,13 +298,9 @@ def lift_kernel(spec, flow, trans, pg):
     nodes with the slice-t packets at the mapped nodes through the same
     slice coupling that lift_apply uses.
     """
-    check_transversal_spacing(trans, flow)
     n0, npts = flow.n_points, pg.num_points
     check_dense(n0 * npts, n0 * npts, "lift matrix")
-    idx = np.arange(n0)
-    coupling, fy = lift_coupling(spec, flow, trans.nodes(), idx, idx,
-                                 flow.freqs(), n0 - 1)
-    kaps = bracket(flow.freqs())
+    coupling, fy, kaps = _full_lift(spec, flow, trans)
     amps = [_amplitude(kap, pg.dim) for kap in kaps]
     packets = [_dense_packets(pg, kap, fy) for kap in kaps]
     scale = trans.weight / np.sqrt(2.0 * np.pi)
@@ -341,13 +341,9 @@ def reduced_lift(spec, flow, trans, pg):
     distinct width.  The size is checked against the dense budget before
     anything is evaluated.
     """
-    check_transversal_spacing(trans, flow)
     n0, nq = flow.n_points, trans.num_points
     check_dense(n0 * nq, n0 * nq, "reduced lift matrix")
-    idx = np.arange(n0)
-    coupling, fy = lift_coupling(spec, flow, trans.nodes(), idx, idx,
-                                 flow.freqs(), n0 - 1)
-    kaps = bracket(flow.freqs())
+    coupling, fy, kaps = _full_lift(spec, flow, trans)
     grams = {kap: _packet_gram(pg, kap, fy) for kap in np.unique(kaps)}
     scale = trans.weight / np.sqrt(2.0 * np.pi) * flow.freq_spacing \
         * pg.weight
@@ -386,11 +382,7 @@ def lift_apply(spec, flow, trans, pg_out, pf):
     if pf.flow.n_points != flow.n_points:
         raise ValueError("phase field has %d flow slices, the lift %d"
                          % (pf.flow.n_points, flow.n_points))
-    check_transversal_spacing(trans, flow)
-    idx = np.arange(flow.n_points)
-    coupling, fy = lift_coupling(spec, flow, trans.nodes(), idx, idx,
-                                 flow.freqs(), flow.n_points - 1)
-    kaps = bracket(flow.freqs())
+    coupling, fy, kaps = _full_lift(spec, flow, trans)
     out = coupled_forward(pf.values, pf.phase, kaps, fy, coupling, pg_out,
                           kaps)
     out *= flow.freq_spacing / np.sqrt(2.0 * np.pi)

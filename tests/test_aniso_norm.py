@@ -451,3 +451,60 @@ class TestVolumeNorms:
         pg = dual_phase_grid(self.trans, center_margin=3.5)
         ref = np.sqrt(weighted_gram([self.vol], pg, spec)[0, 0].real)
         assert abs(aniso_norm(self.vol, spec) - ref) <= 1e-12 * ref
+
+
+class TestWeightedGram:
+    """The one weighted streaming loop, which aniso_norm also runs."""
+
+    def setup_method(self):
+        from contactfbi.fbi_core import dual_phase_grid
+        from contactfbi.numerics import make_grid
+        from contactfbi.partial_fbi import FlowGrid
+        self.flow = FlowGrid(np.pi, 6)
+        self.trans = make_grid(2, 1.6, 12)
+        self.pg = dual_phase_grid(self.trans, center_margin=1.0)
+
+    @staticmethod
+    def _volume(flow, trans, k):
+        from contactfbi.partial_fbi import sample_volume
+
+        def u(pts):
+            prof = np.exp(-np.sum(pts[:, 1:] ** 2, axis=-1) / 0.3)
+            return (1.0 + 0.5 * np.sin(pts[:, 0])) * prof \
+                * np.exp(1j * k * pts[:, 2])
+        return sample_volume(u, flow, trans)
+
+    def test_matches_materialized_coefficients(self):
+        # materialized transform times the pointwise weight on the phase
+        # points of each slice, against the streamed per-axis loop
+        from contactfbi.aniso_norm import weighted_gram
+        from contactfbi.partial_fbi import pfbi_forward
+        spec = WeightSpec(r=2.0)
+        vols = [self._volume(self.flow, self.trans, k) for k in (0.0, 3.0)]
+        pts = self.pg.points()
+        weighted = []
+        for vol in vols:
+            pf = pfbi_forward(vol, self.pg)
+            weighted.append(np.concatenate([
+                cal_w_aniso(*slice_covectors(pts, xi0), spec.r) * c.ravel()
+                for xi0, c in zip(self.flow.freqs(), pf.values)]))
+        want = np.array([[np.vdot(a, b) for b in weighted]
+                         for a in weighted])
+        want *= self.flow.freq_spacing * self.pg.weight
+        got = weighted_gram(vols, self.pg, spec)
+        assert abs(want[0, 1]) > 1e-3 * abs(want[0, 0])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_refuses_volumes_on_other_grids(self):
+        from contactfbi.aniso_norm import weighted_gram
+        from contactfbi.numerics import make_grid
+        from contactfbi.partial_fbi import FlowGrid
+        vol = self._volume(self.flow, self.trans, 1.0)
+        for flow in (FlowGrid(np.pi, 4), FlowGrid(np.pi, 8),
+                     FlowGrid(2.0, 6)):
+            other = self._volume(flow, self.trans, 1.0)
+            with pytest.raises(ValueError, match="different flow grids"):
+                weighted_gram([vol, other], self.pg, WeightSpec())
+        other = self._volume(self.flow, make_grid(2, 1.2, 12), 1.0)
+        with pytest.raises(ValueError, match="quadrature nodes differ"):
+            weighted_gram([vol, other], self.pg, WeightSpec())

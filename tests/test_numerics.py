@@ -158,6 +158,7 @@ class TestDenseBudget:
                                              make_grid)
             from contactfbi.partial_fbi import (FlowGrid, PartialPacketIndex,
                                                 PartialPhaseField, VolumeField,
+                                                pfbi_forward,
                                                 reconstruct_slice,
                                                 scatter_slice)
             from contactfbi.aniso_norm import v_s
@@ -284,6 +285,17 @@ class TestDenseBudget:
                                   lambda: fbi_forward(
                                       Field(make_grid(2, 1.0, 4),
                                             np.zeros(16)), pg)),
+                "partial nodes": ("quadrature nodes differ",
+                                  lambda: pfbi_forward(VolumeField(
+                                      flow, make_grid(2, 1.0, 4),
+                                      np.zeros((2, 4, 4))), pg)),
+                "gram flow grids": ("different flow grids",
+                                    lambda: weighted_gram([
+                                        VolumeField(flow, trans,
+                                                    np.zeros((2, 4, 4))),
+                                        VolumeField(FlowGrid(np.pi, 4), trans,
+                                                    np.zeros((4, 4, 4)))],
+                                        pg, WeightSpec())),
                 "flow points": ("even number of points",
                                 lambda: FlowGrid(np.pi, 3)),
                 "point width": ("points of width 3",

@@ -10,7 +10,6 @@ from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField, VolumeField,
                                     _amplitude, _axis_factor, _point_factors,
                                     _slice_adjoint, _slice_axis_matrix,
                                     _slice_forward, _slice_gram,
-                                    _slice_matrices,
                                     check_transversal_spacing, flow_dft,
                                     flow_slices, min_transversal_points,
                                     partial_packet, pcal_apply, pfbi_adjoint,
@@ -91,6 +90,17 @@ class TestForward:
         vol = gaussian_volume(self.flow, coarse)
         with pytest.raises(ValueError):
             pfbi_forward(vol, dual_phase_grid(coarse))
+
+    def test_refuses_other_quadrature_nodes(self):
+        # the same node count on a smaller box: the transform of the
+        # volume against these nodes would be wrong, with no error
+        vol = gaussian_volume(self.flow, make_grid(2, 1.6, 12))
+        for trans, fragment in ((make_grid(2, 1.2, 12), "nodes differ"),
+                                (make_grid(2, 1.6, 14), "nodes per axis")):
+            pg = dual_phase_grid(trans)
+            for run in (pfbi_forward, pfbi_roundtrip):
+                with pytest.raises(ValueError, match=fragment):
+                    run(vol, pg)
 
     def test_adjoint_is_adjoint(self):
         pf = pfbi_forward(
@@ -215,15 +225,13 @@ class TestSliceCore:
 
     def test_reconstruct_at_nodes_is_adjoint(self):
         v = self._noise(self.pg.shape())
-        ref = _slice_adjoint(v, self.pg, self.kappa, _slice_matrices(
-            self.pg, self.kappa, conj=False)).ravel()
+        ref = _slice_adjoint(v, self.pg, self.kappa).ravel()
         got = reconstruct_slice(v, self.pg, self.kappa, self.nodes)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_scatter_at_nodes_is_forward(self):
         u = self._noise((self.pg.axes[0].y.size, self.pg.axes[1].y.size))
-        ref = _slice_forward(u, self.pg, self.kappa, _slice_matrices(
-            self.pg, self.kappa, conj=True))
+        ref = _slice_forward(u, self.pg, self.kappa)
         got = scatter_slice(u.ravel(), self.pg, self.kappa, self.nodes) \
             * (self.pg.y_weight / self.pg.weight)
         assert np.linalg.norm((got - ref).ravel()) <= \
@@ -301,15 +309,16 @@ class TestAxisMemo:
         assert self.pg.axes[0] is self.pg.axes[1]
         flow = FlowGrid(np.pi, 6)
         kaps = {}
-        for xi0, kappa, _ in flow_dft(gaussian_volume(flow, self.trans)):
+        for xi0, kappa, _ in flow_dft(gaussian_volume(flow, self.trans),
+                                      self.pg):
             kaps.setdefault(abs(xi0), []).append(kappa)
         pairs = [k for k in kaps.values() if len(k) == 2]
         assert pairs
         for kp, km in pairs:
             for conj in (False, True):
-                mats = _slice_matrices(self.pg, kp, conj)
-                assert mats[0] is mats[1]
-                assert _slice_matrices(self.pg, km, conj)[0] is mats[0]
+                mat = _slice_axis_matrix(self.pg.axes[0], kp, conj)
+                assert _slice_axis_matrix(self.pg.axes[1], kp, conj) is mat
+                assert _slice_axis_matrix(self.pg.axes[1], km, conj) is mat
             assert _slice_gram(self.pg.axes[1], km) is \
                 _slice_gram(self.pg.axes[0], kp)
 
@@ -365,7 +374,7 @@ class TestGramPath:
         trans = make_grid(dim, half, n)
         vol = self._volume(flow, trans)
         pg = dual_phase_grid(trans, n_freq=n_freq, center_margin=0.5)
-        for (_, kappa, vals), (_, _, coeff) in zip(flow_dft(vol),
+        for (_, kappa, vals), (_, _, coeff) in zip(flow_dft(vol, pg),
                                                    flow_slices(vol, pg)):
             want = np.sum(np.abs(coeff) ** 2, axis=tuple(range(dim)))
             got = slice_energy(vals, pg, kappa)

@@ -13,8 +13,8 @@ from contactfbi.fbi_core import (PhaseAxis, PhaseGrid, det_factor,
 from contactfbi.numerics import make_grid
 from contactfbi import partial_fbi, spectra
 from contactfbi.partial_fbi import (FlowGrid, _slice_adjoint, _slice_forward,
-                                    _slice_matrices, _volume_points,
-                                    reconstruct_slice, scatter_slice)
+                                    _volume_points, reconstruct_slice,
+                                    scatter_slice)
 from contactfbi.spectra import (CentralBlock, CentralFrame, SpectrumReport,
                                 central_block_audit, conjugated_operator,
                                 expansion_argmax, lower_bound_family,
@@ -377,8 +377,7 @@ def pair_apply(blk, u):
         mid = d["ghat"][moff + f.flow.n_points - 1] * rec \
             * np.exp(1j * f.eta0[t] * d["shift"])
         out[s] += d["scale"] * _slice_forward(
-            mid.reshape(f.y_shape), f.pg_out, d["kap_o"][s],
-            _slice_matrices(f.pg_out, d["kap_o"][s], conj=True)).ravel()
+            mid.reshape(f.y_shape), f.pg_out, d["kap_o"][s]).ravel()
     return out * d["row"]
 
 
@@ -389,9 +388,8 @@ def pair_apply_adjoint(blk, w):
     wr = w * d["row"]
     acc = np.zeros((f.eta0.size, f.pg_in.num_points), dtype=complex)
     for s, t, moff in frame_pairs(f):
-        mats = _slice_matrices(f.pg_out, d["kap_o"][s], conj=False)
         back = _slice_adjoint(wr[s].reshape(f.pg_out.shape()), f.pg_out,
-                              d["kap_o"][s], mats).ravel() \
+                              d["kap_o"][s]).ravel() \
             * (f.pg_out.y_weight / f.pg_out.weight)
         gfac = d["ghat"][moff + f.flow.n_points - 1] \
             * np.exp(1j * f.eta0[t] * d["shift"])

@@ -11,8 +11,7 @@ from contactfbi.fbi_core import (PhaseAxis, PhaseGrid, dual_phase_grid,
 from contactfbi import numerics
 from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
-                                    _slice_forward, _slice_matrices,
-                                    pcal_apply, pfbi_forward,
+                                    _slice_forward, pcal_apply, pfbi_forward,
                                     reconstruct_slice, sample_volume)
 from contactfbi.transfer_ops import (TransferSpec, cutoff_diagonals,
                                      decompose, flow_fourier_coeffs,
@@ -292,8 +291,7 @@ class TestLiftKernel:
             for s in range(n0):
                 m = (ghat[s - t + n0 - 1] * rec).reshape(trans.shape())
                 ref[s] += flow.freq_spacing / np.sqrt(2.0 * np.pi) \
-                    * _slice_forward(m, pg, kaps[s], _slice_matrices(
-                        pg, kaps[s], conj=True))
+                    * _slice_forward(m, pg, kaps[s])
         free = lift_apply(spec, flow, trans, pg, pf).values
         assert np.linalg.norm((free - ref).ravel()) <= \
             1e-13 * np.linalg.norm(ref.ravel())
@@ -328,9 +326,7 @@ class TestReducedLift:
         for i in np.argsort(-np.abs(lam))[:4]:
             z = vecs[:, i].reshape((flow.n_points,) + trans.shape())
             lifted = np.stack([
-                _slice_forward(z[s], pg, kap,
-                               _slice_matrices(pg, kap, conj=True))
-                for s, kap in enumerate(kaps)])
+                _slice_forward(z[s], pg, kap) for s, kap in enumerate(kaps)])
             out = lift_apply(spec, flow, trans, pg,
                              PartialPhaseField(flow, pg, lifted)).values
             assert np.linalg.norm(out - lam[i] * lifted) <= \
