@@ -241,13 +241,15 @@ def fbi_roundtrip(u, pg):
 
 
 def fbi_adjoint(v, space_grid=None):
-    """T* v: weighted superposition of packets, sampled on the space grid.
+    """T* v: weighted superposition of packets, sampled on the space grid,
+    which must have the phase grid's quadrature nodes (check_nodes).
 
     This is the partial transform's adjoint slice core at kappa = 1."""
     from .partial_fbi import _slice_adjoint
     pg = v.grid
     if space_grid is None:
         space_grid = pg.space_grid()
+    check_nodes(pg, space_grid)
     return Field(space_grid, _slice_adjoint(v.values, pg, 1.0).ravel())
 
 

@@ -403,7 +403,8 @@ def pfbi_forward(vol, pg):
 
 
 def pfbi_adjoint(pf, trans=None):
-    """Adjoint of the partial transform back to the volume grid.
+    """Adjoint of the partial transform back to the volume grid, whose
+    transversal grid trans must have the phase grid's quadrature nodes.
 
     Materializes every slice; this is the reference oracle of the slice
     adjoints: the tests check pfbi_forward against it for adjointness and
@@ -411,6 +412,7 @@ def pfbi_adjoint(pf, trans=None):
     pg = pf.phase
     if trans is None:
         trans = pg.space_grid()
+    check_nodes(pg, trans)
     hat = np.empty((pf.flow.n_points,) + trans.shape(), dtype=complex)
     for s, xi0 in enumerate(pf.flow.freqs()):
         kappa = float(bracket(xi0))

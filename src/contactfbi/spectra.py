@@ -21,7 +21,6 @@ the true essential spectral radius.
 """
 
 import numpy as np
-from scipy.linalg import eigvals, svdvals
 
 from .aniso_norm import (bracket, chi, cutoffs, q_block, q_tilde,
                          q_tilde_support, slice_covectors, slice_weight, v_s,
@@ -160,10 +159,7 @@ def weighted_norm_measure(b, s, r, half_widths, spacing=0.7):
     kern = l0_hat_kernel(bm, pts, pts)
     kern *= w[:, None]
     kern /= w[None, :]
-    # the transpose is Fortran-ordered, so LAPACK overwrites the kernel in
-    # place instead of copying it
-    sig = svdvals(kern.T, overwrite_a=True, check_finite=False)[0]
-    return float(spacing ** dim * sig)
+    return float(spacing ** dim * np.linalg.norm(kern, 2))
 
 
 def weight_diagonal(freqs, pg, r):
@@ -199,8 +195,7 @@ def model_spectrum(spec, levels, bound, margin=0.1):
     levels is a list of (flow, trans, pg) triples from coarse to fine;
     each yields one SpectrumReport against the same bound.  The lift
     U C V of lift_kernel has rank at most n0 * n_quad, and its nonzero
-    eigenvalues are those of transfer_ops.reduced_lift, C (V U), which
-    LAPACK solves in place on its Fortran-ordered transpose.  The report
+    eigenvalues are those of transfer_ops.reduced_lift, C (V U).  The report
     holds them followed by exact zeros up to the lift's row count, and
     writes out only a count of those zeros; should the factor be the
     larger side, its smallest eigenvalues, zeros of rank, are the ones
@@ -212,8 +207,7 @@ def model_spectrum(spec, levels, bound, margin=0.1):
     reports = []
     for flow, trans, pg in levels:
         rows = flow.n_points * pg.num_points
-        lam = eigvals(reduced_lift(spec, flow, trans, pg).T,
-                      overwrite_a=True)
+        lam = np.linalg.eigvals(reduced_lift(spec, flow, trans, pg))
         eigs = np.zeros(rows, dtype=complex)
         keep = min(rows, lam.size)
         eigs[:keep] = lam[np.argsort(-np.abs(lam))[:keep]]

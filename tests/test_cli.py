@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import contactfbi
 from contactfbi.cli import ConfigError, ExperimentConfig, main
 
 
@@ -318,3 +322,20 @@ class TestSubcommands:
         rep = json.loads((tmp_path / "summary.json").read_text())
         assert 0 < rep["fitted_c0"] < 3.0
         assert rep["diff_monotone"] is True
+
+
+class TestImports:
+
+    def test_cli_loads_no_scipy(self):
+        # the two dense solves are numpy's; scipy.interpolate is imported
+        # only inside transfer_ops._interpolate_volume
+        script = ("import sys, contactfbi.cli; print(sorted(m for m in "
+                  "sys.modules if m.split('.')[0] == 'scipy'))")
+        src = os.path.dirname(os.path.dirname(contactfbi.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"

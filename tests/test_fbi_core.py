@@ -140,6 +140,20 @@ class TestTransformPair:
         rhs = quad_inner(u, fbi_adjoint(v))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
+    def test_adjoint_refuses_other_quadrature_nodes(self):
+        # the packets are summed at the phase grid's quadrature nodes, so
+        # a space grid with other nodes is refused, not relabelled
+        g = make_grid(2, 1.6, 12)
+        v = fbi_forward(sample(lambda p: np.exp(-np.sum(p ** 2, axis=-1)),
+                               g), dual_phase_grid(g))
+        for other, fragment in ((make_grid(2, 1.2, 12), "nodes differ"),
+                                (make_grid(2, 1.6, 14), "nodes per axis"),
+                                (make_grid(1, 1.6, 12), "1-dimensional")):
+            with pytest.raises(ValueError, match=fragment):
+                fbi_adjoint(v, other)
+        assert fbi_adjoint(v, make_grid(2, 1.6, 12)).norm() == \
+            pytest.approx(fbi_adjoint(v).norm(), rel=1e-14)
+
     def test_nyquist_guard(self):
         # frequencies beyond the alias limit of the space grid are rejected
         ax = self.pg.axes[0]

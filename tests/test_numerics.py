@@ -151,14 +151,15 @@ class TestDenseBudget:
             from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseAxis,
                                              PhaseField, PhaseGrid,
                                              PhaseSpacePoint, apply_p_omega,
-                                             dual_phase_grid, fbi_forward,
-                                             fbi_forward_at, l0_hat,
+                                             dual_phase_grid, fbi_adjoint,
+                                             fbi_forward, fbi_forward_at,
+                                             l0_hat,
                                              lift_linear, projection_kernel)
             from contactfbi.numerics import (Field, GridSpec, check_dense,
                                              make_grid)
             from contactfbi.partial_fbi import (FlowGrid, PartialPacketIndex,
                                                 PartialPhaseField, VolumeField,
-                                                pfbi_forward,
+                                                pfbi_adjoint, pfbi_forward,
                                                 reconstruct_slice,
                                                 scatter_slice)
             from contactfbi.aniso_norm import v_s
@@ -289,6 +290,15 @@ class TestDenseBudget:
                                   lambda: pfbi_forward(VolumeField(
                                       flow, make_grid(2, 1.0, 4),
                                       np.zeros((2, 4, 4))), pg)),
+                "adjoint nodes": ("quadrature nodes differ",
+                                  lambda: fbi_adjoint(
+                                      PhaseField(pg, np.zeros(pg.shape())),
+                                      make_grid(2, 1.0, 4))),
+                "partial adjoint node count": ("4 quadrature nodes per axis, "
+                                               "the field 6",
+                                               lambda: pfbi_adjoint(
+                                                   four_slices,
+                                                   make_grid(2, 1.2, 6))),
                 "gram flow grids": ("different flow grids",
                                     lambda: weighted_gram([
                                         VolumeField(flow, trans,

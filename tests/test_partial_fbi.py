@@ -102,6 +102,21 @@ class TestForward:
                 with pytest.raises(ValueError, match=fragment):
                     run(vol, pg)
 
+    def test_adjoint_refuses_other_quadrature_nodes(self):
+        # the adjoint sums the packets at the phase grid's quadrature
+        # nodes; unchecked, the smaller box relabelled the values (norm
+        # 1.278 for 1.704) and the finer count failed inside numpy
+        trans = make_grid(2, 1.6, 12)
+        pf = pfbi_forward(gaussian_volume(self.flow, trans),
+                          dual_phase_grid(trans))
+        for other, fragment in ((make_grid(2, 1.2, 12), "nodes differ"),
+                                (make_grid(2, 1.6, 14), "nodes per axis")):
+            with pytest.raises(ValueError, match=fragment):
+                pfbi_adjoint(pf, other)
+        back = pfbi_adjoint(pf, make_grid(2, 1.6, 12))
+        assert back.norm() == pytest.approx(pfbi_adjoint(pf).norm(),
+                                            rel=1e-14)
+
     def test_adjoint_is_adjoint(self):
         pf = pfbi_forward(
             self.vol, dual_phase_grid(self.trans, n_freq=26))

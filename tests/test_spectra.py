@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from contactfbi.aniso_norm import (WeightSpec, bracket, cal_w_aniso,
                                    slice_covectors, v_s)
@@ -21,7 +22,8 @@ from contactfbi.spectra import (CentralBlock, CentralFrame, SpectrumReport,
                                 model_spectrum, persistent_outliers,
                                 weighted_norm_measure)
 from contactfbi.transfer_ops import (TransferSpec, flow_fourier_coeffs,
-                                     lambda_delta, lift_coupling, lift_kernel)
+                                     lambda_delta, lift_coupling, lift_kernel,
+                                     reduced_lift)
 
 
 def sym_block(lam):
@@ -150,6 +152,24 @@ class TestWeightedNorm:
                                     spacing=h)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_matches_scipy_svdvals(self):
+        # the oracle of the numpy solve: scipy's values-only SVD on the
+        # norm-bound grid of the default config
+        half, h, r = 2.0, 0.35, 4.0
+        axis = spectra._axis_lattice(half, h)
+        pts = np.stack([m.ravel() for m in np.meshgrid(axis, axis,
+                                                       indexing="ij")], -1)
+        for s in (1.0, 16.0, 256.0):
+            w = v_s(pts, s, r)
+            for lam in (4.0, 8.0, 16.0, 32.0):
+                b = sym_block(lam)
+                weighted = w[:, None] * l0_hat_kernel(b, pts, pts) / \
+                    w[None, :]
+                want = h ** 2 * scipy.linalg.svdvals(weighted)[0]
+                got = weighted_norm_measure(b, s, r, half_widths=(half, half),
+                                            spacing=h)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_unweighted_norm_at_lam_four_is_one(self):
         # the C6 grid resolves the isometry: the exact norm is 1 to 1e-9,
         # a bound that an unconverged iterative estimate misses
@@ -239,6 +259,22 @@ class TestModelSpectrum:
         assert rep.refinement["rows"] == mat.values.shape[0]
         assert np.all(rep.eigenvalues[reduced:] == 0)
         assert np.max(np.abs(rep.moduli - dense)) <= 1e-12 * dense[0]
+
+    @pytest.mark.parametrize("n0", [4, 6])
+    def test_matches_scipy_eigvals(self, n0):
+        # the oracle of the numpy solve: scipy's eigvals of the same
+        # reduced lift on the C10 levels
+        flow = FlowGrid(np.pi, n0)
+        trans = make_grid(2, 0.7, 4)
+        pg = dual_phase_grid(trans, n_freq=4)
+        spec = TransferSpec(ContactMap.linear(sym_block(4.0)), bump_amp())
+        rep = model_spectrum(spec, [(flow, trans, pg)], 0.5)[0]
+        want = np.abs(scipy.linalg.eigvals(reduced_lift(spec, flow, trans,
+                                                        pg)))
+        want = np.sort(want)[::-1]
+        got = rep.moduli[:rep.refinement["reduced_rows"]]
+        assert got.size == want.size == n0 * trans.num_points
+        assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
 
     def test_factor_larger_than_lift(self):
         # 2 centers x 2 frequencies per axis: 16 phase points per slice
