@@ -13,21 +13,25 @@ import numpy as np
 from .fbi_core import dual_phase_grid, flip_half
 
 
-def _mollifier(t):
-    """exp(-1/t) for t > 0, zero otherwise; smooth at 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
-
-
 def smooth_step(t):
-    """Smooth monotone step: 0 for t <= 0, 1 for t >= 1."""
+    """Smooth monotone step: 0 for t <= 0, 1 for t >= 1.
+
+    The step is the mollifier quotient g(t) / (g(t) + g(1 - t)) with
+    g(t) = exp(-1/t) for t > 0 and 0 otherwise.  Off the open band
+    0 < t < 1 one of the two terms is exactly 0 and the other positive,
+    so the quotient is exactly 0 or exactly 1 there, and only the band is
+    evaluated; a NaN lies on neither side, goes through the quotient and
+    comes out NaN.  The values equal the quotient on the whole line bit
+    for bit.
+    """
     t = np.asarray(t, dtype=float)
-    g1 = _mollifier(t)
-    g2 = _mollifier(1.0 - t)
-    return g1 / (g1 + g2)
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    band = ~((t <= 0.0) | (t >= 1.0))
+    tb = t[band]
+    g1 = np.exp(-1.0 / tb)
+    g2 = np.exp(-1.0 / (1.0 - tb))
+    out[band] = g1 / (g1 + g2)
+    return out if out.ndim else out[()]
 
 
 def chi(s):
@@ -139,6 +143,15 @@ def slice_weight(pg, xi0, r):
     axis; |v_+|^2 and |v_-|^2 are summed from them by broadcasting, and
     W^2r is evaluated from the two half norms, as cal_w_aniso evaluates
     it on the points of slice_covectors(pg.points(), xi0).
+
+    Where every frequency lattice of pg is antisymmetric (freqs[::-1] is
+    exactly -freqs, as dual_frequencies and spectra._axis_lattice build
+    them), slice_weight(pg, -xi0, r) equals slice_weight(pg, xi0, r)
+    reversed along the frequency axes, bit for bit: reversing frequency
+    axis a and negating xi0 negate every v_a exactly, since rounding is
+    symmetric under negation, and the weight reads only v_a^2.
+    weighted_gram relies on this to share one weight between the slices
+    at +-xi0.
     """
     d2 = pg.dim
     if d2 % 2:
@@ -259,26 +272,54 @@ def cutoffs(x_dag, xi, spec):
 def weighted_gram(vols, pg, wspec):
     """Gram matrix of volume fields in the W^r-weighted transform metric.
 
-    Streams one flow frequency slice at a time so the full transform of
-    the fields is never materialized; the weight of a slice is
-    slice_weight, built from the per-axis twisted components.  The fields
-    must share one flow grid, and partial_fbi.flow_dft refuses a field
-    whose transversal nodes are not the quadrature nodes of pg.
+    The fields share one flow DFT (partial_fbi.flow_dft_stack, which
+    checks every field as flow_dft does) and, slice by slice, one
+    _slice_forward contraction and one Gram update, so the full transform
+    is never materialized and one slice of coefficients exists at a time.
+    The weight of a slice is slice_weight, permuted into the per-axis
+    layout of the contraction instead of the coefficients into the grid's.
+    The slices at +-xi0, paired by their integer flow index, share one
+    weight when every frequency lattice of pg is antisymmetric: the
+    weight at -xi0 is then the one at xi0 reversed along the frequency
+    axes (see slice_weight).  The unpaired slices, xi0 = 0 and the lowest
+    frequency -n0/2, and every slice of a grid without antisymmetric
+    lattices evaluate their own weight.
     """
-    from .partial_fbi import flow_slices
-    if len(vols) == 0:
-        raise ValueError("weighted_gram needs at least one volume field")
+    from .partial_fbi import _slice_forward, flow_dft_stack, per_axis_order
+    hat = flow_dft_stack(vols, pg)
     flow = vols[0].flow
-    if not all(np.array_equal(v.flow.nodes(), flow.nodes()) for v in vols):
-        raise ValueError("volume fields on different flow grids, of %s "
-                         "points" % [v.flow.n_points for v in vols])
-    mu = flow.freq_spacing * pg.weight
-    gram = np.zeros((len(vols), len(vols)), dtype=complex)
-    for slices in zip(*[flow_slices(v, pg) for v in vols]):
-        w = slice_weight(pg, slices[0][0], wspec.r).ravel()
-        coeffs = np.stack([coeff.ravel() * w for _, _, coeff in slices])
-        gram += mu * (coeffs.conj() @ coeffs.T)
-    return gram
+    xi0s = flow.freqs()
+    d2 = pg.dim
+    mirrored = all(np.array_equal(ax.freqs[::-1], -ax.freqs)
+                   for ax in pg.axes)
+    reverse = (slice(None),) * d2 + (slice(None, None, -1),) * d2
+    coeff_axes, weight_axes = per_axis_order(d2, 1), per_axis_order(d2, 0)
+    n = len(vols)
+    gram = np.zeros((n, n), dtype=complex)
+
+    def add_slice(s, w):
+        kappa = float(bracket(xi0s[s]))
+        coeffs = np.transpose(_slice_forward(hat[s], pg, kappa), coeff_axes)
+        coeffs *= np.transpose(w, weight_axes)
+        flat = coeffs.reshape(n, -1)
+        # the upper triangle by vdot, which conjugates without copying the
+        # slice as flat.conj() @ flat.T would
+        for i in range(n):
+            for j in range(i, n):
+                gram[i, j] += np.vdot(flat[i], flat[j])
+
+    # slice s holds the flow index s - n0/2 and slice n0 - s its negative;
+    # slices 0 (index -n0/2) and n0/2 (index 0) have no partner
+    n0 = flow.n_points
+    for s in range(n0 // 2 + 1):
+        w = slice_weight(pg, xi0s[s], wspec.r)
+        add_slice(s, w)
+        if 0 < s < n0 // 2:
+            w = w[reverse] if mirrored else \
+                slice_weight(pg, xi0s[n0 - s], wspec.r)
+            add_slice(n0 - s, w)
+    gram += np.triu(gram, 1).conj().T
+    return flow.freq_spacing * pg.weight * gram
 
 
 def aniso_norm(vol, spec):

@@ -20,13 +20,13 @@ from .aniso_norm import (WeightSpec, chi_n, cutoffs, lp_partition, q_k,
                          q_tilde_separation)
 from .contact_geometry import ContactMap
 from .fbi_core import det_factor, dual_phase_grid, fbi_roundtrip
-from .numerics import check_dense, make_grid, sample
+from .numerics import make_grid, sample
 from .partial_fbi import (FlowGrid, check_transversal_spacing,
                           min_transversal_points, pfbi_roundtrip,
                           sample_volume)
-from .spectra import (central_block_audit, lower_bound_family,
-                      model_spectrum, persistent_outliers,
-                      weighted_norm_measure)
+from .spectra import (central_block_audit, check_solve_budget,
+                      lower_bound_family, model_spectrum,
+                      persistent_outliers, weighted_norm_measure)
 from .transfer_ops import (TransferSpec, kernel_bound_audit, lambda_delta,
                            lift_fingerprint)
 
@@ -293,13 +293,13 @@ def _identity_grids(cfg, refine):
 
 def _spectrum_levels(cfg, refine):
     """The refinement levels of spectrum, each refused here when its
-    reduced lift (n0 * n_quad rows, see transfer_ops.reduced_lift) is over
-    the dense budget."""
+    reduced lift (n0 * n_quad rows, see transfer_ops.reduced_lift) and
+    the solver's copy of it are over the dense budget
+    (spectra.check_solve_budget)."""
     levels = [_volume_grids(cfg, cfg.flow_points + 2 * level,
                             cfg.n_per_axis, True) for level in range(refine)]
     for flow, trans, _ in levels:
-        side = flow.n_points * trans.num_points
-        check_dense(side, side, "reduced lift matrix")
+        check_solve_budget(flow, trans)
     return levels
 
 

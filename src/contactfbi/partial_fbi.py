@@ -19,9 +19,13 @@ kappa = 1 case, flow_slices streams it over the flow frequencies of
 flow_dft, and every form of the lift in transfer_ops chains it through
 one slice coupling (coupled_forward / coupled_adjoint for lift_apply and
 the central block; lift_kernel builds its dense packets from the same
-axis factors).  flow_dft is where every volume field enters the core: it
-refuses a volume whose transversal nodes are not the quadrature nodes of
-the phase grid, with the node check of fbi_core.fbi_forward.
+axis factors).  flow_dft_stack is where every volume field enters the
+core: it refuses a volume whose transversal nodes are not the quadrature
+nodes of the phase grid, with the node check of fbi_core.fbi_forward, and
+transforms several fields along the flow in one product, stacked on a
+trailing field axis that _slice_forward carries through the same
+per-axis contraction (aniso_norm.weighted_gram); flow_dft streams it for
+one field.
 
 A packet is a product of one factor per axis, so a quadratic form of a
 slice whose weight depends on the frequencies alone factors through the
@@ -281,23 +285,43 @@ def _slice_gram(ax, kappa):
 
 
 def _per_axis(vals, factors):
-    """Contract the leading y axis of vals with the last axis of each
-    per-axis array (a_i, b_i, y_i) in turn; return the axes as (a..., b...)."""
+    """Contract the leading y axes of vals, one per factor, with the last
+    axis of each per-axis array (a_i, b_i, y_i) in turn.  Axes of vals
+    after the y axes (a field axis) lead the result.
+
+    The contraction leaves a C-contiguous array in the per-axis layout
+    (fields..., a_1, b_1, a_2, b_2, ...); the result is its transposed
+    view (fields..., a..., b...), which per_axis_order takes back.
+    """
     work = vals
     for m in factors:
         work = np.tensordot(work, m, axes=([0], [2]))
-    # axes are now (a_1, b_1, a_2, b_2, ...)
-    return np.transpose(work, [*range(0, work.ndim, 2),
-                               *range(1, work.ndim, 2)])
+    lead = work.ndim - 2 * len(factors)
+    return np.transpose(work, [*range(lead), *range(lead, work.ndim, 2),
+                               *range(lead + 1, work.ndim, 2)])
+
+
+def per_axis_order(dim, lead):
+    """Axis order taking an array (lead axes..., a_1..a_D, b_1..b_D) on
+    a phase grid of dimension D to the per-axis layout (lead axes...,
+    a_1, b_1, ..., a_D, b_D) in which _per_axis contracts."""
+    return [*range(lead), *(lead + a + off for a in range(dim)
+                             for off in (0, dim))]
 
 
 def _slice_forward(slice_vals, pg, kappa):
     """Forward transform of one slice sampled on the quadrature nodes of
     pg, with the quadrature weight pg.y_weight, through the memoized
-    conjugate axis matrices of pg."""
+    conjugate axis matrices of pg.
+
+    slice_vals may carry a field axis after its transversal axes; the
+    one contraction then gives the coefficients of every field, of shape
+    (n_fields, nc..., nf...).  Like every _per_axis result, the array is
+    a transposed view of a C-contiguous one in the per-axis layout."""
     factors = [_slice_axis_matrix(ax, kappa, True) for ax in pg.axes]
-    pref = _amplitude(kappa, pg.dim) * pg.y_weight
-    return pref * _per_axis(slice_vals, factors)
+    out = _per_axis(slice_vals, factors)
+    out *= _amplitude(kappa, pg.dim) * pg.y_weight
+    return out
 
 
 def _slice_adjoint(slice_vals, pg, kappa):
@@ -360,16 +384,34 @@ def scatter_slice(vals, pg, kappa, pts):
     return _amplitude(kappa, pg.dim) * pg.weight * out
 
 
+def flow_dft_stack(vols, pg):
+    """Check each volume field of vols, which share one flow grid, against
+    that flow and the quadrature nodes of the phase grid pg, and Fourier
+    transform the fields along the flow in one product.  Returns an array
+    of shape (n0, n_t, ..., n_t, len(vols)): slice s holds every field at
+    the flow frequency flow.freqs()[s], stacked on the last axis."""
+    if len(vols) == 0:
+        raise ValueError("the flow transform needs at least one volume "
+                         "field")
+    flow = vols[0].flow
+    if not all(np.array_equal(v.flow.nodes(), flow.nodes()) for v in vols):
+        raise ValueError("volume fields on different flow grids, of %s "
+                         "points" % [v.flow.n_points for v in vols])
+    for vol in vols:
+        check_transversal_spacing(vol.trans, vol.flow)
+        check_nodes(pg, vol.trans)
+    return np.tensordot(flow.dft_matrix(),
+                        np.stack([v.values for v in vols], axis=-1),
+                        axes=([1], [0]))
+
+
 def flow_dft(vol, pg):
-    """Check the volume's transversal grid against the flow and the
-    quadrature nodes of the phase grid pg, and Fourier transform it along
-    the flow; yield (xi0, kappa, values) for each flow frequency xi0, with
+    """The flow transform of flow_dft_stack for one volume field, slice by
+    slice: yield (xi0, kappa, values) for each flow frequency xi0, with
     kappa = <xi0> and the slice values on the transversal grid."""
-    check_transversal_spacing(vol.trans, vol.flow)
-    check_nodes(pg, vol.trans)
-    hat = np.tensordot(vol.flow.dft_matrix(), vol.values, axes=([1], [0]))
+    hat = flow_dft_stack([vol], pg)
     for xi0, slice_vals in zip(vol.flow.freqs(), hat):
-        yield xi0, float(bracket(xi0)), slice_vals
+        yield xi0, float(bracket(xi0)), slice_vals[..., 0]
 
 
 def flow_slices(vol, pg):

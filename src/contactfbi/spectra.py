@@ -188,6 +188,14 @@ def conjugated_operator(matrix, wspec):
     return (w[:, None] / w[None, :]) * a
 
 
+def check_solve_budget(flow, trans):
+    """Refuse a refinement level whose reduced lift, of side
+    n0 * n_quad, does not fit the dense budget twice: np.linalg.eigvals
+    copies its input, so the solve holds the matrix and the copy at once."""
+    side = flow.n_points * trans.num_points
+    check_dense(2 * side, side, "reduced lift matrix and its eigvals copy")
+
+
 def model_spectrum(spec, levels, bound, margin=0.1):
     """Spectra of the lift at the given refinement levels, taken from its
     quadrature-space factor.
@@ -202,10 +210,12 @@ def model_spectrum(spec, levels, bound, margin=0.1):
     dropped.  refinement records both sizes, rows and reduced_rows.  The
     weighted space fixes the bound (lambda_delta reads the weight
     exponent), not the eigenvalues: conjugating the finite lift by the
-    weight is a similarity.
+    weight is a similarity.  Each level is checked by check_solve_budget
+    before its factor is built.
     """
     reports = []
     for flow, trans, pg in levels:
+        check_solve_budget(flow, trans)
         rows = flow.n_points * pg.num_points
         lam = np.linalg.eigvals(reduced_lift(spec, flow, trans, pg))
         eigs = np.zeros(rows, dtype=complex)

@@ -32,6 +32,70 @@ class TestChi:
         assert smooth_step(np.array([0.5]))[0] == pytest.approx(0.5)
 
 
+def _step_quotient(t):
+    """The step as the plain masked-mollifier quotient over the whole
+    line, g(t) / (g(t) + g(1 - t)) with g(t) = exp(-1/t) for t > 0 and
+    0 otherwise: the reference smooth_step must equal bit for bit."""
+    def g(x):
+        out = np.zeros_like(x)
+        pos = x > 0
+        out[pos] = np.exp(-1.0 / x[pos])
+        return out
+    t = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return g(t) / (g(t) + g(1.0 - t))
+
+
+class TestStepOracle:
+    """smooth_step, chi and bracket against the quotient evaluated
+    everywhere, on every memory layout and on the edges of the band."""
+
+    EDGES = [0.0, -0.0, 1.0, 1e-300, 1.0 - 1e-16, 5e-324, np.nan, np.inf,
+             -np.inf, 0.5, 4.0 / 3.0, 5.0 / 3.0]
+
+    @classmethod
+    def _inputs(cls):
+        rng = np.random.default_rng(3)
+        base = rng.normal(0.5, 0.8, (24, 30))
+        base[::5, ::7] = np.nan
+        base.flat[:len(cls.EDGES)] = cls.EDGES
+        col = rng.normal(0.5, 0.8, (1, 30))
+        yield "C order", base
+        yield "F order", np.asfortranarray(base)
+        yield "strided", base[::2, 1::3]
+        yield "transposed", base.T
+        yield "broadcast", np.broadcast_to(col, (24, 30))
+        yield "0-d", np.array(0.25)
+        for t in cls.EDGES:
+            yield "float %r" % t, float(t)
+            yield "0-d %r" % t, np.array(t)
+
+    @staticmethod
+    def _same(got, want, name):
+        assert np.shape(got) == np.shape(want), name
+        assert np.array_equal(got, want, equal_nan=True), name
+
+    def test_smooth_step_is_the_quotient(self):
+        with np.errstate(over="ignore"):
+            for name, t in self._inputs():
+                self._same(smooth_step(t), _step_quotient(t), name)
+
+    def test_chi_and_bracket_are_the_quotient(self):
+        with np.errstate(over="ignore"):
+            for name, t in self._inputs():
+                s = np.asarray(t, dtype=float)
+                c = _step_quotient(5.0 - 3.0 * s)
+                self._same(chi(t), c, name)
+                a = np.abs(s)
+                c = _step_quotient(5.0 - 3.0 * a)
+                self._same(bracket(t), a * (1.0 - c) + c, name)
+
+    def test_scalars_stay_scalars(self):
+        for t in (0.25, np.array(0.25), np.nan, 2.0):
+            assert np.ndim(smooth_step(t)) == 0
+            assert isinstance(smooth_step(t), np.float64)
+
+
 class TestBracket:
 
     def test_values(self):
@@ -296,6 +360,23 @@ class TestSliceWeight:
             assert got.shape == pg.shape()
             assert np.max(np.abs(got.ravel() - want) / want) <= 1e-10
 
+    # d = 1 on 8^2 centers and 8^2 frequencies, d = 2 on 6^4 and 4^4
+    @pytest.mark.parametrize("dim, n, n_freq", [(2, 6, 8), (4, 4, 4)])
+    def test_negative_slice_is_the_reversed_weight(self, dim, n, n_freq):
+        # on the antisymmetric lattices of dual_phase_grid the weight at
+        # -xi0 is the weight at xi0 reversed along the frequency axes, bit
+        # for bit, which weighted_gram relies on to share one weight
+        from contactfbi.fbi_core import dual_phase_grid
+        from contactfbi.numerics import make_grid
+        from contactfbi.partial_fbi import FlowGrid
+        trans = make_grid(dim, 0.2 * n, n)
+        pg = dual_phase_grid(trans, n_freq=n_freq, center_margin=0.4)
+        reverse = (slice(None),) * dim + (slice(None, None, -1),) * dim
+        for xi0 in [*FlowGrid(1.3, 10).freqs(), 0.37, 60.0]:
+            for r in (1.0, 2.5):
+                assert np.array_equal(slice_weight(pg, -xi0, r),
+                                      slice_weight(pg, xi0, r)[reverse])
+
     def test_refuses_odd_dimension(self):
         with pytest.raises(ValueError, match="even"):
             slice_weight(self._grid([(4, 4)]), 1.0, 1.0)
@@ -474,25 +555,85 @@ class TestWeightedGram:
                 * np.exp(1j * k * pts[:, 2])
         return sample_volume(u, flow, trans)
 
-    def test_matches_materialized_coefficients(self):
+    @staticmethod
+    def _shifted(pg, lattice):
+        # the grid itself, or with every center or frequency lattice moved
+        # off symmetry by 0.3 steps
+        if lattice == "dual":
+            return pg
+        if lattice == "centers":
+            return PhaseGrid([PhaseAxis(ax.centers + 0.3 * ax.c_spacing,
+                                        ax.freqs, ax.y) for ax in pg.axes])
+        return PhaseGrid([PhaseAxis(ax.centers, ax.freqs + 0.3 * ax.f_spacing,
+                                    ax.y) for ax in pg.axes])
+
+    def _materialized(self, vols, pg, spec):
         # materialized transform times the pointwise weight on the phase
-        # points of each slice, against the streamed per-axis loop
-        from contactfbi.aniso_norm import weighted_gram
+        # points of each slice
         from contactfbi.partial_fbi import pfbi_forward
-        spec = WeightSpec(r=2.0)
-        vols = [self._volume(self.flow, self.trans, k) for k in (0.0, 3.0)]
-        pts = self.pg.points()
+        flow = vols[0].flow
+        pts = pg.points()
         weighted = []
         for vol in vols:
-            pf = pfbi_forward(vol, self.pg)
+            pf = pfbi_forward(vol, pg)
             weighted.append(np.concatenate([
                 cal_w_aniso(*slice_covectors(pts, xi0), spec.r) * c.ravel()
-                for xi0, c in zip(self.flow.freqs(), pf.values)]))
+                for xi0, c in zip(flow.freqs(), pf.values)]))
         want = np.array([[np.vdot(a, b) for b in weighted]
                          for a in weighted])
-        want *= self.flow.freq_spacing * self.pg.weight
+        return want * flow.freq_spacing * pg.weight
+
+    def test_matches_materialized_coefficients(self):
+        # against the streamed per-axis loop
+        from contactfbi.aniso_norm import weighted_gram
+        spec = WeightSpec(r=2.0)
+        vols = [self._volume(self.flow, self.trans, k) for k in (0.0, 3.0)]
+        want = self._materialized(vols, self.pg, spec)
         got = weighted_gram(vols, self.pg, spec)
         assert abs(want[0, 1]) > 1e-3 * abs(want[0, 0])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # FlowGrid takes an even n0 only, so the slice -n0/2 is always
+    # unpaired; n0 = 2 pairs nothing, n0 / 2 odd and even pair the rest.
+    # Shifted centers keep the frequency lattices antisymmetric and the
+    # shared weights; shifted frequencies are not antisymmetric, and
+    # every slice takes its own weight
+    @pytest.mark.parametrize("n0", [2, 6, 8])
+    @pytest.mark.parametrize("lattice", ["dual", "centers", "freqs"])
+    def test_pairing_matches_materialized(self, n0, lattice):
+        from contactfbi.aniso_norm import weighted_gram
+        from contactfbi.partial_fbi import FlowGrid
+        spec = WeightSpec(r=2.0)
+        flow = FlowGrid(np.pi, n0)
+        pg = self._shifted(self.pg, lattice)
+        vols = [self._volume(flow, self.trans, k) for k in (0.0, 3.0, -2.0)]
+        want = self._materialized(vols, pg, spec)
+        got = weighted_gram(vols, pg, spec)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("lattice", ["dual", "centers", "freqs"])
+    def test_pairing_matches_materialized_d2(self, lattice):
+        # a d = 2 (D = 4) volume on a grid of 6^4 centers and 4^4
+        # frequencies, which the materialized reference can afford
+        from contactfbi.aniso_norm import weighted_gram
+        from contactfbi.fbi_core import dual_phase_grid
+        from contactfbi.numerics import make_grid
+        from contactfbi.partial_fbi import FlowGrid, sample_volume
+        trans = make_grid(4, 0.8, 4)
+        flow = FlowGrid(np.pi, 4)
+        pg = self._shifted(dual_phase_grid(trans, n_freq=4,
+                                           center_margin=0.4), lattice)
+
+        def u(k):
+            def f(pts):
+                prof = np.exp(-np.sum(pts[:, 1:] ** 2, axis=-1) / 0.2)
+                return (1.0 + 0.5 * np.sin(pts[:, 0])) * prof * \
+                    np.exp(1j * k * (pts[:, 2] - pts[:, 4]))
+            return f
+        spec = WeightSpec(r=1.5, d=2)
+        vols = [sample_volume(u(k), flow, trans) for k in (0.0, 2.0)]
+        want = self._materialized(vols, pg, spec)
+        got = weighted_gram(vols, pg, spec)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_refuses_volumes_on_other_grids(self):

@@ -161,9 +161,28 @@ class TestExitCodes:
         path = write(tmp_path / "d2.cfg", "d = 2\n")
         code = main(["spectrum", "--config", path, "--out", str(out)])
         assert code == 2
-        assert ("config error: reduced lift matrix would need a 165888 x "
-                "165888 matrix") in capsys.readouterr().err
+        assert ("config error: reduced lift matrix and its eigvals copy "
+                "would need a 331776 x 165888 matrix") in \
+            capsys.readouterr().err
         assert not out.exists()
+
+    def test_spectrum_plan_counts_the_solver_copy(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a budget of one and a half reduced lifts holds the matrix but not
+        # the copy np.linalg.eigvals makes of it, so the plan refuses it
+        from contactfbi import numerics
+        path = write(tmp_path / "tiny.cfg", TINY_MODEL)
+        side = 4 * 4 ** 2
+        monkeypatch.setattr(numerics, "DENSE_BYTES", 24 * side * side)
+        out = tmp_path / "run"
+        code = main(["spectrum", "--config", path, "--out", str(out)])
+        assert code == 2
+        assert ("config error: reduced lift matrix and its eigvals copy "
+                "would need a %d x %d matrix" % (2 * side, side)) in \
+            capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(numerics, "DENSE_BYTES", 32 * side * side)
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
 
     def test_small_n_freq_exits_two(self, tmp_path, capsys):
         # n_freq below n_per_axis = 12 leaves no valid phase grid

@@ -134,6 +134,13 @@ class TestDenseBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        if routine == "model_spectrum":
+            # the solve is checked first for the reduced lift and the copy
+            # np.linalg.eigvals makes of it in memory numpy does not trace
+            # (spectra.check_solve_budget), then reduced_lift checks the
+            # one matrix it builds
+            assert len(checked) == 2 and checked[0] == 2 * checked[1]
+            checked = checked[1:]
         assert len(checked) == 1 and checked[0] >= 10 ** 7
         assert peak <= 1.5 * checked[0], peak / checked[0]
 

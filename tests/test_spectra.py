@@ -238,6 +238,26 @@ class TestModelSpectrum:
         with pytest.raises(ValueError, match="dense budget"):
             model_spectrum(spec, [(flow, trans, dual_phase_grid(trans))], 0.5)
 
+    def test_size_guard_counts_the_solver_copy(self, monkeypatch):
+        # np.linalg.eigvals copies the reduced lift, so a budget of one and
+        # a half matrices, which reduced_lift alone would pass, is refused
+        # before the amplitude is evaluated; two matrices are enough
+        from contactfbi import numerics
+
+        def refuse(pts):
+            raise AssertionError("the amplitude was evaluated")
+        flow, trans, pg = toy_setting()
+        side = flow.n_points * trans.num_points
+        monkeypatch.setattr(numerics, "DENSE_BYTES", 24 * side * side)
+        numerics.check_dense(side, side, "one reduced lift")
+        with pytest.raises(ValueError, match="eigvals copy .* dense budget"):
+            model_spectrum(TransferSpec(ContactMap.linear(sym_block(4.0)),
+                                        refuse), [(flow, trans, pg)], 0.5)
+        monkeypatch.setattr(numerics, "DENSE_BYTES", 32 * side * side)
+        spec = TransferSpec(ContactMap.linear(sym_block(4.0)), bump_amp())
+        rep = model_spectrum(spec, [(flow, trans, pg)], 0.5)[0]
+        assert rep.refinement["reduced_rows"] == side
+
     @pytest.mark.parametrize("n0", [4, 6])
     @pytest.mark.parametrize("cmap, g", [
         (ContactMap.linear(sym_block(4.0)), bump_amp()),
