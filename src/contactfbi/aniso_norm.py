@@ -20,17 +20,17 @@ def smooth_step(t):
     g(t) = exp(-1/t) for t > 0 and 0 otherwise.  Off the open band
     0 < t < 1 one of the two terms is exactly 0 and the other positive,
     so the quotient is exactly 0 or exactly 1 there, and only the band is
-    evaluated; a NaN lies on neither side, goes through the quotient and
-    comes out NaN.  The values equal the quotient on the whole line bit
-    for bit.
+    evaluated, gathered and scattered by flat index; a NaN lies on
+    neither side, goes through the quotient and comes out NaN.  The
+    values equal the quotient on the whole line bit for bit.
     """
     t = np.asarray(t, dtype=float)
-    out = np.where(t >= 1.0, 1.0, 0.0)
-    band = ~((t <= 0.0) | (t >= 1.0))
-    tb = t[band]
+    out = np.array(t >= 1.0, dtype=float)
+    band = (~((t <= 0.0) | (t >= 1.0))).ravel().nonzero()[0]
+    tb = t.take(band)
     g1 = np.exp(-1.0 / tb)
     g2 = np.exp(-1.0 / (1.0 - tb))
-    out[band] = g1 / (g1 + g2)
+    out.put(band, g1 / (g1 + g2))
     return out if out.ndim else out[()]
 
 
@@ -45,9 +45,21 @@ def bracket(s):
 
     Always at least 1 and equal to |s| once |s| >= 5/3.
     """
-    a = np.abs(np.asarray(s, dtype=float))
-    c = chi(a)
-    return a * (1.0 - c) + c
+    s = np.asarray(s, dtype=float)
+    a = _bracket_abs(np.abs(s, out=np.empty(s.shape)))
+    return a if a.ndim else a[()]
+
+
+def _bracket_abs(a):
+    """bracket of a non-negative array, in place.  chi is exactly 0 from
+    5/3 on, where <a> = a, so the step is evaluated only below 5/3; the
+    values equal a (1 - chi(a)) + chi(a) bit for bit."""
+    low = (a < 5.0 / 3.0).ravel().nonzero()[0]
+    if low.size:
+        al = a.take(low)
+        c = chi(al)
+        a.put(low, al * (1.0 - c) + c)
+    return a
 
 
 def chi_n(s, n):
@@ -61,43 +73,62 @@ def chi_n(s, n):
     return chi(a / 2.0 ** n) - chi(a / 2.0 ** (n - 1))
 
 
-def _psi_halves(plus, minus):
-    """psi_plus from the norms of the two halves of its argument."""
-    # ratio 1 at zeta = 0 gives the symmetric value 1/2 there
-    rho = np.where((plus == 0) & (minus == 0), 1.0,
-                   minus / np.maximum(plus, 1e-300))
-    u = np.log(np.maximum(3.0 * rho, 1e-300)) / np.log(9.0)
-    return smooth_step(1.0 - u)
+# squared half norms below this count as equal to it in the cone
+# function, which reads their ratio: the origin gets the symmetric value 1/2
+_TINY2 = 1e-200
+_LOG81 = np.log(81.0)
 
 
-def _half_norms(zeta):
-    """Norms of the plus and minus halves of points of R^(2d)."""
+def _cone(plus2, minus2):
+    """psi_plus from the squared norms of the two halves of its argument:
+    smooth_step(1 - log_9(3 rho)) with rho = |minus| / |plus|, evaluated
+    as 1 - log(9 rho^2) / log(81)."""
+    t = np.asarray(np.maximum(minus2, _TINY2) * 9.0
+                   / np.maximum(plus2, _TINY2))
+    np.log(t, out=t)
+    t /= -_LOG81
+    t += 1.0
+    return smooth_step(t)
+
+
+def _half_squares(zeta):
+    """Squared norms of the plus and minus halves of points of R^(2d)."""
     d = zeta.shape[-1] // 2
-    return (np.linalg.norm(zeta[..., :d], axis=-1),
-            np.linalg.norm(zeta[..., d:], axis=-1))
+    return (np.sum(zeta[..., :d] ** 2, axis=-1),
+            np.sum(zeta[..., d:] ** 2, axis=-1))
 
 
 def psi_plus(zeta):
     """Cone function on the projective space of R^(2d), equal to 1 on
     C*_+(1/3) and 0 on C*_-(1/3); depends only on the direction."""
-    return _psi_halves(*_half_norms(np.asarray(zeta, dtype=float)))
+    return _cone(*_half_squares(np.asarray(zeta, dtype=float)))
 
 
 def psi_minus(zeta):
     return 1.0 - psi_plus(zeta)
 
 
-def _w_halves(plus, minus, r):
-    """W^r of a point of R^(2d) from the norms of its two halves."""
-    pp = _psi_halves(plus, minus)
-    br = bracket(np.hypot(plus, minus))
-    return pp * br ** (-r) + (1.0 - pp) * br ** r
+def _w_squares(plus2, minus2, norm2, r):
+    """W^r = psi_plus <n>^-r + psi_minus <n>^r of a point of R^(2d), from
+    the squared norms of its halves (only their ratio enters psi_plus)
+    and n^2 = norm2, which is overwritten.  One power <n>^r is taken, and
+    <n>^-r is its reciprocal."""
+    pp = _cone(plus2, minus2)
+    p = _bracket_abs(np.sqrt(norm2, out=norm2))
+    np.power(p, r, out=p)
+    out = pp / p
+    # out + (1 - pp) p, with (1 - pp) p formed in place as -(pp - 1) p
+    pp -= 1.0
+    pp *= p
+    out -= pp
+    return out if out.ndim else out[()]
 
 
 def w_aniso(zeta, r):
     """Anisotropic symbol W^r on R^(2d): decays like <|zeta|>^-r in the
     plus cone and grows like <|zeta|>^r in the minus cone."""
-    return _w_halves(*_half_norms(np.asarray(zeta, dtype=float)), r)
+    plus2, minus2 = _half_squares(np.asarray(zeta, dtype=float))
+    return _w_squares(plus2, minus2, np.asarray(plus2 + minus2), r)
 
 
 def twisted_frequency(x_dag, xi):
@@ -140,9 +171,14 @@ def slice_weight(pg, xi0, r):
     Component a of the transversal twisted frequency is
     v_a = xi_a + xi0 x_(a+d) for a < d and v_a = xi_a - xi0 x_(a-d) for
     a >= d, a small (nc, nf) array over one center and one frequency
-    axis; |v_+|^2 and |v_-|^2 are summed from them by broadcasting, and
-    W^2r is evaluated from the two half norms, as cal_w_aniso evaluates
-    it on the points of slice_covectors(pg.points(), xi0).
+    axis; |v_+|^2 and |v_-|^2 are summed from them by broadcasting.  W^2r
+    is then evaluated in a few in-place passes over full-size arrays
+    (_w_squares): the rescaled twist has squared norm
+    |v|^2 / <|(xi0, v)|>, the cone function reads the ratio
+    |v_-|^2 / |v_+|^2, in which the rescaling cancels, bracket's step is
+    evaluated only below 5/3, and one power <.>^2r and its reciprocal
+    give both cone terms.  The values equal cal_w_aniso on the points of
+    slice_covectors(pg.points(), xi0) to rounding.
 
     Where every frequency lattice of pg is antisymmetric (freqs[::-1] is
     exactly -freqs, as dual_frequencies and spectra._axis_lattice build
@@ -170,8 +206,13 @@ def slice_weight(pg, xi0, r):
             plus2 = plus2 + (v ** 2).reshape(shape)
         else:
             minus2 = minus2 + (v ** 2).reshape(shape)
-    scale = bracket(np.sqrt(xi0 ** 2 + plus2 + minus2)) ** 0.5
-    return _w_halves(np.sqrt(plus2) / scale, np.sqrt(minus2) / scale, 2 * r)
+    # |v|^2, then |v|^2 / <|(xi0, v)|>: the squared norm of the rescaled
+    # twist, whose half norms are sqrt(plus2) and sqrt(minus2) over the
+    # same scale, which cancels in the cone function
+    norm2 = plus2 + minus2
+    scale2 = norm2 + xi0 ** 2
+    norm2 /= _bracket_abs(np.sqrt(scale2, out=scale2))
+    return _w_squares(plus2, minus2, norm2, 2 * r)
 
 
 def v_s(z, s, r):

@@ -25,7 +25,7 @@ from .partial_fbi import (FlowGrid, check_transversal_spacing,
                           min_transversal_points, pfbi_roundtrip,
                           sample_volume)
 from .spectra import (central_block_audit, check_solve_budget,
-                      lower_bound_family, model_spectrum,
+                      lower_bound_family, model_spectrum, norm_grid,
                       persistent_outliers, weighted_norm_measure)
 from .transfer_ops import (TransferSpec, kernel_bound_audit, lambda_delta,
                            lift_fingerprint)
@@ -303,6 +303,14 @@ def _spectrum_levels(cfg, refine):
     return levels
 
 
+def _norm_spacing(cfg, refine):
+    """The spacing of norm-bound's grid, refused here when the grid's dense
+    kernel is over the budget (spectra.norm_grid)."""
+    spacing = cfg.norm_spacing / refine
+    norm_grid((cfg.norm_half_width,) * (2 * cfg.d), spacing)
+    return spacing
+
+
 def run_check_identity(cfg, out, seed, grids):
     """Relative defect of T* T u against u for a seeded suite: the plain
     transform on a D = 1 and a D = 2 grid through fbi_roundtrip, and the
@@ -469,8 +477,7 @@ SUBCOMMANDS = {
     "lift-audit": (lambda cfg, refine: _volume_grids(
         cfg, cfg.flow_points * refine, cfg.n_per_axis, True),
         run_lift_audit),
-    "norm-bound": (lambda cfg, refine: cfg.norm_spacing / refine,
-                   run_norm_bound),
+    "norm-bound": (_norm_spacing, run_norm_bound),
     "partition-audit": (lambda cfg, refine: cfg.samples * refine,
                         run_partition_audit),
     "spectrum": (_spectrum_levels, run_spectrum),

@@ -75,9 +75,9 @@ class ContactMap:
 
     Construct through the `linear` or `shear` family constructors, which
     supply the transversal map, its Jacobian and the flow shift f in
-    closed form.  f_dag and f receive batches of transversal points of
-    shape (N, 2d) and return arrays of shape (N, 2d) and (N,); f_dag_jac
-    receives one point of shape (2d,) and returns its (2d, 2d) Jacobian.
+    closed form.  f_dag, f and f_dag_jac receive transversal points of
+    shape (..., 2d) and return arrays of shape (..., 2d), (...) and
+    (..., 2d, 2d); one point of shape (2d,) gives one (2d, 2d) Jacobian.
     The symplectic property of F_dag is spot-checked on construction.
     """
 
@@ -94,11 +94,14 @@ class ContactMap:
     def _check_symplectic(self):
         j = dagger_form_matrix(2 * self.d)
         rng = np.random.default_rng(2)
-        for p in rng.uniform(-0.8, 0.8, size=(16, 2 * self.d)):
-            dm = np.asarray(self.f_dag_jac(p), dtype=float)
-            if np.linalg.norm(dm.T @ j @ dm - j, 2) > 1e-8:
-                raise ValueError("transversal map is not symplectic at %r"
-                                 % (p,))
+        pts = rng.uniform(-0.8, 0.8, size=(16, 2 * self.d))
+        dm = np.asarray(self.f_dag_jac(pts), dtype=float)
+        defect = np.linalg.norm(np.swapaxes(dm, -1, -2) @ j @ dm - j, 2,
+                                axis=(-2, -1))
+        bad = np.flatnonzero(defect > 1e-8)
+        if bad.size:
+            raise ValueError("transversal map is not symplectic at %r"
+                             % (pts[bad[0]],))
 
     @classmethod
     def linear(cls, b, f_base=0.0):
@@ -108,7 +111,8 @@ class ContactMap:
         params = {"matrix": b.copy(), "f_base": float(f_base)}
         return cls(d,
                    f_dag=lambda x: x @ b.T,
-                   f_dag_jac=lambda x: b,
+                   f_dag_jac=lambda x: np.broadcast_to(
+                       b, np.shape(x)[:-1] + b.shape),
                    f=lambda x: np.full(np.asarray(x).shape[:-1], float(f_base)),
                    f_base=f_base, family="linear", params=params)
 
@@ -129,7 +133,11 @@ class ContactMap:
 
         def f_dag_jac(x):
             x = np.asarray(x, dtype=float)
-            return np.array([[lam, 2.0 * eps * x[1]], [0.0, 1.0 / lam]])
+            out = np.zeros(x.shape[:-1] + (2, 2))
+            out[..., 0, 0] = lam
+            out[..., 0, 1] = 2.0 * eps * x[..., 1]
+            out[..., 1, 1] = 1.0 / lam
+            return out
 
         def f(x):
             x = np.asarray(x, dtype=float)
@@ -149,21 +157,24 @@ class ContactMap:
         return np.concatenate([x0[..., None], self.f_dag(x[..., 1:])], axis=-1)
 
     def jacobian(self, x_dag):
-        """Full (2d+1) square Jacobian of F at a point (x0-independent)."""
+        """Full (2d+1) square Jacobian of F (x0-independent) at transversal
+        points of shape (..., 2d), of shape (..., 2d+1, 2d+1)."""
         x_dag = np.asarray(x_dag, dtype=float)
         n = 2 * self.d + 1
-        out = np.zeros((n, n))
-        out[0, 0] = 1.0
-        out[0, 1:] = flow_shift_gradient(self, x_dag)
-        out[1:, 1:] = np.asarray(self.f_dag_jac(x_dag), dtype=float)
+        out = np.zeros(x_dag.shape[:-1] + (n, n))
+        out[..., 0, 0] = 1.0
+        out[..., 0, 1:] = flow_shift_gradient(self, x_dag)
+        out[..., 1:, 1:] = self.f_dag_jac(x_dag)
         return out
 
 
 def flow_shift_gradient(cmap, x_dag):
-    """df at a point, from the one-form identity (no finite differences)."""
+    """df at transversal points of shape (..., 2d), from the one-form
+    identity (no finite differences)."""
     x_dag = np.asarray(x_dag, dtype=float)
     dm = np.asarray(cmap.f_dag_jac(x_dag), dtype=float)
-    return alpha_dag(x_dag) - dm.T @ alpha_dag(cmap.f_dag(x_dag))
+    pulled = np.swapaxes(dm, -1, -2) @ alpha_dag(cmap.f_dag(x_dag))[..., None]
+    return alpha_dag(x_dag) - pulled[..., 0]
 
 
 def reconstruct_flow_shift(cmap, x_dag, base_point=None):
@@ -201,8 +212,7 @@ def check_hyperbolic(cmap, lam):
     base_pts = rng.uniform(-0.8, 0.8, size=(25, 2 * d))
     dirs = rng.standard_normal((240, 2 * d + 1))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    jacs = np.stack([cmap.jacobian(p) for p in base_pts])
-    return cone_certificate(jacs, dirs, lam, 0.1)
+    return cone_certificate(cmap.jacobian(base_pts), dirs, lam, 0.1)
 
 
 def second_order_audit(cmap):
@@ -241,15 +251,14 @@ def second_order_audit(cmap):
 
 
 def det_on_unstable(cmap, x_dag):
-    """Volume stretch |det(DF restricted to E^+)| via a Gram determinant.
+    """Volume stretch |det(DF restricted to E^+)| via a Gram determinant,
+    at transversal points of shape (..., 2d): a float for one point, an
+    array of shape (...) for a batch.
 
-    E^+ is the span of the flow direction and the plus block.
+    E^+ is the span of the flow direction and the plus block, the first
+    d + 1 coordinate directions.
     """
-    d = cmap.d
-    df = cmap.jacobian(x_dag)
-    basis = np.zeros((2 * d + 1, d + 1))
-    basis[0, 0] = 1.0
-    basis[1:1 + d, 1:] = np.eye(d)
-    m = df @ basis
-    gram = m.T @ m
-    return float(np.sqrt(abs(np.linalg.det(gram))))
+    m = cmap.jacobian(x_dag)[..., :cmap.d + 1]
+    gram = np.swapaxes(m, -1, -2) @ m
+    out = np.sqrt(np.abs(np.linalg.det(gram)))
+    return float(out) if out.ndim == 0 else out

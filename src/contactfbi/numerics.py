@@ -141,7 +141,7 @@ def operator_norm(matvec, rmatvec, shape, iters=200, restarts=3, seed=0):
     Inner products are plain vdot, so the operator must be expressed in
     coordinates where the quadrature weights are uniform or folded in.
     It serves the matrix-free central audit; a dense kernel's norm is
-    taken exactly by SVD (spectra.weighted_norm_measure).
+    taken exactly by two half-size SVDs (spectra.weighted_norm_measure).
     """
     rng = np.random.default_rng(seed)
     best = 0.0

@@ -136,30 +136,67 @@ def _axis_lattice(half_width, step):
     return (np.arange(n) + 0.5 - n / 2.0) * step
 
 
+def norm_grid(half_widths, spacing):
+    """Points of the weighted-norm grid over R^(2d) in ij raveling, of shape
+    (N, 2d): the product of one _axis_lattice per half width.  A grid
+    whose dense N x N kernel is over the budget of numerics.check_dense
+    is refused before any point is built.
+
+    Every axis lattice is antisymmetric, so point N - 1 - i is exactly
+    the negative of point i.
+    """
+    lattices = [_axis_lattice(hw, spacing) for hw in half_widths]
+    n = int(np.prod([lat.size for lat in lattices]))
+    check_dense(n, n, "weighted L0_hat kernel")
+    mesh = np.meshgrid(*lattices, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def weighted_norm_measure(b, s, r, half_widths, spacing=0.7):
     """Exact norm of L0_hat for the matrix b on the V_s-weighted grid over
-    R^(2d): spacing^(2d) times the largest singular value of W K W^-1.
+    R^(2d): spacing^(2d) times the largest singular value of
+    A = W K W^-1, taken from two SVDs of half size.
 
     With r = 0 the weight is identically one and the value measures the
     plain L2 norm of the model operator.  half_widths gives the box size
     per axis, so the grid may be anisotropic.
+
+    The grid is antisymmetric under the index flip i -> N - 1 - i
+    (norm_grid), L0_hat commutes with zeta -> -zeta (a linear map
+    commutes with -Id, and P_0 is invariant under it) and V_s is even, so
+    A commutes with the flip.  In the unitary basis of even and odd
+    vectors (e_i +- e_(N-1-i)) / sqrt(2), i < N/2, A splits into the
+    blocks A[:h, :h] +- A[:h, flipped], and its norm is the larger of
+    their largest singular values; only the first ceil(N/2) kernel rows
+    are built.  When every axis has an odd point count, the middle point
+    is the origin and its own mirror: it belongs to the even block alone,
+    as the unit vector e_h, whose row there is scaled by 1/sqrt(2) and
+    whose column by sqrt(2).
     """
     bm = np.asarray(b, dtype=float)
     dim = bm.shape[0]
     if len(half_widths) != dim:
         raise ValueError("%d half widths for a %d-dimensional grid"
                          % (len(half_widths), dim))
-    lattices = [_axis_lattice(hw, spacing) for hw in half_widths]
-    mesh = np.meshgrid(*lattices, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    check_dense(pts.shape[0], pts.shape[0], "weighted L0_hat kernel")
+    pts = norm_grid(half_widths, spacing)
+    n = pts.shape[0]
     w = np.asarray(v_s(pts, s, r), dtype=float)
     if not np.all((w > 0) & np.isfinite(w)):
         raise ValueError("weight V_s is not positive and finite on the grid")
-    kern = l0_hat_kernel(bm, pts, pts)
-    kern *= w[:, None]
+    h, rows = n // 2, (n + 1) // 2
+    kern = l0_hat_kernel(bm, pts[:rows], pts)
+    kern *= w[:rows, None]
     kern /= w[None, :]
-    return float(spacing ** dim * np.linalg.norm(kern, 2))
+    # columns N - 1 - j for j < h, the mirrors of the first h
+    mirror = kern[:, :n - 1 - h:-1]
+    odd = kern[:h, :h] - mirror[:h]
+    even = kern[:, :rows]
+    even[:, :h] += mirror
+    if rows > h:
+        even[h] /= np.sqrt(2.0)
+        even[:, h] *= np.sqrt(2.0)
+    top = max(np.linalg.norm(even, 2), np.linalg.norm(odd, 2))
+    return float(spacing ** dim * top)
 
 
 def weight_diagonal(freqs, pg, r):
@@ -235,8 +272,7 @@ def model_spectrum(spec, levels, bound, margin=0.1):
 def expansion_argmax(spec, flow, trans):
     """Transversal grid point maximizing |g| / sqrt(det DF on E^+)."""
     gv = np.abs(spec.g_values(flow, trans.nodes()))
-    roots = np.sqrt(np.array([det_on_unstable(spec.map, p)
-                              for p in trans.nodes()]))
+    roots = np.sqrt(det_on_unstable(spec.map, trans.nodes()))
     score = gv.max(axis=0) / roots
     return trans.nodes()[int(np.argmax(score))]
 

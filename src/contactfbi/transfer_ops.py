@@ -439,7 +439,7 @@ def kernel_bound_audit(spec, flow, trans, pg, rho, n_per_stratum=4,
     dim2 = trans.dim
     yd = trans.nodes()
     fy = spec.map.f_dag(yd)
-    jacs = np.stack([spec.map.jacobian(p).T for p in yd])
+    jacs = np.swapaxes(spec.map.jacobian(yd), -1, -2)
     two_l0 = 2.0 * flow.half_period
     ratios, mismatch = [], []
     for dm in range(n0):
@@ -505,8 +505,7 @@ def lambda_delta(spec, flow, trans, lam, r):
     if peak == 0.0:
         return 0.0, 0.0, 0.0
     mask = ga > 1e-12 * peak
-    roots = np.sqrt(np.array([det_on_unstable(spec.map, p)
-                              for p in trans.nodes()]))
+    roots = np.sqrt(det_on_unstable(spec.map, trans.nodes()))
     if not np.all(roots > 0):
         raise ValueError("degenerate unstable Jacobian: its determinant "
                          "vanishes at a transversal node")

@@ -351,10 +351,12 @@ class TestSliceWeight:
     GRIDS = [[(30, 24), (26, 20)], [(5, 4), (4, 6), (6, 3), (3, 5)]]
 
     @pytest.mark.parametrize("sizes", GRIDS)
-    @pytest.mark.parametrize("xi0", [0.0, -2.5, 60.0])
+    # 36 is a central-block frequency (k = 6); r = 4 is the default
+    # WeightSpec, which lower-bound uses
+    @pytest.mark.parametrize("xi0", [0.0, -2.5, 60.0, 36.0])
     def test_matches_pointwise(self, sizes, xi0):
         pg = self._grid(sizes)
-        for r in (1.0, 2.5):
+        for r in (1.0, 2.5, 4.0):
             want = cal_w_aniso(*slice_covectors(pg.points(), xi0), r)
             got = slice_weight(pg, xi0, r)
             assert got.shape == pg.shape()
@@ -372,8 +374,8 @@ class TestSliceWeight:
         trans = make_grid(dim, 0.2 * n, n)
         pg = dual_phase_grid(trans, n_freq=n_freq, center_margin=0.4)
         reverse = (slice(None),) * dim + (slice(None, None, -1),) * dim
-        for xi0 in [*FlowGrid(1.3, 10).freqs(), 0.37, 60.0]:
-            for r in (1.0, 2.5):
+        for xi0 in [*FlowGrid(1.3, 10).freqs(), 0.37, 60.0, 36.0]:
+            for r in (1.0, 2.5, 4.0):
                 assert np.array_equal(slice_weight(pg, -xi0, r),
                                       slice_weight(pg, xi0, r)[reverse])
 

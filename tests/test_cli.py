@@ -138,20 +138,19 @@ class TestExitCodes:
             assert "config error" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_norm_bound_over_budget_exits_one(self, tmp_path, capsys):
-        # d = 2 puts 12^4 = 20736 points on the norm grid
+    def test_norm_bound_over_budget_exits_two_before_compute(self, tmp_path,
+                                                            capsys):
+        # d = 2 puts 12^4 = 20736 points on the norm grid, refused while
+        # the grid is planned
+        out = tmp_path / "run"
         path = write(tmp_path / "d2.cfg", "d = 2\n")
-        code = main(["norm-bound", "--config", path, "--out", str(tmp_path)])
-        assert code == 1
+        code = main(["norm-bound", "--config", path, "--out", str(out)])
+        assert code == 2
         message = ("weighted L0_hat kernel would need a 20736 x 20736 matrix "
                    "(6879707136 bytes), above the dense budget of 320000000 "
                    "bytes")
-        err = capsys.readouterr().err
-        assert "error in norm-bound: " + message in err
-        assert "tolerance violation" not in err
-        rep = json.loads((tmp_path / "summary.json").read_text())
-        assert rep["error"] == message
-        assert rep["error_kind"] == "ValueError"
+        assert "config error: " + message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_spectrum_over_budget_exits_two_before_compute(self, tmp_path,
                                                           capsys):

@@ -8,6 +8,7 @@ from contactfbi.contact_geometry import (AffineContactMap, ContactMap,
                                          alpha0_covector, alpha_dag,
                                          check_hyperbolic,
                                          det_on_unstable,
+                                         flow_shift_gradient,
                                          reconstruct_flow_shift,
                                          second_order_audit)
 
@@ -216,3 +217,36 @@ class TestAudits:
         # the unstable column of the shear Jacobian never depends on b
         cm = ContactMap.shear(4.0, 0.5)
         assert det_on_unstable(cm, np.array([0.3, 0.5])) == pytest.approx(4.0)
+
+
+class TestBatchedJacobians:
+    """The Jacobians take points of shape (..., 2d); a batch equals the loop
+    over its points, and one point gives a matrix or a float."""
+
+    MAPS = [ContactMap.linear(np.array([[2.0, 0.6], [0.0, 0.5]])),
+            ContactMap.linear(np.diag([2.0, 3.0, 0.5, 1.0 / 3.0])),
+            ContactMap.shear(2.0, 0.3)]
+
+    @pytest.mark.parametrize("cm", MAPS, ids=["linear", "linear-d2", "shear"])
+    @pytest.mark.parametrize("batch", [(7,), (2, 3)])
+    def test_batch_equals_point_loop(self, cm, batch):
+        pts = np.random.default_rng(5).uniform(-1.5, 1.5,
+                                               batch + (2 * cm.d,))
+        flat = pts.reshape(-1, 2 * cm.d)
+        for fn in (cm.f_dag_jac, cm.jacobian,
+                   lambda x: flow_shift_gradient(cm, x),
+                   lambda x: det_on_unstable(cm, x)):
+            got = np.asarray(fn(pts))
+            want = np.stack([np.asarray(fn(p)) for p in flat])
+            assert got.shape == batch + want.shape[1:]
+            assert np.allclose(got.reshape(want.shape), want, rtol=1e-15,
+                               atol=1e-15)
+
+    @pytest.mark.parametrize("cm", MAPS, ids=["linear", "linear-d2", "shear"])
+    def test_one_point(self, cm):
+        p = np.full(2 * cm.d, 0.4)
+        n = 2 * cm.d + 1
+        assert np.shape(cm.f_dag_jac(p)) == (n - 1, n - 1)
+        assert cm.jacobian(p).shape == (n, n)
+        assert flow_shift_gradient(cm, p).shape == (n - 1,)
+        assert isinstance(det_on_unstable(cm, p), float)

@@ -134,23 +134,45 @@ class TestWeightedNorm:
             weighted_norm_measure(np.diag([4.0, 4.0, 0.25, 0.25]), 1.0, 4.0,
                                   half_widths=(2.0,) * 4, spacing=0.35)
 
+    SHEAR = np.array([[2.0, 0.6], [0.0, 0.5]])
+
+    # the parity split against the SVD of the full kernel; a float half
+    # width is the same on both axes
     @pytest.mark.parametrize("b, s, r, half, h", [
         (sym_block(4.0), 1.0, 0.0, 10.0, 0.7),       # C6 grid
         (sym_block(16.0), 1.0, 0.0, 10.0, 0.7),
         (sym_block(4.0), 1.0, 4.0, 2.0, 0.35),       # C7 grids
         (sym_block(32.0), 256.0, 4.0, 2.0, 0.35),
+        # d = 2 within the budget, 4^4 points
+        (np.diag([4.0, 4.0, 0.25, 0.25]), 16.0, 4.0, (1.0,) * 4, 0.5),
+        # 12 x 11 points: one even and one odd axis
+        (sym_block(8.0), 1.0, 4.0, (2.0, 1.9), 0.35),
+        # a non-diagonal symplectic b, on even and on odd grids
+        (SHEAR, 16.0, 4.0, 2.0, 0.35),
+        (SHEAR, 1.0, 0.0, 10.0, 0.7),
+        (SHEAR, 1.0, 4.0, (2.0, 1.9), 0.35),
     ])
     def test_equals_dense_two_norm(self, b, s, r, half, h):
-        n = int(np.ceil(2.0 * half / h))
-        axis = (np.arange(n) + 0.5 - n / 2.0) * h
-        pts = np.stack([m.ravel() for m in np.meshgrid(axis, axis,
+        halves = half if isinstance(half, tuple) else (half, half)
+        axes = []
+        for hw in halves:
+            n = int(np.ceil(2.0 * hw / h))
+            axes.append((np.arange(n) + 0.5 - n / 2.0) * h)
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes,
                                                        indexing="ij")], -1)
         w = v_s(pts, s, r)
         weighted = w[:, None] * l0_hat_kernel(b, pts, pts) / w[None, :]
-        want = h ** 2 * np.linalg.norm(weighted, 2)
-        got = weighted_norm_measure(b, s, r, half_widths=(half, half),
-                                    spacing=h)
+        want = h ** len(halves) * np.linalg.norm(weighted, 2)
+        got = weighted_norm_measure(b, s, r, half_widths=halves, spacing=h)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("halves, h", [
+        ((10.0, 10.0), 0.7), ((2.0, 1.9), 0.35), ((1.0,) * 4, 0.5)])
+    def test_norm_grid_is_antisymmetric(self, halves, h):
+        # the parity split pairs point i with point N - 1 - i, its exact
+        # negative
+        pts = spectra.norm_grid(halves, h)
+        assert np.array_equal(pts[::-1], -pts)
 
     def test_matches_scipy_svdvals(self):
         # the oracle of the numpy solve: scipy's values-only SVD on the
