@@ -26,12 +26,17 @@ def smooth_step(t):
     """
     t = np.asarray(t, dtype=float)
     out = np.array(t >= 1.0, dtype=float)
-    band = (~((t <= 0.0) | (t >= 1.0))).ravel().nonzero()[0]
-    tb = t.take(band)
-    g1 = np.exp(-1.0 / tb)
-    g2 = np.exp(-1.0 / (1.0 - tb))
+    band, g1, g2 = _band_terms(t)
     out.put(band, g1 / (g1 + g2))
     return out if out.ndim else out[()]
+
+
+def _band_terms(t):
+    """Flat indices of the band 0 < t < 1 (and of NaN) of a float array,
+    with the mollifier terms g(t) and g(1 - t) there."""
+    band = (~((t <= 0.0) | (t >= 1.0))).ravel().nonzero()[0]
+    tb = t.take(band)
+    return band, np.exp(-1.0 / tb), np.exp(-1.0 / (1.0 - tb))
 
 
 def chi(s):
@@ -80,15 +85,16 @@ _LOG81 = np.log(81.0)
 
 
 def _cone(plus2, minus2):
-    """psi_plus from the squared norms of the two halves of its argument:
-    smooth_step(1 - log_9(3 rho)) with rho = |minus| / |plus|, evaluated
-    as 1 - log(9 rho^2) / log(81)."""
+    """Argument t of the cone functions psi_plus = smooth_step(t) and
+    psi_minus = smooth_step(1 - t), from the squared norms of the two
+    halves of their argument: t = 1 - log_9(3 rho) with
+    rho = |minus| / |plus|, evaluated as 1 - log(9 rho^2) / log(81)."""
     t = np.asarray(np.maximum(minus2, _TINY2) * 9.0
                    / np.maximum(plus2, _TINY2))
     np.log(t, out=t)
     t /= -_LOG81
     t += 1.0
-    return smooth_step(t)
+    return t
 
 
 def _half_squares(zeta):
@@ -101,27 +107,28 @@ def _half_squares(zeta):
 def psi_plus(zeta):
     """Cone function on the projective space of R^(2d), equal to 1 on
     C*_+(1/3) and 0 on C*_-(1/3); depends only on the direction."""
-    return _cone(*_half_squares(np.asarray(zeta, dtype=float)))
+    return smooth_step(_cone(*_half_squares(np.asarray(zeta, dtype=float))))
 
 
 def psi_minus(zeta):
-    return 1.0 - psi_plus(zeta)
+    """1 - psi_plus, relatively accurate where psi_plus rounds near 1."""
+    return smooth_step(
+        1.0 - _cone(*_half_squares(np.asarray(zeta, dtype=float))))
 
 
 def _w_squares(plus2, minus2, norm2, r):
     """W^r = psi_plus <n>^-r + psi_minus <n>^r of a point of R^(2d), from
-    the squared norms of its halves (only their ratio enters psi_plus)
-    and n^2 = norm2, which is overwritten.  One power <n>^r is taken, and
-    <n>^-r is its reciprocal."""
-    pp = _cone(plus2, minus2)
+    the squared norms of its halves and n^2 = norm2, overwritten.  With
+    p = <n>^r, W^r is 1 / p above the band 0 < t < 1 of _cone and p
+    below it, and (g(t) / p + g(1 - t) p) / (g(t) + g(1 - t)) on it."""
+    t = _cone(plus2, minus2)
+    band, g1, g2 = _band_terms(t)
     p = _bracket_abs(np.sqrt(norm2, out=norm2))
     np.power(p, r, out=p)
-    out = pp / p
-    # out + (1 - pp) p, with (1 - pp) p formed in place as -(pp - 1) p
-    pp -= 1.0
-    pp *= p
-    out -= pp
-    return out if out.ndim else out[()]
+    pb = p.take(band)
+    np.reciprocal(p, out=p, where=t >= 1.0)
+    p.put(band, (g1 / pb + g2 * pb) / (g1 + g2))
+    return p if p.ndim else p[()]
 
 
 def w_aniso(zeta, r):
@@ -383,8 +390,9 @@ def sobolev_norms(vol, r):
     The weight of T u depends on the frequencies alone, so each flow
     slice enters through partial_fbi.slice_energy, the sum of its squared
     coefficients over the centers on the norm grid
-    pg = dual_phase_grid(vol.trans, center_margin=3.5); no slice
-    coefficient is formed.
+    pg = dual_phase_grid(vol.trans, center_margin=3.5), contracted from
+    both sides with the closed-form axis Grams; no slice coefficient and
+    no axis matrix is formed.
     """
     from .partial_fbi import flow_dft, slice_energy
     vals = vol.values

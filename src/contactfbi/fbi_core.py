@@ -79,7 +79,8 @@ class PhaseAxis:
     factors holds the read-only packet factors of this axis at its own
     nodes and at off-grid points, keyed by (points bytes, kappa, conj),
     and grams its read-only packet Grams, keyed by kappa; see
-    partial_fbi._cached_axis_factor and partial_fbi._slice_gram.
+    partial_fbi._cached_axis_factor and partial_fbi._slice_gram.  The
+    Grams are built in closed form, with no entry in factors.
     """
 
     def __init__(self, centers, freqs, y):

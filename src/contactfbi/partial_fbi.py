@@ -31,26 +31,25 @@ A packet is a product of one factor per axis, so a quadratic form of a
 slice whose weight depends on the frequencies alone factors through the
 Gram of each axis over its centers, K[f, y, y'] (_slice_gram), a
 (nf, ny, ny) array, where the slice itself holds nc^D nf^D coefficients.
-slice_energy (the sum over the centers of a slice's squared
-coefficients, per frequency, behind aniso_norm.sobolev_norms) and
-slice_roundtrip (T* T of one slice, the tensor product of the sums over
-f of the Grams, behind pfbi_roundtrip and fbi_core.fbi_roundtrip) apply
-one Gram per axis and form no coefficient.  slice_energy and
-_slice_forward run the same per-axis contraction (_per_axis), one with
-the Grams and one with the conjugate axis matrices.
+The packets are Gaussians, so K has a closed form built from no axis
+matrix.  slice_energy (the sum over the centers of a slice's squared
+coefficients, per frequency, behind aniso_norm.sobolev_norms) contracts
+the Grams from both sides of the slice, and slice_roundtrip (T* T of one
+slice, the tensor product of the sums over f of the Grams, behind
+pfbi_roundtrip and fbi_core.fbi_roundtrip) applies one summed Gram per
+axis; neither forms a coefficient.
 
 Every packet factor of an axis is memoized on its PhaseAxis and returned
-read-only: the on-grid matrices of _slice_axis_matrix, the Grams of
-_slice_gram and the off-grid factors of reconstruct_slice /
-scatter_slice, with the conjugate factor taken as np.conj of the plain
-one.  The slice transforms read their axis matrices from the memo, so
-no caller builds or passes a factor.  dual_phase_grid repeats one axis D
+read-only: the on-grid matrices of _slice_axis_matrix and the off-grid
+factors of reconstruct_slice / scatter_slice in ax.factors (the
+conjugate factor is np.conj of the plain one), the Grams in ax.grams.
+The slice transforms read their axis matrices from the memo, so no
+caller builds or passes a factor.  dual_phase_grid repeats one axis D
 times and the slices at +-xi0 share the width <xi0>, so each distinct
 factor is built once per grid, and the memo lives and dies with the
-grid.  The memo is small next to what it serves: one axis matrix holds
-nc nf ny values and one Gram nf ny^2, where one slice of coefficients
-holds nc^D nf^D.  On the fine C9 norm grid (nc = 64, nf = 28, ny = 20,
-D = 2) that is 573 kB per matrix against 51 MB per slice.
+grid.  One axis matrix holds nc nf ny values and one Gram nf ny^2, where
+one slice of coefficients holds nc^D nf^D: on the fine C9 norm grid
+(nc = 64, nf = 28, ny = 20, D = 2), 573 kB, 179 kB and 51 MB.
 
 Since the packet width shrinks with <xi0>, the transversal spacing must
 satisfy h <= 0.7 <xi0>^(-1/2) for the largest flow frequency on the grid.
@@ -273,21 +272,24 @@ def _slice_axis_matrix(ax, kappa, conj):
 
 
 def _slice_gram(ax, kappa):
-    """Gram of the on-grid packets of one axis over their centers,
-    K[f, y, y'] = sum_c M[c, f, y] conj(M[c, f, y']) with
-    M = _slice_axis_matrix(ax, kappa, conj=False); memoized on the axis
-    in ax.grams and returned read-only."""
+    """Gram of the on-grid packets M = _slice_axis_matrix(ax, kappa, False)
+    of one axis over their centers, K[f, y, y'] = sum_c M[c, f, y]
+    conj(M[c, f, y']), in closed form with no axis matrix: the phase of M
+    in c cancels, so K[f] = D_f G D_f^* with D_f = diag(exp(i f y)) and
+    G = g^T g, g[c, y] = exp(-kappa (y - c)^2 / 2).  Memoized in ax.grams."""
     def build():
-        m = np.transpose(_slice_axis_matrix(ax, kappa, conj=False),
-                         (1, 2, 0))
-        return m @ np.conj(np.transpose(m, (0, 2, 1)))
+        g = np.exp(-kappa * (ax.y[None, :] - ax.centers[:, None]) ** 2 / 2.0)
+        e = np.exp(1j * np.outer(ax.freqs, ax.y))
+        gram = e[:, :, None] * np.conj(e)[:, None, :]
+        gram *= g.T @ g
+        return gram
     return _memoized(ax.grams, float(kappa), build)
 
 
 def _per_axis(vals, factors):
-    """Contract the leading y axes of vals, one per factor, with the last
-    axis of each per-axis array (a_i, b_i, y_i) in turn.  Axes of vals
-    after the y axes (a field axis) lead the result.
+    """_slice_forward's contraction of the leading y axes of vals, one
+    per factor, with the last axis of each per-axis array (a_i, b_i, y_i)
+    in turn.  Axes of vals after the y axes (a field axis) lead the result.
 
     The contraction leaves a C-contiguous array in the per-axis layout
     (fields..., a_1, b_1, a_2, b_2, ...); the result is its transposed
@@ -428,12 +430,18 @@ def flow_slices(vol, pg):
 def slice_energy(slice_vals, pg, kappa):
     """sum over the centers of |_slice_forward(slice_vals)|^2, of shape
     (nf_1, ..., nf_D): at f the form <v, (K_1(f_1) x ... x K_D(f_D)) v>
-    of the axis Grams, applied one axis at a time (at most nf^D ny^D
-    values)."""
+    of the axis Grams, contracted one axis at a time from both sides
+    into S_a[y_(a+1..D), y'_(a+1..D), f_1..f_a].  The largest array
+    holds nf ny^(2D - 2) values for D >= 2 (11,200 on the fine C9 grid),
+    no more than a one-sided nf^D ny^D when nf >= ny."""
     grams = [_slice_gram(ax, kappa) for ax in pg.axes]
-    quad = np.tensordot(_per_axis(slice_vals, grams), np.conj(slice_vals),
-                        axes=pg.dim)
-    return (_amplitude(kappa, pg.dim) * pg.y_weight) ** 2 * quad.real
+    # S_1 = sum_(y1, y1') conj(v) K_1 v, without the outer product of v
+    work = np.tensordot(slice_vals, grams[0], axes=([0], [2]))
+    work = np.tensordot(np.conj(slice_vals), work, axes=([0], [pg.dim]))
+    for a in range(1, pg.dim):
+        # contract the leading unprimed and primed axes, appending f_a
+        work = np.tensordot(work, grams[a], axes=([0, pg.dim - a], [1, 2]))
+    return (_amplitude(kappa, pg.dim) * pg.y_weight) ** 2 * work.real
 
 
 def pfbi_forward(vol, pg):
@@ -466,7 +474,8 @@ def pfbi_adjoint(pf, trans=None):
 
 def slice_roundtrip(slice_vals, pg, kappa):
     """T* T of one slice of width kappa^(-1/2) on the quadrature nodes of
-    pg: sum_f K_a[f], an (ny, ny) matrix, applied along each axis a."""
+    pg: sum_f K_a[f], an (ny, ny) matrix, applied along each axis a.  The
+    Grams are the closed-form _slice_gram, so no axis matrix is formed."""
     work = slice_vals
     for ax in pg.axes:
         # contract the leading y' axis, appending y at the end

@@ -134,6 +134,15 @@ class TestPsi:
     def test_origin_symmetric(self):
         assert psi_plus(np.zeros(2)) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("t", [0.98, 0.9, 0.5, 0.1])
+    def test_both_cone_functions_relatively_accurate(self, t):
+        # the point (1, rho) with cone argument t = 1 - log(9 rho^2) / log 81;
+        # near t = 1, 1 - psi_plus keeps no digit of psi_minus ~ exp(-50)
+        z = np.array([1.0, np.sqrt(81.0 ** (1.0 - t) / 9.0)])
+        g1, g2 = np.exp(-1.0 / t), np.exp(-1.0 / (1.0 - t))
+        assert psi_plus(z) == pytest.approx(g1 / (g1 + g2), rel=1e-12, abs=0)
+        assert psi_minus(z) == pytest.approx(g2 / (g1 + g2), rel=1e-12, abs=0)
+
 
 class TestWAniso:
 
@@ -360,7 +369,7 @@ class TestSliceWeight:
             want = cal_w_aniso(*slice_covectors(pg.points(), xi0), r)
             got = slice_weight(pg, xi0, r)
             assert got.shape == pg.shape()
-            assert np.max(np.abs(got.ravel() - want) / want) <= 1e-10
+            assert np.max(np.abs(got.ravel() - want) / want) <= 1e-12
 
     # d = 1 on 8^2 centers and 8^2 frequencies, d = 2 on 6^4 and 4^4
     @pytest.mark.parametrize("dim, n, n_freq", [(2, 6, 8), (4, 4, 4)])

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from contactfbi.fbi_core import dual_phase_grid
-from contactfbi.numerics import make_grid
+from contactfbi.fbi_core import (PhaseAxis, PhaseGrid, dual_phase_grid,
+                                 fbi_roundtrip)
+from contactfbi.numerics import make_grid, sample
 from contactfbi import partial_fbi
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField, VolumeField,
                                     _amplitude, _axis_factor, _point_factors,
@@ -15,7 +16,8 @@ from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField, VolumeField,
                                     partial_packet, pcal_apply, pfbi_adjoint,
                                     pfbi_forward, pfbi_roundtrip,
                                     reconstruct_slice, sample_volume,
-                                    scatter_slice, slice_energy)
+                                    scatter_slice, slice_energy,
+                                    slice_roundtrip)
 
 
 def gaussian_volume(flow, trans, k_flow=2.0, width=0.8):
@@ -395,6 +397,81 @@ class TestGramPath:
             got = slice_energy(vals, pg, kappa)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    # (nc, nf, ny, center spacing, node spacing) of each axis: every
+    # count and spacing differs between the axes, so a contraction that
+    # pairs a Gram or a slice axis with the wrong axis changes the result
+    AXES = {2: [(7, 5, 6, 0.45, 0.4), (4, 8, 3, 0.7, 0.55)],
+            4: [(3, 4, 5, 0.6, 0.5), (5, 2, 3, 0.4, 0.35),
+                (2, 3, 4, 0.8, 0.45), (4, 5, 2, 0.5, 0.6)]}
+
+    @classmethod
+    def _distinct_grid(cls, dim):
+        axes = []
+        for a, (nc, nf, ny, hc, hy) in enumerate(cls.AXES[dim]):
+            centers = hc * (np.arange(nc) - (nc - 1) / 2.0) + 0.1 * a
+            freqs = (np.arange(nf) + 0.5 - nf / 2.0) * 2.0 * np.pi / (nf * hy)
+            y = hy * (np.arange(ny) - (ny - 1) / 2.0) - 0.05 * a
+            axes.append(PhaseAxis(centers, freqs, y))
+        return PhaseGrid(axes)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_distinct_axes_match_slice_transforms(self, dim):
+        pg = self._distinct_grid(dim)
+        rng = np.random.default_rng(dim)
+        shape = tuple(ax.y.size for ax in pg.axes)
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for kappa in (1.0, 2.7):
+            coeff = _slice_forward(vals, pg, kappa)
+            want = np.sum(np.abs(coeff) ** 2, axis=tuple(range(dim)))
+            got = slice_energy(vals, pg, kappa)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+            want = _slice_adjoint(coeff, pg, kappa)
+            got = slice_roundtrip(vals, pg, kappa)
+            assert got.shape == shape
+            assert np.linalg.norm((got - want).ravel()) <= \
+                1e-13 * np.linalg.norm(want.ravel())
+
+    def test_quadratic_forms_fill_only_the_grams(self, monkeypatch):
+        from contactfbi import aniso_norm
+        grids = []
+
+        def record(*args, **kwargs):
+            grids.append(dual_phase_grid(*args, **kwargs))
+            return grids[-1]
+        monkeypatch.setattr(aniso_norm, "dual_phase_grid", record)
+        flow = FlowGrid(np.pi, 4)
+        trans = make_grid(2, 1.6, 8)
+        vol = self._volume(flow, trans)
+        aniso_norm.sobolev_norms(vol, 1.0)
+        grids.append(dual_phase_grid(trans))
+        pfbi_roundtrip(vol, grids[-1])
+        grids.append(dual_phase_grid(trans, n_freq=11))
+        fbi_roundtrip(sample(lambda p: np.exp(-np.sum(p ** 2, axis=-1)),
+                             trans), grids[-1])
+        assert len(grids) == 3
+        for pg in grids:
+            for ax in pg.axes:
+                assert ax.factors == {}
+                assert ax.grams
+
+    def test_energy_peak_on_the_fine_norm_grid(self):
+        import tracemalloc
+        # the fine C9 norm grid: nc = 64, nf = 28, ny = 20
+        pg = dual_phase_grid(make_grid(2, 1.6, 20), center_margin=3.5)
+        ax = pg.axes[0]
+        assert (ax.centers.size, ax.freqs.size, ax.y.size) == (64, 28, 20)
+        rng = np.random.default_rng(9)
+        vals = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+        slice_energy(vals, pg, 2.5)
+        tracemalloc.start()
+        try:
+            slice_energy(vals, pg, 2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_quadratic_forms_form_no_coefficients(self, monkeypatch):
         from contactfbi.aniso_norm import sobolev_norms
