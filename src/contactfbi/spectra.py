@@ -6,10 +6,12 @@ Four groups of tools live here:
   R^(2d), with the interpolating family of weights V_s;
 * spectra of the lift at several refinement levels, solved on its
   quadrature-space factor (transfer_ops.reduced_lift) instead of the
-  dense lift, with bookkeeping for which eigenvalues persist under
-  refinement; the weight of the anisotropic space enters only the bound
-  they are compared with, since conjugating the finite lift by it leaves
-  the eigenvalues alone;
+  dense lift, one flow slice at a time when that factor is exactly
+  block diagonal (an amplitude constant along the flow), with
+  bookkeeping for which eigenvalues persist under refinement; the
+  weight of the anisotropic space enters only the bound they are
+  compared with, since conjugating the finite lift by it leaves the
+  eigenvalues alone;
 * a family of localized packets concentrated at the point of maximal
   expansion, whose Rayleigh ratios bound the operator norm from below;
 * a matrix-free audit of one frequency block of the weighted lift around
@@ -233,6 +235,17 @@ def check_solve_budget(flow, trans):
     check_dense(2 * side, side, "reduced lift matrix and its eigvals copy")
 
 
+def _slice_blocks(values, n0):
+    """The n0 diagonal blocks of a reduced lift, as views, when every
+    block off the diagonal is exactly zero; else the whole factor."""
+    nq = values.shape[0] // n0
+    split = values.reshape(n0, nq, n0, nq)
+    if any(np.any(split[s, :, t]) for s in range(n0) for t in range(n0)
+           if s != t):
+        return [values]
+    return [split[s, :, s] for s in range(n0)]
+
+
 def model_spectrum(spec, levels, bound, margin=0.1):
     """Spectra of the lift at the given refinement levels, taken from its
     quadrature-space factor.
@@ -249,12 +262,20 @@ def model_spectrum(spec, levels, bound, margin=0.1):
     exponent), not the eigenvalues: conjugating the finite lift by the
     weight is a similarity.  Each level is checked by check_solve_budget
     before its factor is built.
+
+    When the factor is exactly block diagonal over the flow slices (an
+    amplitude constant along the flow, see
+    transfer_ops.flow_fourier_coeffs), each diagonal block of n_quad rows
+    is solved on its own; refinement records the number of solves as
+    slice_blocks.
     """
     reports = []
     for flow, trans, pg in levels:
         check_solve_budget(flow, trans)
         rows = flow.n_points * pg.num_points
-        lam = np.linalg.eigvals(reduced_lift(spec, flow, trans, pg))
+        blocks = _slice_blocks(reduced_lift(spec, flow, trans, pg),
+                               flow.n_points)
+        lam = np.concatenate([np.linalg.eigvals(b) for b in blocks])
         eigs = np.zeros(rows, dtype=complex)
         keep = min(rows, lam.size)
         eigs[:keep] = lam[np.argsort(-np.abs(lam))[:keep]]
@@ -264,7 +285,8 @@ def model_spectrum(spec, levels, bound, margin=0.1):
                       "trans_half_width": trans.half_width,
                       "n_centers": pg.axes[0].centers.size,
                       "n_freqs": pg.axes[0].freqs.size,
-                      "rows": rows, "reduced_rows": lam.size}
+                      "rows": rows, "reduced_rows": lam.size,
+                      "slice_blocks": len(blocks)}
         reports.append(SpectrumReport(eigs, refinement, bound, margin))
     return reports
 

@@ -152,8 +152,20 @@ def flow_fourier_coeffs(g_vals, flow):
     Returns an array of shape (2 n0 - 1, n_trans) indexed by the
     frequency offset m = -(n0 - 1) .. n0 - 1 at position m + n0 - 1:
     ghat[m] = (2 pi)^(-1/2) h0 sum_{y0} exp(-i m dxi y0) g(y0, .).
+
+    When every flow row of g is bitwise equal, only offset 0 is nonzero
+    and it is returned as (2 pi)^(-1/2) h0 n0 g, the others as exact
+    zeros: the sum of exp(-i m dxi y0) over the n0 flow nodes vanishes
+    for 0 < |m| < n0.  The lift of such an amplitude couples no two
+    flow slices, and spectra solves it slice by slice.
     """
     g_mat = np.asarray(g_vals, dtype=complex).reshape(flow.n_points, -1)
+    if np.array_equal(g_mat[1:], g_mat[:-1]):
+        ghat = np.zeros((2 * flow.n_points - 1, g_mat.shape[1]),
+                        dtype=complex)
+        ghat[flow.n_points - 1] = (2.0 * np.pi) ** (-0.5) * flow.spacing \
+            * flow.n_points * g_mat[0]
+        return ghat
     m = np.arange(-(flow.n_points - 1), flow.n_points)
     phase = np.exp(-1j * np.outer(m * flow.freq_spacing, flow.nodes()))
     return (2.0 * np.pi) ** (-0.5) * flow.spacing * (phase @ g_mat)
@@ -389,21 +401,32 @@ def lift_apply(spec, flow, trans, pg_out, pf):
     return PartialPhaseField(flow, pg_out, out)
 
 
-def phase_index(flow, pg, flat):
-    """Packet label of a flat matrix row or column index."""
-    s, rem = divmod(int(flat), pg.num_points)
+def _phase_labels(flow, pg, flat):
+    """Packet labels of flat matrix row or column indices: the centers,
+    shape (len(flat), 2d), and the full frequencies (xi0, xi_dag),
+    shape (len(flat), 2d + 1)."""
+    s, rem = np.divmod(np.asarray(flat), pg.num_points)
     idx = np.unravel_index(rem, pg.shape())
     d2 = pg.dim
-    x_dag = [ax.centers[i] for ax, i in zip(pg.axes, idx[:d2])]
-    xi_dag = [ax.freqs[i] for ax, i in zip(pg.axes, idx[d2:])]
-    return PartialPacketIndex(x_dag, flow.freqs()[s], xi_dag)
+    x_dag = np.stack([ax.centers[i] for ax, i in zip(pg.axes, idx[:d2])],
+                     axis=-1)
+    xi = np.stack([flow.freqs()[s]] + [ax.freqs[i] for ax, i in
+                                       zip(pg.axes, idx[d2:])], axis=-1)
+    return x_dag, xi
+
+
+def phase_index(flow, pg, flat):
+    """Packet label of a flat matrix row or column index."""
+    x_dag, xi = _phase_labels(flow, pg, [int(flat)])
+    return PartialPacketIndex(x_dag[0], xi[0, 0], xi[0, 1:])
 
 
 def kernel_entry_direct(spec, flow, trans, out_index, in_index):
     """One kernel entry by full quadrature over the volume grid.
 
     Independent of the factored assembly: evaluates both packets
-    pointwise, composes the in packet with the map and sums.
+    pointwise, composes the in packet with the map and sums.  It is the
+    one-entry oracle of kernel_bound_audit's batched quadrature.
     """
     pts = _volume_points(flow, trans.nodes())
     fpts = spec.map.apply(pts)
@@ -412,6 +435,19 @@ def kernel_entry_direct(spec, flow, trans, out_index, in_index):
     g = np.asarray(spec.g(pts), dtype=complex)
     val = np.sum(np.conj(phi_o(pts)) * g * phi_i(fpts))
     return complex(val * flow.spacing * trans.weight)
+
+
+def _packet_rows(x_dag, xi, pts):
+    """Partial packets of a batch of labels (rows of x_dag and xi, as
+    _phase_labels gives them) at the volume points pts, shape
+    (len(x_dag), len(pts)): partial_packet's formula, one row per label."""
+    kappa = bracket(xi[:, 0])
+    pref = _amplitude(kappa, x_dag.shape[1]) / np.sqrt(2.0 * np.pi)
+    yd = pts[None, :, 1:]
+    phase = np.multiply.outer(xi[:, 0], pts[:, 0]) + np.einsum(
+        "kna,ka->kn", yd - x_dag[:, None, :] / 2.0, xi[:, 1:])
+    env = np.sum((yd - x_dag[:, None, :]) ** 2, axis=-1)
+    return pref[:, None] * np.exp(1j * phase - kappa[:, None] * env / 2.0)
 
 
 def kernel_bound_audit(spec, flow, trans, pg, rho, n_per_stratum=4,
@@ -426,51 +462,64 @@ def kernel_bound_audit(spec, flow, trans, pg, rho, n_per_stratum=4,
     where kappa multiplies the flow frequency mismatch, the two packet
     center offsets in packet-width units, and the covector mismatch
     xi - t(DF) eta on the intermediate scale.  Sampling is stratified
-    over the mismatch |xi0 - eta0| so all factors get exercised.
-    Returns the smallest constant making the bound hold on the sample
-    and the full ratio list.
+    over the mismatch |xi0 - eta0| so all factors get exercised; the
+    labels are drawn one at a time, and each stratum's n_per_stratum
+    entries and bounds are evaluated together, with the volume points,
+    their images and g computed once.  Returns the smallest constant
+    making the bound hold on the sample, the full ratio list and the
+    sampled entries.
     """
     if not rho > 0:
         raise ValueError("kernel bound exponent rho must be positive, got %r"
                          % (rho,))
+    if not n_per_stratum >= 1:
+        raise ValueError("kernel bound audit needs n_per_stratum >= 1, "
+                         "got %r" % (n_per_stratum,))
     rng = np.random.default_rng(rng_seed)
-    n0 = flow.n_points
-    freqs = flow.freqs()
+    n0, npts = flow.n_points, pg.num_points
     dim2 = trans.dim
     yd = trans.nodes()
+    pts = _volume_points(flow, yd)
+    fpts = spec.map.apply(pts)
+    g = np.asarray(spec.g(pts), dtype=complex)
     fy = spec.map.f_dag(yd)
-    jacs = np.swapaxes(spec.map.jacobian(yd), -1, -2)
+    jac = spec.map.jacobian(yd)
     two_l0 = 2.0 * flow.half_period
-    ratios, mismatch = [], []
+    entries, ratios = [], []
     for dm in range(n0):
-        pairs = [(s, s - dm) for s in range(dm, n0)]
+        draws = []
         for _ in range(n_per_stratum):
-            s, t = pairs[rng.integers(len(pairs))]
-            if rng.uniform() < 0.5 and dm > 0:
-                s, t = t, s
-            io = int(rng.integers(pg.num_points))
-            ii = int(rng.integers(pg.num_points))
-            out_idx = phase_index(flow, pg, s * pg.num_points + io)
-            in_idx = phase_index(flow, pg, t * pg.num_points + ii)
-            value = kernel_entry_direct(spec, flow, trans, out_idx, in_idx)
-            kap_o = float(bracket(freqs[s]))
-            kap_i = float(bracket(freqs[t]))
-            f1 = float(bracket(freqs[s] - freqs[t]))
-            f2 = bracket(np.linalg.norm(out_idx.x_dag - yd, axis=1)
-                         * np.sqrt(kap_o))
-            f3 = bracket(np.linalg.norm(fy - in_idx.x_dag, axis=1)
-                         * np.sqrt(kap_i))
-            pushed = jacs @ in_idx.xi
-            f4 = bracket(np.linalg.norm(out_idx.xi[None, :] - pushed, axis=1)
-                         / np.sqrt(bracket(np.linalg.norm(in_idx.xi))))
-            integral = two_l0 * trans.weight * \
-                np.sum((f1 * f2 * f3 * f4) ** (-rho))
-            bound = (kap_o * kap_i) ** (dim2 / 4.0) * integral
-            ratios.append(abs(value) / bound)
-            mismatch.append(dm)
-    ratios = np.array(ratios)
+            j = int(rng.integers(n0 - dm))
+            s, t = (j, j + dm) if rng.uniform() < 0.5 and dm > 0 \
+                else (j + dm, j)
+            draws.append((s * npts + int(rng.integers(npts)),
+                          t * npts + int(rng.integers(npts))))
+        out_flat, in_flat = np.array(draws).T
+        out_x, out_xi = _phase_labels(flow, pg, out_flat)
+        in_x, in_xi = _phase_labels(flow, pg, in_flat)
+        value = np.sum(np.conj(_packet_rows(out_x, out_xi, pts)) * g
+                       * _packet_rows(in_x, in_xi, fpts), axis=1) \
+            * flow.spacing * trans.weight
+        kap_o, kap_i = bracket(out_xi[:, 0]), bracket(in_xi[:, 0])
+        f1 = bracket(out_xi[:, 0] - in_xi[:, 0])[:, None]
+        f2 = bracket(np.linalg.norm(out_x[:, None, :] - yd, axis=-1)
+                     * np.sqrt(kap_o)[:, None])
+        f3 = bracket(np.linalg.norm(fy - in_x[:, None, :], axis=-1)
+                     * np.sqrt(kap_i)[:, None])
+        # the covector mismatch xi - t(DF) eta on the scale <eta>^(1/2)
+        pushed = np.einsum("yji,kj->kyi", jac, in_xi)
+        width = np.sqrt(bracket(np.linalg.norm(in_xi, axis=-1)))
+        f4 = bracket(np.linalg.norm(out_xi[:, None, :] - pushed, axis=-1)
+                     / width[:, None])
+        integral = two_l0 * trans.weight * \
+            np.sum((f1 * f2 * f3 * f4) ** (-rho), axis=1)
+        bound = (kap_o * kap_i) ** (dim2 / 4.0) * integral
+        entries.append(value)
+        ratios.append(np.abs(value) / bound)
+    ratios = np.concatenate(ratios)
     return {"rho": float(rho), "c_rho": float(np.max(ratios)),
-            "ratios": ratios, "mismatch": np.array(mismatch)}
+            "ratios": ratios, "entries": np.concatenate(entries),
+            "mismatch": np.repeat(np.arange(n0), n_per_stratum)}
 
 
 def cutoff_diagonals(flow, pg, wspec):

@@ -331,6 +331,10 @@ class TestDenseBudget:
                 "rho": ("rho must be positive",
                         lambda: kernel_bound_audit(spec, flow, trans, pg,
                                                    rho=0.0)),
+                "audit samples": ("needs n_per_stratum >= 1, got 0",
+                                  lambda: kernel_bound_audit(
+                                      spec, flow, trans, pg, rho=1.0,
+                                      n_per_stratum=0)),
                 "omega shape": ("omega must be a square matrix",
                                 lambda: apply_p_omega(
                                     Field(trans, np.zeros(16)), np.eye(3))),

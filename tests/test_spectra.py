@@ -280,13 +280,18 @@ class TestModelSpectrum:
         rep = model_spectrum(spec, [(flow, trans, pg)], 0.5)[0]
         assert rep.refinement["reduced_rows"] == side
 
+    # (map, amplitude, whether the amplitude is constant along the flow,
+    # so that the lift is solved one flow slice at a time)
+    SETTINGS = [
+        (ContactMap.linear(sym_block(4.0)), bump_amp(), True),
+        (ContactMap.linear(sym_block(4.0)), flow_amp(), False),
+        (ContactMap.shear(2.0, 0.3), flow_amp(), False),
+    ]
+    SETTING_IDS = ["linear-bump", "linear-flow", "shear-flow"]
+
     @pytest.mark.parametrize("n0", [4, 6])
-    @pytest.mark.parametrize("cmap, g", [
-        (ContactMap.linear(sym_block(4.0)), bump_amp()),
-        (ContactMap.linear(sym_block(4.0)), flow_amp()),
-        (ContactMap.shear(2.0, 0.3), flow_amp()),
-    ], ids=["linear-bump", "linear-flow", "shear-flow"])
-    def test_matches_dense_lift(self, cmap, g, n0):
+    @pytest.mark.parametrize("cmap, g, by_slice", SETTINGS, ids=SETTING_IDS)
+    def test_matches_dense_lift(self, cmap, g, by_slice, n0):
         # the C10 levels: 1,024 and 1,536 lift rows, 64 and 96 reduced
         flow = FlowGrid(np.pi, n0)
         trans = make_grid(2, 0.7, 4)
@@ -299,22 +304,25 @@ class TestModelSpectrum:
         reduced = rep.refinement["reduced_rows"]
         assert reduced == n0 * trans.num_points
         assert rep.refinement["rows"] == mat.values.shape[0]
+        assert rep.refinement["slice_blocks"] == (n0 if by_slice else 1)
         assert np.all(rep.eigenvalues[reduced:] == 0)
         assert np.max(np.abs(rep.moduli - dense)) <= 1e-12 * dense[0]
 
     @pytest.mark.parametrize("n0", [4, 6])
-    def test_matches_scipy_eigvals(self, n0):
-        # the oracle of the numpy solve: scipy's eigvals of the same
-        # reduced lift on the C10 levels
+    @pytest.mark.parametrize("cmap, g, by_slice", SETTINGS, ids=SETTING_IDS)
+    def test_matches_scipy_eigvals(self, cmap, g, by_slice, n0):
+        # the oracle of the numpy solve, per slice or whole: scipy's
+        # eigvals of the whole reduced lift on the C10 levels
         flow = FlowGrid(np.pi, n0)
         trans = make_grid(2, 0.7, 4)
         pg = dual_phase_grid(trans, n_freq=4)
-        spec = TransferSpec(ContactMap.linear(sym_block(4.0)), bump_amp())
+        spec = TransferSpec(cmap, g)
         rep = model_spectrum(spec, [(flow, trans, pg)], 0.5)[0]
         want = np.abs(scipy.linalg.eigvals(reduced_lift(spec, flow, trans,
                                                         pg)))
         want = np.sort(want)[::-1]
         got = rep.moduli[:rep.refinement["reduced_rows"]]
+        assert rep.refinement["slice_blocks"] == (n0 if by_slice else 1)
         assert got.size == want.size == n0 * trans.num_points
         assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
 
@@ -339,7 +347,7 @@ class TestModelSpectrum:
         cmap = ContactMap.linear(sym_block(4.0))
         spec = TransferSpec(cmap, bump_amp(), name="bump")
         mat = lift_kernel(spec, flow, trans, pg)
-        assert slice_defect(mat) <= 1e-8
+        assert slice_defect(mat) == 0
 
     def test_not_block_diagonal_with_flow_dependence(self):
         flow, trans, pg = toy_setting()

@@ -1,5 +1,7 @@
 """Tests for the transfer operator, its lift and the audits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -94,7 +96,51 @@ class TestTransferApply:
         narrow.support_check(self.flow, self.trans)
 
 
+def flow_phase_sum(g_vals, flow):
+    """flow_fourier_coeffs by its defining phase sum over the flow nodes,
+    for every amplitude."""
+    m = np.arange(-(flow.n_points - 1), flow.n_points)
+    phase = np.exp(-1j * np.outer(m * flow.freq_spacing, flow.nodes()))
+    return (2.0 * np.pi) ** (-0.5) * flow.spacing * (phase @ g_vals)
+
+
+def flow_amp(pts):
+    r2 = np.sum(pts[:, 1:] ** 2, axis=-1)
+    return np.exp(0.3 * np.cos(pts[:, 0])) * np.exp(-r2 / 0.32)
+
+
+def shear_amp(pts):
+    r2 = np.sum(pts[:, 1:] ** 2, axis=-1)
+    return np.exp(1j * pts[:, 0]) * np.exp(-r2 / 0.5)
+
+
 class TestFlowFourier:
+
+    @pytest.mark.parametrize("n0", [2, 4, 8])
+    @pytest.mark.parametrize("g", [gauss_amp(0.5), ones_amp, zero_amp],
+                             ids=["bump", "constant", "zero"])
+    def test_flow_constant_amplitude_has_offset_zero_only(self, g, n0):
+        flow = FlowGrid(np.pi, n0)
+        spec = TransferSpec(ContactMap.linear(np.eye(2)), g)
+        g_vals = spec.g_values(flow, make_grid(2, 1.2, 6).nodes())
+        ghat = flow_fourier_coeffs(g_vals, flow)
+        want = flow_phase_sum(g_vals, flow)
+        assert ghat.shape == want.shape == (2 * n0 - 1, 36)
+        others = np.arange(2 * n0 - 1) != n0 - 1
+        assert np.all(ghat[others] == 0)
+        scale = max(np.max(np.abs(want)), 1e-300)
+        assert np.max(np.abs(want[others])) <= 1e-15 * scale
+        assert np.max(np.abs(ghat[n0 - 1] - want[n0 - 1])) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("n0", [2, 6])
+    @pytest.mark.parametrize("g", [flow_amp, shear_amp],
+                             ids=["flow", "shear"])
+    def test_flow_dependent_amplitude_is_the_phase_sum(self, g, n0):
+        flow = FlowGrid(np.pi, n0)
+        spec = TransferSpec(ContactMap.linear(np.eye(2)), g)
+        g_vals = spec.g_values(flow, make_grid(2, 1.2, 6).nodes())
+        assert np.array_equal(flow_fourier_coeffs(g_vals, flow),
+                              flow_phase_sum(g_vals, flow))
 
     def test_single_mode(self):
         flow = FlowGrid(np.pi, 6)
@@ -124,10 +170,8 @@ def small_setting():
 
 
 def shear_spec():
-    def g(pts):
-        r2 = np.sum(pts[:, 1:] ** 2, axis=-1)
-        return np.exp(1j * pts[:, 0]) * np.exp(-r2 / 0.5)
-    return TransferSpec(ContactMap.shear(2.0, 0.3), g, name="shear-bump")
+    return TransferSpec(ContactMap.shear(2.0, 0.3), shear_amp,
+                        name="shear-bump")
 
 
 def closed_form_lift(spec, flow, trans, pg):
@@ -383,17 +427,93 @@ class TestDecompose:
         assert np.max(np.abs(cpt.values - mat.values)) == 0.0
 
 
+def scalar_audit(spec, flow, trans, pg, rho, n_per_stratum, rng_seed):
+    """kernel_bound_audit one sample at a time: the labels drawn in the
+    audit's order, each entry from kernel_entry_direct and each bound
+    from its own quadrature; returns the entries, ratios and mismatches."""
+    rng = np.random.default_rng(rng_seed)
+    n0, npts = flow.n_points, pg.num_points
+    freqs = flow.freqs()
+    yd = trans.nodes()
+    fy = spec.map.f_dag(yd)
+    jacs = np.swapaxes(spec.map.jacobian(yd), -1, -2)
+    entries, ratios, mismatch = [], [], []
+    for dm in range(n0):
+        pairs = [(s, s - dm) for s in range(dm, n0)]
+        for _ in range(n_per_stratum):
+            s, t = pairs[rng.integers(len(pairs))]
+            if rng.uniform() < 0.5 and dm > 0:
+                s, t = t, s
+            out_idx = phase_index(flow, pg, s * npts + rng.integers(npts))
+            in_idx = phase_index(flow, pg, t * npts + rng.integers(npts))
+            value = kernel_entry_direct(spec, flow, trans, out_idx, in_idx)
+            kap_o, kap_i = bracket(freqs[s]), bracket(freqs[t])
+            f1 = bracket(freqs[s] - freqs[t])
+            f2 = bracket(np.linalg.norm(out_idx.x_dag - yd, axis=1)
+                         * np.sqrt(kap_o))
+            f3 = bracket(np.linalg.norm(fy - in_idx.x_dag, axis=1)
+                         * np.sqrt(kap_i))
+            f4 = bracket(np.linalg.norm(out_idx.xi - jacs @ in_idx.xi,
+                                        axis=1)
+                         / np.sqrt(bracket(np.linalg.norm(in_idx.xi))))
+            integral = 2.0 * flow.half_period * trans.weight \
+                * np.sum((f1 * f2 * f3 * f4) ** (-rho))
+            bound = (kap_o * kap_i) ** (trans.dim / 4.0) * integral
+            entries.append(value)
+            ratios.append(abs(value) / bound)
+            mismatch.append(dm)
+    return np.array(entries), np.array(ratios), np.array(mismatch)
+
+
 class TestKernelBoundAudit:
 
     def setup_method(self):
         self.flow = FlowGrid(np.pi, 6)
         self.trans = make_grid(2, 1.6, 8)
         self.pg = dual_phase_grid(self.trans, n_freq=8)
+        self.spec = TransferSpec(ContactMap.shear(2.0, 0.3), flow_amp)
 
-        def g(pts):
-            r2 = np.sum(pts[:, 1:] ** 2, axis=-1)
-            return np.exp(0.3 * np.cos(pts[:, 0])) * np.exp(-r2 / 0.32)
-        self.spec = TransferSpec(ContactMap.shear(2.0, 0.3), g)
+    @pytest.mark.parametrize("grid", ["c10", "shear"])
+    @pytest.mark.parametrize("rho, n_per_stratum, seed",
+                             [(1.0, 4, 0), (2.0, 3, 7)])
+    def test_batched_audit_matches_entry_loop(self, grid, rho,
+                                              n_per_stratum, seed):
+        # the benchmark's C10 grid and bump, and this class's shear grid
+        if grid == "c10":
+            trans = make_grid(2, 0.7, 4)
+            args = (TransferSpec(ContactMap.linear(np.diag([4.0, 0.25])),
+                                 gauss_amp(0.5)),
+                    FlowGrid(np.pi, 4), trans,
+                    dual_phase_grid(trans, n_freq=4))
+        else:
+            args = (self.spec, self.flow, self.trans, self.pg)
+        res = kernel_bound_audit(*args, rho=rho, n_per_stratum=n_per_stratum,
+                                 rng_seed=seed)
+        entries, ratios, mismatch = scalar_audit(*args, rho, n_per_stratum,
+                                                 seed)
+        assert np.array_equal(res["mismatch"], mismatch)
+        peak = np.max(np.abs(entries))
+        assert peak > 0
+        assert np.max(np.abs(res["entries"] - entries)) <= 1e-12 * peak
+        assert np.max(np.abs(res["ratios"] - ratios)) \
+            <= 1e-12 * np.max(ratios)
+        assert res["c_rho"] == pytest.approx(np.max(ratios), rel=1e-12)
+
+    def test_batch_memory_is_one_stratum(self):
+        # a stratum's arrays hold n_per_stratum rows of volume points; all
+        # samples at once would hold the six strata of this grid together
+        n = 16
+        batch = 16 * n * self.flow.n_points * self.trans.num_points
+        kernel_bound_audit(self.spec, self.flow, self.trans, self.pg,
+                           rho=2.0, n_per_stratum=1)
+        tracemalloc.start()
+        try:
+            kernel_bound_audit(self.spec, self.flow, self.trans, self.pg,
+                               rho=2.0, n_per_stratum=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * batch, peak / batch
 
     def test_bound_holds_with_fitted_constant(self):
         res = kernel_bound_audit(self.spec, self.flow, self.trans, self.pg,
