@@ -233,13 +233,6 @@ def v_s(z, s, r):
     return w_aniso(z / scale[..., None], 2 * r)
 
 
-def w_s(x_dag, xi_dag, s, r):
-    """The same model weight in the unseparated variables, with the
-    argument xi_dag + J x_dag."""
-    arg = np.asarray(xi_dag, dtype=float) + flip_half(np.asarray(x_dag, dtype=float))
-    return v_s(arg, s, r)
-
-
 class WeightSpec:
     """Parameters of the anisotropic norm and the frequency cutoffs."""
 

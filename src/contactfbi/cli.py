@@ -114,9 +114,10 @@ class ExperimentConfig:
         self.d = _count("d", data["d"])
         if self.d < 1:
             raise ConfigError("d must be >= 1")
-        self.box_half = float(data["box_half"])
+        self.box_half = _real("box_half", data["box_half"])
         self.n_per_axis = _count("n_per_axis", data["n_per_axis"])
-        self.flow_half_period = float(data["flow_half_period"])
+        self.flow_half_period = _real("flow_half_period",
+                                      data["flow_half_period"])
         self.flow_points = _count("flow_points", data["flow_points"])
         if self.box_half <= 0 or self.flow_half_period <= 0:
             raise ConfigError("box sizes must be positive")
@@ -124,12 +125,14 @@ class ExperimentConfig:
             raise ConfigError("n_per_axis must be even and at least 4")
         if self.flow_points < 2 or self.flow_points % 2:
             raise ConfigError("flow_points must be even and at least 2")
-        self.weight = WeightSpec(r=float(data["r"]), d=self.d,
-                                 tau=data["tau"], big_n=float(data["big_n"]),
-                                 delta=float(data["delta"]))
+        # WeightSpec refuses a tau outside its open interval, NaN included
+        self.weight = WeightSpec(r=_real("r", data["r"]), d=self.d,
+                                 tau=data["tau"],
+                                 big_n=_real("big_n", data["big_n"]),
+                                 delta=_real("delta", data["delta"]))
         self.map_family = str(data["map_family"])
-        self.map_lam = float(data["map_lam"])
-        self.map_eps = float(data["map_eps"])
+        self.map_lam = _real("map_lam", data["map_lam"])
+        self.map_eps = _real("map_eps", data["map_eps"])
         if self.map_family not in ("linear", "shear"):
             raise ConfigError("map_family must be linear or shear")
         if self.map_family == "shear" and self.d != 1:
@@ -139,12 +142,14 @@ class ExperimentConfig:
         self.amplitude = str(data["amplitude"])
         if self.amplitude not in ("bump", "flow", "constant", "zero"):
             raise ConfigError("unknown amplitude %r" % self.amplitude)
-        self.amp_width = float(data["amp_width"])
-        self.tol = float(data["tol"])
-        self.lams = [float(v) for v in _aslist(data["lams"])]
-        self.s_values = [float(v) for v in _aslist(data["s_values"])]
-        self.norm_half_width = float(data["norm_half_width"])
-        self.norm_spacing = float(data["norm_spacing"])
+        self.amp_width = _real("amp_width", data["amp_width"])
+        self.tol = _real("tol", data["tol"])
+        self.lams = [_real("lams", v) for v in _aslist(data["lams"])]
+        self.s_values = [_real("s_values", v)
+                         for v in _aslist(data["s_values"])]
+        self.norm_half_width = _real("norm_half_width",
+                                     data["norm_half_width"])
+        self.norm_spacing = _real("norm_spacing", data["norm_spacing"])
         if not all(v > 1.0 for v in self.lams):
             raise ConfigError("lams must each exceed 1")
         if len(set(self.lams)) < 2:
@@ -155,8 +160,8 @@ class ExperimentConfig:
         if not (self.norm_half_width > 0 and self.norm_spacing > 0):
             raise ConfigError("norm_half_width and norm_spacing must be "
                               "positive")
-        self.n_ks = [float(v) for v in _aslist(data["n_ks"])]
-        self.window_m = float(data["window_m"])
+        self.n_ks = [_real("n_ks", v) for v in _aslist(data["n_ks"])]
+        self.window_m = _real("window_m", data["window_m"])
         self.ks = [_count("ks", v) for v in _aslist(data["ks"])]
         if not all(k >= 1 for k in self.ks):
             raise ConfigError("ks must each be at least 1")
@@ -168,7 +173,7 @@ class ExperimentConfig:
             if self.n_freq < self.n_per_axis:
                 raise ConfigError("n_freq must be at least n_per_axis (%d)"
                                   % self.n_per_axis)
-        self.margin = float(data["margin"])
+        self.margin = _real("margin", data["margin"])
         self.samples = _count("samples", data["samples"])
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
@@ -236,6 +241,14 @@ def _count(key, val):
     return count
 
 
+def _real(key, val):
+    """A real config value; NaN and infinities are refused."""
+    real = float(val)
+    if not np.isfinite(real):
+        raise ConfigError("%s must be finite, got %r" % (key, val))
+    return real
+
+
 def _aslist(val):
     if isinstance(val, (list, tuple)):
         return list(val)
@@ -293,9 +306,8 @@ def _identity_grids(cfg, refine):
 
 def _spectrum_levels(cfg, refine):
     """The refinement levels of spectrum, each refused here when its
-    reduced lift (n0 * n_quad rows, see transfer_ops.reduced_lift) and
-    the solver's copy of it are over the dense budget
-    (spectra.check_solve_budget)."""
+    reduced lift (transfer_ops.reduced_lift) and the solver's copy of it
+    are over the dense budget (spectra.check_solve_budget)."""
     levels = [_volume_grids(cfg, cfg.flow_points + 2 * level,
                             cfg.n_per_axis, True) for level in range(refine)]
     for flow, trans, _ in levels:

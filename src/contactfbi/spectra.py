@@ -6,8 +6,8 @@ Four groups of tools live here:
   R^(2d), with the interpolating family of weights V_s;
 * spectra of the lift at several refinement levels, solved on its
   quadrature-space factor (transfer_ops.reduced_lift) instead of the
-  dense lift, one flow slice at a time when that factor is exactly
-  block diagonal (an amplitude constant along the flow), with
+  dense lift, one batched solve over the factor's independent blocks
+  (one per flow slice for an amplitude constant along the flow), with
   bookkeeping for which eigenvalues persist under refinement; the
   weight of the anisotropic space enters only the bound they are
   compared with, since conjugating the finite lift by it leaves the
@@ -38,7 +38,10 @@ from .transfer_ops import (TransferSpec, coupled_adjoint, coupled_forward,
 
 
 class SpectrumReport:
-    """Eigenvalue listing at one refinement level, sorted by modulus.
+    """The solved eigenvalues at one refinement level, sorted by modulus,
+    at most refinement["rows"] (the lift's row count) of them: should
+    more be given, the smallest are dropped.  structural_zeros counts the
+    lift's other eigenvalues, zeros of rank, which nothing lists.
 
     stable_count is the number of eigenvalues outside the disk of radius
     lambda_t_bound (1 + margin); comparing it across refinement levels is
@@ -49,9 +52,10 @@ class SpectrumReport:
         eigs = np.asarray(eigenvalues, dtype=complex).ravel()
         if not np.all(np.isfinite(eigs)):
             raise ValueError("non-finite eigenvalue in the spectrum report")
-        order = np.argsort(-np.abs(eigs))
-        self.eigenvalues = eigs[order]
         self.refinement = dict(refinement)
+        rows = int(self.refinement.get("rows", eigs.size))
+        self.eigenvalues = eigs[np.argsort(-np.abs(eigs))[:rows]]
+        self.structural_zeros = max(0, rows - eigs.size)
         self.lambda_t_bound = float(lambda_t_bound)
         self.margin = float(margin)
 
@@ -67,26 +71,8 @@ class SpectrumReport:
     def outliers(self):
         return self.eigenvalues[:self.stable_count]
 
-    def inside_fraction(self):
-        cut = self.lambda_t_bound * (1.0 + self.margin)
-        return float(np.mean(self.moduli <= cut))
-
-    @property
-    def structural_zeros(self):
-        """Number of the zeros that pad the eigenvalues of a reduced factor
-        (refinement["reduced_rows"]) up to the lift's row count; to_dict
-        and save_csv count them instead of listing them."""
-        reduced = self.refinement.get("reduced_rows", self.eigenvalues.size)
-        return max(0, self.eigenvalues.size - int(reduced))
-
-    def _listed(self):
-        return self.eigenvalues[:self.eigenvalues.size - self.structural_zeros]
-
     def to_dict(self):
-        listed = self._listed()
-        return {"eigenvalues_re": listed.real.tolist(),
-                "eigenvalues_im": listed.imag.tolist(),
-                "moduli": np.abs(listed).tolist(),
+        return {"moduli": self.moduli.tolist(),
                 "structural_zeros": self.structural_zeros,
                 "lambda_t_bound": self.lambda_t_bound,
                 "margin": self.margin,
@@ -102,9 +88,8 @@ class SpectrumReport:
                      self.lambda_t_bound, self.margin, self.stable_count,
                      self.structural_zeros),
                  "index,re,im,modulus"]
-        for i, z in enumerate(self._listed()):
-            lines.append("%d,%.17g,%.17g,%.17g"
-                         % (i, z.real, z.imag, abs(z)))
+        lines += ["%d,%.17g,%.17g,%.17g" % (i, z.real, z.imag, abs(z))
+                  for i, z in enumerate(self.eigenvalues)]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -230,20 +215,10 @@ def conjugated_operator(matrix, wspec):
 def check_solve_budget(flow, trans):
     """Refuse a refinement level whose reduced lift, of side
     n0 * n_quad, does not fit the dense budget twice: np.linalg.eigvals
-    copies its input, so the solve holds the matrix and the copy at once."""
+    copies its input, so the solve holds the matrix and the copy at once;
+    for a factor split into flow slices that is conservative."""
     side = flow.n_points * trans.num_points
     check_dense(2 * side, side, "reduced lift matrix and its eigvals copy")
-
-
-def _slice_blocks(values, n0):
-    """The n0 diagonal blocks of a reduced lift, as views, when every
-    block off the diagonal is exactly zero; else the whole factor."""
-    nq = values.shape[0] // n0
-    split = values.reshape(n0, nq, n0, nq)
-    if any(np.any(split[s, :, t]) for s in range(n0) for t in range(n0)
-           if s != t):
-        return [values]
-    return [split[s, :, s] for s in range(n0)]
 
 
 def model_spectrum(spec, levels, bound, margin=0.1):
@@ -253,32 +228,22 @@ def model_spectrum(spec, levels, bound, margin=0.1):
     levels is a list of (flow, trans, pg) triples from coarse to fine;
     each yields one SpectrumReport against the same bound.  The lift
     U C V of lift_kernel has rank at most n0 * n_quad, and its nonzero
-    eigenvalues are those of transfer_ops.reduced_lift, C (V U).  The report
-    holds them followed by exact zeros up to the lift's row count, and
-    writes out only a count of those zeros; should the factor be the
-    larger side, its smallest eigenvalues, zeros of rank, are the ones
-    dropped.  refinement records both sizes, rows and reduced_rows.  The
-    weighted space fixes the bound (lambda_delta reads the weight
-    exponent), not the eigenvalues: conjugating the finite lift by the
-    weight is a similarity.  Each level is checked by check_solve_budget
-    before its factor is built.
-
-    When the factor is exactly block diagonal over the flow slices (an
-    amplitude constant along the flow, see
-    transfer_ops.flow_fourier_coeffs), each diagonal block of n_quad rows
-    is solved on its own; refinement records the number of solves as
-    slice_blocks.
+    eigenvalues are those of transfer_ops.reduced_lift, C (V U), a stack
+    of independent blocks solved by one batched np.linalg.eigvals.  The
+    report holds at most rows (the lift's row count) of them: should the
+    factor be the larger side, its smallest eigenvalues, zeros of rank,
+    are the ones it drops.  refinement records rows, reduced_rows and the
+    number of blocks, slice_blocks.  The weighted space fixes the bound
+    (lambda_delta reads the weight exponent), not the eigenvalues:
+    conjugating the finite lift by the weight is a similarity.  Each
+    level is checked by check_solve_budget before its factor is built.
     """
     reports = []
     for flow, trans, pg in levels:
         check_solve_budget(flow, trans)
         rows = flow.n_points * pg.num_points
-        blocks = _slice_blocks(reduced_lift(spec, flow, trans, pg),
-                               flow.n_points)
-        lam = np.concatenate([np.linalg.eigvals(b) for b in blocks])
-        eigs = np.zeros(rows, dtype=complex)
-        keep = min(rows, lam.size)
-        eigs[:keep] = lam[np.argsort(-np.abs(lam))[:keep]]
+        factor = reduced_lift(spec, flow, trans, pg)
+        lam = np.linalg.eigvals(factor).ravel()
         refinement = {"n0": flow.n_points,
                       "half_period": flow.half_period,
                       "trans_n": trans.points_per_axis,
@@ -286,8 +251,8 @@ def model_spectrum(spec, levels, bound, margin=0.1):
                       "n_centers": pg.axes[0].centers.size,
                       "n_freqs": pg.axes[0].freqs.size,
                       "rows": rows, "reduced_rows": lam.size,
-                      "slice_blocks": len(blocks)}
-        reports.append(SpectrumReport(eigs, refinement, bound, margin))
+                      "slice_blocks": factor.shape[0]}
+        reports.append(SpectrumReport(lam, refinement, bound, margin))
     return reports
 
 

@@ -19,12 +19,13 @@ adjoint; lift_apply and the central block of spectra (the true block
 and its linearized surrogate) both run through them, and lift_kernel
 assembles the same C between dense slice packets within the dense
 budget.  That lift is U C V, of rank at most n0 * n_quad, and
-reduced_lift builds its quadrature-space factor C (V U), which has the
-lift's nonzero eigenvalues and is what spectra solves; the packet Gram
-V U is summed axis by axis, so neither the lift nor a packet matrix is
-formed.  The module also provides a per-entry quadrature used as an
-independent cross check, the decomposition by the frequency cutoffs, and
-the expansion statistics Lambda / Delta entering the norm bounds.
+reduced_lift builds its quadrature-space factor C (V U), block by block
+of coupled slices, which has the lift's nonzero eigenvalues and is what
+spectra solves; the packet Gram V U is summed axis by axis, so neither
+the lift nor a packet matrix is formed.  The module also provides a
+per-entry quadrature used as an independent cross check, the
+decomposition by the frequency cutoffs, and the expansion statistics
+Lambda / Delta entering the norm bounds.
 """
 
 import hashlib
@@ -157,7 +158,7 @@ def flow_fourier_coeffs(g_vals, flow):
     and it is returned as (2 pi)^(-1/2) h0 n0 g, the others as exact
     zeros: the sum of exp(-i m dxi y0) over the n0 flow nodes vanishes
     for 0 < |m| < n0.  The lift of such an amplitude couples no two
-    flow slices, and spectra solves it slice by slice.
+    flow slices, and reduced_lift splits its factor slice by slice.
     """
     g_mat = np.asarray(g_vals, dtype=complex).reshape(flow.n_points, -1)
     if np.array_equal(g_mat[1:], g_mat[:-1]):
@@ -342,7 +343,9 @@ def _packet_gram(pg, kappa, points):
 
 def reduced_lift(spec, flow, trans, pg):
     """The lift's quadrature-space factor, with the lift's nonzero
-    eigenvalues, as a square array of side n0 * n_quad.
+    eigenvalues, as a stack of independent square blocks: (n0, n_quad,
+    n_quad), one per flow slice, when the slice coupling is exactly zero
+    off its diagonal, else (1, n0 n_quad, n0 n_quad).
 
     lift_kernel times its in measure is U C V: U holds the conjugate
     packets at the n_quad transversal nodes, C the slice coupling and V
@@ -350,22 +353,23 @@ def reduced_lift(spec, flow, trans, pg):
     eigenvalues of U C V are those of C (V U), whose block (s, t) is
     scale coupling[s, t][:, None] a_t^2 (V_t U_t), with a_t the packet
     amplitude of slice t and V_t U_t (_packet_gram) built once per
-    distinct width.  The size is checked against the dense budget before
-    anything is evaluated.
+    distinct width.  The dense budget is checked first, for the whole factor.
     """
     n0, nq = flow.n_points, trans.num_points
     check_dense(n0 * nq, n0 * nq, "reduced lift matrix")
     coupling, fy, kaps = _full_lift(spec, flow, trans)
+    # slices per block: all of them once any two slices couple
+    size = n0 if np.any(coupling[~np.eye(n0, dtype=bool)]) else 1
     grams = {kap: _packet_gram(pg, kap, fy) for kap in np.unique(kaps)}
     scale = trans.weight / np.sqrt(2.0 * np.pi) * flow.freq_spacing \
         * pg.weight
-    values = np.empty((n0 * nq, n0 * nq), dtype=complex)
-    blocks = values.reshape(n0, nq, n0, nq)
+    factor = np.empty((n0 // size, size, nq, size, nq), dtype=complex)
     for t, kap in enumerate(kaps):
-        np.multiply(coupling[:, t, :, None],
+        k, j = divmod(t, size)
+        np.multiply(coupling[k * size:(k + 1) * size, t, :, None],
                     scale * _amplitude(kap, pg.dim) ** 2 * grams[kap],
-                    out=blocks[:, :, t, :])
-    return values
+                    out=factor[k, :, :, j])
+    return factor.reshape(n0 // size, size * nq, size * nq)
 
 
 def lift_fingerprint(spec, flow, trans, pg):

@@ -10,7 +10,7 @@ from contactfbi.aniso_norm import (WeightSpec, bracket, cal_w_aniso, chi,
                                    q_k, q_tilde, q_tilde_separation,
                                    q_tilde_support, slice_covectors,
                                    slice_weight, smooth_step,
-                                   twisted_frequency, v_s, w_aniso, w_s)
+                                   twisted_frequency, v_s, w_aniso)
 from contactfbi.contact_geometry import AffineContactMap
 from contactfbi.fbi_core import PhaseAxis, PhaseGrid, dual_frequencies
 

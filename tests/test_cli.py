@@ -78,7 +78,14 @@ class TestConfigParsing:
                      "norm_spacing = 0\n", "norm_spacing = -0.35\n",
                      "norm_half_width = 0\n", "n_freq = 4\n",
                      "samples = 0\n", "ks = -3\nbig_n = 1\n",
-                     "lams = 4.0\n", "lams = 4, 4\n", "seed = 5\n"):
+                     "lams = 4.0\n", "lams = 4, 4\n", "seed = 5\n",
+                     # one non-finite value per real key
+                     "box_half = nan\n", "flow_half_period = inf\n",
+                     "r = nan\n", "tau = nan\n", "big_n = nan\n",
+                     "delta = nan\n", "map_lam = nan\n", "map_eps = inf\n",
+                     "amp_width = nan\n", "tol = nan\n", "lams = 4, inf\n",
+                     "norm_half_width = inf\n", "norm_spacing = nan\n",
+                     "n_ks = 2, nan\n", "window_m = inf\n", "margin = nan\n"):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_file(write(tmp_path / "a.cfg", body))
 
@@ -110,7 +117,8 @@ class TestExitCodes:
                 ("partition-audit", "samples = 0\n"),
                 ("central-audit", "ks = -3\nbig_n = 1\n"),
                 ("norm-bound", "lams = 4.0\n"),
-                ("norm-bound", "seed = 5\n"))):
+                ("norm-bound", "seed = 5\n"),
+                ("spectrum", "map_lam = nan\n"))):
             out = tmp_path / ("run%d" % i)
             code = main([sub, "--config",
                          write(tmp_path / "bad.cfg", body), "--out", str(out)])

@@ -365,7 +365,8 @@ class TestReducedLift:
         pg = dual_phase_grid(trans, n_freq=12)
         spec = TransferSpec(ContactMap.linear(np.diag([4.0, 0.25])),
                             gauss_amp(0.5))
-        lam, vecs = scipy.linalg.eig(reduced_lift(spec, flow, trans, pg))
+        lam, vecs = scipy.linalg.eig(scipy.linalg.block_diag(
+            *reduced_lift(spec, flow, trans, pg)))
         kaps = bracket(flow.freqs())
         for i in np.argsort(-np.abs(lam))[:4]:
             z = vecs[:, i].reshape((flow.n_points,) + trans.shape())
