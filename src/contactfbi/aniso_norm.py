@@ -178,14 +178,19 @@ def slice_weight(pg, xi0, r):
     Component a of the transversal twisted frequency is
     v_a = xi_a + xi0 x_(a+d) for a < d and v_a = xi_a - xi0 x_(a-d) for
     a >= d, a small (nc, nf) array over one center and one frequency
-    axis; |v_+|^2 and |v_-|^2 are summed from them by broadcasting.  W^2r
-    is then evaluated in a few in-place passes over full-size arrays
-    (_w_squares): the rescaled twist has squared norm
-    |v|^2 / <|(xi0, v)|>, the cone function reads the ratio
-    |v_-|^2 / |v_+|^2, in which the rescaling cancels, bracket's step is
-    evaluated only below 5/3, and one power <.>^2r and its reciprocal
-    give both cone terms.  The values equal cal_w_aniso on the points of
-    slice_covectors(pg.points(), xi0) to rounding.
+    axis; |v_+|^2 and |v_-|^2 are summed from them by broadcasting.  The
+    weight reads only these two half sums: the rescaled twist has squared
+    norm |v|^2 / <|(xi0, v)|>, and the cone function reads the ratio
+    |v_-|^2 / |v_+|^2, in which the rescaling cancels.  So W^2r is
+    evaluated (_w_squares) once per pair of distinct half sums, on the
+    outer grid of the np.unique values of each, and gathered onto the
+    slice by the inverse indices.  Every step is elementwise, so the
+    values equal those of the same passes over the full slice bit for
+    bit, and cal_w_aniso on the points of slice_covectors(pg.points(),
+    xi0) to rounding.  Where the center and frequency lattices are
+    exactly antisymmetric (make_grid, dual_phase_grid, _axis_lattice),
+    each (center, frequency) pair and its reversal give one square, so
+    about a quarter of the slice is evaluated.
 
     Where every frequency lattice of pg is antisymmetric (freqs[::-1] is
     exactly -freqs, as dual_frequencies and spectra._axis_lattice build
@@ -213,13 +218,23 @@ def slice_weight(pg, xi0, r):
             plus2 = plus2 + (v ** 2).reshape(shape)
         else:
             minus2 = minus2 + (v ** 2).reshape(shape)
+    p2, p_idx = np.unique(plus2.ravel(), return_inverse=True)
+    m2, m_idx = np.unique(minus2.ravel(), return_inverse=True)
+    p2, m2 = p2[:, None], m2[None, :]
     # |v|^2, then |v|^2 / <|(xi0, v)|>: the squared norm of the rescaled
     # twist, whose half norms are sqrt(plus2) and sqrt(minus2) over the
     # same scale, which cancels in the cone function
-    norm2 = plus2 + minus2
+    norm2 = p2 + m2
     scale2 = norm2 + xi0 ** 2
     norm2 /= _bracket_abs(np.sqrt(scale2, out=scale2))
-    return _w_squares(plus2, minus2, norm2, 2 * r)
+    w = _w_squares(p2, m2, norm2, 2 * r)
+    # gathered as (plus pair, minus pair) by two one-axis takes: the plus
+    # pairs fill the middle axes d .. 3d - 1 of pg.shape(), the minus
+    # pairs the d center axes before them and the d frequency axes after
+    shape = pg.shape()
+    w = w.take(m_idx, axis=1).take(p_idx, axis=0)
+    w = w.reshape(p_idx.size, -1, int(np.prod(shape[3 * d:])))
+    return w.transpose(1, 0, 2).reshape(shape)
 
 
 def v_s(z, s, r):
@@ -317,8 +332,11 @@ def weighted_gram(vols, pg, wspec):
     checks every field as flow_dft does) and, slice by slice, one
     _slice_forward contraction and one Gram update, so the full transform
     is never materialized and one slice of coefficients exists at a time.
-    The weight of a slice is slice_weight, permuted into the per-axis
-    layout of the contraction instead of the coefficients into the grid's.
+    The weight of a slice is slice_weight, evaluated once per pair of
+    distinct half sums |v_+|^2, |v_-|^2 of the twisted components (about
+    a quarter of the slice on the antisymmetric lattices of
+    dual_phase_grid) and permuted into the per-axis layout of the
+    contraction instead of the coefficients into the grid's.
     The slices at +-xi0, paired by their integer flow index, share one
     weight when every frequency lattice of pg is antisymmetric: the
     weight at -xi0 is then the one at xi0 reversed along the frequency

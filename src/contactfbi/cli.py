@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .aniso_norm import (WeightSpec, chi_n, cutoffs, lp_partition, q_k,
-                         q_tilde_separation)
+from .aniso_norm import (WeightSpec, _rescaled_twist, chi_n, cutoffs,
+                         psi_dyadic, q_k, q_tilde_separation)
 from .contact_geometry import ContactMap
 from .fbi_core import det_factor, dual_phase_grid, fbi_roundtrip
 from .numerics import make_grid, sample
@@ -26,7 +26,8 @@ from .partial_fbi import (FlowGrid, check_transversal_spacing,
                           sample_volume)
 from .spectra import (central_block_audit, check_solve_budget,
                       lower_bound_family, model_spectrum, norm_grid,
-                      persistent_outliers, weighted_norm_measure)
+                      norm_weights, persistent_outliers,
+                      weighted_norm_measure)
 from .transfer_ops import (TransferSpec, kernel_bound_audit, lambda_delta,
                            lift_fingerprint)
 
@@ -374,26 +375,31 @@ def run_lift_audit(cfg, out, seed, grids):
 
 def run_norm_bound(cfg, out, seed, spacing):
     half = tuple([cfg.norm_half_width] * (2 * cfg.d))
+    # one kernel per lam, solved for every s: norms[i][j] is lam i, s j
+    norms, branches = [], []
+    for lam in cfg.lams:
+        b = np.diag([lam] * cfg.d + [1.0 / lam] * cfg.d)
+        norms.append(weighted_norm_measure(b, cfg.s_values, cfg.weight.r,
+                                           half_widths=half, spacing=spacing))
+        d_b = det_factor(b)
+        branches.append(max(d_b ** -0.5, d_b ** 0.5 * lam ** -cfg.weight.r))
     rows = []
     ratios = []
-    for s in cfg.s_values:
-        norms = []
-        for lam in cfg.lams:
-            b = np.diag([lam] * cfg.d + [1.0 / lam] * cfg.d)
-            val = weighted_norm_measure(b, s, cfg.weight.r,
-                                        half_widths=half, spacing=spacing)
-            d_b = det_factor(b)
-            branch = max(d_b ** -0.5, d_b ** 0.5 * lam ** -cfg.weight.r)
-            norms.append(val)
+    for j, s in enumerate(cfg.s_values):
+        col = [vals[j] for vals in norms]
+        for lam, val, branch in zip(cfg.lams, col, branches):
             ratios.append(val / branch)
             rows.append([s, lam, spacing, cfg.norm_half_width, val, branch,
                          val / branch])
-        slope = float(np.polyfit(np.log(cfg.lams), np.log(norms), 1)[0])
+        slope = float(np.polyfit(np.log(cfg.lams), np.log(col), 1)[0])
         rows.append([s, "slope", spacing, cfg.norm_half_width, slope, "", ""])
     _write_csv(os.path.join(out, "norms.csv"), cfg.grid_meta(),
                ["s", "lam", "spacing", "half_width", "norm", "branch",
                 "ratio"], rows)
-    summary = {"fitted_c": float(np.max(ratios)), "r": cfg.weight.r}
+    _, solved = norm_weights(norm_grid(half, spacing), cfg.s_values,
+                             cfg.weight.r)
+    summary = {"fitted_c": float(np.max(ratios)), "r": cfg.weight.r,
+               "distinct_weights": sum(solved)}
     return summary, 0
 
 
@@ -402,7 +408,9 @@ def run_partition_audit(cfg, out, seed, n):
     x = rng.uniform(-2.0, 2.0, size=(n, 2 * cfg.d))
     xi = rng.uniform(-100.0, 100.0, size=(n, 2 * cfg.d + 1))
     chi_sum = sum(chi_n(np.linalg.norm(xi, axis=-1), m) for m in range(12))
-    psi_sum = sum(lp_partition(m, x, xi) for m in range(-12, 13))
+    # the members lp_partition(m, x, xi), sharing one rescaled twist
+    zeta = _rescaled_twist(x, xi)
+    psi_sum = sum(psi_dyadic(zeta, m) for m in range(-12, 13))
     t = rng.uniform(-20.0, 20.0, size=n)
     q_sum = sum(q_k(t, k) for k in range(-22, 23))
     x0, ctr, hyp = cutoffs(x, xi, cfg.weight)

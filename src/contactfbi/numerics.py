@@ -27,6 +27,8 @@ class GridSpec:
 
     Nodes on each axis sit at -L + (j + 1/2) * spacing, so the boundary is
     never sampled.  The quadrature weight of every node is spacing**dim.
+    Each axis is exactly antisymmetric: the second half of the nodes is
+    the negated first half, and the middle node of an odd count is 0.
     """
 
     def __init__(self, dim, half_width, points_per_axis):
@@ -52,8 +54,9 @@ class GridSpec:
         return self.spacing ** self.dim
 
     def axis_nodes(self):
-        j = np.arange(self.points_per_axis)
-        return -self.half_width + (j + 0.5) * self.spacing
+        n = self.points_per_axis
+        half = -self.half_width + (np.arange(n // 2) + 0.5) * self.spacing
+        return np.concatenate([half, [0.0] * (n % 2), -half[::-1]])
 
     def nodes(self):
         """All grid nodes as an array of shape (num_points, dim), row-major."""
@@ -141,7 +144,9 @@ def operator_norm(matvec, rmatvec, shape, iters=200, restarts=3, seed=0):
     Inner products are plain vdot, so the operator must be expressed in
     coordinates where the quadrature weights are uniform or folded in.
     It serves the matrix-free central audit; a dense kernel's norm is
-    taken exactly by two half-size SVDs (spectra.weighted_norm_measure).
+    taken exactly by values-only SVDs of its even and odd half-size
+    blocks, built once per kernel and rescaled for each weight
+    (spectra.weighted_norm_measure).
     """
     rng = np.random.default_rng(seed)
     best = 0.0

@@ -139,10 +139,10 @@ def norm_grid(half_widths, spacing):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def weighted_norm_measure(b, s, r, half_widths, spacing=0.7):
-    """Exact norm of L0_hat for the matrix b on the V_s-weighted grid over
-    R^(2d): spacing^(2d) times the largest singular value of
-    A = W K W^-1, taken from two SVDs of half size.
+def weighted_norm_measure(b, s_values, r, half_widths, spacing=0.7):
+    """Exact norms of L0_hat for the matrix b on the V_s-weighted grid over
+    R^(2d), one per s in s_values: spacing^(2d) times the largest
+    singular value of A_s = W_s K W_s^-1.
 
     With r = 0 the weight is identically one and the value measures the
     plain L2 norm of the model operator.  half_widths gives the box size
@@ -151,14 +151,17 @@ def weighted_norm_measure(b, s, r, half_widths, spacing=0.7):
     The grid is antisymmetric under the index flip i -> N - 1 - i
     (norm_grid), L0_hat commutes with zeta -> -zeta (a linear map
     commutes with -Id, and P_0 is invariant under it) and V_s is even, so
-    A commutes with the flip.  In the unitary basis of even and odd
-    vectors (e_i +- e_(N-1-i)) / sqrt(2), i < N/2, A splits into the
-    blocks A[:h, :h] +- A[:h, flipped], and its norm is the larger of
-    their largest singular values; only the first ceil(N/2) kernel rows
-    are built.  When every axis has an odd point count, the middle point
-    is the origin and its own mirror: it belongs to the even block alone,
-    as the unit vector e_h, whose row there is scaled by 1/sqrt(2) and
-    whose column by sqrt(2).
+    A_s commutes with the flip.  In the unitary basis of even and odd
+    vectors (e_i +- e_(N-1-i)) / sqrt(2), i < N/2, K splits into the
+    blocks K[:h, :h] +- K[:h, flipped], built once from the first
+    ceil(N/2) kernel rows, and A_s into the same blocks scaled by
+    w_i / w_j, w = V_s on the first ceil(N/2) points; its norm is the
+    larger of their largest singular values.  When every axis has an odd
+    point count, the middle point is the origin and its own mirror: it
+    belongs to the even block alone, as the unit vector e_h, whose row
+    there is scaled by 1/sqrt(2) and whose column by sqrt(2).  An s whose
+    weight equals the one before it bit for bit reuses its norm
+    (norm_weights).
     """
     bm = np.asarray(b, dtype=float)
     dim = bm.shape[0]
@@ -167,13 +170,9 @@ def weighted_norm_measure(b, s, r, half_widths, spacing=0.7):
                          % (len(half_widths), dim))
     pts = norm_grid(half_widths, spacing)
     n = pts.shape[0]
-    w = np.asarray(v_s(pts, s, r), dtype=float)
-    if not np.all((w > 0) & np.isfinite(w)):
-        raise ValueError("weight V_s is not positive and finite on the grid")
     h, rows = n // 2, (n + 1) // 2
+    weights, solved = norm_weights(pts[:rows], s_values, r)
     kern = l0_hat_kernel(bm, pts[:rows], pts)
-    kern *= w[:rows, None]
-    kern /= w[None, :]
     # columns N - 1 - j for j < h, the mirrors of the first h
     mirror = kern[:, :n - 1 - h:-1]
     odd = kern[:h, :h] - mirror[:h]
@@ -182,8 +181,34 @@ def weighted_norm_measure(b, s, r, half_widths, spacing=0.7):
     if rows > h:
         even[h] /= np.sqrt(2.0)
         even[:, h] *= np.sqrt(2.0)
-    top = max(np.linalg.norm(even, 2), np.linalg.norm(odd, 2))
-    return float(spacing ** dim * top)
+    norms = []
+    for w, solve in zip(weights, solved):
+        if solve:
+            top = max(_top_singular_value(even, w),
+                      _top_singular_value(odd, w[:h]))
+        norms.append(float(spacing ** dim * top))
+    return norms
+
+
+def norm_weights(pts, s_values, r):
+    """V_s on the points for each s in s_values, and one flag per s that is
+    False where the weight equals the one before it bit for bit, so that
+    weighted_norm_measure reuses the norm before it instead of solving."""
+    weights = [np.asarray(v_s(pts, s, r), dtype=float) for s in s_values]
+    for w in weights:
+        if not np.all((w > 0) & np.isfinite(w)):
+            raise ValueError("weight V_s is not positive and finite on the "
+                             "grid")
+    solved = [i == 0 or not np.array_equal(w, weights[i - 1])
+              for i, w in enumerate(weights)]
+    return weights, solved
+
+
+def _top_singular_value(block, w):
+    """Largest singular value of diag(w) block diag(w)^-1."""
+    scaled = block * w[:, None]
+    scaled /= w[None, :]
+    return np.linalg.norm(scaled, 2)
 
 
 def weight_diagonal(freqs, pg, r):

@@ -175,8 +175,8 @@ def test_criterion_05_tensor_factorization():
 def test_criterion_06_model_norm_is_one():
     vals = {}
     for lam in (4.0, 8.0, 16.0):
-        vals[lam] = weighted_norm_measure(np.diag([lam, 1.0 / lam]), 1.0,
-                                          0.0, half_widths=(10.0, 10.0))
+        vals[lam], = weighted_norm_measure(np.diag([lam, 1.0 / lam]), [1.0],
+                                           0.0, half_widths=(10.0, 10.0))
     ok = all(0.98 <= v <= 1.02 for v in vals.values())
     verdict(6, "unweighted model operator norm is 1",
             ok, ", ".join("lam %g: %.4f" % kv for kv in sorted(vals.items())))
@@ -186,15 +186,18 @@ def test_criterion_07_weighted_norm_bound():
     t0 = time.time()
     lams = (4.0, 8.0, 16.0, 32.0)
     ratios, slope_gaps = [], []
-    for s in (1.0, 16.0, 256.0):
-        norms, branch = [], []
-        for lam in lams:
-            b = np.diag([lam, 1.0 / lam])
-            norms.append(weighted_norm_measure(b, s, 4.0,
-                                               half_widths=(2.0, 2.0),
-                                               spacing=0.35))
-            d = det_factor(b)
-            branch.append(max(d ** -0.5, d ** 0.5 * lam ** -4.0))
+    s_values = (1.0, 16.0, 256.0)
+    # one call per lam measures every s: by_lam[i][j] is lam i, s j
+    by_lam, branch = [], []
+    for lam in lams:
+        b = np.diag([lam, 1.0 / lam])
+        by_lam.append(weighted_norm_measure(b, s_values, 4.0,
+                                            half_widths=(2.0, 2.0),
+                                            spacing=0.35))
+        d = det_factor(b)
+        branch.append(max(d ** -0.5, d ** 0.5 * lam ** -4.0))
+    for j in range(len(s_values)):
+        norms = [vals[j] for vals in by_lam]
         ratios.extend(n / b for n, b in zip(norms, branch))
         sm = np.polyfit(np.log(lams), np.log(norms), 1)[0]
         sb = np.polyfit(np.log(lams), np.log(branch), 1)[0]

@@ -388,6 +388,61 @@ class TestSliceWeight:
                 assert np.array_equal(slice_weight(pg, -xi0, r),
                                       slice_weight(pg, xi0, r)[reverse])
 
+    @staticmethod
+    def _half_sums(pg, xi0):
+        """|v_+|^2 and |v_-|^2 on every phase point of the slice, and the
+        number of (center, frequency) pair combinations of each half."""
+        d = pg.dim // 2
+        tw = twisted_frequency(*slice_covectors(pg.points(), xi0))[:, 1:]
+        # frequency axis a pairs with center axis a +- d
+        pairs = [ax.freqs.size * pg.axes[(a + d) % pg.dim].centers.size
+                 for a, ax in enumerate(pg.axes)]
+        return (np.sum(tw[:, :d] ** 2, axis=-1),
+                np.sum(tw[:, d:] ** 2, axis=-1),
+                int(np.prod(pairs[:d])), int(np.prod(pairs[d:])))
+
+    @pytest.mark.parametrize("sizes", GRIDS)
+    def test_matches_pointwise_without_shared_squares(self, sizes):
+        # on these asymmetric lattices every pair combination of a half
+        # gives its own half sum, so the whole slice is evaluated
+        pg = self._grid(sizes)
+        xi0 = 0.37
+        plus2, minus2, n_plus, n_minus = self._half_sums(pg, xi0)
+        assert np.unique(plus2).size == n_plus
+        assert np.unique(minus2).size == n_minus
+        want = cal_w_aniso(*slice_covectors(pg.points(), xi0), 4.0)
+        got = slice_weight(pg, xi0, 4.0)
+        assert np.max(np.abs(got.ravel() - want) / want) <= 1e-12
+
+    # d = 1 on the lower-bound grid of the benchmark, d = 2 on 6^4 centers
+    # and 4^4 frequencies
+    @pytest.mark.parametrize("dim, half, n, n_freq, margin", [
+        (2, 1.6, 14, 22, 0.0), (4, 0.8, 4, 4, 0.4)])
+    def test_shared_squares_match_pointwise_bit_for_bit(self, dim, half, n,
+                                                         n_freq, margin):
+        # on exactly antisymmetric lattices a pair combination and its
+        # reversal give one half sum, so at most half of each half's
+        # values and about a quarter of the slice are evaluated; the
+        # gathered weight equals the same passes over the half sums of
+        # every phase point, bit for bit
+        from contactfbi.aniso_norm import _bracket_abs, _w_squares
+        from contactfbi.fbi_core import dual_phase_grid
+        from contactfbi.numerics import make_grid
+        pg = dual_phase_grid(make_grid(dim, half, n), n_freq=n_freq,
+                             center_margin=margin)
+        for xi0 in (0.0, -2.5, 3.0, 36.0):
+            plus2, minus2, n_plus, n_minus = self._half_sums(pg, xi0)
+            assert np.unique(plus2).size <= (n_plus + 1) // 2
+            assert np.unique(minus2).size <= (n_minus + 1) // 2
+            norm2 = plus2 + minus2
+            scale2 = norm2 + xi0 ** 2
+            norm2 /= _bracket_abs(np.sqrt(scale2, out=scale2))
+            for r in (1.0, 4.0):
+                want = _w_squares(plus2, minus2, norm2.copy(), 2 * r)
+                got = slice_weight(pg, xi0, r)
+                assert got.shape == pg.shape()
+                assert np.array_equal(got.ravel(), want)
+
     def test_refuses_odd_dimension(self):
         with pytest.raises(ValueError, match="even"):
             slice_weight(self._grid([(4, 4)]), 1.0, 1.0)

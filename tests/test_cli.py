@@ -307,6 +307,23 @@ class TestSubcommands:
         rows = (tmp_path / "norms.csv").read_text().splitlines()
         assert len(rows) == 2 + 2 + 1
 
+    def test_norm_bound_counts_distinct_weights(self, tmp_path):
+        # on the default grid V_16 and V_256 are one weight: its norms are
+        # solved once, and norms.csv keeps its s-major row order
+        path = write(tmp_path / "n.cfg",
+                     "d = 1\nlams = 4, 8\ns_values = 1, 16, 256\n")
+        assert main(["norm-bound", "--config", path,
+                     "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "summary.json").read_text())
+        assert rep["distinct_weights"] == 2
+        rows = [ln.split(",") for ln in
+                (tmp_path / "norms.csv").read_text().splitlines()[2:]]
+        assert [(r[0], r[1]) for r in rows] == [
+            (s, lam) for s in ("1.0", "16.0", "256.0")
+            for lam in ("4.0", "8.0", "slope")]
+        assert [r[4] for r in rows[3:6]] == [r[4] for r in rows[6:]]
+        assert rows[0][4] != rows[3][4]
+
     def test_norm_bound_ignores_seed(self, tmp_path):
         # the norms are exact dense singular values, with nothing drawn
         path = write(tmp_path / "n.cfg", "d = 1\nlams = 4, 8\ns_values = 1\n")

@@ -14,7 +14,7 @@ import contactfbi
 from contactfbi import fbi_core, spectra, transfer_ops
 from contactfbi.contact_geometry import ContactMap
 from contactfbi.fbi_core import PhaseField, dual_phase_grid
-from contactfbi.numerics import (Field, check_dense, make_grid,
+from contactfbi.numerics import (Field, GridSpec, check_dense, make_grid,
                                  operator_norm, quad_inner, sample)
 from contactfbi.partial_fbi import FlowGrid
 from contactfbi.transfer_ops import TransferSpec
@@ -56,6 +56,26 @@ class TestMakeGrid:
     def test_quadrature_weight(self):
         g = make_grid(2, 6.0, 48)
         assert g.weight == pytest.approx(g.spacing ** 2)
+
+    # even counts as make_grid builds them, odd ones through GridSpec
+    @pytest.mark.parametrize("half, n", [
+        (1.6, 14), (5.0, 26), (1.2, 10), (6.0, 36), (1.0, 5), (2.0, 7),
+        (1.0, 1)])
+    def test_axis_nodes_are_exactly_antisymmetric(self, half, n):
+        # the second half is the negated first half, which keeps its
+        # midpoint nodes -L + (j + 1/2) h bit for bit; the middle node of
+        # an odd count is 0
+        g = GridSpec(1, half, n)
+        nodes = g.axis_nodes()
+        assert nodes.shape == (n,)
+        assert np.array_equal(nodes[::-1], -nodes)
+        j = np.arange(n // 2)
+        assert np.array_equal(nodes[:n // 2],
+                              -g.half_width + (j + 0.5) * g.spacing)
+        if n % 2:
+            assert nodes[n // 2] == 0.0
+        assert np.max(np.abs(nodes - (-g.half_width + (np.arange(n) + 0.5)
+                                      * g.spacing))) <= 1e-14 * half
 
 
 class TestSample:
@@ -121,7 +141,7 @@ class TestDenseBudget:
                 spec, [reduced], 0.5),
             "lift_kernel": lambda: transfer_ops.lift_kernel(spec, *level),
             "weighted_norm_measure": lambda: spectra.weighted_norm_measure(
-                b4, 1.0, 1.0, half_widths=(14.0, 14.0)),
+                b4, [1.0], 1.0, half_widths=(14.0, 14.0)),
             "apply_p_omega": lambda: fbi_core.apply_p_omega(
                 u, fbi_core.dagger_form_matrix(2)),
             "lift_linear": lambda: fbi_core.lift_linear(
@@ -209,14 +229,15 @@ class TestDenseBudget:
                     np.diag([2.0, 1.0]))),
                 "norm s below one": ("s must be at least 1",
                                      lambda: weighted_norm_measure(
-                                         b4, 0.5, 0.0, half_widths=(2.0, 2.0))),
+                                         b4, [0.5], 0.0,
+                                         half_widths=(2.0, 2.0))),
                 "norm half widths": ("1 half widths for a 2-dimensional",
                                      lambda: weighted_norm_measure(
-                                         b4, 1.0, 0.0, half_widths=(2.0,))),
+                                         b4, [1.0], 0.0, half_widths=(2.0,))),
                 # W^2r under- and overflows at r = 1000: zero or nan
                 "norm weight": ("not positive and finite",
                                 lambda: weighted_norm_measure(
-                                    b4, 1.0, 1000.0,
+                                    b4, [1.0], 1000.0,
                                     half_widths=(10.0, 10.0))),
                 "lattice": ("positive half width and step",
                             lambda: _axis_lattice(2.0, 0.0)),

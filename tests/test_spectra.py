@@ -102,8 +102,8 @@ class TestSpectrumReport:
 class TestWeightedNorm:
 
     def test_unweighted_is_one(self):
-        val = weighted_norm_measure(sym_block(4.0), 1.0, 0.0,
-                                    half_widths=(10.0, 10.0))
+        val, = weighted_norm_measure(sym_block(4.0), [1.0], 0.0,
+                                     half_widths=(10.0, 10.0))
         assert 0.98 <= val <= 1.02
 
     def test_slope_tracks_expansion_branch(self):
@@ -113,8 +113,8 @@ class TestWeightedNorm:
         lams = (4.0, 8.0, 16.0, 32.0)
         norms, branch = [], []
         for lam in lams:
-            norms.append(weighted_norm_measure(
-                sym_block(lam), 16.0, 4.0,
+            norms.extend(weighted_norm_measure(
+                sym_block(lam), [16.0], 4.0,
                 half_widths=(2.0, 2.0), spacing=0.35))
             d = det_factor(sym_block(lam))
             branch.append(max(d ** -0.5, d ** 0.5 * lam ** -4.0))
@@ -125,7 +125,7 @@ class TestWeightedNorm:
     def test_four_dimensional_grid_over_budget(self):
         # 12 points per axis on R^4 would be a 20736 x 20736 kernel
         with pytest.raises(ValueError, match="20736 x 20736"):
-            weighted_norm_measure(np.diag([4.0, 4.0, 0.25, 0.25]), 1.0, 4.0,
+            weighted_norm_measure(np.diag([4.0, 4.0, 0.25, 0.25]), [1.0], 4.0,
                                   half_widths=(2.0,) * 4, spacing=0.35)
 
     SHEAR = np.array([[2.0, 0.6], [0.0, 0.5]])
@@ -157,8 +157,35 @@ class TestWeightedNorm:
         w = v_s(pts, s, r)
         weighted = w[:, None] * l0_hat_kernel(b, pts, pts) / w[None, :]
         want = h ** len(halves) * np.linalg.norm(weighted, 2)
-        got = weighted_norm_measure(b, s, r, half_widths=halves, spacing=h)
+        got, = weighted_norm_measure(b, [s], r, half_widths=halves,
+                                     spacing=h)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("b, halves", [
+        (sym_block(8.0), (2.0, 2.0)), (SHEAR, (2.0, 1.9))])
+    def test_one_kernel_serves_every_s(self, b, halves):
+        # one call measures every s on one kernel; it equals one call per
+        # s and the dense norm of each weighted kernel, and on the
+        # norm-bound grid s = 16 and s = 256 have one weight, so the
+        # second reuses the first's norm
+        h, r, s_values = 0.35, 4.0, (1.0, 16.0, 256.0)
+        got = weighted_norm_measure(b, s_values, r, half_widths=halves,
+                                    spacing=h)
+        assert len(got) == len(s_values)
+        pts = spectra.norm_grid(halves, h)
+        kern = l0_hat_kernel(b, pts, pts)
+        for s, val in zip(s_values, got):
+            one, = weighted_norm_measure(b, [s], r, half_widths=halves,
+                                         spacing=h)
+            assert val == pytest.approx(one, rel=1e-12, abs=0.0)
+            w = v_s(pts, s, r)
+            dense = h ** 2 * np.linalg.norm(
+                w[:, None] * kern / w[None, :], 2)
+            assert val == pytest.approx(dense, rel=1e-12, abs=0.0)
+        assert np.array_equal(v_s(pts, 16.0, r), v_s(pts, 256.0, r))
+        assert got[2] == got[1] and got[0] != got[1]
+        weights, solved = spectra.norm_weights(pts, s_values, r)
+        assert solved == [True, True, False]
 
     @pytest.mark.parametrize("halves, h", [
         ((10.0, 10.0), 0.7), ((2.0, 1.9), 0.35), ((1.0,) * 4, 0.5)])
@@ -175,27 +202,28 @@ class TestWeightedNorm:
         axis = spectra._axis_lattice(half, h)
         pts = np.stack([m.ravel() for m in np.meshgrid(axis, axis,
                                                        indexing="ij")], -1)
-        for s in (1.0, 16.0, 256.0):
-            w = v_s(pts, s, r)
-            for lam in (4.0, 8.0, 16.0, 32.0):
-                b = sym_block(lam)
+        s_values = (1.0, 16.0, 256.0)
+        for lam in (4.0, 8.0, 16.0, 32.0):
+            b = sym_block(lam)
+            got = weighted_norm_measure(b, s_values, r,
+                                        half_widths=(half, half), spacing=h)
+            for s, val in zip(s_values, got):
+                w = v_s(pts, s, r)
                 weighted = w[:, None] * l0_hat_kernel(b, pts, pts) / \
                     w[None, :]
                 want = h ** 2 * scipy.linalg.svdvals(weighted)[0]
-                got = weighted_norm_measure(b, s, r, half_widths=(half, half),
-                                            spacing=h)
-                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert val == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_unweighted_norm_at_lam_four_is_one(self):
         # the C6 grid resolves the isometry: the exact norm is 1 to 1e-9,
         # a bound that an unconverged iterative estimate misses
-        val = weighted_norm_measure(sym_block(4.0), 1.0, 0.0,
-                                    half_widths=(10.0, 10.0))
+        val, = weighted_norm_measure(sym_block(4.0), [1.0], 0.0,
+                                     half_widths=(10.0, 10.0))
         assert abs(val - 1.0) <= 1e-8
 
     def test_norm_decreases_with_lam(self):
-        vals = [weighted_norm_measure(sym_block(lam), 16.0, 4.0,
-                                      half_widths=(2.0, 2.0), spacing=0.35)
+        vals = [weighted_norm_measure(sym_block(lam), [16.0], 4.0,
+                                      half_widths=(2.0, 2.0), spacing=0.35)[0]
                 for lam in (4.0, 16.0)]
         assert vals[1] < vals[0]
 
