@@ -49,8 +49,8 @@ def main():
         return np.exp(1j * pts[:, 0]) * np.exp(-r2 / 0.5)
     mat = lift_kernel(TransferSpec(ContactMap.shear(2.0, 0.3), g),
                       flow, trans, pg)
-    cpt, ctr, hyp = decompose(mat, WeightSpec(big_n=1.0))
-    sig = np.linalg.svd(cpt.values, compute_uv=False)
+    cpt, ctr, hyp = decompose(mat, flow, pg, WeightSpec(big_n=1.0))
+    sig = np.linalg.svd(cpt, compute_uv=False)
     print("singular values s1 %.3g  s10 %.3g  s50 %.3g"
           % (sig[0], sig[9], sig[49]))
 

@@ -38,9 +38,7 @@ def main():
     print("expansion bound %.4f" % bound)
     for k in (6, 8, 12):
         t0 = time.time()
-        res = central_block_audit(spec, k, wspec, flow, seed=0,
-                                  c_margin=2.5, f_margin=1.0,
-                                  ghat_offsets=3)
+        res = central_block_audit(spec, k, wspec, flow, seed=0)
         print("k %-3d  ||L'|| %.3f  ||L - L'|| %.3f  ratio to bound %.2f"
               "  (%.1f s)"
               % (k, res["norm_primed"], res["norm_diff"],

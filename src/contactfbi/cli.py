@@ -24,9 +24,9 @@ from .numerics import make_grid, sample
 from .partial_fbi import (FlowGrid, check_transversal_spacing,
                           min_transversal_points, pfbi_roundtrip,
                           sample_volume)
-from .spectra import (central_block_audit, check_solve_budget,
-                      lower_bound_family, model_spectrum, norm_grid,
-                      norm_weights, persistent_outliers,
+from .spectra import (central_block_audit, check_flow_frequencies,
+                      check_solve_budget, lower_bound_family, model_spectrum,
+                      norm_grid, norm_weights, persistent_outliers,
                       weighted_norm_measure)
 from .transfer_ops import (TransferSpec, kernel_bound_audit, lambda_delta,
                            lift_fingerprint)
@@ -163,6 +163,8 @@ class ExperimentConfig:
                               "positive")
         self.n_ks = [_real("n_ks", v) for v in _aslist(data["n_ks"])]
         self.window_m = _real("window_m", data["window_m"])
+        if not (self.amp_width > 0 and self.window_m > 0):
+            raise ConfigError("amp_width and window_m must be positive")
         self.ks = [_count("ks", v) for v in _aslist(data["ks"])]
         if not all(k >= 1 for k in self.ks):
             raise ConfigError("ks must each be at least 1")
@@ -314,6 +316,14 @@ def _spectrum_levels(cfg, refine):
     for flow, trans, _ in levels:
         check_solve_budget(flow, trans)
     return levels
+
+
+def _lower_bound_grids(cfg, refine):
+    """lower-bound's grids; refused when an n_k misses their flow lattice."""
+    grids = _volume_grids(cfg, cfg.flow_points * refine,
+                          cfg.n_per_axis * refine, False)
+    check_flow_frequencies(cfg.n_ks, grids[0])
+    return grids
 
 
 def _norm_spacing(cfg, refine):
@@ -470,9 +480,7 @@ def run_central_audit(cfg, out, seed, flow):
     rows = []
     results = []
     for k in cfg.ks:
-        res = central_block_audit(spec, k, cfg.weight, flow, seed=seed,
-                                  c_margin=2.5, f_margin=1.0,
-                                  ghat_offsets=3)
+        res = central_block_audit(spec, k, cfg.weight, flow, seed=seed)
         results.append(res)
         rows.append([flow.n_points, k, res["vanishes"], res["norm_primed"],
                      res["norm_diff"]])
@@ -501,9 +509,7 @@ SUBCOMMANDS = {
     "partition-audit": (lambda cfg, refine: cfg.samples * refine,
                         run_partition_audit),
     "spectrum": (_spectrum_levels, run_spectrum),
-    "lower-bound": (lambda cfg, refine: _volume_grids(
-        cfg, cfg.flow_points * refine, cfg.n_per_axis * refine, False),
-        run_lower_bound),
+    "lower-bound": (_lower_bound_grids, run_lower_bound),
     "central-audit": (lambda cfg, refine: FlowGrid(
         cfg.flow_half_period, cfg.flow_points * refine), run_central_audit),
 }

@@ -222,8 +222,9 @@ def weight_diagonal(freqs, pg, r):
     return np.stack([slice_weight(pg, xi0, r).ravel() for xi0 in freqs])
 
 
-def conjugated_operator(matrix, wspec):
-    """Dense W-conjugated operator W (A mu) W^{-1} of a lift matrix.
+def conjugated_operator(matrix, flow, pg, wspec):
+    """Dense W-conjugated operator W (A mu) W^{-1} of a lift_kernel
+    matrix A on flow x pg, mu = flow.freq_spacing * pg.weight.
 
     The conjugation is a similarity of the finite matrix, so its
     eigenvalues are those of the lift itself, and model_spectrum takes
@@ -232,8 +233,8 @@ def conjugated_operator(matrix, wspec):
     benchmark tracer, which names it, and for the test that shows the
     two spectra agree.
     """
-    w = weight_diagonal(matrix.flow.freqs(), matrix.phase, wspec.r).ravel()
-    a = matrix.values * matrix.in_measure
+    w = weight_diagonal(flow.freqs(), pg, wspec.r).ravel()
+    a = matrix * (flow.freq_spacing * pg.weight)
     return (w[:, None] / w[None, :]) * a
 
 
@@ -302,6 +303,20 @@ def _windowed_packet(x_star, xi, m):
     return u
 
 
+def check_flow_frequencies(n_ks, flow):
+    """Refuse a test frequency off the flow frequency lattice or beyond
+    its Nyquist range (lower_bound_family and the lower-bound plan)."""
+    fs = flow.freq_spacing
+    lo, hi = float(np.min(flow.freqs())), float(np.max(flow.freqs()))
+    for nk in n_ks:
+        if abs(nk / fs - round(nk / fs)) > 1e-9:
+            raise ValueError("frequency %r is not on the flow frequency "
+                             "lattice of spacing %.4g" % (nk, fs))
+        if nk > hi or nk < lo:
+            raise ValueError("frequency %r exceeds the flow grid Nyquist "
+                             "range [%.4g, %.4g]" % (nk, lo, hi))
+
+
 def lower_bound_family(spec, flow, trans, pg, n_ks, wspec, m=4,
                        x_star=None):
     """Rayleigh ratios of localized packets at the expansion maximizer.
@@ -312,16 +327,7 @@ def lower_bound_family(spec, flow, trans, pg, n_ks, wspec, m=4,
     matrices of the normalized family and of its image under the transfer
     operator.
     """
-    fs = flow.freq_spacing
-    fmax = float(np.max(flow.freqs()))
-    for nk in n_ks:
-        if abs(nk / fs - round(nk / fs)) > 1e-9:
-            raise ValueError("frequency %r is not on the flow frequency "
-                             "lattice of spacing %.4g" % (nk, fs))
-        if nk > fmax or nk < float(np.min(flow.freqs())):
-            raise ValueError("frequency %r exceeds the flow grid Nyquist "
-                             "range [%.4g, %.4g]"
-                             % (nk, float(np.min(flow.freqs())), fmax))
+    check_flow_frequencies(n_ks, flow)
     if x_star is None:
         x_star = expansion_argmax(spec, flow, trans)
     x_star = np.asarray(x_star, dtype=float)
@@ -362,8 +368,8 @@ class CentralFrame:
     shift) and g frozen at y_dag = 0.
     """
 
-    def __init__(self, spec, k, wspec, flow, c_margin=3.2, f_margin=1.5,
-                 ghat_offsets=6):
+    def __init__(self, spec, k, wspec, flow, c_margin=2.5, f_margin=1.0,
+                 ghat_offsets=3):
         if not k >= 1:
             raise ValueError("frequency block index k must be at least 1, "
                              "got %r" % (k,))
@@ -522,8 +528,7 @@ def _pair_norm(matvec, rmatvec, shape, iters=20, seed=0):
                          seed=seed)
 
 
-def central_block_audit(spec, k, wspec, flow, iters=20, seed=0,
-                        **frame_kwargs):
+def central_block_audit(spec, k, wspec, flow, iters=20, seed=0):
     """Compare one frequency block of the weighted lift with its
     linearized surrogate.
 
@@ -534,7 +539,7 @@ def central_block_audit(spec, k, wspec, flow, iters=20, seed=0,
     if k * k <= wspec.big_n / 2.0:
         return {"k": int(k), "vanishes": True, "norm_primed": 0.0,
                 "norm_diff": 0.0, "sizes": {}}
-    frame = CentralFrame(spec, k, wspec, flow, **frame_kwargs)
+    frame = CentralFrame(spec, k, wspec, flow)
     if float(np.max(np.abs(frame.col_cut))) == 0.0:
         return {"k": int(k), "vanishes": True, "norm_primed": 0.0,
                 "norm_diff": 0.0, "sizes": frame.sizes()}

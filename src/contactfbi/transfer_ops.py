@@ -1,4 +1,4 @@
-"""Transfer operators g (u o F) and their phase space lifts.
+"""Transfer operators g (u o F) on callables and their phase space lifts.
 
 The operator L u = g (u o F) conjugated with the partial transform pair
 gives a lifted operator whose kernel couples flow frequency slices only
@@ -95,54 +95,13 @@ class TransferSpec:
                 "enlarge the box or shrink the support" % (worst / peak))
 
 
-def _interpolate_volume(u, pts, method):
-    """Evaluate a grid function at arbitrary points, periodic in flow.
-
-    Points outside the transversal box come back as NaN for the caller
-    to handle.  scipy.interpolate is imported here, on the one path that
-    uses it, so that importing the package does not load it.
-    """
-    from scipy.interpolate import RegularGridInterpolator
-    flow, trans = u.flow, u.trans
-    y0 = np.append(flow.nodes(), flow.half_period)
-    vals = np.concatenate([u.values, u.values[:1]], axis=0)
-    axes = (y0,) + (trans.axis_nodes(),) * trans.dim
-    q = np.array(pts, dtype=float)
-    period = 2.0 * flow.half_period
-    q[:, 0] = np.mod(q[:, 0] + flow.half_period, period) - flow.half_period
-    re = RegularGridInterpolator(axes, vals.real, method=method,
-                                 bounds_error=False, fill_value=np.nan)
-    im = RegularGridInterpolator(axes, vals.imag, method=method,
-                                 bounds_error=False, fill_value=np.nan)
-    return re(q) + 1j * im(q)
-
-
-def transfer_apply(spec, u, flow=None, trans=None, method="linear"):
-    """Apply L u = g (u o F) on the volume grid.
-
-    u may be a VolumeField (interpolated at the image points, error when
-    the map escapes the box where |g| exceeds 1e-8 of its peak) or a
-    plain callable evaluated exactly at the image points.
-    """
-    if isinstance(u, VolumeField):
-        flow = u.flow if flow is None else flow
-        trans = u.trans if trans is None else trans
-    if flow is None or trans is None:
-        raise ValueError("transfer_apply needs the flow and transversal "
-                         "grids when u is not a VolumeField")
+def transfer_apply(spec, u, flow, trans):
+    """Apply L u = g (u o F) on the volume grid flow x trans, with the
+    callable u evaluated exactly at the mapped nodes; nothing is
+    interpolated."""
     pts = _volume_points(flow, trans.nodes())
-    fpts = spec.map.apply(pts)
     gv = np.asarray(spec.g(pts), dtype=complex)
-    if isinstance(u, VolumeField):
-        uv = _interpolate_volume(u, fpts, method)
-        bad = ~np.isfinite(uv)
-        gmax = max(float(np.max(np.abs(gv))), 1e-300)
-        if np.any(bad & (np.abs(gv) > _SUPPORT_TOL * gmax)):
-            raise ValueError(
-                "the map leaves the grid inside the support of g")
-        uv[bad] = 0.0
-    else:
-        uv = np.asarray(u(fpts), dtype=complex)
+    uv = np.asarray(u(spec.map.apply(pts)), dtype=complex)
     vals = (gv * uv).reshape((flow.n_points,) + trans.shape())
     return VolumeField(flow, trans, vals)
 
@@ -170,46 +129,6 @@ def flow_fourier_coeffs(g_vals, flow):
     m = np.arange(-(flow.n_points - 1), flow.n_points)
     phase = np.exp(-1j * np.outer(m * flow.freq_spacing, flow.nodes()))
     return (2.0 * np.pi) ** (-0.5) * flow.spacing * (phase @ g_mat)
-
-
-class OperatorMatrix:
-    """Dense lift matrix on one partial phase grid.
-
-    Row/column layout is flow-slice major, then the phase grid in its
-    native (centers..., freqs...) raveling.  Application multiplies by
-    the grid measure, so the matrix itself holds plain kernel values.
-    """
-
-    def __init__(self, values, flow, phase):
-        values = np.asarray(values, dtype=complex)
-        n = flow.n_points * phase.num_points
-        if values.shape != (n, n):
-            raise ValueError("matrix of shape %s, the grids need %d x %d"
-                             % (values.shape, n, n))
-        self.values = values
-        self.flow = flow
-        self.phase = phase
-
-    @property
-    def in_measure(self):
-        return self.flow.freq_spacing * self.phase.weight
-
-    def apply(self, pf):
-        shape = (self.flow.n_points,) + self.phase.shape()
-        if pf.values.shape != shape:
-            raise ValueError("phase field of shape %s, the matrix acts on %s"
-                             % (pf.values.shape, shape))
-        out = self.values @ pf.values.ravel() * self.in_measure
-        return PartialPhaseField(self.flow, self.phase, out.reshape(shape))
-
-    def scaled(self, column_diagonal):
-        """New matrix with columns multiplied by a diagonal vector."""
-        diag = np.asarray(column_diagonal)
-        if diag.shape != (self.values.shape[1],):
-            raise ValueError("column diagonal of shape %s for %d columns"
-                             % (diag.shape, self.values.shape[1]))
-        return OperatorMatrix(self.values * diag[None, :], self.flow,
-                              self.phase)
 
 
 def slice_coupling(ghat, shift, out_idx, in_idx, in_freqs, band):
@@ -305,12 +224,12 @@ def _dense_packets(pg, kappa, points):
 
 
 def lift_kernel(spec, flow, trans, pg):
-    """Assemble the dense lifted kernel matrix by quadrature.
-
-    Block (s, t) pairs the conjugate slice-s packets at the quadrature
-    nodes with the slice-t packets at the mapped nodes through the same
-    slice coupling that lift_apply uses.
-    """
+    """The dense lifted kernel by quadrature, a complex (n0 npts, n0 npts)
+    array, flow-slice major, then pg in its (centers..., freqs...)
+    raveling, of plain kernel values: it acts times the in measure
+    flow.freq_spacing * pg.weight.  Block (s, t) pairs the conjugate
+    slice-s packets at the quadrature nodes with the slice-t packets at
+    the mapped nodes through the slice coupling that lift_apply uses."""
     n0, npts = flow.n_points, pg.num_points
     check_dense(n0 * npts, n0 * npts, "lift matrix")
     coupling, fy, kaps = _full_lift(spec, flow, trans)
@@ -324,7 +243,7 @@ def lift_kernel(spec, flow, trans, pg):
             np.matmul(packets[s][0] * coupling[s, t], packets[t][1],
                       out=block)
             block *= amps[s] * amps[t] * scale
-    return OperatorMatrix(values, flow, pg)
+    return values
 
 
 def _packet_gram(pg, kappa, points):
@@ -374,13 +293,16 @@ def reduced_lift(spec, flow, trans, pg):
 
 def lift_fingerprint(spec, flow, trans, pg):
     """Short hash of what fixes the lift_kernel matrix: the map, the
-    amplitude's name, the grid sizes and the matrix shape.  Nothing is
-    assembled."""
+    amplitude on the flow x transversal nodes (rounded to 12 decimals, so
+    a last-bit change in exp keeps the hash; not the spec's name), the
+    grid sizes and the matrix shape.  Nothing is assembled."""
     rows = flow.n_points * pg.num_points
+    amp = np.round(spec.g_values(flow, trans.nodes()), 12) + 0.0
     meta = {"kind": "lift-kernel", "map_family": spec.map.family,
             "map_params": {k: np.asarray(v).tolist()
                            for k, v in spec.map.params.items()},
-            "amplitude": spec.name, "n0": flow.n_points,
+            "amplitude": hashlib.sha256(amp.tobytes()).hexdigest(),
+            "n0": flow.n_points,
             "half_period": flow.half_period,
             "trans_n": trans.points_per_axis,
             "trans_half_width": trans.half_width}
@@ -534,15 +456,13 @@ def cutoff_diagonals(flow, pg, wspec):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def decompose(matrix, wspec):
-    """Split a lift matrix into compact, central and hyperbolic parts.
-
-    The parts are the matrix right-multiplied by the diagonal cutoffs
-    X0, X_ctr (1 - X0) and (1 - X_ctr)(1 - X0); their sum recovers the
-    matrix up to floating point.
-    """
-    x0, ctr, hyp = cutoff_diagonals(matrix.flow, matrix.phase, wspec)
-    return matrix.scaled(x0), matrix.scaled(ctr), matrix.scaled(hyp)
+def decompose(matrix, flow, pg, wspec):
+    """Split a lift_kernel matrix on flow x pg into compact, central and
+    hyperbolic parts: its columns times the diagonal cutoffs X0, X_ctr
+    (1 - X0) and (1 - X_ctr)(1 - X0), which sum to the matrix up to
+    floating point."""
+    return tuple(matrix * diag[None, :]
+                 for diag in cutoff_diagonals(flow, pg, wspec))
 
 
 def lambda_delta(spec, flow, trans, lam, r):

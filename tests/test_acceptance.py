@@ -298,9 +298,9 @@ def test_criterion_11_compactness_proxy():
         return np.exp(1j * pts[:, 0]) * np.exp(-r2 / 0.5)
     spec = TransferSpec(ContactMap.shear(2.0, 0.3), g, name="shear-bump")
     mat = lift_kernel(spec, flow, trans, pg)
-    cpt, ctr, hyp = decompose(mat, WeightSpec(big_n=1.0))
-    assert np.max(np.abs(ctr.values)) > 0 and np.max(np.abs(hyp.values)) > 0
-    sig = np.linalg.svd(cpt.values, compute_uv=False)
+    cpt, ctr, hyp = decompose(mat, flow, pg, WeightSpec(big_n=1.0))
+    assert np.max(np.abs(ctr)) > 0 and np.max(np.abs(hyp)) > 0
+    sig = np.linalg.svd(cpt, compute_uv=False)
     ratio = sig[49] / sig[0]
     verdict(11, "singular values of the compact part collapse",
             ratio <= 1e-3, "s50/s1 = %.2e" % ratio)
@@ -341,9 +341,7 @@ def test_criterion_14_central_block():
     _, _, bound = lambda_delta(spec, flow, trans, lam=2.0, r=1.0)
     diffs, primed = [], []
     for k in (6, 8, 12):
-        res = central_block_audit(spec, k, wspec, flow, seed=0,
-                                  c_margin=2.5, f_margin=1.0,
-                                  ghat_offsets=3)
+        res = central_block_audit(spec, k, wspec, flow, seed=0)
         assert not res["vanishes"]
         diffs.append(res["norm_diff"])
         primed.append(res["norm_primed"])

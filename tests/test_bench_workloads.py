@@ -8,6 +8,7 @@ workload's own scratch directory.
 """
 
 import importlib.util
+import inspect
 import os
 
 import pytest
@@ -33,3 +34,12 @@ def test_smoke_pass_has_no_failed_check(name, tmp_path):
     assert ops
     failures = {op: fn() for op, fn in ops}
     assert failures == {op: [] for op, _ in ops}
+
+
+def test_central_frame_defaults_are_the_benchmarked_frame():
+    # central-audit builds CentralFrame with its defaults, and the central
+    # workload passes its frame by name: the two must be one frame
+    from contactfbi.spectra import CentralFrame
+    params = inspect.signature(CentralFrame).parameters
+    frame = load_workloads().Central.FRAME
+    assert {name: params[name].default for name in frame} == frame

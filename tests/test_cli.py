@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -85,7 +86,10 @@ class TestConfigParsing:
                      "delta = nan\n", "map_lam = nan\n", "map_eps = inf\n",
                      "amp_width = nan\n", "tol = nan\n", "lams = 4, inf\n",
                      "norm_half_width = inf\n", "norm_spacing = nan\n",
-                     "n_ks = 2, nan\n", "window_m = inf\n", "margin = nan\n"):
+                     "n_ks = 2, nan\n", "window_m = inf\n", "margin = nan\n",
+                     # a zero or negative amplitude width or window
+                     "amp_width = 0\n", "amp_width = -0.5\n",
+                     "window_m = 0\n", "window_m = -1\n"):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_file(write(tmp_path / "a.cfg", body))
 
@@ -265,7 +269,24 @@ class TestSubcommands:
         assert outs[0]["audit"] == outs[1]["audit"]
         # the hash of the lift's meta and shape, as when it was assembled
         assert outs[0]["rows"] == 1024
-        assert outs[0]["fingerprint"] == "71c390569aa19aec"
+        assert outs[0]["fingerprint"] == "08b7249b97d5150d"
+
+    def test_lift_fingerprint_follows_the_amplitude(self, tmp_path):
+        # the hash reads the amplitude's values on the grids, not the tag:
+        # bump and flow differ on the same grids, two tags of one config
+        # agree
+        prints = {}
+        for name, extra in (("bump", "amplitude = bump\n"),
+                            ("flow", "amplitude = flow\n"),
+                            ("retagged", "amplitude = bump\ntag = other\n")):
+            path = write(tmp_path / (name + ".cfg"), TINY_MODEL + extra)
+            out = tmp_path / name
+            assert main(["lift-audit", "--config", path,
+                         "--out", str(out)]) == 0
+            prints[name] = json.loads(
+                (out / "summary.json").read_text())["fingerprint"]
+        assert prints["bump"] != prints["flow"]
+        assert prints["bump"] == prints["retagged"]
 
     def test_lift_audit_default_config(self, tmp_path):
         # 8 flow slices x 12^4 phase points: far above the dense budget,
@@ -348,11 +369,20 @@ class TestSubcommands:
         assert rep["min_ratio"] > 0
         assert rep["gram_offdiag"] <= 0.1
 
-    def test_lower_bound_off_lattice_exits_one(self, tmp_path):
-        path = write(tmp_path / "l.cfg",
-                     "d = 1\nflow_points = 16\nn_ks = 2.5\n")
-        assert main(["lower-bound", "--config", path,
-                     "--out", str(tmp_path)]) == 1
+    def test_lower_bound_off_lattice_exits_two(self, tmp_path, capsys):
+        # refused at planning, before the output directory is made: n_k =
+        # 2.5 is off the lattice, and the default config's n_k = 6 is
+        # beyond the 8-point flow grid's Nyquist range [-4, 3]
+        for name, body, message in (
+                ("off", "d = 1\nflow_points = 16\nn_ks = 2.5\n",
+                 "not on the flow frequency lattice"),
+                ("default", "d = 1\n", "Nyquist range [-4, 3]")):
+            path = write(tmp_path / (name + ".cfg"), body)
+            out = tmp_path / name
+            assert main(["lower-bound", "--config", path,
+                         "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_central_audit(self, tmp_path):
         path = write(tmp_path / "c.cfg",
@@ -370,8 +400,7 @@ class TestSubcommands:
 class TestImports:
 
     def test_cli_loads_no_scipy(self):
-        # the two dense solves are numpy's; scipy.interpolate is imported
-        # only inside transfer_ops._interpolate_volume
+        # the dense solves are numpy's
         script = ("import sys, contactfbi.cli; print(sorted(m for m in "
                   "sys.modules if m.split('.')[0] == 'scipy'))")
         src = os.path.dirname(os.path.dirname(contactfbi.__file__))
@@ -382,3 +411,24 @@ class TestImports:
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
+
+    def test_no_module_imports_scipy(self):
+        # scipy is a test dependency only: no module of the package may
+        # import it, not even inside a function on a path the CLI skips
+        pkg = os.path.dirname(contactfbi.__file__)
+        modules = sorted(n for n in os.listdir(pkg) if n.endswith(".py"))
+        offenders = []
+        for name in modules:
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    mods = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    mods = [node.module or ""]
+                else:
+                    continue
+                offenders += ["%s line %d: %s" % (name, node.lineno, m)
+                              for m in mods if m.split(".")[0] == "scipy"]
+        assert "transfer_ops.py" in modules
+        assert offenders == []

@@ -198,10 +198,9 @@ class TestDenseBudget:
                                             lower_bound_family,
                                             weighted_gram,
                                             weighted_norm_measure)
-            from contactfbi.transfer_ops import (OperatorMatrix, TransferSpec,
+            from contactfbi.transfer_ops import (TransferSpec,
                                                  kernel_bound_audit,
-                                                 lambda_delta, lift_apply,
-                                                 lift_kernel, transfer_apply)
+                                                 lambda_delta, lift_apply)
             assert False, "assert statements are not stripped"
             th = np.pi / 6.0
             rot = np.array([[np.cos(th), -np.sin(th)],
@@ -209,16 +208,12 @@ class TestDenseBudget:
             spec = TransferSpec(ContactMap.shear(2.0, 0.3), lambda p: np.exp(
                 -np.sum(p[:, 1:] ** 2, axis=-1)))
             block = CentralBlock(CentralFrame(
-                spec, 3, WeightSpec(big_n=8.0), FlowGrid(np.pi / 2.0, 2),
-                c_margin=2.5, f_margin=1.0, ghat_offsets=3), primed=False)
+                spec, 3, WeightSpec(big_n=8.0), FlowGrid(np.pi / 2.0, 2)),
+                primed=False)
             flow, trans = FlowGrid(np.pi, 2), make_grid(2, 1.2, 4)
             pg = dual_phase_grid(trans, n_freq=4)
             four_slices = PartialPhaseField(FlowGrid(np.pi, 4), pg,
                                             np.zeros((4,) + pg.shape()))
-            pg6 = dual_phase_grid(trans, n_freq=6)
-            other_grid = PartialPhaseField(flow, pg6,
-                                           np.zeros((2,) + pg6.shape()))
-            mat = lift_kernel(spec, flow, trans, pg)
             b4 = np.diag([4.0, 0.25])
             # a map whose Jacobian vanishes, so E^+ has zero volume
             flat = TransferSpec(SimpleNamespace(
@@ -255,8 +250,6 @@ class TestDenseBudget:
                 "lift_apply slices": ("4 flow slices, the lift 2",
                                       lambda: lift_apply(spec, flow, trans,
                                                          pg, four_slices)),
-                "matrix apply": ("the matrix acts on",
-                                 lambda: mat.apply(other_grid)),
                 "small band": ("frequency count 16 too small",
                                lambda: dual_phase_grid(make_grid(1, 8.0, 32),
                                                        n_freq=16)),
@@ -299,11 +292,6 @@ class TestDenseBudget:
                                         lambda: PartialPhaseField(
                                             flow, pg,
                                             np.zeros((3,) + pg.shape()))),
-                "operator matrix": ("the grids need 512 x 512",
-                                    lambda: OperatorMatrix(
-                                        np.zeros((3, 3)), flow, pg)),
-                "scaled": ("column diagonal of shape (3,)",
-                           lambda: mat.scaled(np.ones(3))),
                 "forward dimension": ("a 1-dimensional field on a "
                                       "2-dimensional phase grid",
                                       lambda: fbi_forward(
@@ -349,9 +337,6 @@ class TestDenseBudget:
                                       np.zeros((2, 2)))),
                 "amplitude": ("g must be callable",
                               lambda: TransferSpec(spec.map, 1.0)),
-                "transfer grids": ("needs the flow and transversal grids",
-                                   lambda: transfer_apply(
-                                       spec, lambda p: p[:, 0])),
                 "rho": ("rho must be positive",
                         lambda: kernel_bound_audit(spec, flow, trans, pg,
                                                    rho=0.0)),

@@ -228,11 +228,12 @@ class TestWeightedNorm:
         assert vals[1] < vals[0]
 
 
-def slice_defect(mat):
-    """Largest cross-slice entry over the largest diagonal-block entry;
-    near zero exactly when the lift is block diagonal over xi0."""
-    n0, npts = mat.flow.n_points, mat.phase.num_points
-    peak = np.abs(mat.values).reshape(n0, npts, n0, npts).max(axis=(1, 3))
+def slice_defect(mat, n0):
+    """Largest cross-slice entry over the largest diagonal-block entry of
+    a lift on n0 flow slices; near zero exactly when the lift is block
+    diagonal over xi0."""
+    npts = mat.shape[0] // n0
+    peak = np.abs(mat).reshape(n0, npts, n0, npts).max(axis=(1, 3))
     return np.max(peak[~np.eye(n0, dtype=bool)]) / np.max(np.diag(peak))
 
 
@@ -253,7 +254,8 @@ class TestModelSpectrum:
         cmap = ContactMap.linear(sym_block(4.0))
         spec = TransferSpec(cmap, bump_amp(), name="bump")
         mat = lift_kernel(spec, flow, trans, pg)
-        conj = np.linalg.eigvals(conjugated_operator(mat, WeightSpec()))
+        conj = np.linalg.eigvals(conjugated_operator(mat, flow, pg,
+                                                     WeightSpec()))
         rep = model_spectrum(spec, [(flow, trans, pg)], 0.5)[0]
         conj = conj[np.argsort(-np.abs(conj))]
         top, tail = np.split(conj, [rep.refinement["reduced_rows"]])
@@ -324,13 +326,14 @@ class TestModelSpectrum:
         spec = TransferSpec(cmap, g)
         rep = model_spectrum(spec, [(flow, trans, pg)], 0.5)[0]
         mat = lift_kernel(spec, flow, trans, pg)
-        dense = np.abs(mat.in_measure * np.linalg.eigvals(mat.values))
+        dense = np.abs(flow.freq_spacing * pg.weight
+                       * np.linalg.eigvals(mat))
         dense = np.sort(dense)[::-1]
         reduced = rep.refinement["reduced_rows"]
         assert reduced == rep.eigenvalues.size == n0 * trans.num_points
-        assert rep.refinement["rows"] == mat.values.shape[0]
+        assert rep.refinement["rows"] == mat.shape[0]
         assert rep.refinement["slice_blocks"] == (n0 if by_slice else 1)
-        assert rep.structural_zeros == mat.values.shape[0] - reduced
+        assert rep.structural_zeros == mat.shape[0] - reduced
         assert np.max(np.abs(rep.moduli - dense[:reduced])) <= \
             1e-12 * dense[0]
         assert np.max(dense[reduced:]) <= 1e-12 * dense[0]
@@ -368,7 +371,8 @@ class TestModelSpectrum:
         spec = TransferSpec(ContactMap.shear(2.0, 0.3), flow_amp())
         rep = model_spectrum(spec, [(flow, trans, pg)], 0.5)[0]
         mat = lift_kernel(spec, flow, trans, pg)
-        dense = np.abs(mat.in_measure * np.linalg.eigvals(mat.values))
+        dense = np.abs(flow.freq_spacing * pg.weight
+                       * np.linalg.eigvals(mat))
         dense = np.sort(dense)[::-1]
         assert rep.refinement["reduced_rows"] == 144
         assert rep.eigenvalues.size == rep.refinement["rows"] == 64
@@ -379,14 +383,14 @@ class TestModelSpectrum:
         cmap = ContactMap.linear(sym_block(4.0))
         spec = TransferSpec(cmap, bump_amp(), name="bump")
         mat = lift_kernel(spec, flow, trans, pg)
-        assert slice_defect(mat) == 0
+        assert slice_defect(mat, flow.n_points) == 0
 
     def test_not_block_diagonal_with_flow_dependence(self):
         flow, trans, pg = toy_setting()
         cmap = ContactMap.linear(sym_block(4.0))
         spec = TransferSpec(cmap, flow_amp(), name="flow")
         mat = lift_kernel(spec, flow, trans, pg)
-        assert slice_defect(mat) > 1e-3
+        assert slice_defect(mat, flow.n_points) > 1e-3
 
 
 class TestLowerBoundFamily:
@@ -518,8 +522,6 @@ def pair_apply_adjoint(blk, w):
 
 class TestCentralBlock:
 
-    kwargs = {"c_margin": 2.5, "f_margin": 1.0, "ghat_offsets": 3}
-
     def test_vanishes_below_threshold(self):
         spec, _, flow = central_setting()
         res = central_block_audit(spec, 4, WeightSpec(big_n=32.0), flow)
@@ -529,13 +531,12 @@ class TestCentralBlock:
         # k^2 > N/2 but the q-tilde slab still sits inside the compact
         # cutoff, so the column cutoff is identically zero
         spec, _, flow = central_setting()
-        res = central_block_audit(spec, 5, WeightSpec(big_n=32.0), flow,
-                                  **self.kwargs)
+        res = central_block_audit(spec, 5, WeightSpec(big_n=32.0), flow)
         assert res["vanishes"]
 
     def test_adjoint_pairing(self):
         spec, wspec, flow = central_setting()
-        frame = CentralFrame(spec, 6, wspec, flow, **self.kwargs)
+        frame = CentralFrame(spec, 6, wspec, flow)
         rng = np.random.default_rng(3)
         u = rng.standard_normal((frame.eta0.size, frame.pg_in.num_points)) \
             + 1j * rng.standard_normal((frame.eta0.size,
@@ -553,7 +554,7 @@ class TestCentralBlock:
 
     def test_matches_per_pair_loop(self):
         spec, wspec, flow = central_setting()
-        frame = CentralFrame(spec, 6, wspec, flow, **self.kwargs)
+        frame = CentralFrame(spec, 6, wspec, flow)
         rng = np.random.default_rng(5)
         shape_in = (frame.eta0.size, frame.pg_in.num_points)
         shape_out = (frame.xi0.size, frame.pg_out.num_points)
@@ -576,7 +577,7 @@ class TestCentralBlock:
         # memoize the off-grid ones, so only the first application may
         # evaluate a packet factor
         spec, wspec, flow = central_setting()
-        frame = CentralFrame(spec, 6, wspec, flow, **self.kwargs)
+        frame = CentralFrame(spec, 6, wspec, flow)
         rng = np.random.default_rng(7)
         shape_in = (frame.eta0.size, frame.pg_in.num_points)
         shape_out = (frame.xi0.size, frame.pg_out.num_points)
@@ -600,7 +601,7 @@ class TestCentralBlock:
 
     def test_zero_amplitude_gives_zero_block(self):
         spec, wspec, flow = central_setting(g=zero_amp())
-        frame = CentralFrame(spec, 6, wspec, flow, **self.kwargs)
+        frame = CentralFrame(spec, 6, wspec, flow)
         blk = CentralBlock(frame, primed=False)
         rng = np.random.default_rng(0)
         u = rng.standard_normal((frame.eta0.size, frame.pg_in.num_points))
@@ -612,8 +613,7 @@ class TestCentralBlock:
         # freeze, so the difference stays below the block norm itself
         spec, wspec, flow = central_setting(
             g=flow_only_amp, cmap=ContactMap.linear(sym_block(2.0)))
-        res = central_block_audit(spec, 6, wspec, flow, iters=8,
-                                  **self.kwargs)
+        res = central_block_audit(spec, 6, wspec, flow, iters=8)
         assert not res["vanishes"]
         assert res["norm_primed"] > 0
         assert res["norm_diff"] < res["norm_primed"]
@@ -623,7 +623,7 @@ class TestCentralBlock:
         # both specs give the same slice coupling and mapped points
         spec, wspec, flow = central_setting(
             g=flow_only_amp, cmap=ContactMap.linear(sym_block(2.0)))
-        f = CentralFrame(spec, 6, wspec, flow, **self.kwargs)
+        f = CentralFrame(spec, 6, wspec, flow)
         args = (f.flow, f.ypts, f.xi_idx, f.eta_idx, f.eta0, f.dmax)
         coupling, mapped = lift_coupling(f.spec, *args)
         lin_coupling, lin_mapped = lift_coupling(f.linearized, *args)
@@ -637,7 +637,7 @@ class TestCentralBlock:
         spec, wspec, _ = central_setting()
         coarse = FlowGrid(np.pi / 24.0, 4)    # frequency spacing 24
         with pytest.raises(ValueError):
-            CentralFrame(spec, 6, wspec, coarse, **self.kwargs)
+            CentralFrame(spec, 6, wspec, coarse)
 
     def test_surrogate_respects_expansion_bound(self):
         # moderate weight exponent keeps the cone-transition amplification
@@ -646,7 +646,6 @@ class TestCentralBlock:
         wspec = WeightSpec(r=1.0, big_n=8.0)
         trans = make_grid(2, 1.2, 10)
         lam_fg, delta_fg, _ = lambda_delta(spec, flow, trans, 2.0, wspec.r)
-        res = central_block_audit(spec, 6, wspec, flow, iters=8,
-                                  **self.kwargs)
+        res = central_block_audit(spec, 6, wspec, flow, iters=8)
         bound = max(lam_fg, 1.0 * 2.0 ** (-wspec.r) * delta_fg)
         assert res["norm_primed"] <= 3.0 * bound
