@@ -308,6 +308,14 @@ def psi_dyadic(zeta, m):
     return chi_n(nz, -m) * psi_minus(zeta)
 
 
+def psi_dyadic_members(zeta, ms):
+    """[psi_dyadic(zeta, m) for m in ms], sharing |zeta| and the cones."""
+    nz = np.linalg.norm(zeta, axis=-1)
+    t = _cone(*_half_squares(zeta))
+    cone = {0: 1.0, 1: smooth_step(t), -1: smooth_step(1.0 - t)}
+    return [chi_n(nz, abs(m)) * cone[int(np.sign(m))] for m in ms]
+
+
 def lp_partition(m, x_dag, xi):
     """Littlewood-Paley style partition member Psi_m on phase space: the
     dyadic/cone partition transported with the same rescaled twisted

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .aniso_norm import (WeightSpec, _rescaled_twist, chi_n, cutoffs,
-                         psi_dyadic, q_k, q_tilde_separation)
+                         psi_dyadic_members, q_k, q_tilde_separation)
 from .contact_geometry import ContactMap
 from .fbi_core import det_factor, dual_phase_grid, fbi_roundtrip
 from .numerics import make_grid, sample
@@ -420,7 +420,7 @@ def run_partition_audit(cfg, out, seed, n):
     chi_sum = sum(chi_n(np.linalg.norm(xi, axis=-1), m) for m in range(12))
     # the members lp_partition(m, x, xi), sharing one rescaled twist
     zeta = _rescaled_twist(x, xi)
-    psi_sum = sum(psi_dyadic(zeta, m) for m in range(-12, 13))
+    psi_sum = sum(psi_dyadic_members(zeta, range(-12, 13)))
     t = rng.uniform(-20.0, 20.0, size=n)
     q_sum = sum(q_k(t, k) for k in range(-22, 23))
     x0, ctr, hyp = cutoffs(x, xi, cfg.weight)

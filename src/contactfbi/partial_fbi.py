@@ -27,35 +27,32 @@ trailing field axis that _slice_forward carries through the same
 per-axis contraction (aniso_norm.weighted_gram); flow_dft streams it for
 one field.
 
+Each slice transform contracts one axis at a time in a fixed order,
+searching no contraction path, and scales its prefactor into its smaller
+side; the last and largest product of _slice_forward sums over the end
+axis, y_1 or y_D, with fewer quadrature nodes (see _per_axis).
+
 A packet is a product of one factor per axis, so a quadratic form of a
 slice whose weight depends on the frequencies alone factors through the
-Gram of each axis over its centers, K[f, y, y'] (_slice_gram), a
-(nf, ny, ny) array, where the slice itself holds nc^D nf^D coefficients.
-The packets are Gaussians, so K has a closed form built from no axis
-matrix.  slice_energy (the sum over the centers of a slice's squared
-coefficients, per frequency, behind aniso_norm.sobolev_norms) contracts
-the Grams from both sides of the slice, and slice_roundtrip (T* T of one
-slice, the tensor product of the sums over f of the Grams, behind
-pfbi_roundtrip and fbi_core.fbi_roundtrip) applies one summed Gram per
-axis; neither forms a coefficient.
+closed-form Gram of each axis over its centers, K[f, y, y']
+(_slice_gram), an (nf, ny, ny) array: slice_energy (behind
+aniso_norm.sobolev_norms) and slice_roundtrip (T* T of one slice, behind
+pfbi_roundtrip and fbi_core.fbi_roundtrip) contract the Grams and form
+no coefficient.
 
-Every packet factor of an axis is memoized on its PhaseAxis and returned
-read-only: the on-grid matrices of _slice_axis_matrix and the off-grid
-factors of reconstruct_slice / scatter_slice in ax.factors (the
-conjugate factor is np.conj of the plain one), the Grams in ax.grams.
-The slice transforms read their axis matrices from the memo, so no
-caller builds or passes a factor.  dual_phase_grid repeats one axis D
-times and the slices at +-xi0 share the width <xi0>, so each distinct
-factor is built once per grid, and the memo lives and dies with the
-grid.  One axis matrix holds nc nf ny values and one Gram nf ny^2, where
-one slice of coefficients holds nc^D nf^D: on the fine C9 norm grid
-(nc = 64, nf = 28, ny = 20, D = 2), 573 kB, 179 kB and 51 MB.
+Every packet factor of an axis is memoized read-only on its PhaseAxis:
+the on-grid matrices of _slice_axis_matrix and the off-grid factors of
+reconstruct_slice / scatter_slice in ax.factors, the Grams in ax.grams.
+So no caller builds or passes a factor, the identical axes of
+dual_phase_grid and the slices at +-xi0 share one build, and the memo
+lives and dies with the grid.  One axis matrix holds nc nf ny values and
+one Gram nf ny^2, where one slice of coefficients holds nc^D nf^D: on
+the fine C9 norm grid (nc = 64, nf = 28, ny = 20, D = 2), 573 kB, 179 kB
+and 51 MB.
 
 Since the packet width shrinks with <xi0>, the transversal spacing must
 satisfy h <= 0.7 <xi0>^(-1/2) for the largest flow frequency on the grid.
 """
-
-import string
 
 import numpy as np
 
@@ -288,19 +285,28 @@ def _slice_gram(ax, kappa):
 
 def _per_axis(vals, factors):
     """_slice_forward's contraction of the leading y axes of vals, one
-    per factor, with the last axis of each per-axis array (a_i, b_i, y_i)
-    in turn.  Axes of vals after the y axes (a field axis) lead the result.
-
-    The contraction leaves a C-contiguous array in the per-axis layout
-    (fields..., a_1, b_1, a_2, b_2, ...); the result is its transposed
-    view (fields..., a..., b...), which per_axis_order takes back.
-    """
-    work = vals
-    for m in factors:
-        work = np.tensordot(work, m, axes=([0], [2]))
-    lead = work.ndim - 2 * len(factors)
-    return np.transpose(work, [*range(lead), *range(lead, work.ndim, 2),
-                               *range(lead + 1, work.ndim, 2)])
+    per factor, with the last axis of each per-axis array (a_i, b_i, y_i).
+    Axes of vals after the y axes (a field axis) lead the result.  The
+    last, largest product sums over y_D, or over y_1 if it has fewer
+    nodes: from y_1 each product contracts the leading y axis and appends
+    (a_i, b_i), from y_D (fields first) the factor is on the left of a
+    product batched over the axes before y_i.  Either way the result is
+    a transposed view (fields..., a..., b...) of a C-contiguous array in
+    the per-axis layout (fields..., a_1, b_1, ...) of per_axis_order."""
+    dim = len(factors)
+    fields = vals.shape[dim:]
+    if factors[-1].shape[2] <= factors[0].shape[2]:
+        work = vals
+        for m in factors:
+            work = np.tensordot(work, m, axes=([0], [2]))
+    else:
+        # fields first, then (..., y_i, done) -> (..., a_i b_i done)
+        work = np.moveaxis(vals[..., None], range(dim), range(-dim - 1, -1))
+        for m in factors[::-1]:
+            work = np.matmul(m.reshape(-1, m.shape[2]), work)
+            work = work.reshape(*work.shape[:-2], -1)
+        work = work.reshape(fields + sum((m.shape[:2] for m in factors), ()))
+    return np.transpose(work, np.argsort(per_axis_order(dim, len(fields))))
 
 
 def per_axis_order(dim, lead):
@@ -318,12 +324,11 @@ def _slice_forward(slice_vals, pg, kappa):
 
     slice_vals may carry a field axis after its transversal axes; the
     one contraction then gives the coefficients of every field, of shape
-    (n_fields, nc..., nf...).  Like every _per_axis result, the array is
-    a transposed view of a C-contiguous one in the per-axis layout."""
+    (n_fields, nc..., nf...), in the layout of _per_axis."""
     factors = [_slice_axis_matrix(ax, kappa, True) for ax in pg.axes]
-    out = _per_axis(slice_vals, factors)
-    out *= _amplitude(kappa, pg.dim) * pg.y_weight
-    return out
+    # the prefactor scales the ny^D values, not the nc^D nf^D coefficients
+    return _per_axis(slice_vals * (_amplitude(kappa, pg.dim) * pg.y_weight),
+                     factors)
 
 
 def _slice_adjoint(slice_vals, pg, kappa):
@@ -342,48 +347,45 @@ def _slice_adjoint(slice_vals, pg, kappa):
 
 
 def _point_factors(pg, kappa, pts, conj):
-    """Axis factors at arbitrary transversal points, with the einsum
-    subscripts of the phase grid and of each factor."""
+    """Axis factors (c, f, z) of pg at arbitrary transversal points z."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    d2 = pg.dim
-    if pts.shape[1] != d2:
+    if pts.shape[1] != pg.dim:
         raise ValueError("points of width %d on a %d-dimensional phase grid"
-                         % (pts.shape[1], d2))
-    letters = string.ascii_lowercase
-    cs, fs = letters[:d2], letters[d2:2 * d2]
-    factors = [_cached_axis_factor(ax, pts[:, a], kappa, conj)
-               for a, ax in enumerate(pg.axes)]
-    subscripts = [cs[a] + fs[a] + "z" for a in range(d2)]
-    return cs + fs, subscripts, factors
+                         % (pts.shape[1], pg.dim))
+    return [_cached_axis_factor(ax, pts[:, a], kappa, conj)
+            for a, ax in enumerate(pg.axes)]
 
 
 def reconstruct_slice(slice_vals, pg, kappa, pts):
     """Evaluate the adjoint superposition of one frequency slice at
-    arbitrary transversal points.
-
-    Same prefactor and measure as _slice_adjoint, but the evaluation
-    points need not lie on the quadrature grid, so the per-axis structure
-    is contracted with one factor per axis through einsum.
-    """
-    grid, subscripts, factors = _point_factors(pg, kappa, pts, conj=False)
-    out = np.einsum(",".join([grid] + subscripts) + "->z",
-                    np.asarray(slice_vals, dtype=complex), *factors,
-                    optimize=True)
-    return _amplitude(kappa, pg.dim) * pg.weight * out
+    arbitrary transversal points z, with the prefactor and measure of
+    _slice_adjoint: one tensordot over (c_1, f_1), then one product per
+    further (c_i, f_i) batched over z, searching no path; the prefactor
+    scales the output, the smaller side."""
+    factors = _point_factors(pg, kappa, pts, conj=False)
+    work = np.tensordot(np.transpose(slice_vals, per_axis_order(pg.dim, 0)),
+                        factors[0], axes=([0, 1], [0, 1]))
+    for m in factors[1:]:
+        work = (work.reshape(m.shape[0] * m.shape[1], -1, m.shape[2])
+                * m.reshape(-1, 1, m.shape[2])).sum(axis=0)
+    return _amplitude(kappa, pg.dim) * pg.weight * work.ravel()
 
 
 def scatter_slice(vals, pg, kappa, pts):
-    """Adjoint companion of reconstruct_slice: push values sitting at
-    arbitrary transversal points back onto the phase lattice of one
-    slice, with the same prefactor and measure."""
-    vals = np.asarray(vals, dtype=complex).ravel()
-    grid, subscripts, factors = _point_factors(pg, kappa, pts, conj=True)
-    if vals.size != factors[0].shape[2]:
+    """Adjoint companion of reconstruct_slice, with the same prefactor and
+    measure: push values at transversal points z onto the phase lattice
+    of one slice.  The prefactor scales the values, the smaller side; the
+    factors of axes D..2 multiply in batched over z, and one tensordot
+    with the first factor sums over z, searching no path."""
+    factors = _point_factors(pg, kappa, pts, conj=True)
+    work = _amplitude(kappa, pg.dim) * pg.weight * np.ravel(vals)
+    if work.size != factors[0].shape[2]:
         raise ValueError("%d values for %d points"
-                         % (vals.size, factors[0].shape[2]))
-    out = np.einsum(",".join(["z"] + subscripts) + "->" + grid,
-                    vals, *factors, optimize=True)
-    return _amplitude(kappa, pg.dim) * pg.weight * out
+                         % (work.size, factors[0].shape[2]))
+    for m in factors[:0:-1]:
+        work = m.reshape(m.shape[:2] + (1,) * (work.ndim - 1) + (-1,)) * work
+    return np.transpose(np.tensordot(factors[0], work, axes=([2], [-1])),
+                        np.argsort(per_axis_order(pg.dim, 0)))
 
 
 def flow_dft_stack(vols, pg):

@@ -213,12 +213,14 @@ def _full_lift(spec, flow, trans):
 def _dense_packets(pg, kappa, points):
     """One slice's conjugate packets at the quadrature nodes, shape
     (num_points, n_quad), and its packets at points, (n_quad, num_points)."""
-    grid, subscripts, factors = _point_factors(pg, kappa, points, conj=False)
-    ys = string.ascii_uppercase[:pg.dim]
+    cs, fs, ys = (string.ascii_uppercase[i * pg.dim:(i + 1) * pg.dim]
+                  for i in range(3))
     on_grid = [_slice_axis_matrix(ax, kappa, True) for ax in pg.axes]
-    at_nodes = np.einsum(",".join(s[:2] + y for s, y in zip(subscripts, ys))
-                         + "->" + grid + ys, *on_grid)
-    at_points = np.einsum(",".join(subscripts) + "->z" + grid, *factors)
+    at_nodes = np.einsum(",".join(map("".join, zip(cs, fs, ys)))
+                         + "->" + cs + fs + ys, *on_grid)
+    at_points = np.einsum(",".join(c + f + "z" for c, f in zip(cs, fs))
+                          + "->z" + cs + fs,
+                          *_point_factors(pg, kappa, points, conj=False))
     npts = pg.num_points
     return at_nodes.reshape(npts, -1), at_points.reshape(-1, npts)
 

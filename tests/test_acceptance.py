@@ -14,13 +14,12 @@ import pytest
 from contactfbi.aniso_norm import (WeightSpec, chi_n, cutoffs, lp_partition,
                                    q_k, q_tilde_separation, sobolev_norms)
 from contactfbi.contact_geometry import (ContactMap, second_order_audit)
-from contactfbi.fbi_core import (PhaseGrid, det_factor, dual_phase_grid,
-                                 fbi_adjoint, fbi_forward, l0_hat_kernel,
-                                 lift_linear, linear_lift_kernel, z_change)
+from contactfbi.fbi_core import (det_factor, dual_phase_grid, fbi_adjoint,
+                                 fbi_forward, l0_hat_kernel, lift_linear,
+                                 linear_lift_kernel, z_change)
 from contactfbi.numerics import make_grid, quad_inner, sample
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField, pcal_apply,
-                                    pfbi_forward, pfbi_roundtrip,
-                                    sample_volume)
+                                    pfbi_forward, sample_volume)
 from contactfbi.spectra import (central_block_audit, model_spectrum,
                                 weighted_norm_measure)
 from contactfbi.transfer_ops import (TransferSpec, decompose, lambda_delta,

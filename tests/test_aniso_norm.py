@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from contactfbi.aniso_norm import (WeightSpec, bracket, cal_w_aniso, chi,
                                    chi_n, cutoff_triple, lp_partition,
-                                   psi_dyadic, psi_minus, psi_plus, q_block,
-                                   q_k, q_tilde, q_tilde_separation,
+                                   psi_dyadic, psi_dyadic_members, psi_minus,
+                                   psi_plus, q_block, q_k, q_tilde,
+                                   q_tilde_separation,
                                    q_tilde_support, slice_covectors,
                                    slice_weight, smooth_step,
                                    twisted_frequency, v_s, w_aniso)
@@ -279,6 +280,15 @@ class TestDyadicPartition:
         z = np.array([10.0, 0.0])
         assert psi_dyadic(z, 3) > 0.0
         assert psi_dyadic(z, -3) == pytest.approx(0.0)
+
+    def test_members_equal_pointwise_definition(self):
+        rng = np.random.default_rng(4)
+        zeta = rng.normal(size=(300, 4)) * rng.choice([0.5, 5.0, 50.0],
+                                                      size=(300, 1))
+        zeta[0] = 0.0
+        ms = range(-12, 13)
+        for m, got in zip(ms, psi_dyadic_members(zeta, ms)):
+            assert np.array_equal(got, psi_dyadic(zeta, m))
 
 
 class TestQPartitions:

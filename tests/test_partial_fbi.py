@@ -15,6 +15,7 @@ from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField, VolumeField,
                                     flow_slices, min_transversal_points,
                                     partial_packet, pcal_apply, pfbi_adjoint,
                                     pfbi_forward, pfbi_roundtrip,
+                                    per_axis_order,
                                     reconstruct_slice, sample_volume,
                                     scatter_slice, slice_energy,
                                     slice_roundtrip)
@@ -278,13 +279,134 @@ class TestSliceCore:
     def test_cached_factors_are_read_only(self):
         pts = self.rng.uniform(-2.0, 2.0, size=(5, 2))
         for conj in (False, True):
-            _, _, factors = _point_factors(self.pg, self.kappa, pts, conj)
+            factors = _point_factors(self.pg, self.kappa, pts, conj)
             for factor in factors:
                 assert not factor.flags.writeable
                 with pytest.raises(ValueError):
                     factor[0, 0, 0] = 0.0
-            _, _, again = _point_factors(self.pg, self.kappa, pts, conj)
+            again = _point_factors(self.pg, self.kappa, pts, conj)
             assert all(a is b for a, b in zip(factors, again))
+
+
+class TestContractionPaths:
+    """The slice transforms equal the many-operand einsum formulas they
+    replaced, on grids whose axes differ in every count, and search no
+    contraction path."""
+
+    # (nc, nf, ny) per axis: ny rising and falling between the end axes,
+    # which runs the forward chain from either end
+    GRIDS = {"rising 2": [(7, 5, 3), (4, 8, 6)],
+             "falling 2": [(7, 5, 6), (4, 8, 3)],
+             "rising 4": [(3, 4, 2), (5, 2, 5), (2, 3, 3), (4, 5, 4)],
+             "falling 4": [(3, 4, 4), (5, 2, 5), (2, 3, 3), (4, 5, 2)]}
+    KAPPA = 2.3
+
+    @staticmethod
+    def _grid(counts):
+        axes = []
+        for a, (nc, nf, ny) in enumerate(counts):
+            axes.append(PhaseAxis(
+                0.5 * (np.arange(nc) - (nc - 1) / 2.0) + 0.1 * a,
+                (np.arange(nf) + 0.5 - nf / 2.0) * 2.0 + 0.3 * a,
+                0.4 * (np.arange(ny) - (ny - 1) / 2.0) - 0.05 * a))
+        return PhaseGrid(axes)
+
+    @staticmethod
+    def _letters(dim):
+        return "abcd"[:dim], "efgh"[:dim], "ijkl"[:dim]
+
+    def _factors(self, pg, pts, conj):
+        return [_axis_factor(ax.centers, ax.freqs, pts[a], self.KAPPA, conj)
+                for a, ax in enumerate(pg.axes)]
+
+    def _reference(self, pg, name, vals, pts=None):
+        """The einsum formulas of the slice transforms before they ran
+        one axis at a time."""
+        cs, fs, ys = self._letters(pg.dim)
+        amp = _amplitude(self.KAPPA, pg.dim)
+        if name == "forward":
+            lead = "z" if vals.ndim > pg.dim else ""
+            factors = self._factors(pg, [ax.y for ax in pg.axes], True)
+            return amp * pg.y_weight * np.einsum(
+                ",".join([ys + lead] + list(map("".join, zip(cs, fs, ys))))
+                + "->" + lead + cs + fs, vals, *factors, optimize=True)
+        if name == "adjoint":
+            factors = self._factors(pg, [ax.y for ax in pg.axes], False)
+            return amp * pg.weight * np.einsum(
+                ",".join([cs + fs] + list(map("".join, zip(cs, fs, ys))))
+                + "->" + ys, vals, *factors, optimize=True)
+        subscripts = [c + f + "z" for c, f in zip(cs, fs)]
+        if name == "reconstruct":
+            factors = self._factors(pg, pts.T, False)
+            return amp * pg.weight * np.einsum(
+                ",".join([cs + fs] + subscripts) + "->z", vals, *factors,
+                optimize=True)
+        factors = self._factors(pg, pts.T, True)
+        return amp * pg.weight * np.einsum(
+            ",".join(["z"] + subscripts) + "->" + cs + fs, vals, *factors,
+            optimize=True)
+
+    @staticmethod
+    def _noise(rng, shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    @staticmethod
+    def _close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("fields", [(), (3,)])
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_forward_matches_einsum(self, name, fields):
+        pg = self._grid(self.GRIDS[name])
+        rng = np.random.default_rng(len(name) + len(fields))
+        y_shape = tuple(ax.y.size for ax in pg.axes)
+        vals = self._noise(rng, y_shape + fields)
+        got = _slice_forward(vals, pg, self.KAPPA)
+        self._close(got, self._reference(pg, "forward", vals))
+        # weighted_gram reshapes the per-axis layout without a copy
+        assert np.transpose(got, per_axis_order(pg.dim, len(fields))) \
+            .flags.c_contiguous
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_adjoint_and_off_grid_match_einsum(self, name):
+        pg = self._grid(self.GRIDS[name])
+        rng = np.random.default_rng(len(name))
+        coeffs = self._noise(rng, pg.shape())
+        self._close(_slice_adjoint(coeffs, pg, self.KAPPA),
+                    self._reference(pg, "adjoint", coeffs))
+        pts = rng.uniform(-1.0, 1.0, size=(29, pg.dim))
+        self._close(reconstruct_slice(coeffs, pg, self.KAPPA, pts),
+                    self._reference(pg, "reconstruct", coeffs, pts))
+        vals = self._noise(rng, 29)
+        self._close(scatter_slice(vals, pg, self.KAPPA, pts),
+                    self._reference(pg, "scatter", vals, pts))
+
+    def test_no_contraction_path_is_searched(self, monkeypatch):
+        try:
+            from numpy._core import einsumfunc
+        except ImportError:
+            from numpy.core import einsumfunc
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("einsum_path called")
+        monkeypatch.setattr(einsumfunc, "einsum_path", refuse)
+        monkeypatch.setattr(np, "einsum_path", refuse)
+        pg = self._grid(self.GRIDS["rising 4"])
+        rng = np.random.default_rng(5)
+        # the parent's formula searched a path on every call
+        with pytest.raises(AssertionError, match="einsum_path"):
+            self._reference(pg, "scatter", self._noise(rng, 3),
+                            rng.uniform(size=(3, pg.dim)))
+        for counts in self.GRIDS.values():
+            pg = self._grid(counts)
+            pts = rng.uniform(-1.0, 1.0, size=(7, pg.dim))
+            _slice_forward(self._noise(rng, tuple(ax.y.size
+                                                  for ax in pg.axes)),
+                           pg, self.KAPPA)
+            reconstruct_slice(self._noise(rng, pg.shape()), pg, self.KAPPA,
+                              pts)
+            scatter_slice(self._noise(rng, 7), pg, self.KAPPA, pts)
 
 
 class TestAxisMemo:

@@ -1,4 +1,5 @@
-"""Time the weighted-norm primitives of one or more source trees.
+"""Time the weighted-norm, central-block and slice-transform primitives of
+one or more source trees.
 
     python tools/time_primitives.py --src parent=../old/src --src change=src \
         [--repeats 30] [--rounds 3] [--out BENCH.json]
@@ -13,14 +14,21 @@ and each process times, --repeats times over the same inputs:
   images that lower_bound_family hands it on that config;
 * weighted_norm_measure: the norms of a norm-bound sweep, every lam and
   every s of the config, one call per lam where the function takes a
-  sequence of s values and one call per (lam, s) where it takes one.
+  sequence of s values and one call per (lam, s) where it takes one;
+* CentralBlock.apply / CentralBlock.apply_adjoint: the true block and
+  its surrogate on the k = 6 central frame of the central config,
+  applied to a pair seeded with 0;
+* _slice_forward / reconstruct_slice / scatter_slice: every call of that
+  slice transform made by one apply and one apply_adjoint of both
+  blocks, replayed on the arguments recorded from them.
 
 The configs are those of the lower-bound and norm-bound ops of the
-benchmark's norms workload (bench/workloads.py).  The result holds, per
-tree and primitive, the median and quartiles of the pooled timings, and
-the largest relative difference of each output from the first tree's;
-each tree is named by its label and a digest of its package files.
-It is printed, and written to --out when given.
+benchmark's norms workload and the frame of its central workload
+(bench/workloads.py).  The result holds, per tree and primitive, the
+median and quartiles of the pooled timings, and the largest relative
+difference of each output from the first tree's; each tree is named by
+its label and a digest of its package files.  It is printed, and written
+to --out when given.
 """
 
 import argparse
@@ -41,7 +49,17 @@ LOWER_BOUND = {"d": 1, "box_half": 1.6, "n_per_axis": 14, "flow_points": 16,
                "map_family": "shear", "map_lam": 2.0, "map_eps": 0.2,
                "amplitude": "flow", "n_ks": [2, 6], "window_m": 1.0}
 NORM_BOUND = {"d": 1}
-PRIMITIVES = ("slice_weight", "weighted_gram", "weighted_norm_measure")
+# the full-size Central workload: its config, the k of its timed step and
+# the frame options that central-audit passes
+CENTRAL = {"d": 1, "flow_points": 8, "flow_half_period": float(np.pi / 2.0),
+           "map_family": "shear", "map_lam": 2.0, "map_eps": 0.3,
+           "amplitude": "flow", "r": 1.0, "big_n": 8.0, "ks": 6}
+CENTRAL_K = 6
+CENTRAL_FRAME = {"c_margin": 2.5, "f_margin": 1.0, "ghat_offsets": 3}
+SLICE_CALLS = ("_slice_forward", "reconstruct_slice", "scatter_slice")
+PRIMITIVES = ("slice_weight", "weighted_gram", "weighted_norm_measure",
+              "CentralBlock.apply", "CentralBlock.apply_adjoint") \
+    + SLICE_CALLS
 
 
 def _timed(fn, repeats):
@@ -57,7 +75,8 @@ def child(src, repeats, out_path):
     """Time the primitives of the package under src; save the outputs to
     out_path and print the timings as JSON."""
     sys.path.insert(0, os.path.abspath(src))
-    from contactfbi import aniso_norm, cli, spectra
+    from contactfbi import aniso_norm, cli, partial_fbi, spectra, \
+        transfer_ops
     cfg = cli.ExperimentConfig(LOWER_BOUND)
     flow, trans, pg = cli.SUBCOMMANDS["lower-bound"][0](cfg, 1)
     captured = []
@@ -94,16 +113,56 @@ def child(src, repeats, out_path):
                     for s in norm_cfg.s_values])
         return np.array(rows)
 
+    ccfg = cli.ExperimentConfig(CENTRAL)
+    frame = spectra.CentralFrame(
+        ccfg.transfer_spec(), CENTRAL_K, ccfg.weight,
+        partial_fbi.FlowGrid(ccfg.flow_half_period, ccfg.flow_points),
+        **CENTRAL_FRAME)
+    blocks = [spectra.CentralBlock(frame, primed=p) for p in (False, True)]
+    rng = np.random.default_rng(0)
+    u, w = [rng.standard_normal(s) + 1j * rng.standard_normal(s)
+            for s in ((frame.eta0.size, frame.pg_in.num_points),
+                      (frame.xi0.size, frame.pg_out.num_points))]
+    # the block applications call the slice transforms through the names
+    # transfer_ops imported; record their arguments there
+    slice_args = {name: [] for name in SLICE_CALLS}
+
+    def recorder(name, fn):
+        def record(*args):
+            slice_args[name].append(args)
+            return fn(*args)
+        return record
+    for name in SLICE_CALLS:
+        setattr(transfer_ops, name,
+                recorder(name, getattr(partial_fbi, name)))
+    try:
+        for block in blocks:
+            block.apply(u)
+            block.apply_adjoint(w)
+    finally:
+        for name in SLICE_CALLS:
+            setattr(transfer_ops, name, getattr(partial_fbi, name))
+
+    def replay(name):
+        fn = getattr(partial_fbi, name)
+        return lambda: [fn(*args) for args in slice_args[name]]
+
     calls = {
         "slice_weight": lambda: np.stack(
             [aniso_norm.slice_weight(pg, xi0, r) for xi0 in flow.freqs()]),
         "weighted_gram": lambda: spectra.weighted_gram(vols, gram_pg,
                                                        wspec),
         "weighted_norm_measure": sweep,
+        "CentralBlock.apply": lambda: [b.apply(u) for b in blocks],
+        "CentralBlock.apply_adjoint": lambda: [b.apply_adjoint(w)
+                                               for b in blocks],
     }
+    calls.update((name, replay(name)) for name in SLICE_CALLS)
     times, outputs = {}, {}
     for name in PRIMITIVES:
-        times[name], outputs[name] = _timed(calls[name], repeats)
+        times[name], out = _timed(calls[name], repeats)
+        # lists of outputs are stacked after the timing
+        outputs[name] = np.asarray(out)
     np.savez(out_path, **outputs)
     print(json.dumps(times))
 
@@ -120,15 +179,14 @@ def _digest(src):
 
 
 def _max_rel_diff(got, want):
-    """Largest |got - want| relative to |want| entrywise, or to max |want|
-    for a matrix with zero entries."""
+    """Largest |got - want| relative to the largest |want|: the packet
+    outputs span many decades (the central block's down to 1e-24 of the
+    largest value), where an entrywise ratio measures only the rounding
+    of values too small to matter."""
     got, want = np.asarray(got), np.asarray(want)
     if got.shape != want.shape:
         return float("inf")
-    scale = np.abs(want)
-    if not np.all(scale > 0):
-        scale = np.max(scale)
-    return float(np.max(np.abs(got - want) / scale))
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 def main(argv=None):
@@ -173,7 +231,8 @@ def main(argv=None):
                     "cpu_count": os.cpu_count(),
                     "python": platform.python_version(),
                     "numpy": np.__version__},
-        "configs": {"lower-bound": LOWER_BOUND, "norm-bound": NORM_BOUND},
+        "configs": {"lower-bound": LOWER_BOUND, "norm-bound": NORM_BOUND,
+                    "central": dict(CENTRAL, k=CENTRAL_K, **CENTRAL_FRAME)},
         "unit": "s",
         "timings": {},
         "max_rel_diff_from_%s" % first: {},
