@@ -254,6 +254,9 @@ class WeightSpec:
     def __init__(self, r=4.0, d=1, tau=None, big_n=32.0, delta=0.1):
         self.r = float(r)
         self.d = int(d)
+        # tau's default and its interval divide by r
+        if not self.r > 0:
+            raise ValueError("r must be positive, got %g" % self.r)
         if tau is None:
             tau = 0.5 + 1.0 / (200.0 * self.r * self.d)
         self.tau = float(tau)

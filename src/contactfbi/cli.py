@@ -28,8 +28,8 @@ from .spectra import (central_block_audit, check_flow_frequencies,
                       check_solve_budget, lower_bound_family, model_spectrum,
                       norm_grid, norm_weights, persistent_outliers,
                       weighted_norm_measure)
-from .transfer_ops import (TransferSpec, kernel_bound_audit, lambda_delta,
-                           lift_fingerprint)
+from .transfer_ops import (AxisProduct, TransferSpec, kernel_bound_audit,
+                           lambda_delta, lift_fingerprint)
 
 
 class ConfigError(Exception):
@@ -177,6 +177,9 @@ class ExperimentConfig:
                 raise ConfigError("n_freq must be at least n_per_axis (%d)"
                                   % self.n_per_axis)
         self.margin = _real("margin", data["margin"])
+        if self.margin < 0:
+            raise ConfigError("margin must be non-negative, got %r"
+                              % self.margin)
         self.samples = _count("samples", data["samples"])
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
@@ -208,15 +211,14 @@ class ExperimentConfig:
                 "flow_half_period": self.flow_half_period,
                 "flow_points": self.flow_points}
 
-    def matrix(self):
-        lam = self.map_lam
-        diag = [lam] * self.d + [1.0 / lam] * self.d
-        return np.diag(diag)
-
     def contact_map(self):
+        """The shear map, or the linear map of diag(lam I_d, I_d / lam),
+        given by its diagonal so that it is diagonal by definition."""
         if self.map_family == "shear":
             return ContactMap.shear(self.map_lam, self.map_eps)
-        return ContactMap.linear(self.matrix())
+        lam = self.map_lam
+        return ContactMap.linear(np.array([lam] * self.d
+                                          + [1.0 / lam] * self.d))
 
     def transfer_spec(self):
         """The configured map and amplitude, named by the tag."""
@@ -224,16 +226,21 @@ class ExperimentConfig:
                             name=self.tag)
 
     def amplitude_fn(self):
+        """g on points (y0, y_dag); bump and constant are built from one
+        factor per transversal axis (transfer_ops.AxisProduct)."""
         width = self.amp_width
         if self.amplitude == "zero":
             return lambda pts: np.zeros(pts.shape[0], dtype=complex)
-        if self.amplitude == "constant":
-            return lambda pts: np.ones(pts.shape[0], dtype=complex)
         if self.amplitude == "flow":
             return lambda pts: (0.7 + 0.3 * np.cos(pts[:, 0])) * np.exp(
                 -np.sum(pts[:, 1:] ** 2, axis=-1) / width)
-        return lambda pts: np.exp(
-            -np.sum(pts[:, 1:] ** 2, axis=-1) / width)
+        if self.amplitude == "constant":
+            def factor(y):
+                return np.ones(y.shape, dtype=complex)
+        else:
+            def factor(y):
+                return np.exp(-y ** 2 / width)
+        return AxisProduct([factor] * (2 * self.d))
 
 
 def _count(key, val):
@@ -308,14 +315,15 @@ def _identity_grids(cfg, refine):
 
 
 def _spectrum_levels(cfg, refine):
-    """The refinement levels of spectrum, each refused here when its
-    reduced lift (transfer_ops.reduced_lift) and the solver's copy of it
-    are over the dense budget (spectra.check_solve_budget)."""
+    """The configured transfer spec and the refinement levels of spectrum,
+    each refused here when what its solve holds is over the dense budget
+    (spectra.check_solve_budget, by the route of the spec's lift)."""
     levels = [_volume_grids(cfg, cfg.flow_points + 2 * level,
                             cfg.n_per_axis, True) for level in range(refine)]
+    spec = cfg.transfer_spec()
     for flow, trans, _ in levels:
-        check_solve_budget(flow, trans)
-    return levels
+        check_solve_budget(spec, flow, trans)
+    return spec, levels
 
 
 def _lower_bound_grids(cfg, refine):
@@ -442,8 +450,8 @@ def run_partition_audit(cfg, out, seed, n):
     return summary, 0 if summary["passed"] else 1
 
 
-def run_spectrum(cfg, out, seed, levels):
-    spec = cfg.transfer_spec()
+def run_spectrum(cfg, out, seed, plan):
+    spec, levels = plan
     _, _, bound = lambda_delta(spec, levels[0][0], levels[0][1],
                                cfg.map_lam, cfg.weight.r)
     reports = model_spectrum(spec, levels, bound, margin=cfg.margin)

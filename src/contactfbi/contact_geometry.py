@@ -89,6 +89,7 @@ class ContactMap:
         self._f = f
         self.family = family
         self.params = dict(params)
+        self.axis_scales = None
         self._check_symplectic()
 
     def _check_symplectic(self):
@@ -105,16 +106,22 @@ class ContactMap:
 
     @classmethod
     def linear(cls, b, f_base=0.0):
-        """F_dag a symplectic matrix, f constant."""
+        """F_dag a symplectic matrix, f constant.  A 1-D b is the matrix's
+        diagonal, recorded as axis_scales: diagonal by definition."""
         b = np.asarray(b, dtype=float)
+        scales = b.copy() if b.ndim == 1 else None
+        if scales is not None:
+            b = np.diag(scales)
         d = b.shape[0] // 2
         params = {"matrix": b.copy(), "f_base": float(f_base)}
-        return cls(d,
+        cmap = cls(d,
                    f_dag=lambda x: x @ b.T,
                    f_dag_jac=lambda x: np.broadcast_to(
                        b, np.shape(x)[:-1] + b.shape),
                    f=lambda x: np.full(np.asarray(x).shape[:-1], float(f_base)),
                    f_base=f_base, family="linear", params=params)
+        cmap.axis_scales = scales
+        return cmap
 
     @classmethod
     def shear(cls, lam, eps, f_base=0.0):

@@ -7,7 +7,8 @@ Four groups of tools live here:
 * spectra of the lift at several refinement levels, solved on its
   quadrature-space factor (transfer_ops.reduced_lift) instead of the
   dense lift, one batched solve over the factor's independent blocks
-  (one per flow slice for an amplitude constant along the flow), with
+  (one per flow slice for an amplitude constant along the flow), or over
+  per-axis factors when the lift splits axis by axis, with
   bookkeeping for which eigenvalues persist under refinement; the
   weight of the anisotropic space enters only the bound they are
   compared with, since conjugating the finite lift by it leaves the
@@ -22,6 +23,8 @@ empirical proxy for the discrete part of the spectrum, never a claim about
 the true essential spectral radius.
 """
 
+import functools
+
 import numpy as np
 
 from .aniso_norm import (bracket, chi, cutoffs, q_block, q_tilde,
@@ -33,8 +36,9 @@ from .numerics import check_dense, operator_norm
 # _slice_forward is unused here, but bench/test_smoke.py checks the tracer
 # rewraps this binding
 from .partial_fbi import _slice_forward, partial_packet, sample_volume
-from .transfer_ops import (TransferSpec, coupled_adjoint, coupled_forward,
-                           lift_coupling, reduced_lift, transfer_apply)
+from .transfer_ops import (TransferSpec, axis_lift, coupled_adjoint,
+                           coupled_forward, lift_coupling, lift_route,
+                           reduced_lift, transfer_apply)
 
 
 class SpectrumReport:
@@ -238,13 +242,21 @@ def conjugated_operator(matrix, flow, pg, wspec):
     return (w[:, None] / w[None, :]) * a
 
 
-def check_solve_budget(flow, trans):
-    """Refuse a refinement level whose reduced lift, of side
-    n0 * n_quad, does not fit the dense budget twice: np.linalg.eigvals
-    copies its input, so the solve holds the matrix and the copy at once;
-    for a factor split into flow slices that is conservative."""
+def check_solve_budget(spec, flow, trans):
+    """Refuse a refinement level whose solve on the route of spec
+    (transfer_ops.lift_route) does not fit the dense budget.  The block
+    route holds the reduced lift, of side n0 * n_quad, twice
+    (np.linalg.eigvals copies it; conservative for a split factor), the
+    per-axis route twice per flow slice its n_quad eigenvalues and at
+    most one width's 2d factors of n x n.  Nothing is evaluated."""
     side = flow.n_points * trans.num_points
-    check_dense(2 * side, side, "reduced lift matrix and its eigvals copy")
+    if lift_route(spec) == "block":
+        check_dense(2 * side, side, "reduced lift matrix and its eigvals "
+                    "copy")
+        return
+    n = trans.points_per_axis
+    check_dense(2 * flow.n_points, trans.num_points + trans.dim * n * n,
+                "per-axis factors and eigenvalue list")
 
 
 def model_spectrum(spec, levels, bound, margin=0.1):
@@ -254,30 +266,45 @@ def model_spectrum(spec, levels, bound, margin=0.1):
     levels is a list of (flow, trans, pg) triples from coarse to fine;
     each yields one SpectrumReport against the same bound.  The lift
     U C V of lift_kernel has rank at most n0 * n_quad, and its nonzero
-    eigenvalues are those of transfer_ops.reduced_lift, C (V U), a stack
-    of independent blocks solved by one batched np.linalg.eigvals.  The
-    report holds at most rows (the lift's row count) of them: should the
-    factor be the larger side, its smallest eigenvalues, zeros of rank,
-    are the ones it drops.  refinement records rows, reduced_rows and the
-    number of blocks, slice_blocks.  The weighted space fixes the bound
+    eigenvalues are those of transfer_ops.reduced_lift, C (V U).  On the
+    "block" route (transfer_ops.lift_route) its stack of independent
+    blocks is solved by one batched np.linalg.eigvals.  On the
+    "per-axis" route each slice block is a scalar times a Kronecker
+    product of n x n factors (transfer_ops.axis_lift): one batched
+    np.linalg.eigvals solves the factors, a slice's eigenvalues are its
+    scalar times the products of one factor eigenvalue per axis, and no
+    block is built.  The report holds at most rows (the lift's row
+    count) of them: should the factor be the larger side, its smallest
+    eigenvalues, zeros of rank, are the ones it drops.  refinement
+    records rows, reduced_rows, the number of independent blocks,
+    slice_blocks, and the route.  The weighted space fixes the bound
     (lambda_delta reads the weight exponent), not the eigenvalues:
     conjugating the finite lift by the weight is a similarity.  Each
-    level is checked by check_solve_budget before its factor is built.
+    level is checked by check_solve_budget before anything is built.
     """
+    route = lift_route(spec)
     reports = []
     for flow, trans, pg in levels:
-        check_solve_budget(flow, trans)
-        rows = flow.n_points * pg.num_points
-        factor = reduced_lift(spec, flow, trans, pg)
-        lam = np.linalg.eigvals(factor).ravel()
+        check_solve_budget(spec, flow, trans)
+        if route == "per-axis":
+            coef, factors, width = axis_lift(spec, flow, trans, pg)
+            per_width = [functools.reduce(np.multiply.outer, eigs).ravel()
+                         for eigs in np.linalg.eigvals(factors)]
+            lam = (coef[:, None] * np.array(per_width)[width]).ravel()
+            blocks = flow.n_points
+        else:
+            factor = reduced_lift(spec, flow, trans, pg)
+            lam = np.linalg.eigvals(factor).ravel()
+            blocks = factor.shape[0]
         refinement = {"n0": flow.n_points,
                       "half_period": flow.half_period,
                       "trans_n": trans.points_per_axis,
                       "trans_half_width": trans.half_width,
                       "n_centers": pg.axes[0].centers.size,
                       "n_freqs": pg.axes[0].freqs.size,
-                      "rows": rows, "reduced_rows": lam.size,
-                      "slice_blocks": factor.shape[0]}
+                      "rows": flow.n_points * pg.num_points,
+                      "reduced_rows": lam.size, "slice_blocks": blocks,
+                      "route": route}
         reports.append(SpectrumReport(lam, refinement, bound, margin))
     return reports
 

@@ -21,8 +21,10 @@ assembles the same C between dense slice packets within the dense
 budget.  That lift is U C V, of rank at most n0 * n_quad, and
 reduced_lift builds its quadrature-space factor C (V U), block by block
 of coupled slices, which has the lift's nonzero eigenvalues and is what
-spectra solves; the packet Gram V U is summed axis by axis, so neither
-the lift nor a packet matrix is formed.  The module also provides a
+spectra solves; the packet Gram V U is a product of per-axis Grams
+(_axis_gram), so neither the lift nor a packet matrix is formed, and
+axis_lift builds only per-axis factors when the lift splits axis by
+axis (lift_route).  The module also provides a
 per-entry quadrature used as an independent cross check, the
 decomposition by the frequency cutoffs, and the expansion statistics
 Lambda / Delta entering the norm bounds.
@@ -93,6 +95,21 @@ class TransferSpec:
             raise ValueError(
                 "amplitude is %.3g of its peak at the box border; "
                 "enlarge the box or shrink the support" % (worst / peak))
+
+
+class AxisProduct:
+    """The amplitude g(y0, y_dag) = prod_a factors[a](y_a), each factor
+    mapping one transversal axis's coordinates to values of their shape:
+    constant along the flow and a product by construction (lift_route)."""
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+
+    def __call__(self, pts):
+        vals = np.ones(len(pts), dtype=complex)
+        for a, factor in enumerate(self.factors):
+            vals = vals * factor(pts[:, 1 + a])
+        return vals
 
 
 def transfer_apply(spec, u, flow, trans):
@@ -248,16 +265,23 @@ def lift_kernel(spec, flow, trans, pg):
     return values
 
 
+def _axis_gram(ax, kappa, points):
+    """V U of one phase axis and slice width, shape (len(points), ny): its
+    packets at the coordinates points against its conjugate packets at
+    its quadrature nodes."""
+    at_points = _axis_factor(ax.centers, ax.freqs, points, kappa, conj=False)
+    return np.tensordot(at_points, _slice_axis_matrix(ax, kappa, True),
+                        axes=([0, 1], [0, 1]))
+
+
 def _packet_gram(pg, kappa, points):
     """V U of one slice width: its packets at points against its conjugate
-    packets at the quadrature nodes, summed over the phase grid axis by
-    axis, shape (len(points), n_quad).  Neither packet matrix is formed."""
+    packets at the quadrature nodes, the product of one _axis_gram per
+    phase axis, shape (len(points), n_quad).  Neither packet matrix is
+    formed."""
     gram = np.ones((len(points), 1), dtype=complex)
     for a, ax in enumerate(pg.axes):
-        at_points = _axis_factor(ax.centers, ax.freqs, points[:, a], kappa,
-                                 conj=False)
-        axis = np.tensordot(at_points, _slice_axis_matrix(ax, kappa, True),
-                            axes=([0, 1], [0, 1]))
+        axis = _axis_gram(ax, kappa, points[:, a])
         gram = (gram[:, :, None] * axis[:, None, :]).reshape(len(points), -1)
     return gram
 
@@ -274,7 +298,9 @@ def reduced_lift(spec, flow, trans, pg):
     eigenvalues of U C V are those of C (V U), whose block (s, t) is
     scale coupling[s, t][:, None] a_t^2 (V_t U_t), with a_t the packet
     amplitude of slice t and V_t U_t (_packet_gram) built once per
-    distinct width.  The dense budget is checked first, for the whole factor.
+    distinct width.  The dense budget is checked first, for the whole
+    factor.  It is model_spectrum's block route, and the oracle of the
+    per-axis route (axis_lift).
     """
     n0, nq = flow.n_points, trans.num_points
     check_dense(n0 * nq, n0 * nq, "reduced lift matrix")
@@ -291,6 +317,51 @@ def reduced_lift(spec, flow, trans, pg):
                     scale * _amplitude(kap, pg.dim) ** 2 * grams[kap],
                     out=factor[k, :, :, j])
     return factor.reshape(n0 // size, size * nq, size * nq)
+
+
+def lift_route(spec):
+    """"per-axis" when the lift of spec splits over the transversal axes by
+    construction, else "block": F_dag is diagonal by definition
+    (ContactMap.linear of a 1-D diagonal; f is then constant) and g an
+    AxisProduct of one factor per axis.  Nothing is evaluated."""
+    scales = getattr(spec.map, "axis_scales", None)
+    if scales is not None and isinstance(spec.g, AxisProduct) \
+            and len(spec.g.factors) == 2 * spec.d:
+        return "per-axis"
+    return "block"
+
+
+def axis_lift(spec, flow, trans, pg):
+    """reduced_lift of a lift that splits axis by axis (lift_route): slice
+    s is coef[s] times the Kronecker product over the axes a of
+    factors[width[s], a], returned as (coef, factors, width).
+
+    With F_dag = diag(b), f = f_base and g = prod_a g_a, the coupling is
+    ghat_0 prod_a g_a(y_a) exp(i xi0 f_base), ghat_0 = (2 pi)^(-1/2) h0
+    n0, and the mapped nodes are b_a times each axis's nodes.  So each
+    factor, of shape (n, n) for n points per axis, is diag(g_a) times
+    that axis's _axis_gram, one per distinct slice width, and
+    coef[s] = scale ghat_0 a_s^2 exp(i xi0 f_base) with reduced_lift's
+    scale.
+    """
+    check_transversal_spacing(trans, flow)
+    y = trans.axis_nodes()
+    axis_g = np.array([np.asarray(g_a(y), dtype=complex)
+                       for g_a in spec.g.factors])
+    if not np.all(np.isfinite(axis_g)):
+        raise ValueError("amplitude produced non-finite values")
+    kaps = bracket(flow.freqs())
+    widths, width = np.unique(kaps, return_inverse=True)
+    factors = np.array([[g_a[:, None] * _axis_gram(ax, kap, b_a * y)
+                         for ax, b_a, g_a in zip(pg.axes,
+                                                 spec.map.axis_scales, axis_g)]
+                        for kap in widths])
+    ghat0 = (2.0 * np.pi) ** (-0.5) * flow.spacing * flow.n_points
+    scale = trans.weight / np.sqrt(2.0 * np.pi) * flow.freq_spacing \
+        * pg.weight
+    coef = scale * ghat0 * _amplitude(kaps, pg.dim) ** 2 \
+        * np.exp(1j * flow.freqs() * spec.map.f_base)
+    return coef, factors, width
 
 
 def lift_fingerprint(spec, flow, trans, pg):

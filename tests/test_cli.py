@@ -89,7 +89,11 @@ class TestConfigParsing:
                      "n_ks = 2, nan\n", "window_m = inf\n", "margin = nan\n",
                      # a zero or negative amplitude width or window
                      "amp_width = 0\n", "amp_width = -0.5\n",
-                     "window_m = 0\n", "window_m = -1\n"):
+                     "window_m = 0\n", "window_m = -1\n",
+                     # r divides tau's default and interval; a negative
+                     # margin shrinks the outlier disk to nothing
+                     "r = 0\n", "r = -1\n", "margin = -1\n",
+                     "margin = -0.01\n"):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_file(write(tmp_path / "a.cfg", body))
 
@@ -130,6 +134,32 @@ class TestExitCodes:
             assert "config error" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_non_positive_r_exits_two_naming_r(self, tmp_path, capsys):
+        # r = 0 once crashed every subcommand in tau's default 1/(200 r d)
+        for i, body in enumerate(("r = 0\n", "r = -1\n",
+                                  "r = 0\ntau = 0.501\n")):
+            for sub in ("spectrum", "norm-bound", "check-identity"):
+                out = tmp_path / ("run%d-%s" % (i, sub))
+                code = main([sub, "--config",
+                             write(tmp_path / "bad.cfg", body),
+                             "--out", str(out)])
+                assert code == 2
+                assert "config error: bad config value: r must be " \
+                    "positive" in capsys.readouterr().err
+                assert not out.exists()
+
+    def test_negative_margin_exits_two(self, tmp_path, capsys):
+        # margin = -1 made the outlier disk a point, so every eigenvalue
+        # counted as stable
+        out = tmp_path / "run"
+        path = write(tmp_path / "m.cfg", TINY_MODEL + "margin = -1\n")
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == 2
+        assert "config error: margin must be non-negative" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        path = write(tmp_path / "m.cfg", TINY_MODEL + "margin = 0\n")
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
+
     def test_non_integer_count_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
         path = write(tmp_path / "bad.cfg",
@@ -166,10 +196,11 @@ class TestExitCodes:
 
     def test_spectrum_over_budget_exits_two_before_compute(self, tmp_path,
                                                           capsys):
-        # d = 2: 8 flow slices x 12^4 transversal nodes, a 165,888-row
-        # reduced lift, refused while the levels are planned
+        # d = 2 with an amplitude that varies along the flow: 8 flow
+        # slices x 12^4 transversal nodes, a 165,888-row reduced lift on
+        # the block route, refused while the levels are planned
         out = tmp_path / "run"
-        path = write(tmp_path / "d2.cfg", "d = 2\n")
+        path = write(tmp_path / "d2.cfg", "d = 2\namplitude = flow\n")
         code = main(["spectrum", "--config", path, "--out", str(out)])
         assert code == 2
         assert ("config error: reduced lift matrix and its eigvals copy "
@@ -179,10 +210,11 @@ class TestExitCodes:
 
     def test_spectrum_plan_counts_the_solver_copy(self, tmp_path, capsys,
                                                   monkeypatch):
-        # a budget of one and a half reduced lifts holds the matrix but not
+        # on the block route (an amplitude that varies along the flow), a
+        # budget of one and a half reduced lifts holds the matrix but not
         # the copy np.linalg.eigvals makes of it, so the plan refuses it
         from contactfbi import numerics
-        path = write(tmp_path / "tiny.cfg", TINY_MODEL)
+        path = write(tmp_path / "tiny.cfg", TINY_MODEL + "amplitude = flow\n")
         side = 4 * 4 ** 2
         monkeypatch.setattr(numerics, "DENSE_BYTES", 24 * side * side)
         out = tmp_path / "run"
@@ -193,6 +225,22 @@ class TestExitCodes:
             capsys.readouterr().err
         assert not out.exists()
         monkeypatch.setattr(numerics, "DENSE_BYTES", 32 * side * side)
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
+
+    def test_spectrum_plan_budgets_the_per_axis_route(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # bump on a diagonal map: per flow slice, the plan counts its 16
+        # eigenvalues and 2 axis factors of 4 x 4, twice
+        from contactfbi import numerics
+        path = write(tmp_path / "tiny.cfg", TINY_MODEL)
+        need = 16 * 8 * (16 + 2 * 16)
+        monkeypatch.setattr(numerics, "DENSE_BYTES", need - 1)
+        out = tmp_path / "run"
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == 2
+        assert ("config error: per-axis factors and eigenvalue list would "
+                "need a 8 x 48 matrix") in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(numerics, "DENSE_BYTES", need)
         assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
 
     def test_small_n_freq_exits_two(self, tmp_path, capsys):
@@ -308,6 +356,34 @@ class TestSubcommands:
         assert level["refinement"]["reduced_rows"] == 1152
         # the 164,736 structural zeros are counted, not listed
         assert len(level["moduli"]) + level["structural_zeros"] == 165888
+
+    def test_spectrum_d2_default_config(self, tmp_path):
+        # bump on the diagonal linear map: each of the 8 slice blocks of
+        # 20,736 rows is a Kronecker product of four 12 x 12 axis factors
+        path = write(tmp_path / "d.cfg", "d = 2\n")
+        assert main(["spectrum", "--config", path,
+                     "--out", str(tmp_path)]) == 0
+        level, = json.loads((tmp_path / "summary.json").read_text())["levels"]
+        assert level["refinement"]["route"] == "per-axis"
+        assert level["refinement"]["reduced_rows"] == 8 * 12 ** 4
+        assert level["refinement"]["slice_blocks"] == 8
+        assert len(level["moduli"]) == 8 * 12 ** 4
+
+    def test_spectrum_route_follows_the_config(self, tmp_path):
+        routes = {}
+        for name, extra in (("bump", ""), ("constant", "amplitude = "
+                                           "constant\n"),
+                            ("flow", "amplitude = flow\n"),
+                            ("shear", "map_family = shear\nmap_eps = 0.3\n"
+                             "map_lam = 2.0\n")):
+            out = tmp_path / name
+            path = write(tmp_path / (name + ".cfg"), TINY_MODEL + extra)
+            assert main(["spectrum", "--config", path,
+                         "--out", str(out)]) == 0
+            level, = json.loads((out / "summary.json").read_text())["levels"]
+            routes[name] = level["refinement"]["route"]
+        assert routes == {"bump": "per-axis", "constant": "per-axis",
+                          "flow": "block", "shear": "block"}
 
     def test_partition_audit(self, tmp_path):
         path = write(tmp_path / "m.cfg", TINY_MODEL)

@@ -78,6 +78,20 @@ class TestContactMapFamilies:
         out = cm.apply(np.array([0.5, 1.0, 2.0]))
         assert np.allclose(out, [0.5, 4.0, 0.5])
 
+    def test_linear_from_its_diagonal(self):
+        # a 1-D b is the diagonal: the same map, recorded as diagonal
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, 5))
+        full = ContactMap.linear(np.diag([4.0, 2.0, 0.25, 0.5]), 0.3)
+        diag = ContactMap.linear(np.array([4.0, 2.0, 0.25, 0.5]), 0.3)
+        assert full.axis_scales is None
+        assert np.array_equal(diag.axis_scales, [4.0, 2.0, 0.25, 0.5])
+        assert diag.d == 2 and diag.family == "linear"
+        assert np.array_equal(diag.apply(pts), full.apply(pts))
+        assert np.array_equal(diag.params["matrix"], full.params["matrix"])
+        assert ContactMap.shear(4.0, 0.5).axis_scales is None
+        with pytest.raises(ValueError, match="not symplectic"):
+            ContactMap.linear(np.array([2.0, 1.0]))
+
     def test_linear_rejects_nonsymplectic(self):
         with pytest.raises(ValueError, match="not symplectic"):
             ContactMap.linear(np.diag([2.0, 1.0]))

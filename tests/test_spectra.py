@@ -1,5 +1,6 @@
 """Tests for spectrum reports, weighted norms and the frequency block."""
 
+import functools
 import json
 
 import numpy as np
@@ -21,8 +22,9 @@ from contactfbi.spectra import (CentralBlock, CentralFrame, SpectrumReport,
                                 expansion_argmax, lower_bound_family,
                                 model_spectrum, persistent_outliers,
                                 weighted_norm_measure)
-from contactfbi.transfer_ops import (TransferSpec, flow_fourier_coeffs,
-                                     lambda_delta, lift_coupling, lift_kernel,
+from contactfbi.transfer_ops import (AxisProduct, TransferSpec, axis_lift,
+                                     flow_fourier_coeffs, lambda_delta,
+                                     lift_coupling, lift_kernel, lift_route,
                                      reduced_lift)
 
 
@@ -391,6 +393,116 @@ class TestModelSpectrum:
         spec = TransferSpec(cmap, flow_amp(), name="flow")
         mat = lift_kernel(spec, flow, trans, pg)
         assert slice_defect(mat, flow.n_points) > 1e-3
+
+
+def axis_bump(y):
+    return np.exp(-y ** 2 / 0.5)
+
+
+def axis_one(y):
+    return np.ones(y.shape, dtype=complex)
+
+
+class TestPerAxisRoute:
+    """The per-axis route against the block route as its oracle: the same
+    map given as a full matrix, which lift_route never reads as diagonal,
+    and the same AxisProduct amplitude."""
+
+    # (axis factor, f_base)
+    CASES = [(axis_bump, 0.0), (axis_one, 0.0), (axis_bump, 0.7)]
+    CASE_IDS = ["bump", "constant", "bump-f_base"]
+
+    @staticmethod
+    def specs(factor, f_base, d=1):
+        scales = np.array([4.0] * d + [0.25] * d)
+        g = AxisProduct([factor] * (2 * d))
+        return (TransferSpec(ContactMap.linear(scales, f_base), g),
+                TransferSpec(ContactMap.linear(np.diag(scales), f_base), g))
+
+    @pytest.mark.parametrize("n0", [4, 6])
+    @pytest.mark.parametrize("factor, f_base", CASES, ids=CASE_IDS)
+    def test_matches_block_eigvals(self, factor, f_base, n0):
+        # the C10 levels, 64 and 96 reduced rows
+        flow = FlowGrid(np.pi, n0)
+        trans = make_grid(2, 0.7, 4)
+        pg = dual_phase_grid(trans, n_freq=4)
+        split, whole = self.specs(factor, f_base)
+        assert (lift_route(split), lift_route(whole)) == ("per-axis", "block")
+        rep = model_spectrum(split, [(flow, trans, pg)], 0.5)[0]
+        want = np.sort(np.abs(np.linalg.eigvals(
+            reduced_lift(whole, flow, trans, pg)).ravel()))[::-1]
+        assert rep.refinement["route"] == "per-axis"
+        assert rep.refinement["slice_blocks"] == n0
+        assert rep.moduli.size == rep.refinement["reduced_rows"] == want.size
+        assert np.max(np.abs(rep.moduli - want)) <= 1e-12 * want[0]
+        block = model_spectrum(whole, [(flow, trans, pg)], 0.5)[0]
+        assert block.refinement["route"] == "block"
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_factors_rebuild_the_slice_blocks(self, d):
+        # each slice block of reduced_lift, phase included, is the slice
+        # scalar times the Kronecker product of its width's axis factors
+        flow = FlowGrid(np.pi, 4)
+        trans = make_grid(2 * d, 0.7, 4)
+        pg = dual_phase_grid(trans, n_freq=4)
+        split, whole = self.specs(axis_bump, 0.7, d)
+        coef, factors, width = axis_lift(split, flow, trans, pg)
+        # the slices at -2, -1, 0 and 1 have widths 2, 1, 1 and 1
+        assert factors.shape == (2, 2 * d, 4, 4)
+        blocks = reduced_lift(whole, flow, trans, pg)
+        for s, block in enumerate(blocks):
+            kron = coef[s] * functools.reduce(np.kron, factors[width[s]])
+            assert np.max(np.abs(kron - block)) <= \
+                1e-14 * np.max(np.abs(block))
+
+    def test_builds_no_block(self, monkeypatch):
+        # neither reduced_lift nor g itself is called: only the factors
+        def refuse(*args):
+            raise AssertionError("the block route was taken")
+        monkeypatch.setattr(spectra, "reduced_lift", refuse)
+        monkeypatch.setattr(AxisProduct, "__call__", refuse)
+        flow, trans, pg = toy_setting()
+        split, _ = self.specs(axis_bump, 0.0)
+        rep = model_spectrum(split, [(flow, trans, pg)], 0.5)[0]
+        assert rep.moduli.size == flow.n_points * trans.num_points
+
+    def test_route_reads_structure_only(self):
+        # a factor that raises is not called to choose the route, and an
+        # amplitude that is a product only in value stays on the blocks
+        def refuse(y):
+            raise AssertionError("a factor was evaluated")
+        scales = np.array([4.0, 0.25])
+        assert lift_route(TransferSpec(ContactMap.linear(scales),
+                                       AxisProduct([refuse] * 2))) \
+            == "per-axis"
+        for spec in (TransferSpec(ContactMap.linear(scales), bump_amp()),
+                     TransferSpec(ContactMap.linear(scales), flow_amp()),
+                     TransferSpec(ContactMap.linear(scales),
+                                  AxisProduct([axis_bump])),
+                     TransferSpec(ContactMap.shear(2.0, 0.3),
+                                  AxisProduct([axis_bump] * 2))):
+            assert lift_route(spec) == "block"
+
+    def test_size_guard_before_factors(self, monkeypatch):
+        from contactfbi import numerics
+
+        def refuse(y):
+            raise AssertionError("a factor was evaluated")
+        flow, trans, pg = toy_setting()
+        spec = TransferSpec(ContactMap.linear(np.array([4.0, 0.25])),
+                            AxisProduct([refuse] * 2))
+        monkeypatch.setattr(numerics, "DENSE_BYTES", 16)
+        with pytest.raises(ValueError, match="per-axis factors and "
+                           "eigenvalue list .* dense budget"):
+            model_spectrum(spec, [(flow, trans, pg)], 0.5)
+
+    def test_non_finite_factor_refused(self):
+        flow, trans, pg = toy_setting()
+        spec = TransferSpec(ContactMap.linear(np.array([4.0, 0.25])),
+                            AxisProduct([axis_bump, lambda y: y / 0.0]))
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            model_spectrum(spec, [(flow, trans, pg)], 0.5)
 
 
 class TestLowerBoundFamily:

@@ -1,6 +1,6 @@
-"""tools/time_primitives.py times the weighted-norm, central-block and
-slice-transform primitives of a source tree and compares their outputs
-with those of the first tree given."""
+"""tools/time_primitives.py times the weighted-norm, central-block,
+slice-transform and spectrum primitives of a source tree and compares
+their outputs with those of the first tree given."""
 
 import json
 import os
@@ -11,7 +11,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "time_primitives.py")
 PRIMITIVES = ("slice_weight", "weighted_gram", "weighted_norm_measure",
               "CentralBlock.apply", "CentralBlock.apply_adjoint",
-              "_slice_forward", "reconstruct_slice", "scatter_slice")
+              "_slice_forward", "reconstruct_slice", "scatter_slice",
+              "model_spectrum")
 
 
 def test_one_tree_against_itself(tmp_path):
@@ -29,3 +30,4 @@ def test_one_tree_against_itself(tmp_path):
         assert res["max_rel_diff_from_a"][label] == dict.fromkeys(
             PRIMITIVES, 0.0)
     assert res["configs"]["central"]["k"] == 6
+    assert res["configs"]["spectrum"]["refine"] == 2

@@ -15,7 +15,8 @@ from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
                                     _slice_forward, pcal_apply, pfbi_forward,
                                     reconstruct_slice, sample_volume)
-from contactfbi.transfer_ops import (TransferSpec, cutoff_diagonals,
+from contactfbi.transfer_ops import (AxisProduct, TransferSpec,
+                                     cutoff_diagonals,
                                      decompose, flow_fourier_coeffs,
                                      kernel_bound_audit, kernel_entry_direct,
                                      lambda_delta, lambda_global, lift_apply,
@@ -114,6 +115,19 @@ class TestFlowFourier:
         scale = max(np.max(np.abs(want)), 1e-300)
         assert np.max(np.abs(want[others])) <= 1e-15 * scale
         assert np.max(np.abs(ghat[n0 - 1] - want[n0 - 1])) <= 1e-15 * scale
+
+    def test_axis_product(self):
+        # the product of its factors, one per transversal axis, and so
+        # constant along the flow
+        flow = FlowGrid(np.pi, 4)
+        nodes = make_grid(2, 1.2, 6).nodes()
+        g = AxisProduct([lambda y: np.exp(-y ** 2), lambda y: 1.0 + y])
+        g_vals = TransferSpec(ContactMap.linear(np.eye(2)), g).g_values(
+            flow, nodes)
+        want = np.exp(-nodes[:, 0] ** 2) * (1.0 + nodes[:, 1])
+        assert np.all(g_vals == want[None, :])
+        ghat = flow_fourier_coeffs(g_vals, flow)
+        assert np.all(np.delete(ghat, flow.n_points - 1, axis=0) == 0)
 
     @pytest.mark.parametrize("n0", [2, 6])
     @pytest.mark.parametrize("g", [flow_amp, shear_amp],

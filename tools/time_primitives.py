@@ -1,5 +1,5 @@
-"""Time the weighted-norm, central-block and slice-transform primitives of
-one or more source trees.
+"""Time the weighted-norm, central-block, slice-transform and spectrum
+primitives of one or more source trees.
 
     python tools/time_primitives.py --src parent=../old/src --src change=src \
         [--repeats 30] [--rounds 3] [--out BENCH.json]
@@ -20,14 +20,19 @@ and each process times, --repeats times over the same inputs:
   applied to a pair seeded with 0;
 * _slice_forward / reconstruct_slice / scatter_slice: every call of that
   slice transform made by one apply and one apply_adjoint of both
-  blocks, replayed on the arguments recorded from them.
+  blocks, replayed on the arguments recorded from them;
+* model_spectrum: the spectra of both refinement levels that
+  spectrum --refine 2 plans on the C10 toy config (4 and 6 flow
+  slices), against the bound that spectrum computes; its output is the
+  moduli of both levels.
 
 The configs are those of the lower-bound and norm-bound ops of the
-benchmark's norms workload and the frame of its central workload
-(bench/workloads.py).  The result holds, per tree and primitive, the
-median and quartiles of the pooled timings, and the largest relative
-difference of each output from the first tree's; each tree is named by
-its label and a digest of its package files.  It is printed, and written
+benchmark's norms workload, the frame of its central workload and the
+config of its spectrum workload (bench/workloads.py).  The result
+holds, per tree and primitive, the median and quartiles of the pooled
+timings, and the largest relative difference of each output from the
+first tree's; each tree is named by its label and a digest of its
+package files.  It is printed, and written
 to --out when given.
 """
 
@@ -56,10 +61,14 @@ CENTRAL = {"d": 1, "flow_points": 8, "flow_half_period": float(np.pi / 2.0),
            "amplitude": "flow", "r": 1.0, "big_n": 8.0, "ks": 6}
 CENTRAL_K = 6
 CENTRAL_FRAME = {"c_margin": 2.5, "f_margin": 1.0, "ghat_offsets": 3}
+# the full-size Spectrum workload's C10 toy config, run with --refine 2
+SPECTRUM = {"d": 1, "box_half": 0.7, "n_per_axis": 4, "flow_points": 4,
+            "n_freq": 4, "map_lam": 4.0, "tag": "toy"}
+SPECTRUM_REFINE = 2
 SLICE_CALLS = ("_slice_forward", "reconstruct_slice", "scatter_slice")
 PRIMITIVES = ("slice_weight", "weighted_gram", "weighted_norm_measure",
               "CentralBlock.apply", "CentralBlock.apply_adjoint") \
-    + SLICE_CALLS
+    + SLICE_CALLS + ("model_spectrum",)
 
 
 def _timed(fn, repeats):
@@ -147,6 +156,20 @@ def child(src, repeats, out_path):
         fn = getattr(partial_fbi, name)
         return lambda: [fn(*args) for args in slice_args[name]]
 
+    # the levels spectrum --refine 2 plans: 2 more flow points per level
+    scfg = cli.ExperimentConfig(SPECTRUM)
+    levels = [cli._volume_grids(scfg, scfg.flow_points + 2 * level,
+                                scfg.n_per_axis, True)
+              for level in range(SPECTRUM_REFINE)]
+    sspec = scfg.transfer_spec()
+    _, _, bound = transfer_ops.lambda_delta(sspec, levels[0][0], levels[0][1],
+                                            scfg.map_lam, scfg.weight.r)
+
+    def spectrum():
+        reps = spectra.model_spectrum(sspec, levels, bound,
+                                      margin=scfg.margin)
+        return np.concatenate([rep.moduli for rep in reps])
+
     calls = {
         "slice_weight": lambda: np.stack(
             [aniso_norm.slice_weight(pg, xi0, r) for xi0 in flow.freqs()]),
@@ -156,6 +179,7 @@ def child(src, repeats, out_path):
         "CentralBlock.apply": lambda: [b.apply(u) for b in blocks],
         "CentralBlock.apply_adjoint": lambda: [b.apply_adjoint(w)
                                                for b in blocks],
+        "model_spectrum": spectrum,
     }
     calls.update((name, replay(name)) for name in SLICE_CALLS)
     times, outputs = {}, {}
@@ -232,7 +256,8 @@ def main(argv=None):
                     "python": platform.python_version(),
                     "numpy": np.__version__},
         "configs": {"lower-bound": LOWER_BOUND, "norm-bound": NORM_BOUND,
-                    "central": dict(CENTRAL, k=CENTRAL_K, **CENTRAL_FRAME)},
+                    "central": dict(CENTRAL, k=CENTRAL_K, **CENTRAL_FRAME),
+                    "spectrum": dict(SPECTRUM, refine=SPECTRUM_REFINE)},
         "unit": "s",
         "timings": {},
         "max_rel_diff_from_%s" % first: {},
