@@ -21,7 +21,7 @@ from contactfbi.aniso_norm import WeightSpec
 from contactfbi.contact_geometry import ContactMap
 from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import FlowGrid
-from contactfbi.spectra import central_block_audit
+from contactfbi.spectra import central_block_audit, central_frame
 from contactfbi.transfer_ops import TransferSpec, lambda_delta
 
 
@@ -38,7 +38,8 @@ def main():
     print("expansion bound %.4f" % bound)
     for k in (6, 8, 12):
         t0 = time.time()
-        res = central_block_audit(spec, k, wspec, flow, seed=0)
+        res = central_block_audit(central_frame(spec, k, wspec, flow),
+                                  seed=0)
         print("k %-3d  ||L'|| %.3f  ||L - L'|| %.3f  ratio to bound %.2f"
               "  (%.1f s)"
               % (k, res["norm_primed"], res["norm_diff"],

@@ -275,24 +275,18 @@ class WeightSpec:
                 "chi": "exp-mollifier"}  # the profile behind chi
 
 
-def x_zero(x_dag, xi, spec):
-    """Cutoff to frequencies of size up to about N."""
+def cutoff_triple(x_dag, xi, spec):
+    """The partition X_0, X_hyp, X_ctr0 of unity on phase space.
+
+    On the twisted frequency, X_0 cuts to frequencies of size up to about
+    N and X_ctr to the central cone around the contact line; X_hyp =
+    (1 - X_ctr)(1 - X_0) and X_ctr0 = X_ctr (1 - X_0).
+    """
     tw = twisted_frequency(x_dag, xi)
     rad = np.sqrt(tw[..., 0] ** 2 + np.sum(tw[..., 1:] ** 2, axis=-1))
-    return chi(rad / spec.big_n)
-
-
-def x_central(x_dag, xi, spec):
-    """Cutoff to the central cone around the contact line."""
-    tw = twisted_frequency(x_dag, xi)
+    x0 = chi(rad / spec.big_n)
     trans = np.linalg.norm(tw[..., 1:], axis=-1)
-    return chi(trans / bracket(tw[..., 0]) ** spec.tau)
-
-
-def cutoff_triple(x_dag, xi, spec):
-    """The partition X_0, X_hyp, X_ctr0 of unity on phase space."""
-    x0 = x_zero(x_dag, xi, spec)
-    ctr = x_central(x_dag, xi, spec)
+    ctr = chi(trans / bracket(tw[..., 0]) ** spec.tau)
     x_hyp = (1.0 - ctr) * (1.0 - x0)
     x_ctr0 = ctr * (1.0 - x0)
     return x0, x_hyp, x_ctr0
@@ -324,16 +318,6 @@ def lp_partition(m, x_dag, xi):
     dyadic/cone partition transported with the same rescaled twisted
     frequency used by the weight."""
     return psi_dyadic(_rescaled_twist(x_dag, xi), m)
-
-
-def cutoffs(x_dag, xi, spec):
-    """Frequency cutoff triple in the order (X_0, X_ctr, X_hyp).
-
-    X_ctr here already carries the factor (1 - X_0), so the three values
-    sum to 1 pointwise.
-    """
-    x0, x_hyp, x_ctr0 = cutoff_triple(x_dag, xi, spec)
-    return x0, x_ctr0, x_hyp
 
 
 def weighted_gram(vols, pg, wspec):

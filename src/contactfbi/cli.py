@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .aniso_norm import (WeightSpec, _rescaled_twist, chi_n, cutoffs,
+from .aniso_norm import (WeightSpec, _rescaled_twist, chi_n, cutoff_triple,
                          psi_dyadic_members, q_k, q_tilde_separation)
 from .contact_geometry import ContactMap
 from .fbi_core import det_factor, dual_phase_grid, fbi_roundtrip
@@ -24,9 +24,10 @@ from .numerics import make_grid, sample
 from .partial_fbi import (FlowGrid, check_transversal_spacing,
                           min_transversal_points, pfbi_roundtrip,
                           sample_volume)
-from .spectra import (central_block_audit, check_flow_frequencies,
-                      check_solve_budget, lower_bound_family, model_spectrum,
-                      norm_grid, norm_weights, persistent_outliers,
+from .spectra import (central_block_audit, central_frame,
+                      check_flow_frequencies, check_solve_budget,
+                      lower_bound_family, model_spectrum, norm_grid,
+                      norm_weights, persistent_outliers,
                       weighted_norm_measure)
 from .transfer_ops import (AxisProduct, TransferSpec, kernel_bound_audit,
                            lambda_delta, lift_fingerprint)
@@ -290,28 +291,37 @@ def _suite(dim, rng):
     return funcs
 
 
-def _volume_grids(cfg, flow_points, min_points, fill_freq):
-    """Flow grid, transversal grid of at least min_points per axis that is
-    fine enough for the flow frequencies, and its phase grid.  With
-    fill_freq an unset n_freq becomes the transversal point count, else
-    dual_phase_grid's default."""
+def _volume_space(cfg, flow_points, min_points):
+    """Flow grid and a transversal grid of at least min_points per axis
+    that is fine enough for the flow frequencies."""
     flow = FlowGrid(cfg.flow_half_period, flow_points)
     trans = make_grid(2 * cfg.d, cfg.box_half,
                       max(min_points,
                           min_transversal_points(cfg.box_half, flow)))
     check_transversal_spacing(trans, flow)
+    return flow, trans
+
+
+def _volume_grids(cfg, flow_points, min_points, fill_freq):
+    """The grids of _volume_space and the transversal grid's phase grid.
+    With fill_freq an unset n_freq becomes the transversal point count,
+    else dual_phase_grid's default."""
+    flow, trans = _volume_space(cfg, flow_points, min_points)
     n_freq = cfg.n_freq or (trans.points_per_axis if fill_freq else None)
     return flow, trans, dual_phase_grid(trans, n_freq=n_freq)
 
 
 def _identity_grids(cfg, refine):
-    spaces = []
-    for dim in (1, 2):
-        grid = make_grid(dim, cfg.box_half, cfg.n_per_axis * refine)
-        spaces.append((grid, dual_phase_grid(grid, n_freq=cfg.n_freq,
-                                             center_margin=3.5)))
-    return spaces, _volume_grids(cfg, cfg.flow_points * refine,
-                                 cfg.n_per_axis * refine, False)
+    """check-identity's D = 1 and D = 2 space grids and its volume grids;
+    the centers of every phase grid reach 3.5 past its box, so that the
+    packets cover the box up to its edge."""
+    def phase(grid):
+        return dual_phase_grid(grid, n_freq=cfg.n_freq, center_margin=3.5)
+    points = cfg.n_per_axis * refine
+    spaces = [(grid, phase(grid)) for grid in
+              (make_grid(dim, cfg.box_half, points) for dim in (1, 2))]
+    flow, trans = _volume_space(cfg, cfg.flow_points * refine, points)
+    return spaces, (flow, trans, phase(trans))
 
 
 def _spectrum_levels(cfg, refine):
@@ -431,7 +441,7 @@ def run_partition_audit(cfg, out, seed, n):
     psi_sum = sum(psi_dyadic_members(zeta, range(-12, 13)))
     t = rng.uniform(-20.0, 20.0, size=n)
     q_sum = sum(q_k(t, k) for k in range(-22, 23))
-    x0, ctr, hyp = cutoffs(x, xi, cfg.weight)
+    x0, hyp, ctr = cutoff_triple(x, xi, cfg.weight)
     cut_sum = x0 + ctr + hyp
     sep = q_tilde_separation(40)
     rows = [
@@ -481,21 +491,31 @@ def run_lower_bound(cfg, out, seed, grids):
     return summary, 0
 
 
-def run_central_audit(cfg, out, seed, flow):
+def _central_frames(cfg, refine):
+    """central-audit's spec, flow grid and the frame of each k, None for
+    a block that vanishes; a frame over the dense budget is refused here."""
     spec = cfg.transfer_spec()
+    flow = FlowGrid(cfg.flow_half_period, cfg.flow_points * refine)
+    return spec, flow, [central_frame(spec, k, cfg.weight, flow)
+                        for k in cfg.ks]
+
+
+def run_central_audit(cfg, out, seed, plan):
+    spec, flow, frames = plan
     trans = make_grid(2 * cfg.d, 1.2, 10)
     _, _, bound = lambda_delta(spec, flow, trans, cfg.map_lam, cfg.weight.r)
     rows = []
-    results = []
-    for k in cfg.ks:
-        res = central_block_audit(spec, k, cfg.weight, flow, seed=seed)
-        results.append(res)
-        rows.append([flow.n_points, k, res["vanishes"], res["norm_primed"],
+    live = []
+    for k, frame in zip(cfg.ks, frames):
+        res = {"norm_primed": 0.0, "norm_diff": 0.0}
+        if frame is not None:
+            res = central_block_audit(frame, seed=seed)
+            live.append(res)
+        rows.append([flow.n_points, k, frame is None, res["norm_primed"],
                      res["norm_diff"]])
     _write_csv(os.path.join(out, "audit.csv"), cfg.grid_meta(),
                ["flow_points", "k", "vanishes", "norm_primed", "norm_diff"],
                rows)
-    live = [r for r in results if not r["vanishes"]]
     fitted = max((r["norm_primed"] / bound for r in live), default=0.0)
     diffs = [r["norm_diff"] for r in live]
     summary = {"bound": bound, "fitted_c0": fitted,
@@ -518,8 +538,7 @@ SUBCOMMANDS = {
                         run_partition_audit),
     "spectrum": (_spectrum_levels, run_spectrum),
     "lower-bound": (_lower_bound_grids, run_lower_bound),
-    "central-audit": (lambda cfg, refine: FlowGrid(
-        cfg.flow_half_period, cfg.flow_points * refine), run_central_audit),
+    "central-audit": (_central_frames, run_central_audit),
 }
 
 

@@ -15,7 +15,7 @@ reuses the dual-lattice construction of the plain transform.  The slice
 transform of width kappa^(-1/2) (_slice_forward / _slice_adjoint, and
 reconstruct_slice / scatter_slice off the quadrature grid) is the one
 transform core of the package: the plain FBI transform of fbi_core is its
-kappa = 1 case, flow_slices streams it over the flow frequencies of
+kappa = 1 case, pfbi_forward runs it over the flow frequencies of
 flow_dft, and every form of the lift in transfer_ops chains it through
 one slice coupling (coupled_forward / coupled_adjoint for lift_apply and
 the central block; lift_kernel builds its dense packets from the same
@@ -151,30 +151,6 @@ class PartialPhaseField:
     def norm(self):
         w = self.flow.freq_spacing * self.phase.weight
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * w))
-
-
-class PartialPacketIndex:
-    """Label (x_dag, xi0, xi_dag) of a single partial packet."""
-
-    def __init__(self, x_dag, xi0, xi_dag):
-        self.x_dag = np.asarray(x_dag, dtype=float)
-        self.xi0 = float(xi0)
-        self.xi_dag = np.asarray(xi_dag, dtype=float)
-        if self.x_dag.shape != self.xi_dag.shape:
-            raise ValueError("packet center of shape %s and frequency of "
-                             "shape %s differ" % (self.x_dag.shape,
-                                                  self.xi_dag.shape))
-        if not np.all(np.isfinite(self.x_dag)):
-            raise ValueError("non-finite packet center %r" % (self.x_dag,))
-        if not np.isfinite(self.xi0):
-            raise ValueError("non-finite flow frequency %r" % (self.xi0,))
-        if not np.all(np.isfinite(self.xi_dag)):
-            raise ValueError("non-finite transversal frequency %r"
-                             % (self.xi_dag,))
-
-    @property
-    def xi(self):
-        return np.concatenate([[self.xi0], self.xi_dag])
 
 
 def partial_packet(x_dag, xi):
@@ -418,17 +394,6 @@ def flow_dft(vol, pg):
         yield xi0, float(bracket(xi0)), slice_vals[..., 0]
 
 
-def flow_slices(vol, pg):
-    """Stream the partial transform of a volume field slice by slice.
-
-    Yields (xi0, kappa, coefficients) for each flow frequency of
-    flow_dft(vol, pg), with the slice coefficients on the phase grid pg;
-    only one slice of coefficients exists at a time.
-    """
-    for xi0, kappa, slice_vals in flow_dft(vol, pg):
-        yield xi0, kappa, _slice_forward(slice_vals, pg, kappa)
-
-
 def slice_energy(slice_vals, pg, kappa):
     """sum over the centers of |_slice_forward(slice_vals)|^2, of shape
     (nf_1, ..., nf_D): at f the form <v, (K_1(f_1) x ... x K_D(f_D)) v>
@@ -449,8 +414,8 @@ def slice_energy(slice_vals, pg, kappa):
 def pfbi_forward(vol, pg):
     """Apply the partial transform, materializing all flow slices."""
     out = np.empty((vol.flow.n_points,) + pg.shape(), dtype=complex)
-    for s, (_, _, coeff) in enumerate(flow_slices(vol, pg)):
-        out[s] = coeff
+    for s, (_, kappa, slice_vals) in enumerate(flow_dft(vol, pg)):
+        out[s] = _slice_forward(slice_vals, pg, kappa)
     return PartialPhaseField(vol.flow, pg, out)
 
 

@@ -27,7 +27,7 @@ import functools
 
 import numpy as np
 
-from .aniso_norm import (bracket, chi, cutoffs, q_block, q_tilde,
+from .aniso_norm import (bracket, chi, cutoff_triple, q_block, q_tilde,
                          q_tilde_support, slice_covectors, slice_weight, v_s,
                          weighted_gram)
 from .contact_geometry import ContactMap, alpha0_covector, det_on_unstable
@@ -455,6 +455,11 @@ class CentralFrame:
                               y_lattices[j]) for j in range(d2)]
         self.pg_in = PhaseGrid(in_axes)
         self.pg_out = PhaseGrid(out_axes)
+        # the blocks hold n_xi rows on pg_out and n_eta rows on pg_in
+        check_dense(self.xi0.size, self.pg_out.num_points,
+                    "central block out slices")
+        check_dense(self.eta0.size, self.pg_in.num_points,
+                    "central block in slices")
         self.y_shape = tuple(lat.size for lat in y_lattices)
         mesh = np.meshgrid(*y_lattices, indexing="ij")
         self.ypts = np.stack([mm.ravel() for mm in mesh], axis=-1)
@@ -465,7 +470,7 @@ class CentralFrame:
                         dtype=float)
         self.col_cut = np.stack([
             float(q_tilde(e0, k)) * qb
-            * cutoffs(*slice_covectors(pts_in, e0), wspec)[1]
+            * cutoff_triple(*slice_covectors(pts_in, e0), wspec)[2]
             for e0 in self.eta0])
 
     def sizes(self):
@@ -555,21 +560,21 @@ def _pair_norm(matvec, rmatvec, shape, iters=20, seed=0):
                          seed=seed)
 
 
-def central_block_audit(spec, k, wspec, flow, iters=20, seed=0):
-    """Compare one frequency block of the weighted lift with its
-    linearized surrogate.
-
-    Returns the power-iteration norms of the surrogate and of the
-    difference; for k^2 <= N/2 both blocks vanish identically because the
-    compact cutoff swallows the whole q-tilde slab.
-    """
+def central_frame(spec, k, wspec, flow):
+    """The CentralFrame of frequency block k, or None when the block
+    vanishes identically: for k^2 <= N/2 the compact cutoff swallows the
+    whole q-tilde slab, and above that the column cutoff may still be
+    zero on every column."""
     if k * k <= wspec.big_n / 2.0:
-        return {"k": int(k), "vanishes": True, "norm_primed": 0.0,
-                "norm_diff": 0.0, "sizes": {}}
+        return None
     frame = CentralFrame(spec, k, wspec, flow)
-    if float(np.max(np.abs(frame.col_cut))) == 0.0:
-        return {"k": int(k), "vanishes": True, "norm_primed": 0.0,
-                "norm_diff": 0.0, "sizes": frame.sizes()}
+    return frame if np.any(frame.col_cut) else None
+
+
+def central_block_audit(frame, iters=20, seed=0):
+    """Compare the frequency block of a live frame (central_frame) of the
+    weighted lift with its linearized surrogate: the power-iteration
+    norms of the surrogate and of the difference."""
     block = CentralBlock(frame, primed=False)
     surrogate = CentralBlock(frame, primed=True)
     shape = (frame.eta0.size, frame.pg_in.num_points)
@@ -579,6 +584,4 @@ def central_block_audit(spec, k, wspec, flow, iters=20, seed=0):
         lambda u: block.apply(u) - surrogate.apply(u),
         lambda w: block.apply_adjoint(w) - surrogate.apply_adjoint(w),
         shape, iters=iters, seed=seed)
-    return {"k": int(k), "vanishes": False, "norm_primed": float(norm_p),
-            "norm_diff": float(norm_d), "sizes": frame.sizes(),
-            "eta0": frame.eta0.copy(), "xi0": frame.xi0.copy()}
+    return {"norm_primed": float(norm_p), "norm_diff": float(norm_d)}

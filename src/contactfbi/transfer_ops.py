@@ -36,26 +36,21 @@ import string
 
 import numpy as np
 
-from .aniso_norm import bracket, cutoffs, slice_covectors
+from .aniso_norm import bracket, cutoff_triple, slice_covectors
 from .contact_geometry import det_on_unstable
 from .numerics import check_dense
-from .partial_fbi import (PartialPacketIndex, PartialPhaseField, VolumeField,
-                          _amplitude, _axis_factor, _point_factors,
-                          _slice_adjoint, _slice_axis_matrix, _slice_forward,
-                          _volume_points, check_transversal_spacing,
-                          partial_packet, reconstruct_slice, scatter_slice)
-
-# |g| below this fraction of its peak counts as outside the support of g
-_SUPPORT_TOL = 1e-8
+from .partial_fbi import (PartialPhaseField, VolumeField, _amplitude,
+                          _axis_factor, _point_factors, _slice_adjoint,
+                          _slice_axis_matrix, _slice_forward, _volume_points,
+                          check_transversal_spacing, partial_packet,
+                          reconstruct_slice, scatter_slice)
 
 
 class TransferSpec:
     """A contact map together with a complex amplitude g.
 
     g is a callable taking points of shape (N, 2d+1) and returning
-    complex values.  For the lift to be meaningful on a finite grid, g
-    should be negligible near the transversal boundary; support_check
-    verifies this on a concrete grid.
+    complex values.
     """
 
     def __init__(self, cmap, g, name="transfer"):
@@ -77,24 +72,6 @@ class TransferSpec:
         if not np.all(np.isfinite(vals)):
             raise ValueError("amplitude produced non-finite values")
         return vals.reshape(flow.n_points, -1)
-
-    def support_check(self, flow, trans):
-        """Raise if g carries significant mass on the transversal border."""
-        vals = self.g_values(flow, trans.nodes())
-        peak = float(np.max(np.abs(vals)))
-        if peak == 0.0:
-            return
-        border = np.zeros(trans.shape(), dtype=bool)
-        for a in range(trans.dim):
-            idx = [slice(None)] * trans.dim
-            for edge in (0, -1):
-                idx[a] = edge
-                border[tuple(idx)] = True
-        worst = float(np.max(np.abs(vals[:, border.ravel()])))
-        if worst > _SUPPORT_TOL * peak:
-            raise ValueError(
-                "amplitude is %.3g of its peak at the box border; "
-                "enlarge the box or shrink the support" % (worst / peak))
 
 
 class AxisProduct:
@@ -414,14 +391,9 @@ def _phase_labels(flow, pg, flat):
     return x_dag, xi
 
 
-def phase_index(flow, pg, flat):
-    """Packet label of a flat matrix row or column index."""
-    x_dag, xi = _phase_labels(flow, pg, [int(flat)])
-    return PartialPacketIndex(x_dag[0], xi[0, 0], xi[0, 1:])
-
-
-def kernel_entry_direct(spec, flow, trans, out_index, in_index):
-    """One kernel entry by full quadrature over the volume grid.
+def kernel_entry_direct(spec, flow, trans, pg, row, col):
+    """Entry (row, col) of the lift on flow x pg, for flat lift indices,
+    by full quadrature over the volume grid.
 
     Independent of the factored assembly: evaluates both packets
     pointwise, composes the in packet with the map and sums.  It is the
@@ -429,8 +401,9 @@ def kernel_entry_direct(spec, flow, trans, out_index, in_index):
     """
     pts = _volume_points(flow, trans.nodes())
     fpts = spec.map.apply(pts)
-    phi_o = partial_packet(out_index.x_dag, out_index.xi)
-    phi_i = partial_packet(in_index.x_dag, in_index.xi)
+    x_dag, xi = _phase_labels(flow, pg, [row, col])
+    phi_o = partial_packet(x_dag[0], xi[0])
+    phi_i = partial_packet(x_dag[1], xi[1])
     g = np.asarray(spec.g(pts), dtype=complex)
     val = np.sum(np.conj(phi_o(pts)) * g * phi_i(fpts))
     return complex(val * flow.spacing * trans.weight)
@@ -524,9 +497,10 @@ def kernel_bound_audit(spec, flow, trans, pg, rho, n_per_stratum=4,
 def cutoff_diagonals(flow, pg, wspec):
     """Diagonal cutoff vectors (X0, X_ctr0, X_hyp) on the lift index set."""
     pts = pg.points()
-    parts = [cutoffs(*slice_covectors(pts, xi0), wspec)
+    parts = [cutoff_triple(*slice_covectors(pts, xi0), wspec)
              for xi0 in flow.freqs()]
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    x0, x_hyp, x_ctr0 = (np.concatenate(part) for part in zip(*parts))
+    return x0, x_ctr0, x_hyp
 
 
 def decompose(matrix, flow, pg, wspec):

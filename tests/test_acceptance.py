@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from contactfbi.aniso_norm import (WeightSpec, chi_n, cutoffs, lp_partition,
-                                   q_k, q_tilde_separation, sobolev_norms)
+from contactfbi.aniso_norm import (WeightSpec, chi_n, cutoff_triple,
+                                   lp_partition, q_k, q_tilde_separation,
+                                   sobolev_norms)
 from contactfbi.contact_geometry import (ContactMap, second_order_audit)
 from contactfbi.fbi_core import (det_factor, dual_phase_grid, fbi_adjoint,
                                  fbi_forward, l0_hat_kernel, lift_linear,
@@ -20,8 +21,8 @@ from contactfbi.fbi_core import (det_factor, dual_phase_grid, fbi_adjoint,
 from contactfbi.numerics import make_grid, quad_inner, sample
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField, pcal_apply,
                                     pfbi_forward, sample_volume)
-from contactfbi.spectra import (central_block_audit, model_spectrum,
-                                weighted_norm_measure)
+from contactfbi.spectra import (central_block_audit, central_frame,
+                                model_spectrum, weighted_norm_measure)
 from contactfbi.transfer_ops import (TransferSpec, decompose, lambda_delta,
                                      lambda_global, lift_kernel)
 
@@ -219,7 +220,7 @@ def test_criterion_08_partition_audits():
     psi_sum = sum(lp_partition(m, x, xi) for m in range(-12, 13))
     t = rng.uniform(-20.0, 20.0, size=n)
     qsum = sum(q_k(t, k) for k in range(-22, 23))
-    x0, ctr, hyp = cutoffs(x, xi, WeightSpec())
+    x0, hyp, ctr = cutoff_triple(x, xi, WeightSpec())
     cut_sum = x0 + ctr + hyp
     worst = max(float(np.max(np.abs(v - 1.0)))
                 for v in (chi_sum, psi_sum, qsum, cut_sum))
@@ -340,8 +341,9 @@ def test_criterion_14_central_block():
     _, _, bound = lambda_delta(spec, flow, trans, lam=2.0, r=1.0)
     diffs, primed = [], []
     for k in (6, 8, 12):
-        res = central_block_audit(spec, k, wspec, flow, seed=0)
-        assert not res["vanishes"]
+        frame = central_frame(spec, k, wspec, flow)
+        assert frame is not None
+        res = central_block_audit(frame, seed=0)
         diffs.append(res["norm_diff"])
         primed.append(res["norm_primed"])
     monotone = all(b <= a * (1.0 + 1e-9)

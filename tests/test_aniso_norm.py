@@ -338,16 +338,11 @@ class TestQPartitions:
 class TestNamedOps:
 
     def test_cutoffs_order_and_sum(self):
-        from contactfbi.aniso_norm import cutoffs
         spec = WeightSpec()
         rng = np.random.default_rng(7)
         x = rng.uniform(-2.0, 2.0, size=(50, 2))
         xi = rng.uniform(-80.0, 80.0, size=(50, 3))
-        x0, ctr, hyp = cutoffs(x, xi, spec)
-        ref0, refh, refc = cutoff_triple(x, xi, spec)
-        assert np.array_equal(x0, ref0)
-        assert np.array_equal(ctr, refc)
-        assert np.array_equal(hyp, refh)
+        x0, hyp, ctr = cutoff_triple(x, xi, spec)
         assert np.max(np.abs(x0 + ctr + hyp - 1.0)) <= 1e-12
 
 
@@ -515,12 +510,13 @@ class TestVolumeNorms:
         # the ravelled coefficients, as a pointwise weight would be
         from contactfbi.aniso_norm import sobolev_norms
         from contactfbi.fbi_core import dual_phase_grid
-        from contactfbi.partial_fbi import flow_slices
+        from contactfbi.partial_fbi import pfbi_forward
         pg = dual_phase_grid(self.trans, center_margin=3.5)
         pts = pg.points()
+        coeffs = pfbi_forward(self.vol, pg).values
         for r in (0.0, 1.0, 2.0):
             total = 0.0
-            for xi0, _, coeff in flow_slices(self.vol, pg):
+            for xi0, coeff in zip(self.flow.freqs(), coeffs):
                 full = np.sqrt(xi0 ** 2 + np.sum(pts[:, 2:] ** 2, axis=-1))
                 total += np.sum(np.abs(bracket(full) ** r
                                        * coeff.ravel()) ** 2)
@@ -535,7 +531,7 @@ class TestVolumeNorms:
         from contactfbi import aniso_norm, fbi_core
         from contactfbi.aniso_norm import sobolev_norms
         from contactfbi.numerics import make_grid
-        from contactfbi.partial_fbi import (FlowGrid, flow_slices,
+        from contactfbi.partial_fbi import (FlowGrid, pfbi_forward,
                                             sample_volume)
         trans = make_grid(4, 0.8, 4)
         flow = FlowGrid(np.pi, 4)
@@ -550,9 +546,10 @@ class TestVolumeNorms:
         monkeypatch.setattr(aniso_norm, "dual_phase_grid",
                             lambda trans, center_margin: pg)
         pts = pg.points()
+        coeffs = pfbi_forward(vol, pg).values
         for r in (0.0, 1.0, 2.0):
             total = 0.0
-            for xi0, _, coeff in flow_slices(vol, pg):
+            for xi0, coeff in zip(flow.freqs(), coeffs):
                 full = np.sqrt(xi0 ** 2 + np.sum(pts[:, 4:] ** 2, axis=-1))
                 total += np.sum(np.abs(bracket(full) ** r
                                        * coeff.ravel()) ** 2)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import contactfbi
-from contactfbi.cli import ConfigError, ExperimentConfig, main
+from contactfbi.cli import SUBCOMMANDS, ConfigError, ExperimentConfig, main
 
 
 def write(path, text):
@@ -280,6 +280,25 @@ class TestExitCodes:
         rep = json.loads((tmp_path / "summary.json").read_text())
         assert rep["passed"] is False
         assert rep["worst_defect"] > 1e-6
+
+    def test_default_identity_exits_zero(self, tmp_path):
+        # the volume phase grid's centers reach 3.5 past the box, as the
+        # plain grids' do; without that margin the partial rows' defect
+        # was 0.086
+        path = write(tmp_path / "default.cfg", "d = 1\n")
+        assert main(["check-identity", "--config", path,
+                     "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "summary.json").read_text())
+        assert rep["worst_defect"] <= 1e-8
+
+    def test_central_audit_plan_refuses_d2_frame(self):
+        # the default config at d = 2: the k = 6 block's out slices would
+        # hold 22 x 15,740,211,600 values, refused while the frames are
+        # planned; only the plan runs, never the audit
+        plan = SUBCOMMANDS["central-audit"][0]
+        with pytest.raises(ValueError, match="central block out slices "
+                           "would need a 22 x 15740211600 matrix"):
+            plan(ExperimentConfig({"d": 2}), 1)
 
     def test_fine_identity_exits_zero(self, tmp_path):
         path = write(tmp_path / "fine.cfg", FINE_IDENTITY)

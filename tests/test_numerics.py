@@ -187,9 +187,9 @@ class TestDenseBudget:
                                              lift_linear, projection_kernel)
             from contactfbi.numerics import (Field, GridSpec, check_dense,
                                              make_grid)
-            from contactfbi.partial_fbi import (FlowGrid, PartialPacketIndex,
-                                                PartialPhaseField, VolumeField,
-                                                pfbi_adjoint, pfbi_forward,
+            from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
+                                                VolumeField, pfbi_adjoint,
+                                                pfbi_forward,
                                                 reconstruct_slice,
                                                 scatter_slice)
             from contactfbi.aniso_norm import v_s
@@ -357,19 +357,6 @@ class TestDenseBudget:
                                      lambda: l0_hat(
                                          np.eye(4),
                                          Field(trans, np.zeros(16)))),
-                "packet index shape": ("center of shape (1,) and frequency "
-                                       "of shape (2,) differ",
-                                       lambda: PartialPacketIndex(
-                                           [0.0], 1.0, [0.0, 0.0])),
-                "packet index center": ("non-finite packet center",
-                                        lambda: PartialPacketIndex(
-                                            [np.nan], 1.0, [0.0])),
-                "packet index flow": ("non-finite flow frequency",
-                                      lambda: PartialPacketIndex(
-                                          [0.0], np.inf, [0.0])),
-                "packet index frequency": ("non-finite transversal frequency",
-                                           lambda: PartialPacketIndex(
-                                               [0.0], 1.0, [np.nan])),
                 "empty gram": ("needs at least one volume field",
                                lambda: weighted_gram([], pg, WeightSpec())),
                 # the window chi(4 |y - x|) around x = (10, 10) misses the box

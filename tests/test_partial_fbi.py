@@ -12,7 +12,7 @@ from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField, VolumeField,
                                     _slice_adjoint, _slice_axis_matrix,
                                     _slice_forward, _slice_gram,
                                     check_transversal_spacing, flow_dft,
-                                    flow_slices, min_transversal_points,
+                                    min_transversal_points,
                                     partial_packet, pcal_apply, pfbi_adjoint,
                                     pfbi_forward, pfbi_roundtrip,
                                     per_axis_order,
@@ -513,8 +513,8 @@ class TestGramPath:
         trans = make_grid(dim, half, n)
         vol = self._volume(flow, trans)
         pg = dual_phase_grid(trans, n_freq=n_freq, center_margin=0.5)
-        for (_, kappa, vals), (_, _, coeff) in zip(flow_dft(vol, pg),
-                                                   flow_slices(vol, pg)):
+        for (_, kappa, vals), coeff in zip(flow_dft(vol, pg),
+                                           pfbi_forward(vol, pg).values):
             want = np.sum(np.abs(coeff) ** 2, axis=tuple(range(dim)))
             got = slice_energy(vals, pg, kappa)
             assert got.shape == want.shape

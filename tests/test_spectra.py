@@ -13,15 +13,15 @@ from contactfbi.contact_geometry import ContactMap
 from contactfbi.fbi_core import (PhaseAxis, PhaseGrid, det_factor,
                                  dual_phase_grid, l0_hat_kernel)
 from contactfbi.numerics import make_grid
-from contactfbi import partial_fbi, spectra
+from contactfbi import numerics, partial_fbi, spectra
 from contactfbi.partial_fbi import (FlowGrid, _slice_adjoint, _slice_forward,
                                     _volume_points, reconstruct_slice,
                                     scatter_slice)
 from contactfbi.spectra import (CentralBlock, CentralFrame, SpectrumReport,
-                                central_block_audit, conjugated_operator,
-                                expansion_argmax, lower_bound_family,
-                                model_spectrum, persistent_outliers,
-                                weighted_norm_measure)
+                                central_block_audit, central_frame,
+                                conjugated_operator, expansion_argmax,
+                                lower_bound_family, model_spectrum,
+                                persistent_outliers, weighted_norm_measure)
 from contactfbi.transfer_ops import (AxisProduct, TransferSpec, axis_lift,
                                      flow_fourier_coeffs, lambda_delta,
                                      lift_coupling, lift_kernel, lift_route,
@@ -634,17 +634,33 @@ def pair_apply_adjoint(blk, w):
 
 class TestCentralBlock:
 
-    def test_vanishes_below_threshold(self):
+    def test_vanishes_below_threshold(self, monkeypatch):
+        # k^2 <= N/2: no frame is built
         spec, _, flow = central_setting()
-        res = central_block_audit(spec, 4, WeightSpec(big_n=32.0), flow)
-        assert res["vanishes"] and res["norm_primed"] == 0.0
+        monkeypatch.setattr(spectra, "CentralFrame", None)
+        assert central_frame(spec, 4, WeightSpec(big_n=32.0), flow) is None
 
     def test_vanishes_when_cutoff_swallows_slab(self):
         # k^2 > N/2 but the q-tilde slab still sits inside the compact
         # cutoff, so the column cutoff is identically zero
         spec, _, flow = central_setting()
-        res = central_block_audit(spec, 5, WeightSpec(big_n=32.0), flow)
-        assert res["vanishes"]
+        assert central_frame(spec, 5, WeightSpec(big_n=32.0), flow) is None
+
+    def test_frame_over_budget_builds_no_phase_points(self, monkeypatch):
+        # the frame is refused once its phase grids are sized, before it
+        # forms a phase point
+        spec, wspec, flow = central_setting()
+        size = CentralFrame(spec, 6, wspec, flow).sizes()
+
+        def refuse(self):
+            raise AssertionError("PhaseGrid.points called")
+        monkeypatch.setattr(PhaseGrid, "points", refuse)
+        monkeypatch.setattr(numerics, "DENSE_BYTES",
+                            16 * size["n_xi"] * size["phase_out"] - 1)
+        with pytest.raises(ValueError, match="central block out slices "
+                           "would need a %d x %d matrix"
+                           % (size["n_xi"], size["phase_out"])):
+            CentralFrame(spec, 6, wspec, flow)
 
     def test_adjoint_pairing(self):
         spec, wspec, flow = central_setting()
@@ -725,8 +741,8 @@ class TestCentralBlock:
         # freeze, so the difference stays below the block norm itself
         spec, wspec, flow = central_setting(
             g=flow_only_amp, cmap=ContactMap.linear(sym_block(2.0)))
-        res = central_block_audit(spec, 6, wspec, flow, iters=8)
-        assert not res["vanishes"]
+        res = central_block_audit(central_frame(spec, 6, wspec, flow),
+                                  iters=8)
         assert res["norm_primed"] > 0
         assert res["norm_diff"] < res["norm_primed"]
 
@@ -758,6 +774,7 @@ class TestCentralBlock:
         wspec = WeightSpec(r=1.0, big_n=8.0)
         trans = make_grid(2, 1.2, 10)
         lam_fg, delta_fg, _ = lambda_delta(spec, flow, trans, 2.0, wspec.r)
-        res = central_block_audit(spec, 6, wspec, flow, iters=8)
+        res = central_block_audit(central_frame(spec, 6, wspec, flow),
+                                  iters=8)
         bound = max(lam_fg, 1.0 * 2.0 ** (-wspec.r) * delta_fg)
         assert res["norm_primed"] <= 3.0 * bound

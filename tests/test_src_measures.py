@@ -12,8 +12,17 @@ TOOL = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools", "src_measures.py")
 
 
-def test_no_assert_statements():
+def _measures():
     spec = importlib.util.spec_from_file_location("src_measures", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.measures()["asserts"] == 0
+    return module.measures()
+
+
+def test_no_assert_statements():
+    assert _measures()["asserts"] == 0
+
+
+def test_public_names_is_a_positive_count():
+    count = _measures()["public_names"]
+    assert isinstance(count, int) and count > 0

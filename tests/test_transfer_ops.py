@@ -16,11 +16,11 @@ from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
                                     _slice_forward, pcal_apply, pfbi_forward,
                                     reconstruct_slice, sample_volume)
 from contactfbi.transfer_ops import (AxisProduct, TransferSpec,
-                                     cutoff_diagonals,
+                                     _phase_labels, cutoff_diagonals,
                                      decompose, flow_fourier_coeffs,
                                      kernel_bound_audit, kernel_entry_direct,
                                      lambda_delta, lambda_global, lift_apply,
-                                     lift_kernel, phase_index, reduced_lift,
+                                     lift_kernel, reduced_lift,
                                      slice_coupling, transfer_apply)
 
 
@@ -71,13 +71,6 @@ class TestTransferApply:
         vol = sample_volume(u, self.flow, self.trans)
         out = transfer_apply(spec, u, self.flow, self.trans)
         assert out.norm() <= 0.7 * vol.norm() * 1.01
-
-    def test_support_check(self):
-        wide = TransferSpec(ContactMap.linear(np.eye(2)), ones_amp)
-        with pytest.raises(ValueError):
-            wide.support_check(self.flow, self.trans)
-        narrow = TransferSpec(ContactMap.linear(np.eye(2)), gauss_amp(0.5))
-        narrow.support_check(self.flow, self.trans)
 
 
 def flow_phase_sum(g_vals, flow):
@@ -252,7 +245,7 @@ class TestLiftKernel:
         assert mat.shape == (rows, rows) and mat.dtype == complex
         assert np.max(np.abs(mat)) == 0.0
 
-    def test_phase_index_matches_points(self):
+    def test_phase_labels_match_points(self):
         # two axes of different sizes, so that a mixed-up axis order or
         # center/frequency split shows
         axes = [PhaseAxis(np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 4),
@@ -264,10 +257,10 @@ class TestLiftKernel:
         pts = pg.points()
         for flat in range(flow.n_points * pg.num_points):
             s, rem = divmod(flat, pg.num_points)
-            label = phase_index(flow, pg, flat)
-            assert np.array_equal(label.x_dag, pts[rem, :2])
-            assert np.array_equal(label.xi_dag, pts[rem, 2:])
-            assert label.xi0 == flow.freqs()[s]
+            x_dag, xi = _phase_labels(flow, pg, [flat])
+            assert np.array_equal(x_dag[0], pts[rem, :2])
+            assert np.array_equal(xi[0, 1:], pts[rem, 2:])
+            assert xi[0, 0] == flow.freqs()[s]
 
     def test_two_kernel_forms_agree(self):
         # factored flow-summed assembly vs direct volume quadrature
@@ -279,9 +272,7 @@ class TestLiftKernel:
         for _ in range(10):
             row = int(rng.integers(mat.shape[0]))
             col = int(rng.integers(mat.shape[1]))
-            direct = kernel_entry_direct(spec, flow, trans,
-                                         phase_index(flow, pg, row),
-                                         phase_index(flow, pg, col))
+            direct = kernel_entry_direct(spec, flow, trans, pg, row, col)
             assert abs(mat[row, col] - direct) <= 1e-10 * scale
 
     def test_identity_lift_is_projection(self):
@@ -443,18 +434,19 @@ def scalar_audit(spec, flow, trans, pg, rho, n_per_stratum, rng_seed):
             s, t = pairs[rng.integers(len(pairs))]
             if rng.uniform() < 0.5 and dm > 0:
                 s, t = t, s
-            out_idx = phase_index(flow, pg, s * npts + rng.integers(npts))
-            in_idx = phase_index(flow, pg, t * npts + rng.integers(npts))
-            value = kernel_entry_direct(spec, flow, trans, out_idx, in_idx)
+            row = s * npts + int(rng.integers(npts))
+            col = t * npts + int(rng.integers(npts))
+            value = kernel_entry_direct(spec, flow, trans, pg, row, col)
+            (out_x, in_x), (out_xi, in_xi) = _phase_labels(flow, pg,
+                                                           [row, col])
             kap_o, kap_i = bracket(freqs[s]), bracket(freqs[t])
             f1 = bracket(freqs[s] - freqs[t])
-            f2 = bracket(np.linalg.norm(out_idx.x_dag - yd, axis=1)
+            f2 = bracket(np.linalg.norm(out_x - yd, axis=1)
                          * np.sqrt(kap_o))
-            f3 = bracket(np.linalg.norm(fy - in_idx.x_dag, axis=1)
+            f3 = bracket(np.linalg.norm(fy - in_x, axis=1)
                          * np.sqrt(kap_i))
-            f4 = bracket(np.linalg.norm(out_idx.xi - jacs @ in_idx.xi,
-                                        axis=1)
-                         / np.sqrt(bracket(np.linalg.norm(in_idx.xi))))
+            f4 = bracket(np.linalg.norm(out_xi - jacs @ in_xi, axis=1)
+                         / np.sqrt(bracket(np.linalg.norm(in_xi))))
             integral = 2.0 * flow.half_period * trans.weight \
                 * np.sum((f1 * f2 * f3 * f4) ** (-rho))
             bound = (kap_o * kap_i) ** (trans.dim / 4.0) * integral
@@ -523,13 +515,12 @@ class TestKernelBoundAudit:
     def test_mismatch_decay(self):
         # a matched diagonal entry vs one with maximal flow mismatch
         mid = self.pg.num_points // 2
-        matched_out = phase_index(self.flow, self.pg,
-                                  3 * self.pg.num_points + mid)
-        far_in = phase_index(self.flow, self.pg, 0 * self.pg.num_points + mid)
+        matched_out = 3 * self.pg.num_points + mid
+        far_in = 0 * self.pg.num_points + mid
         k_diag = kernel_entry_direct(self.spec, self.flow, self.trans,
-                                     matched_out, matched_out)
+                                     self.pg, matched_out, matched_out)
         k_far = kernel_entry_direct(self.spec, self.flow, self.trans,
-                                    matched_out, far_in)
+                                    self.pg, matched_out, far_in)
         assert abs(k_far) <= 0.1 * abs(k_diag)
 
     def test_zero_amplitude(self):
