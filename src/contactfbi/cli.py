@@ -101,12 +101,11 @@ class ExperimentConfig:
 
     def __init__(self, mapping):
         data = dict(_DEFAULTS)
-        unknown = set(mapping) - set(data) - {"out_dir"}
+        unknown = set(mapping) - set(data)
         if unknown:
             raise ConfigError("unknown config keys: %s"
                               % ", ".join(sorted(unknown)))
         data.update(mapping)
-        self.raw = data
         try:
             self._read(data)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -560,7 +559,7 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    out = args.out or cfg.raw.get("out_dir") or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     try:
         summary, code = runner(cfg, out, args.seed, plan)

@@ -12,12 +12,13 @@ with F_dag symplectic for omega_dag and f determined up to a constant by
 df = alpha_dag - F_dag^* alpha_dag.  This module provides the affine
 contact group, the normal-form map with its two concrete families, the
 reconstruction of f by path integration (an independent check of the
-families' closed forms) and hyperbolicity certification.
+families' closed forms) and the one hyperbolicity certificate,
+cone_certificate, which check_hyperbolic applies to DF.
 """
 
 import numpy as np
 
-from .fbi_core import cone_certificate, dagger_form_matrix, flip_half
+from .fbi_core import dagger_form_matrix, flip_half
 
 
 def alpha_dag(x_dag):
@@ -112,6 +113,12 @@ class ContactMap:
         scales = b.copy() if b.ndim == 1 else None
         if scales is not None:
             b = np.diag(scales)
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] % 2:
+            raise ValueError("linear contact map needs a square matrix of "
+                             "even size, got shape %s" % (b.shape,))
+        if not np.all(np.isfinite(b)):
+            raise ValueError("linear contact map needs finite matrix "
+                             "entries, got %s" % (b.tolist(),))
         d = b.shape[0] // 2
         params = {"matrix": b.copy(), "f_base": float(f_base)}
         cmap = cls(d,
@@ -204,15 +211,68 @@ def reconstruct_flow_shift(cmap, x_dag, base_point=None):
     return cmap.f_base + total / 2.0
 
 
+def cone_certificate(jacs, dirs, lam, theta):
+    """Cone invariance and expansion of a stack of maps on sampled directions.
+
+    jacs has shape (P, n, n) and dirs, unit vectors, shape (K, n); every
+    map is tested on every direction.  A vector splits into halves
+    (v_+, v_-) of length d = n // 2, and C_+(theta) = {|v_-| <= theta |v_+|},
+    C_-(theta) = {|v_+| <= theta |v_-|}.  When n is odd the leading axis is
+    the flow direction: the cones ignore it and it is projected out of the
+    directions before the maps are applied, so the expansion test sees
+    only the transversal part.  With M the map and M^{-1} its inverse:
+
+    * aperture_fwd: the largest |w_-| / |w_+| of w = M v over v outside
+      C_-(theta); aperture_bwd the same for M^{-1} with the halves swapped;
+    * expand_fwd: the smallest |M v| - lam |v| over v in C_+(theta);
+      expand_bwd the same for M^{-1} on C_-(theta);
+    * complement_expand_fwd / _bwd: the smallest |M v| / |v| over the
+      cone complements the apertures use, recorded without being gated on;
+    * ok: both apertures below one and both expansions nonnegative.
+    """
+    jacs = np.asarray(jacs, dtype=float)
+    n = jacs.shape[-1]
+    d = n // 2
+    flow = n - 2 * d
+    v = np.array(dirs, dtype=float)
+    v[:, :flow] = 0.0
+    size = np.linalg.norm(v, axis=1)
+    halves = (slice(flow, flow + d), slice(flow + d, n))
+    report = {}
+    for key, mats, (grow, shrink) in (("fwd", jacs, halves),
+                                      ("bwd", np.linalg.inv(jacs),
+                                       halves[::-1])):
+        vg = np.linalg.norm(v[:, grow], axis=1)
+        vs = np.linalg.norm(v[:, shrink], axis=1)
+        outside = vg > theta * vs
+        # a pure flow direction (both halves zero) lies in neither cone
+        inside = (vs <= theta * vg) & (vg > 0.0)
+        w = np.einsum("pij,kj->pki", mats, v)
+        image = np.linalg.norm(w, axis=-1)
+        aperture = np.linalg.norm(w[..., shrink], axis=-1) / np.maximum(
+            np.linalg.norm(w[..., grow], axis=-1), 1e-300)
+        report["aperture_" + key] = float(
+            np.max(aperture[:, outside], initial=0.0))
+        report["expand_" + key] = float(
+            np.min((image - lam * size)[:, inside], initial=np.inf))
+        report["complement_expand_" + key] = float(
+            np.min((image / size)[:, outside], initial=np.inf))
+    report["ok"] = (report["aperture_fwd"] < 1.0
+                    and report["aperture_bwd"] < 1.0
+                    and report["expand_fwd"] >= 0.0
+                    and report["expand_bwd"] >= 0.0)
+    return report
+
+
 def check_hyperbolic(cmap, lam):
     """Certify cone invariance and transversal expansion of DF on 25 base
     points in [-0.8, 0.8]^(2d) and 240 directions, cone aperture 0.1.
 
-    Same reading as for linear maps: expansion by lam is required on the
-    cones where it holds, the achieved image apertures of the cone
-    complements are required to stay below one, and the expansion over the
-    full complements is recorded without being gated on.  The cones
-    ignore the flow direction (see fbi_core.cone_certificate).
+    Expansion by lam is required on the cones, the image apertures of the
+    cone complements must stay below one (about 1/(L^2 theta) for a
+    diagonal stretch L), and the expansion over the full complements is
+    recorded without being gated on; see cone_certificate.  A linear map
+    B is certified as ContactMap.linear(B).
     """
     d = cmap.d
     rng = np.random.default_rng(4)

@@ -40,35 +40,23 @@ def normalization(dim):
     return (2.0 * np.pi) ** (-dim / 2.0) * np.pi ** (-dim / 4.0)
 
 
-class PhaseSpacePoint:
-    """A center/frequency pair (x, xi) indexing one wave packet."""
-
-    def __init__(self, x, xi):
-        self.x = np.atleast_1d(np.asarray(x, dtype=float))
-        self.xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if self.x.shape != self.xi.shape:
-            raise ValueError("phase space point with center of shape %s and "
-                             "frequency of shape %s" % (self.x.shape,
-                                                        self.xi.shape))
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.xi))):
-            raise ValueError("non-finite phase space point")
-
-    @property
-    def dim(self):
-        return self.x.size
-
-
-def wave_packet(p):
+def wave_packet(x, xi):
     """Pointwise wave packet phi_{x,xi} as a vectorized function of y."""
-    a = normalization(p.dim)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if x.shape != xi.shape:
+        raise ValueError("phase space point with center of shape %s and "
+                         "frequency of shape %s" % (x.shape, xi.shape))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
+        raise ValueError("non-finite phase space point")
+    a = normalization(x.size)
 
     def phi(y):
         y = np.asarray(y, dtype=float)
-        if y.ndim == 1 and p.dim == 1:
+        if y.ndim == 1 and x.size == 1:
             y = y[:, None]
-        dy = y - p.x
-        phase = np.tensordot(y - p.x / 2.0, p.xi, axes=([-1], [0]))
-        return a * np.exp(1j * phase - np.sum(dy ** 2, axis=-1) / 2.0)
+        phase = np.tensordot(y - x / 2.0, xi, axes=([-1], [0]))
+        return a * np.exp(1j * phase - np.sum((y - x) ** 2, axis=-1) / 2.0)
 
     return phi
 
@@ -87,6 +75,10 @@ class PhaseAxis:
         self.centers = np.asarray(centers, dtype=float)
         self.freqs = np.asarray(freqs, dtype=float)
         self.y = np.asarray(y, dtype=float)
+        sizes = (self.centers.size, self.freqs.size, self.y.size)
+        if min(sizes) < 2:
+            raise ValueError("phase axis needs at least 2 centers, frequencies"
+                             " and nodes, got %d, %d and %d" % sizes)
         self.c_spacing = float(self.centers[1] - self.centers[0])
         self.f_spacing = float(self.freqs[1] - self.freqs[0])
         self.y_spacing = float(self.y[1] - self.y[0])
@@ -254,43 +246,6 @@ def fbi_adjoint(v, space_grid=None):
     return Field(space_grid, _slice_adjoint(v.values, pg, 1.0).ravel())
 
 
-def fbi_forward_at(u, points):
-    """T u evaluated at arbitrary phase space points of shape (N, 2 D).
-
-    Sums each packet against u node by node; this is the reference oracle
-    that the tests hold fbi_forward (the slice core at kappa = 1) to."""
-    pts = np.asarray(points, dtype=float)
-    d = u.grid.dim
-    if pts.ndim != 2 or pts.shape[1] != 2 * d:
-        raise ValueError("points of shape %s for a %d-dimensional field; "
-                         "need width %d" % (pts.shape, d, 2 * d))
-    nodes = u.grid.nodes()
-    out = np.empty(pts.shape[0], dtype=complex)
-    a = normalization(d)
-    chunk = max(1, int(2e6 // max(nodes.shape[0], 1)))
-    for start in range(0, pts.shape[0], chunk):
-        p = pts[start:start + chunk]
-        x = p[:, :d]
-        xi = p[:, d:]
-        dy = nodes[None, :, :] - x[:, None, :]
-        phase = np.einsum("nyd,nd->ny", nodes[None, :, :] - x[:, None, :] / 2.0, xi)
-        packet = np.exp(-1j * phase - np.sum(dy ** 2, axis=-1) / 2.0)
-        out[start:start + chunk] = packet @ u.values
-    return a * u.grid.weight * out
-
-
-def projection_kernel(p, q):
-    """Closed form of the integral of conj(phi_p) phi_q over R^D.
-
-    Equals (2 pi)^(-D) exp(i Omega(p,q)/2 - |x-x'|^2/4 - |xi-xi'|^2/4) with
-    Omega((x,xi),(x',xi')) = x.xi' - xi.x'.
-    """
-    if p.dim != q.dim:
-        raise ValueError("packets of dimensions %d and %d" % (p.dim, q.dim))
-    return projection_kernel_matrix(np.concatenate([p.x, p.xi])[None],
-                                    np.concatenate([q.x, q.xi])[None])[0, 0]
-
-
 def _gaussian_kernel(q_out, q_cross, q_in, pref, pts_out, pts_in):
     """Kernel pref exp(p.Q_out p + p.Q_cross p' + p'.Q_in p') on two point
     sets p in pts_out, p' in pts_in.
@@ -316,8 +271,12 @@ def _form_projection_kernel(form, pref, pts_out, pts_in):
 
 
 def projection_kernel_matrix(pts_out, pts_in):
-    """Projection kernel sampled on two point sets of shape (N, 2 D)."""
-    dim = np.shape(pts_out)[1] // 2
+    """The integrals of conj(phi_p) phi_q over R^D for p, q in two point sets
+    of shape (N, 2 D), in closed form: (2 pi)^(-D) exp(i Omega(p,q)/2
+    - |p - q|^2/4) with Omega((x,xi),(x',xi')) = x.xi' - xi.x'."""
+    dim, dim_in = np.shape(pts_out)[1] // 2, np.shape(pts_in)[1] // 2
+    if dim != dim_in:
+        raise ValueError("packets of dimensions %d and %d" % (dim, dim_in))
     return _form_projection_kernel(dagger_form_matrix(2 * dim),
                                    (2.0 * np.pi) ** (-dim), pts_out, pts_in)
 
@@ -349,110 +308,6 @@ def det_factor(b):
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     return float(np.sqrt(np.linalg.det((np.eye(n) + b.T @ b) / 2.0)))
-
-
-def cone_certificate(jacs, dirs, lam, theta):
-    """Cone invariance and expansion of a stack of maps on sampled directions.
-
-    jacs has shape (P, n, n) and dirs, unit vectors, shape (K, n); every
-    map is tested on every direction.  A vector splits into halves
-    (v_+, v_-) of length d = n // 2, and C_+(theta) = {|v_-| <= theta |v_+|},
-    C_-(theta) = {|v_+| <= theta |v_-|}.  When n is odd the leading axis is
-    the flow direction: the cones ignore it and it is projected out of the
-    directions before the maps are applied, so the expansion test sees
-    only the transversal part.  With M the map and M^{-1} its inverse:
-
-    * aperture_fwd: the largest |w_-| / |w_+| of w = M v over v outside
-      C_-(theta); aperture_bwd the same for M^{-1} with the halves swapped;
-    * expand_fwd: the smallest |M v| - lam |v| over v in C_+(theta);
-      expand_bwd the same for M^{-1} on C_-(theta);
-    * complement_expand_fwd / _bwd: the smallest |M v| / |v| over the
-      cone complements the apertures use, recorded without being gated on;
-    * ok: both apertures below one and both expansions nonnegative.
-    """
-    jacs = np.asarray(jacs, dtype=float)
-    n = jacs.shape[-1]
-    d = n // 2
-    flow = n - 2 * d
-    v = np.array(dirs, dtype=float)
-    v[:, :flow] = 0.0
-    size = np.linalg.norm(v, axis=1)
-    halves = (slice(flow, flow + d), slice(flow + d, n))
-    report = {}
-    for key, mats, (grow, shrink) in (("fwd", jacs, halves),
-                                      ("bwd", np.linalg.inv(jacs),
-                                       halves[::-1])):
-        vg = np.linalg.norm(v[:, grow], axis=1)
-        vs = np.linalg.norm(v[:, shrink], axis=1)
-        outside = vg > theta * vs
-        # a pure flow direction (both halves zero) lies in neither cone
-        inside = (vs <= theta * vg) & (vg > 0.0)
-        w = np.einsum("pij,kj->pki", mats, v)
-        image = np.linalg.norm(w, axis=-1)
-        aperture = np.linalg.norm(w[..., shrink], axis=-1) / np.maximum(
-            np.linalg.norm(w[..., grow], axis=-1), 1e-300)
-        report["aperture_" + key] = float(
-            np.max(aperture[:, outside], initial=0.0))
-        report["expand_" + key] = float(
-            np.min((image - lam * size)[:, inside], initial=np.inf))
-        report["complement_expand_" + key] = float(
-            np.min((image / size)[:, outside], initial=np.inf))
-    report["ok"] = (report["aperture_fwd"] < 1.0
-                    and report["aperture_bwd"] < 1.0
-                    and report["expand_fwd"] >= 0.0
-                    and report["expand_bwd"] >= 0.0)
-    return report
-
-
-class LinearHyperbolicMap:
-    """Linear hyperbolic map B on R^(2d) split into plus/minus halves.
-
-    The constructor certifies the map by sampling unit vectors:
-
-    * B must expand by at least lam on the unstable cone C*_+(1/10) and
-      B^{-1} by at least lam on C*_-(1/10);
-    * the image under B of the complement of C*_-(1/10) must land strictly
-      inside the open plus cone (achieved aperture < 1), and symmetrically
-      for B^{-1}.
-
-    For a map with diagonal stretch L the achieved aperture of the image
-    cone is about 1/(L^2 theta), so the stronger invariance at aperture
-    1/10 only holds once L >= 10; callers that need it can read the
-    achieved apertures off the certificate report.  The report also
-    records the worst expansion over the whole cone complements, which
-    degrades to roughly theta * L and is likewise not gated on.
-    """
-
-    def __init__(self, matrix, lam, check=True):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.lam = float(lam)
-        if self.matrix.ndim != 2 or \
-                self.matrix.shape[0] != self.matrix.shape[1] or \
-                self.matrix.shape[0] % 2:
-            raise ValueError("hyperbolic map needs a square matrix of even "
-                             "size, got shape %s" % (self.matrix.shape,))
-        self.dim = self.matrix.shape[0]
-        self.d = self.dim // 2
-        if check:
-            if abs(np.linalg.det(self.matrix) - 1.0) > 1e-10:
-                raise ValueError("matrix must have unit determinant")
-            report = self.certify()
-            if not report["ok"]:
-                raise ValueError("cone/expansion certificate failed: %r"
-                                 % report)
-
-    def certify(self):
-        """Check the cone mapping and expansion with cone_certificate on
-        720 unit vectors (evenly spaced angles in the plane, seeded random
-        directions above it)."""
-        if self.dim == 2:
-            ang = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        else:
-            rng = np.random.default_rng(7)
-            dirs = rng.standard_normal((720, self.dim))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return cone_certificate(self.matrix[None], dirs, self.lam, 0.1)
 
 
 def _pair_kernel(n_mat, form, scale, pts_out, pts_in):

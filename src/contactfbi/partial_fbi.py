@@ -68,6 +68,9 @@ class FlowGrid:
         if not (n_points >= 2 and n_points % 2 == 0):
             raise ValueError("flow grid needs an even number of points, at "
                              "least 2, got %r" % (n_points,))
+        if not 0.0 < float(half_period) < np.inf:
+            raise ValueError("flow grid needs a positive finite half "
+                             "period, got %r" % (half_period,))
         self.half_period = float(half_period)
         self.n_points = int(n_points)
         self.spacing = 2.0 * self.half_period / self.n_points

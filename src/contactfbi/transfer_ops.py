@@ -92,11 +92,15 @@ class AxisProduct:
 def transfer_apply(spec, u, flow, trans):
     """Apply L u = g (u o F) on the volume grid flow x trans, with the
     callable u evaluated exactly at the mapped nodes; nothing is
-    interpolated."""
-    pts = _volume_points(flow, trans.nodes())
-    gv = np.asarray(spec.g(pts), dtype=complex)
-    uv = np.asarray(u(spec.map.apply(pts)), dtype=complex)
-    vals = (gv * uv).reshape((flow.n_points,) + trans.shape())
+    interpolated.  Non-finite values of g or u are refused."""
+    yd = trans.nodes()
+    uv = np.asarray(u(spec.map.apply(_volume_points(flow, yd))),
+                    dtype=complex)
+    if not np.all(np.isfinite(uv)):
+        raise ValueError("transferred function produced non-finite values "
+                         "at the mapped nodes")
+    vals = (spec.g_values(flow, yd).ravel() * uv).reshape(
+        (flow.n_points,) + trans.shape())
     return VolumeField(flow, trans, vals)
 
 
@@ -404,7 +408,7 @@ def kernel_entry_direct(spec, flow, trans, pg, row, col):
     x_dag, xi = _phase_labels(flow, pg, [row, col])
     phi_o = partial_packet(x_dag[0], xi[0])
     phi_i = partial_packet(x_dag[1], xi[1])
-    g = np.asarray(spec.g(pts), dtype=complex)
+    g = spec.g_values(flow, trans.nodes()).ravel()
     val = np.sum(np.conj(phi_o(pts)) * g * phi_i(fpts))
     return complex(val * flow.spacing * trans.weight)
 
@@ -453,7 +457,7 @@ def kernel_bound_audit(spec, flow, trans, pg, rho, n_per_stratum=4,
     yd = trans.nodes()
     pts = _volume_points(flow, yd)
     fpts = spec.map.apply(pts)
-    g = np.asarray(spec.g(pts), dtype=complex)
+    g = spec.g_values(flow, yd).ravel()
     fy = spec.map.f_dag(yd)
     jac = spec.map.jacobian(yd)
     two_l0 = 2.0 * flow.half_period

@@ -126,6 +126,8 @@ class TestExitCodes:
                 ("central-audit", "ks = -3\nbig_n = 1\n"),
                 ("norm-bound", "lams = 4.0\n"),
                 ("norm-bound", "seed = 5\n"),
+                # only --out names the output directory
+                ("partition-audit", "out_dir = x\n"),
                 ("spectrum", "map_lam = nan\n"))):
             out = tmp_path / ("run%d" % i)
             code = main([sub, "--config",

@@ -96,6 +96,15 @@ class TestContactMapFamilies:
         with pytest.raises(ValueError, match="not symplectic"):
             ContactMap.linear(np.diag([2.0, 1.0]))
 
+    def test_linear_rejects_bad_matrix(self):
+        shape = r"square matrix of even size, got shape \(%d, %d\)"
+        for b, fragment in ((np.eye(3), shape % (3, 3)),
+                            (np.ones((2, 4)), shape % (2, 4)),
+                            (np.array([[4.0, np.nan], [0.0, 0.25]]),
+                             "finite matrix entries")):
+            with pytest.raises(ValueError, match=fragment):
+                ContactMap.linear(b)
+
     def test_shear_apply(self):
         cm = ContactMap.shear(4.0, 0.5)
         out = cm.apply(np.array([0.0, 0.2, 0.6]))

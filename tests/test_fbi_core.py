@@ -6,21 +6,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseAxis, PhaseField,
-                                 PhaseGrid, PhaseSpacePoint, apply_p_omega,
-                                 cone_certificate, dagger_form_matrix, det_factor,
+from contactfbi.contact_geometry import (ContactMap, check_hyperbolic,
+                                         cone_certificate)
+from contactfbi.fbi_core import (PhaseAxis, PhaseField, PhaseGrid,
+                                 apply_p_omega, dagger_form_matrix, det_factor,
                                  dual_phase_grid, fbi_adjoint, fbi_forward,
-                                 fbi_forward_at, fbi_roundtrip, flip_half,
-                                 l0_hat,
+                                 fbi_roundtrip, flip_half, l0_hat,
                                  l0_hat_kernel, lift_linear,
                                  linear_lift_kernel, normalization,
-                                 projection_kernel, projection_kernel_matrix,
-                                 wave_packet, z_change)
+                                 projection_kernel_matrix, wave_packet,
+                                 z_change)
 from contactfbi.numerics import Field, make_grid, quad_inner, sample
 
 
 def packet_field(grid, x, xi):
-    return sample(wave_packet(PhaseSpacePoint(x, xi)), grid)
+    return sample(wave_packet(x, xi), grid)
+
+
+def pair_kernel(p, q):
+    """The closed-form overlap of the packets at the points p = (x, xi) and
+    q = (x', xi'), one pair through projection_kernel_matrix."""
+    return projection_kernel_matrix(np.concatenate(p)[None],
+                                    np.concatenate(q)[None])[0, 0]
 
 
 class TestWavePacket:
@@ -40,8 +47,7 @@ class TestWavePacket:
 
     def test_peak_modulus(self):
         # |phi(x)| = a_D at the center
-        p = PhaseSpacePoint([0.4], [3.0])
-        val = wave_packet(p)(np.array([[0.4]]))
+        val = wave_packet([0.4], [3.0])(np.array([[0.4]]))
         assert abs(abs(val[0]) - normalization(1)) <= 1e-14
 
     def test_overlap_matches_closed_form(self):
@@ -49,27 +55,25 @@ class TestWavePacket:
         pairs = [(([0.0], [0.0]), ([1.0], [2.0])),
                  (([0.5], [-1.0]), ([-0.5], [1.0])),
                  (([2.0], [4.0]), ([2.5], [3.0]))]
-        for (x1, f1), (x2, f2) in pairs:
-            p = PhaseSpacePoint(x1, f1)
-            q = PhaseSpacePoint(x2, f2)
-            num = quad_inner(packet_field(g, x1, f1), packet_field(g, x2, f2))
-            assert abs(num - projection_kernel(p, q)) <= 1e-12
+        for p, q in pairs:
+            num = quad_inner(packet_field(g, *p), packet_field(g, *q))
+            assert abs(num - pair_kernel(p, q)) <= 1e-12
 
     def test_overlap_matches_closed_form_2d(self):
         g = make_grid(2, 7.0, 56)
-        p = PhaseSpacePoint([0.5, -0.3], [1.0, -2.0])
-        q = PhaseSpacePoint([-0.2, 0.4], [2.0, 1.0])
-        num = quad_inner(sample(wave_packet(p), g), sample(wave_packet(q), g))
-        assert abs(num - projection_kernel(p, q)) <= 1e-12
+        p = ([0.5, -0.3], [1.0, -2.0])
+        q = ([-0.2, 0.4], [2.0, 1.0])
+        num = quad_inner(packet_field(g, *p), packet_field(g, *q))
+        assert abs(num - pair_kernel(p, q)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_projection_kernel_conjugate_symmetric(seed):
     rng = np.random.default_rng(seed)
-    p = PhaseSpacePoint(rng.normal(size=2), rng.normal(size=2))
-    q = PhaseSpacePoint(rng.normal(size=2), rng.normal(size=2))
-    assert abs(projection_kernel(p, q) - np.conj(projection_kernel(q, p))) <= 1e-14
+    p = (rng.normal(size=2), rng.normal(size=2))
+    q = (rng.normal(size=2), rng.normal(size=2))
+    assert abs(pair_kernel(p, q) - np.conj(pair_kernel(q, p))) <= 1e-14
 
 
 class TestTransformPair:
@@ -79,10 +83,11 @@ class TestTransformPair:
         self.pg = dual_phase_grid(self.g)
 
     def test_forward_matches_pointwise(self):
+        # T u at each phase point is the quadrature pairing <phi_p, u>
         u = sample(lambda p: np.exp(-np.sum(p ** 2, axis=-1)), self.g)
         v = fbi_forward(u, self.pg)
-        pts = self.pg.points()
-        direct = fbi_forward_at(u, pts)
+        direct = [quad_inner(packet_field(self.g, p[:1], p[1:]), u)
+                  for p in self.pg.points()]
         assert np.allclose(v.values.ravel(), direct, atol=1e-13)
 
     def test_identity_on_gaussian(self):
@@ -244,8 +249,8 @@ class TestProjection:
             apply_p_omega(u, np.eye(2))
 
     def test_kernel_matrix_matches_scalar(self):
-        # the matrix and the scalar kernel against the exponent written out
-        # (form, squared distance, one exp of the sum)
+        # the matrix and its one-pair entries against the exponent written
+        # out (form, squared distance, one exp of the sum)
         rng = np.random.default_rng(5)
         for dim in (1, 2):
             pts_a = 2.0 * rng.normal(size=(30, 2 * dim))
@@ -255,10 +260,12 @@ class TestProjection:
                            want) <= 1e-13
             for i in range(4):
                 for j_ in range(3):
-                    p = PhaseSpacePoint(pts_a[i, :dim], pts_a[i, dim:])
-                    q = PhaseSpacePoint(pts_b[j_, :dim], pts_b[j_, dim:])
-                    assert abs(projection_kernel(p, q) - want[i, j_]) \
+                    p = (pts_a[i, :dim], pts_a[i, dim:])
+                    q = (pts_b[j_, :dim], pts_b[j_, dim:])
+                    assert abs(pair_kernel(p, q) - want[i, j_]) \
                         <= 1e-13 * np.max(np.abs(want))
+        with pytest.raises(ValueError, match="packets of dimensions 1 and 2"):
+            projection_kernel_matrix(np.zeros((1, 2)), np.zeros((1, 4)))
 
 
 class TestDetFactor:
@@ -284,35 +291,30 @@ class TestDetFactor:
 
 
 class TestLinearHyperbolicMap:
+    """A linear map B certified as ContactMap.linear(B) by
+    contact_geometry.check_hyperbolic, and the cone certificate itself."""
 
     def test_diagonal_certifies(self):
-        m = LinearHyperbolicMap(np.diag([4.0, 0.25]), lam=3.9)
-        report = m.certify()
+        report = check_hyperbolic(ContactMap.linear(np.diag([4.0, 0.25])),
+                                  lam=3.9)
         assert report["ok"]
         # image aperture of the cone complement is 1/(16 * 0.1)
         assert report["aperture_fwd"] == pytest.approx(0.625, abs=0.05)
 
     def test_large_stretch_tightens_aperture(self):
-        m = LinearHyperbolicMap(np.diag([16.0, 1.0 / 16.0]), lam=15.5)
-        report = m.certify()
+        report = check_hyperbolic(
+            ContactMap.linear(np.diag([16.0, 1.0 / 16.0])), lam=15.5)
         assert report["ok"]
         assert report["aperture_fwd"] <= 0.1
         assert report["aperture_bwd"] <= 0.1
 
-    def test_rotation_fails_cone(self):
-        th = np.pi / 6.0
-        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        with pytest.raises(ValueError):
-            LinearHyperbolicMap(rot, lam=1.0)
-
     def test_non_unimodular_rejected(self):
-        with pytest.raises(ValueError):
-            LinearHyperbolicMap(np.diag([4.0, 0.5]), lam=1.0)
+        with pytest.raises(ValueError, match="not symplectic"):
+            ContactMap.linear(np.diag([4.0, 0.5]))
 
     def test_shear_certifies(self):
         b = np.array([[4.0, 0.05], [0.0, 0.25]])
-        m = LinearHyperbolicMap(b, lam=3.5)
-        assert m.certify()["ok"]
+        assert check_hyperbolic(ContactMap.linear(b), lam=3.5)["ok"]
 
     @pytest.mark.parametrize("b, lam", [
         (np.diag([4.0, 0.25]), 3.9),
@@ -320,15 +322,17 @@ class TestLinearHyperbolicMap:
         (np.array([[4.0, 0.3, 0.1, 0.0], [0.0, 2.0, 0.0, 0.2],
                    [0.05, 0.0, 0.25, 0.0], [0.0, 0.1, 0.3, 0.5]]), 1.5)])
     def test_certificate_matches_direction_loop(self, b, lam):
-        # the per-direction loop the vectorized certificate replaced
-        m = LinearHyperbolicMap(b, lam, check=False)
-        if m.dim == 2:
+        # the per-direction loop the vectorized certificate replaced, on
+        # 720 unit vectors: evenly spaced angles in the plane, seeded
+        # random directions above it
+        n = b.shape[0]
+        if n == 2:
             ang = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
             dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         else:
-            dirs = np.random.default_rng(7).standard_normal((720, m.dim))
+            dirs = np.random.default_rng(7).standard_normal((720, n))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        d, theta, binv = m.d, 0.1, np.linalg.inv(b)
+        d, theta, binv = n // 2, 0.1, np.linalg.inv(b)
         ref = {"aperture_fwd": 0.0, "aperture_bwd": 0.0,
                "expand_fwd": np.inf, "expand_bwd": np.inf,
                "complement_expand_fwd": np.inf,
@@ -355,14 +359,13 @@ class TestLinearHyperbolicMap:
             if plus <= theta * minus:
                 ref["expand_bwd"] = min(ref["expand_bwd"],
                                         np.linalg.norm(binv @ v) - lam)
-        for report in (m.certify(),
-                       cone_certificate(b[None], dirs, lam, theta)):
-            assert report["ok"] == (ref["aperture_fwd"] < 1.0
-                                    and ref["aperture_bwd"] < 1.0
-                                    and ref["expand_fwd"] >= 0.0
-                                    and ref["expand_bwd"] >= 0.0)
-            for key, val in ref.items():
-                assert report[key] == pytest.approx(val, rel=1e-12, abs=0.0)
+        report = cone_certificate(b[None], dirs, lam, theta)
+        assert report["ok"] == (ref["aperture_fwd"] < 1.0
+                                and ref["aperture_bwd"] < 1.0
+                                and ref["expand_fwd"] >= 0.0
+                                and ref["expand_bwd"] >= 0.0)
+        for key, val in ref.items():
+            assert report[key] == pytest.approx(val, rel=1e-12, abs=0.0)
 
 
 class TestLiftedMaps:

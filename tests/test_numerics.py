@@ -178,13 +178,12 @@ class TestDenseBudget:
                                                q_tilde_support)
             from contactfbi.contact_geometry import (AffineContactMap,
                                                      ContactMap)
-            from contactfbi.fbi_core import (LinearHyperbolicMap, PhaseAxis,
-                                             PhaseField, PhaseGrid,
-                                             PhaseSpacePoint, apply_p_omega,
+            from contactfbi.fbi_core import (PhaseAxis, PhaseField,
+                                             PhaseGrid, apply_p_omega,
                                              dual_phase_grid, fbi_adjoint,
-                                             fbi_forward, fbi_forward_at,
-                                             l0_hat,
-                                             lift_linear, projection_kernel)
+                                             fbi_forward, l0_hat, lift_linear,
+                                             projection_kernel_matrix,
+                                             wave_packet)
             from contactfbi.numerics import (Field, GridSpec, check_dense,
                                              make_grid)
             from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
@@ -202,9 +201,6 @@ class TestDenseBudget:
                                                  kernel_bound_audit,
                                                  lambda_delta, lift_apply)
             assert False, "assert statements are not stripped"
-            th = np.pi / 6.0
-            rot = np.array([[np.cos(th), -np.sin(th)],
-                            [np.sin(th), np.cos(th)]])
             spec = TransferSpec(ContactMap.shear(2.0, 0.3), lambda p: np.exp(
                 -np.sum(p[:, 1:] ** 2, axis=-1)))
             block = CentralBlock(CentralFrame(
@@ -253,32 +249,28 @@ class TestDenseBudget:
                 "small band": ("frequency count 16 too small",
                                lambda: dual_phase_grid(make_grid(1, 8.0, 32),
                                                        n_freq=16)),
-                "rotation": ("cone/expansion certificate failed",
-                             lambda: LinearHyperbolicMap(rot, lam=1.0)),
-                "non-unimodular": ("unit determinant",
-                                   lambda: LinearHyperbolicMap(
-                                       np.diag([4.0, 0.5]), lam=1.0)),
                 "odd map": ("square matrix of even size, got shape (3, 3)",
-                            lambda: LinearHyperbolicMap(np.eye(3), lam=1.0)),
+                            lambda: ContactMap.linear(np.eye(3))),
                 "non-square map": ("square matrix of even size, got shape "
-                                   "(2, 4)", lambda: LinearHyperbolicMap(
-                                       np.ones((2, 4)), lam=1.0)),
+                                   "(2, 4)", lambda: ContactMap.linear(
+                                       np.ones((2, 4)))),
+                "map entries": ("finite matrix entries, got [[nan, 0.0], "
+                                "[0.0, 1.0]]", lambda: ContactMap.linear(
+                                    np.array([[np.nan, 0.0], [0.0, 1.0]]))),
                 "point shape": ("phase space point with center of shape "
                                 "(1,) and frequency of shape (2,)",
-                                lambda: PhaseSpacePoint([0.0], [0.0, 0.0])),
+                                lambda: wave_packet([0.0], [0.0, 0.0])),
                 "point finite": ("non-finite phase space point",
-                                 lambda: PhaseSpacePoint([0.0], [np.inf])),
+                                 lambda: wave_packet([0.0], [np.inf])),
+                "one center": ("at least 2 centers, frequencies and nodes, "
+                               "got 1, 2 and 2", lambda: PhaseAxis(
+                                   [0.0], [0.0, 1.0], [0.0, 1.0])),
                 "space grid": ("same quadrature on every axis",
                                lambda: PhaseGrid([
                                    PhaseAxis([0.0, 1.0], [0.0, 1.0],
                                              [0.0, 1.0]),
                                    PhaseAxis([0.0, 1.0], [0.0, 1.0],
                                              [0.0, 0.5])]).space_grid()),
-                "point set width": ("points of shape (2, 3) for a "
-                                    "2-dimensional field; need width 4",
-                                    lambda: fbi_forward_at(
-                                        Field(trans, np.zeros(16)),
-                                        np.zeros((2, 3)))),
                 "over budget": ("above the dense budget",
                                 lambda: check_dense(10 ** 5, 10 ** 5, "big")),
                 "field": ("value count 3 does not match",
@@ -327,6 +319,15 @@ class TestDenseBudget:
                                         pg, WeightSpec())),
                 "flow points": ("even number of points",
                                 lambda: FlowGrid(np.pi, 3)),
+                "flow period zero": ("positive finite half period, got 0.0",
+                                     lambda: FlowGrid(0.0, 2)),
+                "flow period negative": ("positive finite half period, got "
+                                         "-3.14", lambda: FlowGrid(-np.pi,
+                                                                   2)),
+                "flow period nan": ("positive finite half period, got nan",
+                                    lambda: FlowGrid(np.nan, 2)),
+                "flow period inf": ("positive finite half period, got inf",
+                                    lambda: FlowGrid(np.inf, 2)),
                 "point width": ("points of width 3",
                                 lambda: reconstruct_slice(
                                     np.zeros(pg.shape()), pg, 1.0,
@@ -385,10 +386,9 @@ class TestDenseBudget:
                                 "1.0 and 0 points",
                                 lambda: GridSpec(1, 1.0, 0)),
                 "packet dimensions": ("packets of dimensions 1 and 2",
-                                      lambda: projection_kernel(
-                                          PhaseSpacePoint([0.0], [0.0]),
-                                          PhaseSpacePoint([0.0, 0.0],
-                                                          [0.0, 0.0]))),
+                                      lambda: projection_kernel_matrix(
+                                          np.zeros((1, 2)),
+                                          np.zeros((1, 4)))),
             }
             for name, (fragment, case) in cases.items():
                 try:

@@ -15,6 +15,7 @@ from contactfbi.numerics import make_grid
 from contactfbi.partial_fbi import (FlowGrid, PartialPhaseField,
                                     _slice_forward, pcal_apply, pfbi_forward,
                                     reconstruct_slice, sample_volume)
+from contactfbi.spectra import lower_bound_family
 from contactfbi.transfer_ops import (AxisProduct, TransferSpec,
                                      _phase_labels, cutoff_diagonals,
                                      decompose, flow_fourier_coeffs,
@@ -37,6 +38,13 @@ def ones_amp(pts):
 
 def zero_amp(pts):
     return np.zeros(pts.shape[0], dtype=complex)
+
+
+def nan_bump(pts):
+    """gauss_amp(0.5) with one NaN, at the point nearest the origin."""
+    vals = gauss_amp(0.5)(pts).astype(complex)
+    vals[np.argmin(np.sum(pts ** 2, axis=-1))] = np.nan
+    return vals
 
 
 def gauss_u(sigma, k0=1.0):
@@ -71,6 +79,31 @@ class TestTransferApply:
         vol = sample_volume(u, self.flow, self.trans)
         out = transfer_apply(spec, u, self.flow, self.trans)
         assert out.norm() <= 0.7 * vol.norm() * 1.01
+
+    def test_non_finite_function_refused(self):
+        spec = TransferSpec(ContactMap.linear(np.eye(2)), ones_amp)
+
+        def u(pts):
+            return np.where(pts[:, 1] > 1.0, np.nan, 1.0)
+        with pytest.raises(ValueError, match="transferred function produced "
+                           "non-finite values"):
+            transfer_apply(spec, u, self.flow, self.trans)
+
+    def test_non_finite_amplitude_refused(self):
+        # a NaN in g once came out as a NaN result: c_rho = nan, ratios
+        # [nan] and a NaN volume field
+        flow, trans = FlowGrid(np.pi, 4), make_grid(2, 1.6, 8)
+        pg = dual_phase_grid(trans, n_freq=8)
+        spec = TransferSpec(ContactMap.linear(np.diag([2.0, 0.5])), nan_bump)
+        for run in (lambda: transfer_apply(spec, gauss_u(0.8), flow, trans),
+                    lambda: kernel_bound_audit(spec, flow, trans, pg,
+                                               rho=1.0),
+                    lambda: lower_bound_family(spec, flow, trans, pg, [1],
+                                               WeightSpec(),
+                                               x_star=[0.0, 0.0])):
+            with pytest.raises(ValueError, match="amplitude produced "
+                               "non-finite values"):
+                run()
 
 
 def flow_phase_sum(g_vals, flow):
